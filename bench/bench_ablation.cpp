@@ -113,14 +113,11 @@ int main(int argc, char** argv) {
                 num(r.stats.non_xor_slots).c_str());
   }
 
-  benchutil::header("Ablation 5: cone-granular planning & transport overlap (wall-clock)");
+  benchutil::header("Ablation 5: cone-granular planning & party composition (wall-clock)");
   {
     // Cold single runs (transient caches) with cone memoization off/on, and
-    // warm sessions over the lock-step in-memory duplex vs the threaded
-    // bounded pipe. Wall-clock is the figure of merit here: the pipe's
-    // garbler/evaluator overlap only shows as a wall win with >= 2 cores
-    // (on 1 vCPU it shows as per-party CPU reduction instead) — run this on
-    // a multi-core host / CI for the overlap number.
+    // warm sessions run lock-step in one thread vs as two endpoints over a
+    // TCP socket. Wall-clock is the figure of merit here.
     const programs::Program p = programs::hamming(5);
     std::vector<std::uint32_t> a(5), b(5);
     for (auto& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
@@ -141,22 +138,15 @@ int main(int argc, char** argv) {
                 100.0 * hit_ratio);
 
     arm::Arm2Gc::Session lockstep(machine);
-    core::ExecOptions pipe_exec;
-    pipe_exec.transport = core::TransportKind::ThreadedPipe;
-    arm::Arm2Gc::Session piped(machine, pipe_exec);
     (void)lockstep.run(a, b);  // warm the caches before timing
-    (void)piped.run(a, b);
     const double warm_lock = best_wall_ms(5, [&] { (void)lockstep.run(a, b); });
-    const double warm_pipe = best_wall_ms(5, [&] { (void)piped.run(a, b); });
     std::printf("warm session, lock-step in-memory: %7.2f ms\n", warm_lock);
-    std::printf("warm session, threaded pipe:       %7.2f ms (wall; hw_concurrency=%u)\n",
-                warm_pipe, std::thread::hardware_concurrency());
 
     // Socket transport on localhost: the two party endpoints over a real TCP
     // connection (two threads in one process; the exact code path of
     // tools/arm2gc_party, including connection setup per run). The delta to
-    // the threaded pipe is the kernel socket cost; the delta to lock-step is
-    // overlap minus that cost.
+    // lock-step is garbler/evaluator overlap minus the kernel socket cost
+    // and the evaluator's own planning.
     core::WarmState socket_gwarm(core::Role::Garbler);
     core::WarmState socket_ewarm(core::Role::Evaluator);
     auto socket_once = [&] {
@@ -186,15 +176,15 @@ int main(int argc, char** argv) {
     };
     socket_once();  // warm the caches and base state before timing
     const double warm_socket = best_wall_ms(5, socket_once);
-    std::printf("warm session, TCP socket loopback: %7.2f ms (wall; two endpoints)\n",
-                warm_socket);
+    std::printf("warm session, TCP socket loopback: %7.2f ms (wall; two endpoints; "
+                "hw_concurrency=%u)\n",
+                warm_socket, std::thread::hardware_concurrency());
 
     if (benchutil::json().enabled()) {
       benchutil::json().add("hamming160.cold_ms_cone_off", cold_off);
       benchutil::json().add("hamming160.cold_ms_cone_on", cold_on);
       benchutil::json().add("hamming160.cold_cone_hit_ratio", hit_ratio);
       benchutil::json().add("hamming160.warm_session_ms_lockstep", warm_lock);
-      benchutil::json().add("hamming160.warm_session_ms_threaded_pipe_wall", warm_pipe);
       benchutil::json().add("hamming160.warm_session_ms_socket_loopback_wall", warm_socket);
       benchutil::json().add("hardware_concurrency",
                             static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
@@ -252,15 +242,14 @@ int main(int argc, char** argv) {
 
   benchutil::header("Ablation 7: multicore garbling/evaluation (worker pool, Hamming 160)");
   {
-    // Warm sessions at 1/2/4 worker threads over the threaded pipe: each
-    // party shards its per-cone slices across the pool while the ordered
-    // writer keeps the byte stream — and so the table digest and every comm
-    // counter — identical to the serial schedule (pinned by
-    // tests/parallel_test.cpp; spot-checked again here). Like the transport
-    // overlap above, the speedup is wall-clock only with enough cores: on a
-    // 1-vCPU host the threads>1 rows serialize and the committed JSON flags
-    // them as such — the CI bench artifact (>= 2 vCPUs) is the canonical
-    // scaling number.
+    // Warm lock-step sessions at 1/2/4 worker threads: each party shards its
+    // per-cone slices across the pool while the ordered writer keeps the
+    // byte stream — and so the table digest and every comm counter —
+    // identical to the serial schedule (pinned by tests/parallel_test.cpp;
+    // spot-checked again here). The speedup is wall-clock only with enough
+    // cores: on a 1-vCPU host the threads>1 rows serialize and the committed
+    // JSON flags them as such — the CI bench artifact (>= 2 vCPUs) is the
+    // canonical scaling number.
     const programs::Program p = programs::hamming(5);
     std::vector<std::uint32_t> a(5), b(5);
     for (auto& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
@@ -271,7 +260,6 @@ int main(int argc, char** argv) {
     double serial_ms = 0.0;
     for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
       core::ExecOptions exec;
-      exec.transport = core::TransportKind::ThreadedPipe;
       exec.threads = threads;
       arm::Arm2Gc::Session session(machine, exec);
       arm::Arm2GcResult r = session.run(a, b);  // warm the caches before timing
@@ -297,7 +285,7 @@ int main(int argc, char** argv) {
       // wall-clock parallelism on the recording host.
       benchutil::json().add(
           "multicore_note",
-          std::string("threads>1 and pipe-overlap rows need that many cores to win on "
+          std::string("threads>1 and socket-loopback rows need that many cores to win on "
                       "wall-clock; with hardware_concurrency recorded above below that, they "
                       "serialize locally (showing as per-party CPU reduction only). The CI "
                       "bench-ablation-json artifact (multi-vCPU runner) is the canonical "

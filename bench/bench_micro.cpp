@@ -323,19 +323,16 @@ BENCHMARK(BM_ProtocolMul32)->Arg(0)->Arg(1);
 namespace {
 
 /// Full ARM2GC protocol run (SkipGate, halt-driven), parameterized by plan
-/// cache (arg0), transport (arg1) and cone memoization (arg2) — the
-/// per-cycle plan cache skips classification on revisited public control
-/// states, the cone memo re-classifies only dirty cones on cache-missed
-/// cycles, and the threaded pipe overlaps garbling with evaluation.
-/// Labels: "cache=0/1 pipe=0/1 cone=0/1".
+/// cache (arg0) and cone memoization (arg1) — the per-cycle plan cache skips
+/// classification on revisited public control states, and the cone memo
+/// re-classifies only dirty cones on cache-missed cycles.
+/// Labels: "cache=0/1 cone=0/1".
 void protocol_arm(benchmark::State& state, const programs::Program& prog,
                   std::vector<std::uint32_t> a, std::vector<std::uint32_t> b) {
   const arm::Arm2Gc machine(prog.cfg, prog.words);
   core::ExecOptions exec;
   exec.plan_cache = state.range(0) != 0;
-  exec.transport = state.range(1) != 0 ? core::TransportKind::ThreadedPipe
-                                       : core::TransportKind::InMemory;
-  exec.cone_memo = state.range(2) != 0;
+  exec.cone_memo = state.range(1) != 0;
   std::uint64_t cycles = 0;
   double hit_ratio = 0.0;
   double cone_ratio = 0.0;
@@ -347,8 +344,7 @@ void protocol_arm(benchmark::State& state, const programs::Program& prog,
     cone_ratio = r.stats.cone_hit_ratio();
   }
   state.SetLabel(std::string("cache=") + (state.range(0) ? "1" : "0") +
-                 " pipe=" + (state.range(1) ? "1" : "0") +
-                 " cone=" + (state.range(2) ? "1" : "0"));
+                 " cone=" + (state.range(1) ? "1" : "0"));
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cycles));
   state.counters["cycles"] = static_cast<double>(cycles);
   state.counters["cache_hit_ratio"] = hit_ratio;
@@ -361,22 +357,18 @@ static void BM_ProtocolArmSum32(benchmark::State& state) {
   protocol_arm(state, programs::sum(1), {0xDEADBEEFu}, {0x12345679u});
 }
 BENCHMARK(BM_ProtocolArmSum32)
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->Args({1, 0, 1})
-    ->Args({0, 1, 0})
-    ->Args({1, 1, 1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 static void BM_ProtocolArmHamming160(benchmark::State& state) {
   protocol_arm(state, programs::hamming(5), {1, 2, 3, 4, 5}, {6, 7, 8, 9, 10});
 }
 BENCHMARK(BM_ProtocolArmHamming160)
-    ->Args({0, 0, 0})
-    ->Args({1, 0, 0})
-    ->Args({1, 0, 1})
-    ->Args({0, 1, 0})
-    ->Args({1, 1, 1})
+    ->Args({0, 0})
+    ->Args({1, 0})
+    ->Args({1, 1})
     ->Unit(benchmark::kMillisecond);
 
 /// OT-phase cost of a full ARM2GC run (Hamming-160, cold): wall time spent
@@ -425,14 +417,10 @@ BENCHMARK(BM_ProtocolArmHamming160OtPhase)
 /// The serving scenario: one Arm2Gc::Session executes the same public
 /// program on fresh private inputs every iteration, so the per-party plan
 /// caches stay warm and every run after the first skips classification.
-/// arg0: transport (0 = in-memory, 1 = threaded pipe).
 static void BM_ProtocolArmSessionHamming160(benchmark::State& state) {
   const programs::Program prog = programs::hamming(5);
   const arm::Arm2Gc machine(prog.cfg, prog.words);
-  core::ExecOptions exec;
-  exec.transport = state.range(0) != 0 ? core::TransportKind::ThreadedPipe
-                                       : core::TransportKind::InMemory;
-  arm::Arm2Gc::Session session(machine, exec);
+  arm::Arm2Gc::Session session(machine);
   std::vector<std::uint32_t> a = {1, 2, 3, 4, 5};
   const std::vector<std::uint32_t> b = {6, 7, 8, 9, 10};
   double hit_ratio = 0.0;
@@ -444,10 +432,10 @@ static void BM_ProtocolArmSessionHamming160(benchmark::State& state) {
     hit_ratio = r.stats.plan_cache_hit_ratio();
     cycles = r.cycles;
   }
-  state.SetLabel(state.range(0) ? "session pipe=1" : "session pipe=0");
+  state.SetLabel("session");
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(cycles));
   state.counters["cache_hit_ratio"] = hit_ratio;
 }
-BENCHMARK(BM_ProtocolArmSessionHamming160)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ProtocolArmSessionHamming160)->Unit(benchmark::kMillisecond);
 
 BENCHMARK_MAIN();

@@ -34,9 +34,10 @@ class Arm2Gc {
   /// construction happens once; runs reuse it.
   Arm2Gc(MemoryConfig cfg, std::vector<std::uint32_t> program);
 
-  /// Executes the two-party protocol (SkipGate mode, halt-driven). `exec`
-  /// selects transport and plan-cache tuning; results are identical across
-  /// all tunings, only wall-clock and memory differ.
+  /// Executes the two-party protocol (SkipGate mode, halt-driven) through
+  /// the in-process lock-step driver. `exec` selects plan-cache, OT and
+  /// thread tuning; results are identical across all tunings, only
+  /// wall-clock and memory differ.
   [[nodiscard]] Arm2GcResult run(std::span<const std::uint32_t> alice,
                                  std::span<const std::uint32_t> bob,
                                  std::uint64_t max_cycles = 1u << 20,
@@ -99,7 +100,7 @@ class Arm2Gc {
   /// rebuilding the session. Not thread-safe; use one Session per worker.
   class Session {
    public:
-    /// `exec` seeds transport/budget tuning; `plan_cache` is forced on, and
+    /// `exec` seeds budget/backend tuning; `plan_cache` is forced on, and
     /// the session's own per-role WarmState (plan cache + cone memo and, for
     /// the Iknp backend, OT extension state) fills each warm slot the caller
     /// left null (caller-supplied ones are used as given).

@@ -84,8 +84,7 @@ struct RunStats {
   /// OT subsystem counters. In a single-endpoint run they come from this
   /// role's OT endpoint (the two sides' ledgers are identical by
   /// construction); the in-process lock-step driver reports the garbler's
-  /// counts with both roles' ot_wall_ns summed, the threaded driver reports
-  /// the garbler's alone.
+  /// counts with both roles' ot_wall_ns summed.
   std::uint64_t ot_choices = 0;
   std::uint64_t ot_batches = 0;
   std::uint64_t ot_base_ots = 0;  ///< base OTs run this execution (0 when warm)
@@ -124,8 +123,8 @@ struct RunStats {
 
 /// Per-cycle bit provider for streamed inputs (bit-serial circuits). Index i
 /// must cover every Input with streamed=true and bit_index==i of that owner.
-/// When the two endpoints run on different threads (threaded pipe) or in
-/// different processes, the callbacks are invoked from each party's own
+/// When the two endpoints run on different threads or in different
+/// processes (over a socket), the callbacks are invoked from each party's own
 /// context (pub from both; alice from the garbler, bob from the evaluator)
 /// and must be pure functions of the cycle index.
 struct StreamProvider {
@@ -270,8 +269,8 @@ class WarmState {
 
 // The two endpoints share one stepwise schedule; the hook split exists so
 // the in-process lock-step driver can interleave the two roles on a single
-// thread over a non-blocking duplex. Over a blocking transport (socket,
-// threaded pipe) call run() and never touch the hooks. Cross-party ordering
+// thread over a non-blocking duplex. Over a blocking transport (socket) call
+// run() and never touch the hooks. Cross-party ordering
 // contract (what run() performs for one role, the lock-step driver for two):
 //
 //   E.start_request  ->  G.start  ->  E.start_finish

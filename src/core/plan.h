@@ -171,7 +171,7 @@ class Planner;
 /// trajectory repeats. Capacity is bounded: once full, inserting a new state
 /// evicts the least-recently-used entry, so long multi-program sessions
 /// cannot grow memory without limit. Not thread-safe; use one instance per
-/// party (the threaded driver enforces this).
+/// party (a role-scoped core::WarmState enforces this).
 class PlanCache {
  public:
   /// Capacity is derived from the per-entry footprint against this budget

@@ -1,12 +1,8 @@
 #include "core/skipgate.h"
 
-#include <exception>
 #include <stdexcept>
-#include <thread>
 
 namespace arm2gc::core {
-
-namespace {
 
 using netlist::BitVec;
 using netlist::Netlist;
@@ -20,14 +16,13 @@ using netlist::Netlist;
 /// driver reports the garbler's counters (which match a two-process run)
 /// plus the evaluator's OT wall time (the lock-step run spends both
 /// parties' time on one thread).
-RunResult run_lockstep(const Netlist& nl, const RunOptions& opts, const BitVec& alice_bits,
-                       const BitVec& bob_bits, const BitVec& pub_bits,
-                       const StreamProvider* streams) {
+RunResult SkipGateDriver::run(const BitVec& alice_bits, const BitVec& bob_bits,
+                              const BitVec& pub_bits, const StreamProvider* streams) {
   gc::InMemoryDuplex duplex;
-  GarblerEndpoint garbler(nl, party_options(Role::Garbler, opts), duplex.garbler_end(),
-                          opts.exec.garbler_warm);
-  EvaluatorEndpoint evaluator(nl, party_options(Role::Evaluator, opts), duplex.evaluator_end(),
-                              opts.exec.evaluator_warm, garbler);
+  GarblerEndpoint garbler(nl_, party_options(Role::Garbler, opts_), duplex.garbler_end(),
+                          opts_.exec.garbler_warm);
+  EvaluatorEndpoint evaluator(nl_, party_options(Role::Evaluator, opts_), duplex.evaluator_end(),
+                              opts_.exec.evaluator_warm, garbler);
   try {
     evaluator.start_request(bob_bits, pub_bits, streams);
     garbler.start(alice_bits, pub_bits, streams);
@@ -70,72 +65,6 @@ RunResult run_lockstep(const Netlist& nl, const RunOptions& opts, const BitVec& 
   return result;
 }
 
-/// True iff the exception is the transport's shutdown signal (raised on a
-/// peer that was unblocked by close()), which only ever masks the real error.
-bool is_transport_closed(const std::exception_ptr& p) {
-  try {
-    std::rethrow_exception(p);
-  } catch (const gc::TransportClosed&) {
-    return true;
-  } catch (...) {
-    return false;
-  }
-}
-
-RunResult run_threaded(const Netlist& nl, const RunOptions& opts, const BitVec& alice_bits,
-                       const BitVec& bob_bits, const BitVec& pub_bits,
-                       const StreamProvider* streams) {
-  gc::ThreadedPipeDuplex duplex(opts.exec.pipe_blocks);
-  RunResult result;
-  std::exception_ptr garbler_error;
-  std::exception_ptr evaluator_error;
-
-  // Garbler endpoint on a worker thread: exactly the code path a remote
-  // garbler service runs, just over the pipe instead of a socket. It runs
-  // ahead of the evaluator until the pipe's backpressure stalls it; output
-  // decoding is the only point where it waits for the evaluator.
-  std::thread garbler_thread([&] {
-    try {
-      GarblerEndpoint garbler(nl, party_options(Role::Garbler, opts), duplex.garbler_end(),
-                              opts.exec.garbler_warm);
-      result = garbler.run(alice_bits, pub_bits, streams);
-    } catch (...) {
-      garbler_error = std::current_exception();
-      duplex.close();
-    }
-  });
-
-  // Evaluator endpoint on the calling thread, with its own planner making
-  // the same deterministic decisions.
-  try {
-    EvaluatorEndpoint evaluator(nl, party_options(Role::Evaluator, opts),
-                                duplex.evaluator_end(), opts.exec.evaluator_warm);
-    (void)evaluator.run(bob_bits, pub_bits, streams);
-  } catch (...) {
-    evaluator_error = std::current_exception();
-    duplex.close();
-  }
-  garbler_thread.join();
-
-  if (garbler_error || evaluator_error) {
-    // Both parties compute termination errors deterministically; a
-    // "transport: closed" error is only ever the echo of the peer's failure.
-    if (garbler_error && evaluator_error) {
-      std::rethrow_exception(is_transport_closed(garbler_error) &&
-                                     !is_transport_closed(evaluator_error)
-                                 ? evaluator_error
-                                 : garbler_error);
-    }
-    std::rethrow_exception(garbler_error ? garbler_error : evaluator_error);
-  }
-
-  result.stats.comm = duplex.stats();
-  result.stats.transport_high_water_blocks = duplex.high_water_blocks();
-  return result;
-}
-
-}  // namespace
-
 PartyOptions party_options(Role role, const RunOptions& opts) {
   (void)role;  // the expansion is role-symmetric; the role picks the endpoint
   PartyOptions p;
@@ -158,29 +87,5 @@ PartyOptions party_options(Role role, const RunOptions& opts) {
 }
 
 SkipGateDriver::SkipGateDriver(const Netlist& nl, RunOptions opts) : nl_(nl), opts_(opts) {}
-
-RunResult SkipGateDriver::run(const BitVec& alice_bits, const BitVec& bob_bits,
-                              const BitVec& pub_bits, const StreamProvider* streams) {
-  // Role-scoped WarmState makes cross-party sharing and role mixups
-  // construction errors; surface them before any thread or transport is set
-  // up (the endpoints re-check, but a worker thread's error would race the
-  // peer's).
-  if (opts_.exec.garbler_warm != nullptr &&
-      opts_.exec.garbler_warm == opts_.exec.evaluator_warm) {
-    throw std::invalid_argument("skipgate: one WarmState handed to both parties");
-  }
-  if (opts_.exec.garbler_warm != nullptr &&
-      opts_.exec.garbler_warm->role() != Role::Garbler) {
-    throw std::invalid_argument("skipgate: garbler slot holds an evaluator-role WarmState");
-  }
-  if (opts_.exec.evaluator_warm != nullptr &&
-      opts_.exec.evaluator_warm->role() != Role::Evaluator) {
-    throw std::invalid_argument("skipgate: evaluator slot holds a garbler-role WarmState");
-  }
-  if (opts_.exec.transport == TransportKind::ThreadedPipe) {
-    return run_threaded(nl_, opts_, alice_bits, bob_bits, pub_bits, streams);
-  }
-  return run_lockstep(nl_, opts_, alice_bits, bob_bits, pub_bits, streams);
-}
 
 }  // namespace arm2gc::core

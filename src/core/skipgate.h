@@ -1,18 +1,16 @@
 // In-process two-party driver (paper §3): a thin composition of the two
-// single-role endpoints (core/party.h) over an in-process transport. The
-// endpoints own all protocol state; this layer only chooses the transport
-// and interleaves the shared cycle schedule:
+// single-role endpoints (core/party.h) over the lock-step in-memory duplex.
+// The endpoints own all protocol state; this layer only interleaves their
+// hooks on one thread in the shared cycle schedule:
 //
 //   GarblerEndpoint    (core/party.h)  Alice: planner + labels + OT sends
 //   EvaluatorEndpoint  (core/party.h)  Bob: planner + eval + OT choices
 //
-// Transports: the lock-step in-memory duplex (single thread, exactly the
-// paper's sequential schedule, the two endpoints' hooks interleaved) or a
-// threaded bounded pipe that lets the garbler run ahead of the evaluator
-// (each endpoint simply run()s on its own thread — the same code path a
-// socket deployment uses). All transports produce bit-identical results,
-// digests and byte counts; tools/arm2gc_party proves the same for two
-// separate OS processes over TCP (gc/transport_socket.h).
+// This is exactly the paper's sequential schedule. Running the two endpoints
+// on separate threads or processes needs no driver at all: each side calls
+// run() over its end of a gc::SocketDuplex (gc/transport_socket.h), the path
+// tools/arm2gc_party and the garbler service take. Both compositions produce
+// bit-identical results, digests and byte counts.
 #pragma once
 
 #include <cstdint>
@@ -23,14 +21,8 @@
 
 namespace arm2gc::core {
 
-enum class TransportKind : std::uint8_t {
-  InMemory,      ///< lock-step FIFOs, single thread
-  ThreadedPipe,  ///< garbler on a worker thread, bounded-ring backpressure
-};
-
 /// Execution tuning that never changes results — only how they are computed.
 struct ExecOptions {
-  TransportKind transport = TransportKind::InMemory;
   /// Reuse classification across cycles with identical public entry state.
   /// false disables all plan reuse, including the cone memo (the
   /// from-scratch baseline for differential tests).
@@ -48,12 +40,9 @@ struct ExecOptions {
   /// IKNP extension state) persisting across runs — Arm2Gc::Session supplies
   /// these. Role-scoped by construction: a Role::Garbler WarmState for the
   /// garbler slot, Role::Evaluator for the evaluator slot (endpoints reject
-  /// a mismatch), so the two party threads can never share mutable state.
+  /// a mismatch), so the two parties can never share mutable state.
   WarmState* garbler_warm = nullptr;
   WarmState* evaluator_warm = nullptr;
-  /// ThreadedPipe ring capacity per direction, in 16-byte blocks; this is
-  /// both the garbler's run-ahead window and the transport memory bound.
-  std::size_t pipe_blocks = 1u << 15;
   /// OT backend for Bob's input labels: the ideal-functionality stand-in or
   /// real IKNP extension (gc/otext.h). Outputs, garbled tables and every
   /// non-OT byte count are bit-identical across backends; only OT traffic
@@ -93,7 +82,8 @@ struct RunOptions {
 [[nodiscard]] PartyOptions party_options(Role role, const RunOptions& opts);
 
 /// Two-party sequential garbling driver: constructs both endpoints over an
-/// in-process duplex and runs the shared schedule.
+/// in-memory duplex and runs the shared schedule lock-step on the calling
+/// thread.
 class SkipGateDriver {
  public:
   SkipGateDriver(const netlist::Netlist& nl, RunOptions opts);

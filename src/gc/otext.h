@@ -35,7 +35,7 @@
 //   receiver finish():   (reads ciphertexts, fills queued destinations)
 // The clear one-block header carries base-flag / batch ordinal / batch size
 // so a state mismatch throws before any layout-dependent read (never blocks
-// a threaded transport on bytes that will not come); the check block binds
+// a socket transport on bytes that will not come); the check block binds
 // the base-OT session id, ordinal, size and the column streams' byte
 // position, so two endpoints warmed in different pairings — or desynced by
 // an aborted run, even one that died between a request() and its flush() —
@@ -133,7 +133,7 @@ class IknpOtReceiver;
 /// bits s, the chosen base seeds' PRG streams and the batch/tweak counters.
 /// One per garbler role; hand the same instance to successive runs of one
 /// pairing (Arm2Gc::Session does) so the base phase runs once. Not
-/// thread-safe; the threaded driver touches it from the garbler thread only.
+/// thread-safe; only the garbler's own thread may touch it.
 class IknpSenderState {
  public:
   /// `seed` is the party's protocol seed; OT randomness is domain-separated

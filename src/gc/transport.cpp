@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <stdexcept>
-#include <thread>
 
 namespace arm2gc::gc {
 
@@ -35,15 +34,11 @@ void InMemoryDuplex::Fifo::pop(crypto::Block* out, std::size_t n) {
   }
 }
 
-namespace {
-
-/// Shared Transport adapter over any queue with push/pop of block spans.
-/// One implementation keeps the byte accounting of every duplex identical —
-/// the tests pin in-memory and threaded byte counts against each other.
-template <typename Queue>
-class QueueEnd : public Transport {
+/// One party's end: sends push onto its outgoing FIFO and are accounted to
+/// the sender, receives pop from the incoming one.
+class InMemoryDuplex::End final : public Transport {
  public:
-  QueueEnd(Queue& out, Queue& in, CommStats& sent) : out_(out), in_(in), sent_(sent) {}
+  End(Fifo& out, Fifo& in, CommStats& sent) : out_(out), in_(in), sent_(sent) {}
 
   void send(const crypto::Block* blocks, std::size_t n, Traffic t) override {
     out_.push(blocks, n);
@@ -53,15 +48,9 @@ class QueueEnd : public Transport {
   void account(Traffic t, std::uint64_t bytes) override { sent_.add(t, bytes); }
 
  private:
-  Queue& out_;
-  Queue& in_;
+  Fifo& out_;
+  Fifo& in_;
   CommStats& sent_;
-};
-
-}  // namespace
-
-class InMemoryDuplex::End final : public QueueEnd<InMemoryDuplex::Fifo> {
-  using QueueEnd::QueueEnd;
 };
 
 InMemoryDuplex::InMemoryDuplex()
@@ -80,116 +69,6 @@ CommStats InMemoryDuplex::stats() const {
 }
 
 std::size_t InMemoryDuplex::high_water_blocks() const {
-  return std::max(a_to_b_.high_water, b_to_a_.high_water);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadedPipeDuplex
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Spin budget before sleeping on a condition variable. The parties run in
-/// near lock-step, so the matching send/recv usually lands within a few
-/// microseconds — far cheaper to spin for than a futex sleep/wake pair. On a
-/// single-core host spinning only steals the peer's timeslice, so it is
-/// disabled there.
-int spin_iterations() {
-  static const int kSpin = std::thread::hardware_concurrency() > 1 ? (1 << 14) : 0;
-  return kSpin;
-}
-}  // namespace
-
-void ThreadedPipeDuplex::Pipe::push(const crypto::Block* b, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    for (int s = spin_iterations();
-         s > 0 && count.load(std::memory_order_acquire) == ring.size() &&
-         !closed.load(std::memory_order_acquire);
-         --s) {
-    }
-    std::unique_lock<std::mutex> lock(m);
-    not_full.wait(lock, [&] {
-      return closed.load(std::memory_order_relaxed) ||
-             count.load(std::memory_order_relaxed) < ring.size();
-    });
-    if (closed.load(std::memory_order_relaxed)) throw TransportClosed();
-    const std::size_t used = count.load(std::memory_order_relaxed);
-    const std::size_t take = std::min(ring.size() - used, n - done);
-    for (std::size_t i = 0; i < take; ++i) {
-      ring[head] = b[done + i];
-      head = head + 1 == ring.size() ? 0 : head + 1;
-    }
-    count.store(used + take, std::memory_order_release);
-    high_water = std::max(high_water, used + take);
-    done += take;
-    lock.unlock();
-    not_empty.notify_one();
-  }
-}
-
-void ThreadedPipeDuplex::Pipe::pop(crypto::Block* out, std::size_t n) {
-  std::size_t done = 0;
-  while (done < n) {
-    for (int s = spin_iterations(); s > 0 && count.load(std::memory_order_acquire) == 0 &&
-                                    !closed.load(std::memory_order_acquire);
-         --s) {
-    }
-    std::unique_lock<std::mutex> lock(m);
-    not_empty.wait(lock, [&] {
-      return closed.load(std::memory_order_relaxed) ||
-             count.load(std::memory_order_relaxed) > 0;
-    });
-    const std::size_t used = count.load(std::memory_order_relaxed);
-    if (used == 0) throw TransportClosed();
-    const std::size_t take = std::min(used, n - done);
-    for (std::size_t i = 0; i < take; ++i) {
-      out[done + i] = ring[tail];
-      tail = tail + 1 == ring.size() ? 0 : tail + 1;
-    }
-    count.store(used - take, std::memory_order_release);
-    done += take;
-    lock.unlock();
-    not_full.notify_one();
-  }
-}
-
-void ThreadedPipeDuplex::Pipe::close() {
-  {
-    std::lock_guard<std::mutex> lock(m);
-    closed.store(true, std::memory_order_release);
-  }
-  not_full.notify_all();
-  not_empty.notify_all();
-}
-
-class ThreadedPipeDuplex::End final : public QueueEnd<ThreadedPipeDuplex::Pipe> {
-  using QueueEnd::QueueEnd;
-};
-
-ThreadedPipeDuplex::ThreadedPipeDuplex(std::size_t capacity_blocks)
-    : capacity_(std::max<std::size_t>(capacity_blocks, 16)),
-      a_to_b_(capacity_),
-      b_to_a_(capacity_),
-      garbler_end_(std::make_unique<End>(a_to_b_, b_to_a_, garbler_sent_)),
-      evaluator_end_(std::make_unique<End>(b_to_a_, a_to_b_, evaluator_sent_)) {}
-
-ThreadedPipeDuplex::~ThreadedPipeDuplex() = default;
-
-Transport& ThreadedPipeDuplex::garbler_end() { return *garbler_end_; }
-Transport& ThreadedPipeDuplex::evaluator_end() { return *evaluator_end_; }
-
-void ThreadedPipeDuplex::close() {
-  a_to_b_.close();
-  b_to_a_.close();
-}
-
-CommStats ThreadedPipeDuplex::stats() const {
-  CommStats s = garbler_sent_;
-  s += evaluator_sent_;
-  return s;
-}
-
-std::size_t ThreadedPipeDuplex::high_water_blocks() const {
   return std::max(a_to_b_.high_water, b_to_a_.high_water);
 }
 

@@ -6,31 +6,27 @@
 // A `Transport` is one party's bidirectional endpoint; messages are framed
 // batches of 128-bit blocks. Two implementations are provided:
 //
-//   InMemoryDuplex       lock-step FIFOs for a single-threaded driver; the
-//                        delivered prefix is dropped eagerly so memory stays
-//                        bounded on arbitrarily long runs.
-//   ThreadedPipeDuplex   bounded SPSC rings with blocking send/recv, letting
-//                        the garbler run ahead of the evaluator on another
-//                        thread; the ring capacity is the pipelining window
-//                        and the memory bound at once.
+//   InMemoryDuplex       lock-step FIFOs for the single-threaded in-process
+//                        driver; the delivered prefix is dropped eagerly so
+//                        memory stays bounded on arbitrarily long runs.
+//   SocketDuplex         (gc/transport_socket.h) the blocking stream-socket
+//                        transport every two-thread, two-process and served
+//                        deployment runs over.
 //
-// A real deployment would put these frames on a socket. Traffic::Ot frames
-// are produced by the selectable OT backend (gc/otext.h): under
-// OtBackend::Iknp they are a real extension protocol's messages (base
-// seeds, masked columns, hashed ciphertexts) — shippable verbatim once each
-// party seeds its randomness privately (the in-process driver seeds both
-// sides from the one public protocol seed for reproducibility; see the
-// honesty notes in gc/otext.h). Under the OtBackend::Ideal stand-in they
-// are the ideal functionality's in-process wiring (both labels travel, the
-// receiver picks) and a deployment must select the real backend instead.
-// Everything above this interface is transport-agnostic either way.
+// Traffic::Ot frames are produced by the selectable OT backend
+// (gc/otext.h): under OtBackend::Iknp they are a real extension protocol's
+// messages (base seeds, masked columns, hashed ciphertexts) — shippable
+// verbatim once each party seeds its randomness privately (the in-process
+// driver seeds both sides from the one public protocol seed for
+// reproducibility; see the honesty notes in gc/otext.h). Under the
+// OtBackend::Ideal stand-in they are the ideal functionality's in-process
+// wiring (both labels travel, the receiver picks) and a deployment must
+// select the real backend instead. Everything above this interface is
+// transport-agnostic either way.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <vector>
 
@@ -142,61 +138,6 @@ class InMemoryDuplex {
 
   Fifo a_to_b_;
   Fifo b_to_a_;
-  CommStats garbler_sent_;
-  CommStats evaluator_sent_;
-  std::unique_ptr<End> garbler_end_;
-  std::unique_ptr<End> evaluator_end_;
-};
-
-/// Two bounded single-producer/single-consumer rings with blocking send and
-/// recv: the garbler thread can run `capacity_blocks` of traffic ahead of the
-/// evaluator before backpressure stalls it. stats() must only be called after
-/// both parties are done (the driver joins its worker thread first).
-class ThreadedPipeDuplex {
- public:
-  /// `capacity_blocks` is per direction; clamped to at least one maximal
-  /// frame so a single message can never deadlock.
-  explicit ThreadedPipeDuplex(std::size_t capacity_blocks);
-  ~ThreadedPipeDuplex();
-
-  [[nodiscard]] Transport& garbler_end();
-  [[nodiscard]] Transport& evaluator_end();
-
-  /// Wakes any blocked peer; subsequent sends and empty recvs throw. Used to
-  /// unwind cleanly when one party fails. Idempotent.
-  void close();
-
-  [[nodiscard]] CommStats stats() const;
-  [[nodiscard]] std::size_t capacity_blocks() const { return capacity_; }
-  /// Maximum ring occupancy observed (both directions; bounded by capacity).
-  [[nodiscard]] std::size_t high_water_blocks() const;
-
- private:
-  /// SPSC bounded ring. `count` is atomic so both sides can spin briefly on
-  /// the fast path (the parties exchange many small frames in near lock-step;
-  /// sleeping through every frame costs tens of microseconds of wake latency
-  /// each) before falling back to the condition variables.
-  struct Pipe {
-    explicit Pipe(std::size_t cap) : ring(cap) {}
-    std::mutex m;
-    std::condition_variable not_full;
-    std::condition_variable not_empty;
-    std::vector<crypto::Block> ring;
-    std::size_t head = 0;  ///< next write slot
-    std::size_t tail = 0;  ///< next read slot
-    std::atomic<std::size_t> count{0};
-    std::size_t high_water = 0;
-    std::atomic<bool> closed{false};
-
-    void push(const crypto::Block* b, std::size_t n);
-    void pop(crypto::Block* out, std::size_t n);
-    void close();
-  };
-  class End;
-
-  std::size_t capacity_;
-  Pipe a_to_b_;
-  Pipe b_to_a_;
   CommStats garbler_sent_;
   CommStats evaluator_sent_;
   std::unique_ptr<End> garbler_end_;

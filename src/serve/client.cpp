@@ -71,6 +71,12 @@ ClientResult run_client(const std::string& host, std::uint16_t port,
   if (s.magic != kSummaryMagic) {
     throw std::runtime_error("serve: malformed service wrap-up (desynced stream?)");
   }
+  // out_bits is peer-supplied: bound it by the count the public netlist
+  // gives before sizing anything from it.
+  if (s.out_bits > nl.outputs.size()) {
+    throw std::runtime_error(
+        "serve: service wrap-up claims more output bits than the netlist has");
+  }
   netlist::BitVec outputs(s.out_bits, false);
   if (s.out_bits != 0) {
     std::vector<std::uint8_t> packed((s.out_bits + 7) / 8, 0);

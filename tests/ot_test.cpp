@@ -2,8 +2,8 @@
 // drop-in for the ideal-functionality stand-in. Pinned here:
 //   - the 128xN bit transpose (SSE vs portable vs naive, ragged N included);
 //   - endpoint-level correctness: received labels equal x0 ^ b*R for every
-//     index, over both the lock-step in-memory duplex and the threaded pipe,
-//     across multiple batches of one warm state pair;
+//     index, over both the lock-step in-memory duplex and a two-thread
+//     socket pair, across multiple batches of one warm state pair;
 //   - full-driver equivalence: SkipGate + Conventional runs produce
 //     bit-identical results and golden garbled-table digests under either
 //     backend (fuzzed circuits; A2G_OT_FUZZ_ITERS deepens the sweep in CI);
@@ -132,8 +132,8 @@ TEST(OtExt, IknpDeliversChosenLabelsAcrossBatches) {
   run_iknp_batches({160, 3, 300, 8}, 3);
 }
 
-TEST(OtExt, IknpOverThreadedPipe) {
-  gc::ThreadedPipeDuplex duplex(256);
+TEST(OtExt, IknpOverSocketPair) {
+  a2gtest::SocketPair pair;
   const Block seed = block_from_u64(42);
   gc::Garbler g(block_from_u64(4242));
   const Block r = g.R();
@@ -142,15 +142,16 @@ TEST(OtExt, IknpOverThreadedPipe) {
   for (auto& b : x0) b = g.fresh_label();
 
   std::thread sender_thread([&] {
-    auto sender = gc::make_ot_sender(gc::OtBackend::Iknp, duplex.garbler_end(), seed, nullptr);
+    auto sender = gc::make_ot_sender(gc::OtBackend::Iknp, pair.garbler->end(), seed, nullptr);
     for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j], x0[j] ^ r);
     sender->flush();
     for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j] ^ r, x0[j]);
     sender->flush();
+    pair.garbler->flush();  // no later recv pushes the last ciphertexts out
   });
 
   auto receiver =
-      gc::make_ot_receiver(gc::OtBackend::Iknp, duplex.evaluator_end(), seed, nullptr);
+      gc::make_ot_receiver(gc::OtBackend::Iknp, pair.evaluator->end(), seed, nullptr);
   crypto::CtrRng rng(block_from_u64(777));
   for (int batch = 0; batch < 2; ++batch) {
     std::vector<bool> choice(kM);
@@ -377,7 +378,7 @@ netlist::Netlist random_ot_netlist(crypto::CtrRng& rng) {
   return nl;
 }
 
-TEST(OtExt, BackendsBitIdenticalAcrossModesAndTransports) {
+TEST(OtExt, BackendsBitIdenticalAcrossModesAndCompositions) {
   const int iters = fuzz_iters(6);
   crypto::CtrRng rng(block_from_u64(612));
   for (int seed = 0; seed < iters; ++seed) {
@@ -392,18 +393,15 @@ TEST(OtExt, BackendsBitIdenticalAcrossModesAndTransports) {
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
 
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
-      for (const core::TransportKind tk :
-           {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+      for (const a2gtest::Composition c : a2gtest::kCompositions) {
         core::RunOptions ideal;
         ideal.mode = mode;
         ideal.fixed_cycles = 7;
-        ideal.exec.transport = tk;
         core::RunOptions iknp = ideal;
         iknp.exec.ot_backend = gc::OtBackend::Iknp;
 
-        const core::RunResult ri =
-            core::SkipGateDriver(nl, ideal).run(a, b, p, &streams);
-        const core::RunResult rk = core::SkipGateDriver(nl, iknp).run(a, b, p, &streams);
+        const core::RunResult ri = a2gtest::run_composed(c, nl, ideal, a, b, p, &streams);
+        const core::RunResult rk = a2gtest::run_composed(c, nl, iknp, a, b, p, &streams);
         expect_same_protocol(ri, rk);
         EXPECT_EQ(rk.stats.ot_base_ots, rk.stats.ot_choices > 0 ? gc::kOtKappa : 0u)
             << "seed " << seed;
@@ -477,16 +475,18 @@ TEST(OtExt, ArmRunsIdenticalAndSessionAmortizesBaseOts) {
     EXPECT_EQ(r.stats.ot_choices, 32u);
   }
 
-  // Same warm amortization over the threaded pipe: the sender state lives on
-  // the garbler thread, the receiver state on the evaluator thread.
-  core::ExecOptions piped = iknp;
-  piped.transport = core::TransportKind::ThreadedPipe;
-  arm::Arm2Gc::Session piped_session(machine, piped);
+  // Same warm amortization with the parties on two threads over a socket
+  // pair: the sender state lives with the garbler endpoint, the receiver
+  // state with the evaluator's.
+  core::WarmState::Options w;
+  w.ot_backend = gc::OtBackend::Iknp;
+  core::WarmState gwarm(core::Role::Garbler, w);
+  core::WarmState ewarm(core::Role::Evaluator, w);
   for (std::uint32_t i = 0; i < 2; ++i) {
-    const arm::Arm2GcResult r = piped_session.run(std::vector<std::uint32_t>{20 + i},
-                                                  std::vector<std::uint32_t>{3 * i});
-    EXPECT_EQ(r.outputs[0], 20 + i + 3 * i);
-    EXPECT_EQ(r.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "piped run " << i;
+    const a2gtest::SocketRun s =
+        a2gtest::arm_socket_run(machine, {20 + i}, {3 * i}, iknp, &gwarm, &ewarm);
+    EXPECT_EQ(machine.decode_output_bits(s.garbler.final_outputs)[0], 20 + i + 3 * i);
+    EXPECT_EQ(s.garbler.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "socket run " << i;
   }
 }
 
@@ -639,7 +639,7 @@ TEST(OtExt, MismatchedBaseStateDetectedNotSilentlyWrong) {
   // The reverse — a warm *receiver* against a fresh sender — must also fail
   // loudly at the header. Without it, the fresh sender would block waiting
   // for a base frame the warm receiver never sends (a deadlock under the
-  // threaded pipe, an underrun under the in-memory duplex; both wrong).
+  // blocking socket, an underrun under the in-memory duplex; both wrong).
   {
     gc::InMemoryDuplex d;
     auto snd = gc::make_ot_sender(gc::OtBackend::Iknp, d.garbler_end(), seed_a, nullptr);

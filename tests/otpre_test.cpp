@@ -5,7 +5,7 @@
 //     x0 ^ b*R for every index, across batch sizes spanning the one-block
 //     correction header (m <= 64), overflow correction blocks (m > 64) and
 //     batches larger than the pool target (emergency refill), over both the
-//     lock-step duplex and the threaded pipe;
+//     lock-step duplex and a two-thread socket pair;
 //   - the maintain hooks top the pool back up between batches, so steady
 //     online batches never pay a refill;
 //   - the offline/online stats split: ot_online_bytes counts exactly the
@@ -14,7 +14,8 @@
 //     traffic and wall time land on the offline side;
 //   - full-driver differential fuzz: Precomp vs Iknp produce bit-identical
 //     outputs, label streams, golden table digests and non-OT comm counters
-//     across both modes, both in-process transports and threads {1, 4};
+//     across both modes, both compositions (lock-step, socket pair) and
+//     threads {1, 4};
 //   - warm pools amortize: one base phase and one bulk refill serve many
 //     runs of a session, later runs doing derandomization only.
 #include <gtest/gtest.h>
@@ -181,8 +182,8 @@ TEST(OtPre, MaintainHooksTopUpThePoolOffTheCriticalPath) {
   EXPECT_EQ(spool.refills(), 2u);
 }
 
-TEST(OtPre, PrecompOverThreadedPipe) {
-  gc::ThreadedPipeDuplex duplex(256);
+TEST(OtPre, PrecompOverSocketPair) {
+  a2gtest::SocketPair pair;
   const Block seed = block_from_u64(42);
   gc::Garbler g(block_from_u64(4242));
   const Block r = g.R();
@@ -191,16 +192,17 @@ TEST(OtPre, PrecompOverThreadedPipe) {
   for (auto& b : x0) b = g.fresh_label();
 
   std::thread sender_thread([&] {
-    auto sender = gc::make_ot_sender(gc::OtBackend::Precomp, duplex.garbler_end(), seed,
+    auto sender = gc::make_ot_sender(gc::OtBackend::Precomp, pair.garbler->end(), seed,
                                      nullptr, nullptr, 64);
     for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j], x0[j] ^ r);
     sender->flush();
     sender->maintain();
     for (std::size_t j = 0; j < kM; ++j) sender->enqueue(x0[j] ^ r, x0[j]);
     sender->flush();
+    pair.garbler->flush();  // no later recv pushes the last frames out
   });
 
-  auto receiver = gc::make_ot_receiver(gc::OtBackend::Precomp, duplex.evaluator_end(), seed,
+  auto receiver = gc::make_ot_receiver(gc::OtBackend::Precomp, pair.evaluator->end(), seed,
                                        nullptr, nullptr, 64);
   crypto::CtrRng rng(block_from_u64(777));
   for (int batch = 0; batch < 2; ++batch) {
@@ -294,7 +296,7 @@ netlist::Netlist random_ot_netlist(crypto::CtrRng& rng) {
   return nl;
 }
 
-TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesTransportsAndThreads) {
+TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesCompositionsAndThreads) {
   const int iters = fuzz_iters(3);
   crypto::CtrRng rng(block_from_u64(1895));
   for (int seed = 0; seed < iters; ++seed) {
@@ -309,13 +311,11 @@ TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesTransportsAndThreads) {
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
 
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
-      for (const core::TransportKind tk :
-           {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+      for (const a2gtest::Composition c : a2gtest::kCompositions) {
         for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
           core::RunOptions iknp;
           iknp.mode = mode;
           iknp.fixed_cycles = 7;
-          iknp.exec.transport = tk;
           iknp.exec.threads = threads;
           iknp.exec.ot_backend = gc::OtBackend::Iknp;
           core::RunOptions pre = iknp;
@@ -323,8 +323,8 @@ TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesTransportsAndThreads) {
           // A tiny pool forces refills to interleave with real batches.
           pre.exec.ot_pool = 4;
 
-          const core::RunResult rk = core::SkipGateDriver(nl, iknp).run(a, b, p, &streams);
-          const core::RunResult rp = core::SkipGateDriver(nl, pre).run(a, b, p, &streams);
+          const core::RunResult rk = a2gtest::run_composed(c, nl, iknp, a, b, p, &streams);
+          const core::RunResult rp = a2gtest::run_composed(c, nl, pre, a, b, p, &streams);
           expect_same_protocol(rk, rp);
           // Online OT traffic shrinks to the derand frames; the rest of the
           // comm ledger (checked above) is untouched.
@@ -463,16 +463,18 @@ TEST(OtPre, WarmSessionAmortizesBasePhaseAndBulkRefills) {
     EXPECT_EQ(r.stats.comm.ot_bytes > r.stats.ot_online_bytes, i == 0) << "run " << i;
   }
 
-  // The same amortization over the threaded pipe (each party's pool lives
-  // with its thread).
-  core::ExecOptions piped = pre;
-  piped.transport = core::TransportKind::ThreadedPipe;
-  arm::Arm2Gc::Session piped_session(machine, piped);
+  // The same amortization with the parties on two threads over a socket
+  // pair (each party's pool lives with its own endpoint).
+  core::WarmState::Options w;
+  w.ot_backend = gc::OtBackend::Precomp;
+  core::WarmState gwarm(core::Role::Garbler, w);
+  core::WarmState ewarm(core::Role::Evaluator, w);
   for (std::uint32_t i = 0; i < 2; ++i) {
-    const arm::Arm2GcResult r = piped_session.run(std::vector<std::uint32_t>{20 + i},
-                                                  std::vector<std::uint32_t>{3 * i});
-    EXPECT_EQ(r.outputs[0], 20 + i + 3 * i);
-    EXPECT_EQ(r.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "piped run " << i;
+    const a2gtest::SocketRun s =
+        a2gtest::arm_socket_run(machine, {20 + i}, {3 * i}, pre, &gwarm, &ewarm);
+    EXPECT_EQ(machine.decode_output_bits(s.garbler.final_outputs)[0], 20 + i + 3 * i);
+    EXPECT_EQ(s.garbler.stats.ot_base_ots, i == 0 ? gc::kOtKappa : 0u) << "socket run " << i;
+    EXPECT_EQ(s.garbler.stats.ot_online_bytes, derand_bytes(32)) << "socket run " << i;
   }
 }
 

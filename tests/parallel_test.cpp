@@ -2,8 +2,8 @@
 // *observationally identical* to threads=1 — same outputs, same golden table
 // digests on both party sides, same garbled_non_xor, same planner counters
 // and same per-class comm bytes — on fuzzed sequential netlists (all three
-// schemes, both in-process transports, both OT backends) and on the ARM
-// Hamming-160 program. The ordered transport writer/reader makes the framed
+// schemes, lock-step and two-thread socket-pair compositions, both OT
+// backends) and on the ARM Hamming-160 program. The ordered transport writer/reader makes the framed
 // byte stream byte-identical, so every digest and byte count is pinned, not
 // just the decoded outputs. Wall-clock-only fields (ot_wall_ns,
 // transport_high_water_blocks) are the sole exclusions.
@@ -110,7 +110,7 @@ int fuzz_seeds() {
   return 4;
 }
 
-TEST(ParallelExec, FuzzedNetlistsMatchSerialAcrossTransportsAndBackends) {
+TEST(ParallelExec, FuzzedNetlistsMatchSerialAcrossCompositionsAndBackends) {
   crypto::CtrRng rng(block_from_u64(0x7172));
   const int seeds = fuzz_seeds();
   for (int seed = 0; seed < seeds; ++seed) {
@@ -129,19 +129,17 @@ TEST(ParallelExec, FuzzedNetlistsMatchSerialAcrossTransportsAndBackends) {
                               : seed % 3 == 1 ? gc::Scheme::Grr3
                                               : gc::Scheme::HalfGates;
 
-    for (const core::TransportKind tk :
-         {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+    for (const a2gtest::Composition c : a2gtest::kCompositions) {
       for (const gc::OtBackend ot : {gc::OtBackend::Ideal, gc::OtBackend::Iknp}) {
         core::RunOptions opts;
         opts.scheme = scheme;
         opts.fixed_cycles = 8;
-        opts.exec.transport = tk;
         opts.exec.ot_backend = ot;
         opts.exec.cone_target_gates = 24;  // force a multi-cone layout
-        const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
+        const core::RunResult ref = a2gtest::run_composed(c, nl, opts, a, b, p, &streams);
         for (const std::size_t threads : {2u, 4u}) {
           opts.exec.threads = threads;
-          const core::RunResult par = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
+          const core::RunResult par = a2gtest::run_composed(c, nl, opts, a, b, p, &streams);
           expect_identical(par, ref, threads);
         }
         opts.exec.threads = 1;
@@ -203,28 +201,33 @@ TEST(ParallelExec, WarmSessionSharesPoolAcrossRunsAndMatchesSerial) {
 }
 
 TEST(ParallelExec, ArmHamming160MatchesSerial) {
-  // The paper's flagship benchmark end to end: threads=4 over the threaded
-  // pipe with real IKNP OT must reproduce the serial run bit for bit —
-  // outputs, digest, garbled_non_xor and every comm byte.
+  // The paper's flagship benchmark end to end: threads=4 over a socket pair
+  // (each party planning and garbling/evaluating on its own pool) with real
+  // IKNP OT must reproduce the serial run bit for bit — outputs, digest on
+  // both sides, garbled_non_xor and every comm byte.
   const programs::Program prog = programs::hamming(5);
   const arm::Arm2Gc machine(prog.cfg, prog.words);
   const std::vector<std::uint32_t> a = {0x0001F00Du, 2, 3, 4, 5};
   const std::vector<std::uint32_t> b = {6, 7, 8, 0xFF00FF00u, 10};
 
   core::ExecOptions exec;
-  exec.transport = core::TransportKind::ThreadedPipe;
   exec.ot_backend = gc::OtBackend::Iknp;
-  const arm::Arm2GcResult ref = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, exec);
+  const a2gtest::SocketRun serial = a2gtest::arm_socket_run(machine, a, b, exec);
   exec.threads = 4;
-  const arm::Arm2GcResult par = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, exec);
+  const a2gtest::SocketRun parallel = a2gtest::arm_socket_run(machine, a, b, exec);
+  const core::RunResult& ref = serial.garbler;
+  const core::RunResult& par = parallel.garbler;
 
-  EXPECT_EQ(par.outputs, ref.outputs);
-  EXPECT_EQ(par.cycles, ref.cycles);
+  EXPECT_EQ(machine.decode_output_bits(par.final_outputs),
+            machine.decode_output_bits(ref.final_outputs));
+  EXPECT_EQ(par.stats.cycles, ref.stats.cycles);
   EXPECT_EQ(par.stats.garbled_non_xor, ref.stats.garbled_non_xor);
   EXPECT_EQ(par.stats.skipped_non_xor, ref.stats.skipped_non_xor);
   EXPECT_EQ(par.stats.plan_cache_hits, ref.stats.plan_cache_hits);
   EXPECT_EQ(par.stats.cone_hits, ref.stats.cone_hits);
   EXPECT_TRUE(par.stats.table_digest == ref.stats.table_digest);
+  EXPECT_TRUE(parallel.evaluator.stats.table_digest == ref.stats.table_digest);
+  EXPECT_EQ(parallel.evaluator.stats.threads, 4u);
   EXPECT_EQ(par.stats.comm.garbled_table_bytes, ref.stats.comm.garbled_table_bytes);
   EXPECT_EQ(par.stats.comm.input_label_bytes, ref.stats.comm.input_label_bytes);
   EXPECT_EQ(par.stats.comm.ot_bytes, ref.stats.comm.ot_bytes);

@@ -1,24 +1,23 @@
-// Party-endpoint API tests: the single-role endpoints over a real TCP
+// Party-endpoint API tests: the single-role endpoints over a blocking
 // socket must be a perfect stand-in for the in-process driver. Pinned here:
-//   - two endpoints in two threads over TCP loopback == in-process
+//   - two endpoints in two threads over a stream socket pair == in-process
 //     InMemoryDuplex bit-for-bit (outputs, table digest, garbled_non_xor,
 //     per-class comm bytes) on fuzzed sequential netlists and on the ARM
 //     Hamming-160 program;
 //   - the evaluator's received-table digest equals the garbler's sent-table
-//     digest on every transport (the cross-process content certificate);
+//     digest (the cross-process content certificate);
 //   - party-private seeds: endpoints seeded with *different* private
 //     randomness still agree on outputs and on each other's digest (only
 //     the label stream, and hence the digest value, moves);
 //   - warm-state negative paths: a one-sided OT reset (desynced warm
 //     extension state) fails loudly on the OT header/check — never a hang or
-//     a wrong label — on both in-process transports, and endpoint abort
+//     a wrong label — in both compositions, and endpoint abort
 //     resets warm OT state so the *next* run recovers without rebuilding
 //     the session (base OTs simply rerun).
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <exception>
-#include <optional>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -30,7 +29,6 @@
 #include "core/skipgate.h"
 #include "crypto/rng.h"
 #include "gc/transport.h"
-#include "gc/transport_socket.h"
 #include "programs/programs.h"
 #include "test_util.h"
 
@@ -89,59 +87,7 @@ netlist::Netlist random_party_netlist(crypto::CtrRng& rng) {
   return nl;
 }
 
-struct SocketRun {
-  core::RunResult garbler;
-  core::RunResult evaluator;
-  gc::CommStats combined_comm;  ///< garbler sent + evaluator sent
-};
-
-/// Two endpoints over a real TCP loopback connection, garbler on a worker
-/// thread — the two-process deployment, minus the fork.
-SocketRun socket_run(const netlist::Netlist& nl, const core::RunOptions& opts,
-                     const netlist::BitVec& a, const netlist::BitVec& b,
-                     const netlist::BitVec& p, const core::StreamProvider* streams,
-                     std::optional<Block> garbler_private = {},
-                     std::optional<Block> evaluator_private = {}) {
-  gc::SocketListener listener("127.0.0.1", 0);
-  const std::uint16_t port = listener.port();
-
-  SocketRun out;
-  gc::CommStats garbler_sent;
-  std::exception_ptr garbler_error;
-  std::thread garbler_thread([&] {
-    try {
-      auto sock = gc::SocketDuplex::connect("127.0.0.1", port);
-      core::PartyOptions po = core::party_options(core::Role::Garbler, opts);
-      if (garbler_private) po.private_seed = *garbler_private;
-      core::GarblerEndpoint endpoint(nl, po, sock->end());
-      out.garbler = endpoint.run(a, p, streams);
-      sock->flush();
-      garbler_sent = sock->sent();
-    } catch (...) {
-      garbler_error = std::current_exception();
-    }
-  });
-
-  auto sock = listener.accept();
-  try {
-    core::PartyOptions po = core::party_options(core::Role::Evaluator, opts);
-    if (evaluator_private) po.private_seed = *evaluator_private;
-    core::EvaluatorEndpoint endpoint(nl, po, sock->end());
-    out.evaluator = endpoint.run(b, p, streams);
-  } catch (...) {
-    sock->close();  // unblock the peer before propagating
-    garbler_thread.join();
-    throw;
-  }
-  garbler_thread.join();
-  if (garbler_error) std::rethrow_exception(garbler_error);
-
-  out.combined_comm = garbler_sent;
-  out.combined_comm += sock->sent();
-  return out;
-}
-
-void expect_matches_reference(const SocketRun& s, const core::RunResult& ref) {
+void expect_matches_reference(const a2gtest::SocketRun& s, const core::RunResult& ref) {
   // Garbler side reproduces the in-process run bit for bit.
   EXPECT_EQ(s.garbler.sampled_outputs, ref.sampled_outputs);
   EXPECT_EQ(s.garbler.final_outputs, ref.final_outputs);
@@ -159,10 +105,11 @@ void expect_matches_reference(const SocketRun& s, const core::RunResult& ref) {
   EXPECT_TRUE(s.evaluator.stats.table_digest == s.garbler.stats.table_digest);
   // Every byte either party sent is accounted identically to the in-memory
   // duplex of the same run.
-  EXPECT_EQ(s.combined_comm.garbled_table_bytes, ref.stats.comm.garbled_table_bytes);
-  EXPECT_EQ(s.combined_comm.input_label_bytes, ref.stats.comm.input_label_bytes);
-  EXPECT_EQ(s.combined_comm.ot_bytes, ref.stats.comm.ot_bytes);
-  EXPECT_EQ(s.combined_comm.output_bytes, ref.stats.comm.output_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.garbled_table_bytes, ref.stats.comm.garbled_table_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.input_label_bytes, ref.stats.comm.input_label_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.ot_bytes, ref.stats.comm.ot_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.output_bytes, ref.stats.comm.output_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.total(), ref.stats.comm.total());
 }
 
 TEST(PartyEndpoints, SocketMatchesInMemoryOnFuzzedNetlists) {
@@ -186,9 +133,7 @@ TEST(PartyEndpoints, SocketMatchesInMemoryOnFuzzedNetlists) {
         opts.fixed_cycles = 6;
         opts.exec.ot_backend = ot;
         const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
-        const SocketRun s = socket_run(nl, opts, a, b, p, &streams);
-        expect_matches_reference(s, ref);
-        EXPECT_EQ(s.combined_comm.total(), ref.stats.comm.total()) << "seed " << seed;
+        expect_matches_reference(a2gtest::socket_run(nl, opts, a, b, p, &streams), ref);
       }
     }
   }
@@ -206,44 +151,18 @@ TEST(PartyEndpoints, SocketMatchesInMemoryArmHamming160) {
   const arm::Arm2GcResult iss = machine.run_reference(a, b);
   ASSERT_EQ(ref.outputs, iss.outputs);
 
-  gc::SocketListener listener("127.0.0.1", 0);
-  const std::uint16_t port = listener.port();
-  arm::Arm2GcResult gres;
-  gc::CommStats garbler_sent;
-  std::exception_ptr gerr;
-  std::thread garbler_thread([&] {
-    try {
-      auto sock = gc::SocketDuplex::connect("127.0.0.1", port);
-      gres = machine.run_garbler(
-          a, sock->end(),
-          machine.party_options(core::Role::Garbler, 1u << 20, gc::Scheme::HalfGates, exec));
-      sock->flush();
-      garbler_sent = sock->sent();
-    } catch (...) {
-      gerr = std::current_exception();
-    }
-  });
-  auto sock = listener.accept();
-  const arm::Arm2GcResult eres = machine.run_evaluator(
-      b, sock->end(),
-      machine.party_options(core::Role::Evaluator, 1u << 20, gc::Scheme::HalfGates, exec));
-  garbler_thread.join();
-  ASSERT_FALSE(gerr);
-
-  EXPECT_EQ(gres.outputs, ref.outputs);
-  EXPECT_EQ(gres.cycles, ref.cycles);
-  EXPECT_EQ(eres.cycles, ref.cycles);
-  EXPECT_EQ(gres.stats.garbled_non_xor, ref.stats.garbled_non_xor);
-  EXPECT_TRUE(gres.stats.table_digest == ref.stats.table_digest);
-  EXPECT_TRUE(eres.stats.table_digest == ref.stats.table_digest);
-  EXPECT_TRUE(eres.outputs.empty());  // Bob does not learn the result
-
-  gc::CommStats combined = garbler_sent;
-  combined += sock->sent();
-  EXPECT_EQ(combined.garbled_table_bytes, ref.stats.comm.garbled_table_bytes);
-  EXPECT_EQ(combined.input_label_bytes, ref.stats.comm.input_label_bytes);
-  EXPECT_EQ(combined.ot_bytes, ref.stats.comm.ot_bytes);
-  EXPECT_EQ(combined.output_bytes, ref.stats.comm.output_bytes);
+  const a2gtest::SocketRun s = a2gtest::arm_socket_run(machine, a, b, exec);
+  EXPECT_EQ(machine.decode_output_bits(s.garbler.final_outputs), ref.outputs);
+  EXPECT_EQ(s.garbler.stats.cycles, ref.cycles);
+  EXPECT_EQ(s.evaluator.stats.cycles, ref.cycles);
+  EXPECT_EQ(s.garbler.stats.garbled_non_xor, ref.stats.garbled_non_xor);
+  EXPECT_TRUE(s.garbler.stats.table_digest == ref.stats.table_digest);
+  EXPECT_TRUE(s.evaluator.stats.table_digest == ref.stats.table_digest);
+  EXPECT_TRUE(s.evaluator.final_outputs.empty());  // Bob does not learn the result
+  EXPECT_EQ(s.garbler.stats.comm.garbled_table_bytes, ref.stats.comm.garbled_table_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.input_label_bytes, ref.stats.comm.input_label_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.ot_bytes, ref.stats.comm.ot_bytes);
+  EXPECT_EQ(s.garbler.stats.comm.output_bytes, ref.stats.comm.output_bytes);
 }
 
 TEST(PartyEndpoints, PrivatePerPartySeedsStillAgree) {
@@ -264,8 +183,9 @@ TEST(PartyEndpoints, PrivatePerPartySeedsStillAgree) {
   opts.fixed_cycles = 6;
   opts.exec.ot_backend = gc::OtBackend::Iknp;
   const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
-  const SocketRun s = socket_run(nl, opts, a, b, p, &streams,
-                                 block_from_u64(0xA11CE5EED), block_from_u64(0xB0B5EED));
+  const a2gtest::SocketRun s =
+      a2gtest::socket_run(nl, opts, a, b, p, &streams, nullptr, nullptr,
+                          block_from_u64(0xA11CE5EED), block_from_u64(0xB0B5EED));
   EXPECT_EQ(s.garbler.sampled_outputs, ref.sampled_outputs);
   EXPECT_EQ(s.garbler.stats.garbled_non_xor, ref.stats.garbled_non_xor);
   EXPECT_TRUE(s.garbler.stats.table_digest == s.evaluator.stats.table_digest);
@@ -273,33 +193,22 @@ TEST(PartyEndpoints, PrivatePerPartySeedsStillAgree) {
   // table stream.
   EXPECT_FALSE(s.garbler.stats.table_digest == ref.stats.table_digest);
   // Non-label traffic volumes are seed-independent.
-  EXPECT_EQ(s.combined_comm.total(), ref.stats.comm.total());
+  EXPECT_EQ(s.garbler.stats.comm.total(), ref.stats.comm.total());
 }
 
-TEST(PartyEndpoints, EvaluatorDigestMatchesGarblerOverThreadedPipe) {
+TEST(PartyEndpoints, EvaluatorDigestMatchesGarblerOverSocketPair) {
   builder::CircuitBuilder cb;
   const builder::Bus x = cb.input_bus(netlist::Owner::Alice, 8, 0);
   const builder::Bus y = cb.input_bus(netlist::Owner::Bob, 8, 0);
   cb.output_bus(builder::mul_lower(cb, x, y, 8));
   const netlist::Netlist nl = cb.take();
 
-  gc::ThreadedPipeDuplex duplex(1u << 12);
   core::RunOptions opts;
   opts.fixed_cycles = 1;
-  core::RunResult gres;
-  std::thread garbler_thread([&] {
-    core::GarblerEndpoint endpoint(nl, core::party_options(core::Role::Garbler, opts),
-                                   duplex.garbler_end());
-    gres = endpoint.run(to_bits(13, 8));
-  });
-  core::EvaluatorEndpoint endpoint(nl, core::party_options(core::Role::Evaluator, opts),
-                                   duplex.evaluator_end());
-  const core::RunResult eres = endpoint.run(to_bits(11, 8));
-  garbler_thread.join();
-
-  EXPECT_EQ(a2gtest::from_bits(gres.final_outputs, 0, 8), (13u * 11u) & 0xFFu);
-  EXPECT_GT(gres.stats.garbled_non_xor, 0u);
-  EXPECT_TRUE(eres.stats.table_digest == gres.stats.table_digest);
+  const a2gtest::SocketRun s = a2gtest::socket_run(nl, opts, to_bits(13, 8), to_bits(11, 8));
+  EXPECT_EQ(a2gtest::from_bits(s.garbler.final_outputs, 0, 8), (13u * 11u) & 0xFFu);
+  EXPECT_GT(s.garbler.stats.garbled_non_xor, 0u);
+  EXPECT_TRUE(s.evaluator.stats.table_digest == s.garbler.stats.table_digest);
 }
 
 // --- warm-state negative paths ---------------------------------------------------
@@ -321,24 +230,22 @@ core::WarmState::Options iknp_warm_options() {
 /// One-sided OT desync (here: an explicit one-sided reset, the same state a
 /// run aborted between the receiver's request and the sender's flush leaves
 /// behind) must fail on the OT header/check block — a loud runtime_error,
-/// not a hang and never a mis-delivered label — on both in-process
-/// transports. Endpoint abort then resets *both* sides, so the run after
-/// the failure recovers with a fresh base phase.
+/// not a hang and never a mis-delivered label — in both compositions.
+/// Endpoint abort then resets *both* sides, so the run after the failure
+/// recovers with a fresh base phase.
 TEST(PartyWarmState, OneSidedOtDesyncFailsLoudThenRecovers) {
   const netlist::Netlist nl = two_party_adder();
-  for (const core::TransportKind tk :
-       {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+  for (const a2gtest::Composition c : a2gtest::kCompositions) {
     core::WarmState gwarm(core::Role::Garbler, iknp_warm_options());
     core::WarmState ewarm(core::Role::Evaluator, iknp_warm_options());
     core::RunOptions opts;
     opts.fixed_cycles = 1;
-    opts.exec.transport = tk;
     opts.exec.ot_backend = gc::OtBackend::Iknp;
     opts.exec.garbler_warm = &gwarm;
     opts.exec.evaluator_warm = &ewarm;
 
     const core::RunResult warmup =
-        core::SkipGateDriver(nl, opts).run(to_bits(3, 4), to_bits(5, 4));
+        a2gtest::run_composed(c, nl, opts, to_bits(3, 4), to_bits(5, 4));
     EXPECT_EQ(a2gtest::from_bits(warmup.final_outputs, 0, 4), 8u);
     EXPECT_EQ(warmup.stats.ot_base_ots, gc::kOtKappa);
 
@@ -346,7 +253,7 @@ TEST(PartyWarmState, OneSidedOtDesyncFailsLoudThenRecovers) {
     // phase; the evaluator's still rides the old streams.
     gwarm.reset_ot();
     try {
-      (void)core::SkipGateDriver(nl, opts).run(to_bits(1, 4), to_bits(2, 4));
+      (void)a2gtest::run_composed(c, nl, opts, to_bits(1, 4), to_bits(2, 4));
       FAIL() << "desynced warm OT state must not produce a result";
     } catch (const gc::TransportClosed&) {
       FAIL() << "desync surfaced as a transport teardown, not the OT check";
@@ -358,7 +265,7 @@ TEST(PartyWarmState, OneSidedOtDesyncFailsLoudThenRecovers) {
     // re-bases (base OTs run again) and succeeds — recovery without
     // rebuilding caches or session.
     const core::RunResult recovered =
-        core::SkipGateDriver(nl, opts).run(to_bits(6, 4), to_bits(7, 4));
+        a2gtest::run_composed(c, nl, opts, to_bits(6, 4), to_bits(7, 4));
     EXPECT_EQ(a2gtest::from_bits(recovered.final_outputs, 0, 4), 13u);
     EXPECT_EQ(recovered.stats.ot_base_ots, gc::kOtKappa);
   }
@@ -406,25 +313,23 @@ core::WarmState::Options precomp_warm_options(std::size_t pool) {
 /// schedule. A one-sided pool reset (the state a one-sided crash leaves)
 /// makes one party refill where the other derandomizes, so the very first
 /// OT frame of the next run is read against the wrong layout — a loud
-/// runtime_error on an OT header, never a silent wrong label, on both
-/// in-process transports. The failed run's abort resets both sides, and
-/// recovery re-bases from scratch.
+/// runtime_error on an OT header, never a silent wrong label, in both
+/// compositions. The failed run's abort resets both sides, and recovery
+/// re-bases from scratch.
 TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
   const netlist::Netlist nl = two_party_adder();
-  for (const core::TransportKind tk :
-       {core::TransportKind::InMemory, core::TransportKind::ThreadedPipe}) {
+  for (const a2gtest::Composition c : a2gtest::kCompositions) {
     core::WarmState gwarm(core::Role::Garbler, precomp_warm_options(8));
     core::WarmState ewarm(core::Role::Evaluator, precomp_warm_options(8));
     core::RunOptions opts;
     opts.fixed_cycles = 1;
-    opts.exec.transport = tk;
     opts.exec.ot_backend = gc::OtBackend::Precomp;
     opts.exec.ot_pool = 8;
     opts.exec.garbler_warm = &gwarm;
     opts.exec.evaluator_warm = &ewarm;
 
     const core::RunResult warmup =
-        core::SkipGateDriver(nl, opts).run(to_bits(3, 4), to_bits(5, 4));
+        a2gtest::run_composed(c, nl, opts, to_bits(3, 4), to_bits(5, 4));
     EXPECT_EQ(a2gtest::from_bits(warmup.final_outputs, 0, 4), 8u);
     EXPECT_EQ(warmup.stats.ot_base_ots, gc::kOtKappa);
     // 4 of the 8 banked OTs consumed: a half-drained pool survives runs.
@@ -435,7 +340,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
     // from scratch while the evaluator still rides the old pool.
     gwarm.reset_ot();
     try {
-      (void)core::SkipGateDriver(nl, opts).run(to_bits(1, 4), to_bits(2, 4));
+      (void)a2gtest::run_composed(c, nl, opts, to_bits(1, 4), to_bits(2, 4));
       FAIL() << "desynced warm OT pools must not produce a result";
     } catch (const gc::TransportClosed&) {
       FAIL() << "desync surfaced as a transport teardown, not the OT check";
@@ -444,7 +349,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
     }
 
     const core::RunResult recovered =
-        core::SkipGateDriver(nl, opts).run(to_bits(6, 4), to_bits(7, 4));
+        a2gtest::run_composed(c, nl, opts, to_bits(6, 4), to_bits(7, 4));
     EXPECT_EQ(a2gtest::from_bits(recovered.final_outputs, 0, 4), 13u);
     EXPECT_EQ(recovered.stats.ot_base_ots, gc::kOtKappa);
 
@@ -453,7 +358,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
     // it expects a derand header, or vice versa).
     ewarm.reset_ot();
     try {
-      (void)core::SkipGateDriver(nl, opts).run(to_bits(2, 4), to_bits(2, 4));
+      (void)a2gtest::run_composed(c, nl, opts, to_bits(2, 4), to_bits(2, 4));
       FAIL() << "desynced warm OT pools must not produce a result";
     } catch (const gc::TransportClosed&) {
       FAIL() << "desync surfaced as a transport teardown, not the OT check";
@@ -461,7 +366,7 @@ TEST(PartyWarmState, PrecompOneSidedPoolResetFailsLoudThenRecovers) {
       EXPECT_NE(std::string(e.what()).find("ot"), std::string::npos) << e.what();
     }
     const core::RunResult again =
-        core::SkipGateDriver(nl, opts).run(to_bits(6, 4), to_bits(7, 4));
+        a2gtest::run_composed(c, nl, opts, to_bits(6, 4), to_bits(7, 4));
     EXPECT_EQ(a2gtest::from_bits(again.final_outputs, 0, 4), 13u);
     EXPECT_EQ(again.stats.ot_base_ots, gc::kOtKappa);
   }
@@ -600,7 +505,7 @@ TEST(PartyFaultInjection, MidStreamCloseSurfacesTransportClosedAndWarmRecovers) 
     opts.exec.garbler_warm = &gwarm;
     opts.exec.evaluator_warm = &ewarm;
 
-    a2gtest::FaultyDuplex faulty(1u << 12);
+    a2gtest::FaultyDuplex faulty;
     if (c.on_garbler && c.on_send) faulty.fail_garbler_send_after(c.at);
     if (c.on_garbler && !c.on_send) faulty.fail_garbler_recv_after(c.at);
     if (!c.on_garbler && c.on_send) faulty.fail_evaluator_send_after(c.at);
@@ -652,7 +557,7 @@ TEST(PartyFaultInjection, PrecompMidStreamCloseRecoversByteIdentical) {
   // faulty run is warm — the evaluator sends only a handful of small frames
   // there, and its trip must sit inside that short stream.
   for (const std::uint64_t at : {5ull, 3ull}) {
-    a2gtest::FaultyDuplex faulty(1u << 12);
+    a2gtest::FaultyDuplex faulty;
     faulty.fail_evaluator_send_after(at);  // the receiver-first OT frames die
     const FaultRun r =
         faulty_run(nl, opts, faulty, &gwarm, &ewarm, to_bits(3, 4), to_bits(4, 4));

@@ -297,13 +297,19 @@ TEST(PlanCache, ArmSessionWarmsAcrossExecutions) {
     }
   }
 
-  core::ExecOptions exec;
-  exec.transport = core::TransportKind::ThreadedPipe;
-  arm::Arm2Gc::Session piped(machine, exec);
+  // The same warm reuse with the parties on two threads over a socket pair,
+  // each planning on its own from its own role's warm caches.
+  core::WarmState gwarm(core::Role::Garbler);
+  core::WarmState ewarm(core::Role::Evaluator);
   for (std::uint32_t i = 0; i < 2; ++i) {
-    const arm::Arm2GcResult r =
-        piped.run(std::vector<std::uint32_t>{5 + i}, std::vector<std::uint32_t>{9});
-    EXPECT_EQ(r.outputs[0], 14 + i);
+    const a2gtest::SocketRun s =
+        a2gtest::arm_socket_run(machine, {5 + i}, {9}, {}, &gwarm, &ewarm);
+    EXPECT_EQ(machine.decode_output_bits(s.garbler.final_outputs)[0], 14 + i);
+    EXPECT_TRUE(s.evaluator.stats.table_digest == s.garbler.stats.table_digest);
+    if (i > 0) {
+      EXPECT_EQ(s.garbler.stats.plan_cache_misses, 0u);
+      EXPECT_EQ(s.evaluator.stats.plan_cache_misses, 0u);
+    }
   }
 }
 
@@ -552,23 +558,24 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
   const netlist::Netlist nl = selector_netlist(3);
   core::WarmState gwarm(core::Role::Garbler);
 
-  // One WarmState cannot serve both parties: the threaded driver would race
-  // on it and the lock-step driver would alias the per-party caches.
+  // One WarmState cannot serve both parties: it would alias the per-party
+  // caches (and race across threads). A state has one role, so whichever
+  // endpoint does not hold that role rejects it.
   core::RunOptions shared;
   shared.fixed_cycles = 1;
-  shared.exec.transport = core::TransportKind::ThreadedPipe;
   shared.exec.garbler_warm = &gwarm;
   shared.exec.evaluator_warm = &gwarm;
   EXPECT_THROW(core::SkipGateDriver(nl, shared).run({false}, {false}), std::invalid_argument);
 
-  // A wrong-role WarmState is rejected by the endpoint on every transport.
+  // A wrong-role WarmState is rejected by the endpoint in both compositions.
   core::RunOptions swapped;
   swapped.fixed_cycles = 1;
   swapped.exec.evaluator_warm = &gwarm;  // garbler-role state, evaluator slot
   EXPECT_THROW(core::SkipGateDriver(nl, swapped).run({false}, {false}), std::invalid_argument);
-  core::RunOptions piped = swapped;
-  piped.exec.transport = core::TransportKind::ThreadedPipe;
-  EXPECT_THROW(core::SkipGateDriver(nl, piped).run({false}, {false}), std::invalid_argument);
+  core::StreamProvider streams;
+  streams.pub = [](std::uint64_t) { return netlist::BitVec(3, false); };
+  EXPECT_THROW(a2gtest::socket_run(nl, swapped, {false}, {false}, {}, &streams, nullptr, &gwarm),
+               std::invalid_argument);
 }
 
 /// Differential fuzz (both party sides): randomized sequential netlists

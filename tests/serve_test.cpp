@@ -3,7 +3,7 @@
 // deployment. Pinned here:
 //   - differential: outputs, table digest, gate counts and per-class comm
 //     bytes are byte-identical across {in-memory driver, two blocking
-//     endpoints over a TCP socket, GarblerService + run_client} for every
+//     endpoints over a socket pair, GarblerService + run_client} for every
 //     OT backend and at 1 and 4 worker threads — including with a tiny
 //     send soft limit that forces the backpressure (park-on-write) path,
 //     and under the portable poll() poller backend;
@@ -14,7 +14,9 @@
 //     UnknownProgram, OptionMismatch and BadMagic all reject at the door;
 //   - fault tolerance: a client disconnecting mid-protocol (after hello,
 //     with or without trailing garbage) never poisons the pooled WarmState —
-//     the next client's run is byte-identical to an undisturbed one.
+//     the next client's run is byte-identical to an undisturbed one;
+//   - untrusted wrap-up: a service claiming more output bits than the
+//     netlist has is rejected before the client allocates for them.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -90,51 +92,6 @@ core::RunResult adder_reference(const netlist::Netlist& nl, gc::OtBackend ot,
   return core::SkipGateDriver(nl, opts).run(a, b);
 }
 
-/// Two blocking endpoints over a TCP socket — the arm2gc_party two-process
-/// deployment, minus the fork. Returns the garbler's result plus combined
-/// per-class sent bytes.
-struct TwoProcessRun {
-  core::RunResult garbler;
-  gc::CommStats comm;
-};
-
-TwoProcessRun two_process_run(const netlist::Netlist& nl, gc::OtBackend ot,
-                              std::size_t pool, std::size_t threads,
-                              const netlist::BitVec& a, const netlist::BitVec& b) {
-  core::RunOptions opts;
-  opts.fixed_cycles = 1;
-  opts.exec.ot_backend = ot;
-  opts.exec.ot_pool = pool;
-  opts.exec.threads = threads;
-
-  gc::SocketListener listener("127.0.0.1", 0);
-  const std::uint16_t port = listener.port();
-  TwoProcessRun out;
-  gc::CommStats garbler_sent;
-  std::exception_ptr gerr;
-  std::thread garbler_thread([&] {
-    try {
-      auto sock = gc::SocketDuplex::connect("127.0.0.1", port);
-      core::GarblerEndpoint endpoint(nl, core::party_options(core::Role::Garbler, opts),
-                                     sock->end());
-      out.garbler = endpoint.run(a);
-      sock->flush();
-      garbler_sent = sock->sent();
-    } catch (...) {
-      gerr = std::current_exception();
-    }
-  });
-  auto sock = listener.accept();
-  core::EvaluatorEndpoint endpoint(nl, core::party_options(core::Role::Evaluator, opts),
-                                   sock->end());
-  (void)endpoint.run(b);
-  garbler_thread.join();
-  if (gerr) std::rethrow_exception(gerr);
-  out.comm = garbler_sent;
-  out.comm += sock->sent();
-  return out;
-}
-
 std::size_t open_fd_count() {
   std::error_code ec;
   std::filesystem::directory_iterator it("/proc/self/fd", ec);
@@ -182,10 +139,15 @@ TEST(GarblerService, DifferentialAcrossBackendsAndThreads) {
       const core::RunResult ref = adder_reference(nl, ot, kPool, threads, a, b);
       EXPECT_EQ(a2gtest::from_bits(ref.final_outputs, 0, 8), 255u);
 
-      const TwoProcessRun two = two_process_run(nl, ot, kPool, threads, a, b);
+      core::RunOptions opts;
+      opts.fixed_cycles = 1;
+      opts.exec.ot_backend = ot;
+      opts.exec.ot_pool = kPool;
+      opts.exec.threads = threads;
+      const a2gtest::SocketRun two = a2gtest::socket_run(nl, opts, a, b);
       EXPECT_EQ(two.garbler.final_outputs, ref.final_outputs);
       EXPECT_TRUE(two.garbler.stats.table_digest == ref.stats.table_digest);
-      EXPECT_EQ(two.comm.total(), ref.stats.comm.total());
+      EXPECT_EQ(two.garbler.stats.comm.total(), ref.stats.comm.total());
 
       serve::ServiceOptions so;
       so.exec_threads = threads;
@@ -515,6 +477,52 @@ TEST(GarblerService, MidProtocolDisconnectNeverPoisonsWarmPool) {
   // The killers drew from (and the teardown re-based + returned) the pool.
   EXPECT_EQ(st.warm_misses, 1u);
   EXPECT_EQ(st.warm_hits, 4u);
+}
+
+/// A hostile service: it answers the hello and garbles honestly, then claims
+/// 2^40 output bits in its wrap-up. The count is peer-supplied, so the client
+/// must reject it against the netlist's own output count instead of sizing a
+/// 128 GiB bit vector from it.
+TEST(ServeClient, RejectsOversizedOutBitsBeforeAllocating) {
+  const netlist::Netlist nl = adder_netlist();
+  gc::SocketListener listener("127.0.0.1", 0);
+  std::exception_ptr service_error;
+  std::thread service([&] {
+    try {
+      auto sock = listener.accept();
+      serve::HelloRequest h{};
+      sock->recv_control(&h, sizeof h);
+      std::string name(h.name_len, '\0');
+      sock->recv_control(name.data(), name.size());
+      const serve::HelloReply ok;
+      sock->send_control(&ok, sizeof ok);
+
+      core::GarblerEndpoint endpoint(nl, adder_spec_opts(), sock->end());
+      const core::RunResult r = endpoint.run(to_bits(3, 8));
+      serve::RunSummary lie;
+      lie.cycles = r.stats.cycles;
+      lie.final_cycle = r.final_cycle;
+      lie.garbled_non_xor = r.stats.garbled_non_xor;
+      r.stats.table_digest.to_bytes(lie.table_digest);
+      lie.out_bits = 1ull << 40;
+      sock->send_control(&lie, sizeof lie);
+    } catch (...) {
+      service_error = std::current_exception();
+    }
+  });
+
+  std::string error = "no error";
+  try {
+    (void)serve::run_client("127.0.0.1", listener.port(), nl,
+                            adder_client_opts(gc::OtBackend::Ideal, 16, 1), to_bits(4, 8));
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  } catch (const std::exception& e) {
+    error = std::string("not a runtime_error: ") + e.what();
+  }
+  service.join();
+  EXPECT_NE(error.find("output bits"), std::string::npos) << error;
+  EXPECT_FALSE(service_error);
 }
 
 }  // namespace

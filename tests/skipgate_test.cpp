@@ -367,7 +367,7 @@ void expect_results_identical(const RunResult& x, const RunResult& y) {
   EXPECT_EQ(x.stats.comm.output_bytes, y.stats.comm.output_bytes);
 }
 
-TEST(SkipGateTransport, ThreadedPipeMatchesInMemorySerialAdder) {
+TEST(SkipGateTransport, SocketPairMatchesInMemorySerialAdder) {
   const netlist::Netlist nl = make_serial_adder();
   core::StreamProvider streams;
   streams.alice = [](std::uint64_t c) { return netlist::BitVec{((0xDEADBEEFu >> c) & 1u) != 0}; };
@@ -376,15 +376,14 @@ TEST(SkipGateTransport, ThreadedPipeMatchesInMemorySerialAdder) {
     RunOptions opts;
     opts.mode = mode;
     opts.fixed_cycles = 32;
-    RunOptions topts = opts;
-    topts.exec.transport = core::TransportKind::ThreadedPipe;
     const RunResult mem = SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
-    const RunResult piped = SkipGateDriver(nl, topts).run({}, {}, {}, &streams);
-    expect_results_identical(mem, piped);
+    const a2gtest::SocketRun s = a2gtest::socket_run(nl, opts, {}, {}, {}, &streams);
+    expect_results_identical(mem, s.garbler);
+    EXPECT_TRUE(s.evaluator.stats.table_digest == mem.stats.table_digest);
   }
 }
 
-TEST(SkipGateTransport, ThreadedPipeMatchesInMemoryHaltDriven) {
+TEST(SkipGateTransport, SocketPairMatchesInMemoryHaltDriven) {
   // Halt-driven run: both parties' planners must reach the same termination
   // decision independently.
   CircuitBuilder cb;
@@ -400,21 +399,27 @@ TEST(SkipGateTransport, ThreadedPipeMatchesInMemoryHaltDriven) {
   RunOptions opts;
   opts.halt_wire = nl.outputs[0].wire;
   opts.max_cycles = 100;
-  RunOptions topts = opts;
-  topts.exec.transport = core::TransportKind::ThreadedPipe;
   const RunResult mem = SkipGateDriver(nl, opts).run({}, to_bits(0xC, 4));
-  const RunResult piped = SkipGateDriver(nl, topts).run({}, to_bits(0xC, 4));
-  expect_results_identical(mem, piped);
-  EXPECT_EQ(piped.final_cycle, 5u);
+  const a2gtest::SocketRun s = a2gtest::socket_run(nl, opts, {}, to_bits(0xC, 4));
+  expect_results_identical(mem, s.garbler);
+  EXPECT_EQ(s.garbler.final_cycle, 5u);
+  EXPECT_EQ(s.evaluator.final_cycle, 5u);
 
   // Failure on both sides (max_cycles exhausted) surfaces as the same error
   // the in-memory driver raises, not as a transport teardown artifact.
-  RunOptions bad = topts;
+  RunOptions bad = opts;
   bad.max_cycles = 3;
   EXPECT_THROW(SkipGateDriver(nl, bad).run({}, to_bits(0xC, 4)), std::runtime_error);
+  try {
+    (void)a2gtest::socket_run(nl, bad, {}, to_bits(0xC, 4));
+    FAIL() << "max_cycles exhausted must not produce a result";
+  } catch (const gc::TransportClosed&) {
+    FAIL() << "max_cycles surfaced as a transport teardown";
+  } catch (const std::runtime_error&) {
+  }
 }
 
-TEST(SkipGateTransport, ThreadedPipeMatchesInMemoryRandomCircuits) {
+TEST(SkipGateTransport, SocketPairMatchesInMemoryRandomCircuits) {
   crypto::CtrRng rng(crypto::block_from_u64(777));
   for (int seed = 0; seed < 5; ++seed) {
     CircuitBuilder cb;
@@ -428,21 +433,18 @@ TEST(SkipGateTransport, ThreadedPipeMatchesInMemoryRandomCircuits) {
       RunOptions opts;
       opts.fixed_cycles = 1;
       opts.scheme = scheme;
-      RunOptions topts = opts;
-      topts.exec.transport = core::TransportKind::ThreadedPipe;
-      topts.exec.pipe_blocks = 64;  // force backpressure on a real circuit
       const RunResult mem = SkipGateDriver(nl, opts).run(av, bv);
-      const RunResult piped = SkipGateDriver(nl, topts).run(av, bv);
-      expect_results_identical(mem, piped);
+      const a2gtest::SocketRun s = a2gtest::socket_run(nl, opts, av, bv);
+      expect_results_identical(mem, s.garbler);
+      EXPECT_TRUE(s.evaluator.stats.table_digest == mem.stats.table_digest);
     }
   }
 }
 
 TEST(SkipGateTransport, LongRunKeepsTransportMemoryBounded) {
   // 4096 cycles of the serial adder move ~4096 garbled tables plus OT and
-  // output traffic; the transport must never buffer more than one cycle's
-  // frames (in-memory FIFOs self-compact; the threaded ring is bounded by
-  // construction).
+  // output traffic; the in-memory FIFOs must self-compact so the transport
+  // never buffers more than one cycle's frames.
   const netlist::Netlist nl = make_serial_adder();
   core::StreamProvider streams;
   streams.alice = [](std::uint64_t c) { return netlist::BitVec{(c & 1) != 0}; };
@@ -452,13 +454,6 @@ TEST(SkipGateTransport, LongRunKeepsTransportMemoryBounded) {
   const RunResult mem = SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
   EXPECT_GT(mem.stats.comm.total(), 4096u * 32);
   EXPECT_LE(mem.stats.transport_high_water_blocks, 16u);
-
-  RunOptions topts = opts;
-  topts.exec.transport = core::TransportKind::ThreadedPipe;
-  topts.exec.pipe_blocks = 256;
-  const RunResult piped = SkipGateDriver(nl, topts).run({}, {}, {}, &streams);
-  expect_results_identical(mem, piped);
-  EXPECT_LE(piped.stats.transport_high_water_blocks, 256u);
 }
 
 TEST(SkipGate, GarblingSchemesAllWork) {

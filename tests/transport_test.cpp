@@ -1,15 +1,15 @@
 // Transport-layer tests: frame ordering and byte accounting, bounded-memory
-// self-compaction of the in-memory FIFOs, the threaded bounded pipe
-// (cross-thread integrity, backpressure bound, close() unblocking) and the
-// TCP socket duplex (byte-stream reassembly under adversarially small
-// chunks, peer-teardown semantics, accounting parity with the in-memory
-// duplex).
+// self-compaction of the in-memory FIFOs, and the socket duplex (byte-stream
+// reassembly under adversarially small chunks, peer-teardown semantics,
+// cross-thread integrity and close() unblocking over a socket pair,
+// accounting parity with the in-memory duplex).
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
@@ -18,6 +18,7 @@
 #include "crypto/block.h"
 #include "gc/transport.h"
 #include "gc/transport_socket.h"
+#include "test_util.h"
 
 namespace {
 
@@ -62,107 +63,6 @@ TEST(InMemoryDuplex, UnderrunThrows) {
   duplex.garbler_end().send(block_from_u64(1), Traffic::InputLabel);
   Block got[2];
   EXPECT_THROW(duplex.evaluator_end().recv(got, 2), std::runtime_error);
-}
-
-TEST(ThreadedPipeDuplex, TransfersAcrossThreadsWithBackpressure) {
-  constexpr std::size_t kCapacity = 64;
-  constexpr std::uint64_t kBlocks = 100000;
-  ThreadedPipeDuplex duplex(kCapacity);
-
-  std::thread producer([&] {
-    for (std::uint64_t i = 0; i < kBlocks; i += 5) {
-      Block frame[5];
-      for (std::uint64_t k = 0; k < 5; ++k) frame[k] = block_from_u64(i + k);
-      duplex.garbler_end().send(frame, 5, Traffic::GarbledTable);
-    }
-  });
-  for (std::uint64_t i = 0; i < kBlocks; ++i) {
-    ASSERT_EQ(duplex.evaluator_end().recv(), block_from_u64(i));
-  }
-  producer.join();
-  EXPECT_EQ(duplex.stats().garbled_table_bytes, kBlocks * 16);
-  EXPECT_LE(duplex.high_water_blocks(), kCapacity);  // ring bounds memory
-}
-
-TEST(ThreadedPipeDuplex, BidirectionalEcho) {
-  ThreadedPipeDuplex duplex(32);
-  std::thread peer([&] {
-    for (int i = 0; i < 1000; ++i) {
-      const Block b = duplex.evaluator_end().recv();
-      duplex.evaluator_end().send(b ^ block_from_u64(1), Traffic::OutputDecode);
-    }
-  });
-  for (int i = 0; i < 1000; ++i) {
-    duplex.garbler_end().send(block_from_u64(static_cast<std::uint64_t>(i) << 1),
-                              Traffic::InputLabel);
-    EXPECT_EQ(duplex.garbler_end().recv(),
-              block_from_u64((static_cast<std::uint64_t>(i) << 1) | 1));
-  }
-  peer.join();
-}
-
-TEST(ThreadedPipeDuplex, StressOrderedWriterAgainstPooledReader) {
-  // The parallel-session shape: one producer thread plays the garbler's
-  // ordered writer (bursty per-cone sends, sizes varying per "slice"), while
-  // the consumer pulls exact per-gate frames and hands them to short-lived
-  // worker threads for checking — receive order on the transport stays the
-  // single-threaded slice order even with workers racing around it. Run
-  // under TSan in CI.
-  constexpr std::size_t kSlices = 300;
-  ThreadedPipeDuplex duplex(128);
-  std::thread producer([&] {
-    std::uint64_t next = 0;
-    for (std::size_t s = 0; s < kSlices; ++s) {
-      const std::size_t tables = s % 7 + 1;
-      for (std::size_t t = 0; t < tables; ++t) {
-        Block frame[3];
-        for (std::uint64_t k = 0; k < 3; ++k) frame[k] = block_from_u64(next++);
-        duplex.garbler_end().send(frame, 3, Traffic::GarbledTable);
-      }
-    }
-  });
-  std::uint64_t expect = 0;
-  std::vector<std::thread> checkers;
-  std::atomic<int> mismatches{0};
-  for (std::size_t s = 0; s < kSlices; ++s) {
-    const std::size_t tables = s % 7 + 1;
-    std::vector<Block> staged(tables * 3);
-    duplex.evaluator_end().recv(staged.data(), staged.size());
-    const std::uint64_t base = expect;
-    expect += tables * 3;
-    checkers.emplace_back([&mismatches, staged = std::move(staged), base] {
-      for (std::size_t i = 0; i < staged.size(); ++i) {
-        if (staged[i] != block_from_u64(base + i)) mismatches.fetch_add(1);
-      }
-    });
-    if (checkers.size() >= 8) {
-      for (auto& c : checkers) c.join();
-      checkers.clear();
-    }
-  }
-  for (auto& c : checkers) c.join();
-  producer.join();
-  EXPECT_EQ(mismatches.load(), 0);
-  EXPECT_EQ(duplex.stats().garbled_table_bytes, expect * 16);
-}
-
-TEST(ThreadedPipeDuplex, CloseUnblocksReceiverAndSender) {
-  ThreadedPipeDuplex duplex(16);
-  std::thread blocked([&] {
-    EXPECT_THROW(duplex.evaluator_end().recv(), std::runtime_error);
-  });
-  duplex.close();
-  blocked.join();
-  EXPECT_THROW(duplex.garbler_end().send(block_from_u64(1), Traffic::InputLabel),
-               std::runtime_error);
-}
-
-TEST(ThreadedPipeDuplex, DrainsBufferedBlocksAfterClose) {
-  ThreadedPipeDuplex duplex(16);
-  duplex.garbler_end().send(block_from_u64(7), Traffic::InputLabel);
-  duplex.close();
-  EXPECT_EQ(duplex.evaluator_end().recv(), block_from_u64(7));  // buffered data survives
-  EXPECT_THROW(duplex.evaluator_end().recv(), std::runtime_error);
 }
 
 // --- SocketDuplex ----------------------------------------------------------------
@@ -284,6 +184,92 @@ TEST(SocketDuplex, ListenerConnectRoundTripOverLoopback) {
   server->end().send(block_from_u64(0xFEED), Traffic::OutputDecode);
   server->flush();
   EXPECT_EQ(client->end().recv(), block_from_u64(0xFEED));
+}
+
+TEST(SocketDuplex, BidirectionalEchoAcrossThreads) {
+  a2gtest::SocketPair pair;
+  std::thread peer([&] {
+    for (int i = 0; i < 1000; ++i) {
+      const Block b = pair.evaluator->end().recv();
+      pair.evaluator->end().send(b ^ block_from_u64(1), Traffic::OutputDecode);
+    }
+    pair.evaluator->flush();
+  });
+  for (int i = 0; i < 1000; ++i) {
+    pair.garbler->end().send(block_from_u64(static_cast<std::uint64_t>(i) << 1),
+                             Traffic::InputLabel);
+    EXPECT_EQ(pair.garbler->end().recv(),
+              block_from_u64((static_cast<std::uint64_t>(i) << 1) | 1));
+  }
+  peer.join();
+  EXPECT_EQ(pair.garbler->sent().input_label_bytes, 1000u * 16);
+  EXPECT_EQ(pair.evaluator->sent().output_bytes, 1000u * 16);
+}
+
+TEST(SocketDuplex, StressOrderedWriterAgainstPooledReader) {
+  // The parallel-session shape: one producer thread plays the garbler's
+  // ordered writer (bursty per-cone sends, sizes varying per "slice"), while
+  // the consumer pulls exact per-gate frames and hands them to short-lived
+  // worker threads for checking — receive order on the transport stays the
+  // single-threaded slice order even with workers racing around it. Run
+  // under TSan in CI.
+  constexpr std::size_t kSlices = 300;
+  a2gtest::SocketPair pair;
+  std::thread producer([&] {
+    std::uint64_t next = 0;
+    for (std::size_t s = 0; s < kSlices; ++s) {
+      const std::size_t tables = s % 7 + 1;
+      for (std::size_t t = 0; t < tables; ++t) {
+        Block frame[3];
+        for (std::uint64_t k = 0; k < 3; ++k) frame[k] = block_from_u64(next++);
+        pair.garbler->end().send(frame, 3, Traffic::GarbledTable);
+      }
+      if (s % 16 == 15) pair.garbler->flush();  // ragged delivery batches
+    }
+    pair.garbler->flush();
+  });
+  std::uint64_t expect = 0;
+  std::vector<std::thread> checkers;
+  std::atomic<int> mismatches{0};
+  for (std::size_t s = 0; s < kSlices; ++s) {
+    const std::size_t tables = s % 7 + 1;
+    std::vector<Block> staged(tables * 3);
+    pair.evaluator->end().recv(staged.data(), staged.size());
+    const std::uint64_t base = expect;
+    expect += tables * 3;
+    checkers.emplace_back([&mismatches, staged = std::move(staged), base] {
+      for (std::size_t i = 0; i < staged.size(); ++i) {
+        if (staged[i] != block_from_u64(base + i)) mismatches.fetch_add(1);
+      }
+    });
+    if (checkers.size() >= 8) {
+      for (auto& c : checkers) c.join();
+      checkers.clear();
+    }
+  }
+  for (auto& c : checkers) c.join();
+  producer.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(pair.garbler->sent().garbled_table_bytes, expect * 16);
+}
+
+TEST(SocketDuplex, CloseUnblocksBlockedPeer) {
+  // One side failing closes its end; the peer, blocked in recv on another
+  // thread, must wake with TransportClosed, and its later sends fail the
+  // same way instead of vanishing into a dead connection.
+  a2gtest::SocketPair pair;
+  std::thread blocked([&] {
+    EXPECT_THROW(pair.evaluator->end().recv(), TransportClosed);
+    EXPECT_THROW(
+        {
+          pair.evaluator->end().send(block_from_u64(1), Traffic::InputLabel);
+          pair.evaluator->flush();
+        },
+        TransportClosed);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));  // let it block
+  pair.garbler->close();
+  blocked.join();
 }
 
 TEST(SocketDuplex, AccountingMatchesInMemoryDuplexFrameForFrame) {

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <stdexcept>
@@ -151,6 +152,10 @@ TEST(WorkPool, WorkerExceptionCancelsAndRethrows) {
                         [&](std::size_t i) {
                           started.fetch_add(1);
                           if (i == 10) throw std::runtime_error("boom");
+                          // Tasks take real time, so on a loaded host the
+                          // workers cannot drain all of them before the
+                          // cancellation lands.
+                          std::this_thread::sleep_for(std::chrono::microseconds(50));
                         }),
                std::runtime_error);
   // Cancellation keeps the tail from starting (in-flight tasks may finish).

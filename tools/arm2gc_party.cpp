@@ -271,11 +271,18 @@ void send_summary(gc::SocketDuplex& sock, const arm::Arm2GcResult& r,
   }
 }
 
-WireSummary recv_summary(gc::SocketDuplex& sock, std::vector<std::uint32_t>& outputs) {
+/// `max_out` is the output-memory size this party derives from the public
+/// program; the peer's out_count is rejected above it before allocating.
+WireSummary recv_summary(gc::SocketDuplex& sock, std::vector<std::uint32_t>& outputs,
+                         std::size_t max_out) {
   WireSummary w;
   sock.recv_control(&w, sizeof w);
   if (w.magic != WireSummary{}.magic) {
     throw std::runtime_error("arm2gc_party: malformed wrap-up summary (desynced stream?)");
+  }
+  if (w.out_count > max_out) {
+    throw std::runtime_error("arm2gc_party: peer wrap-up claims more output words than "
+                             "the program's output memory holds");
   }
   outputs.resize(w.out_count);
   if (w.out_count != 0) {
@@ -348,9 +355,9 @@ int run_party(const Args& a, const programs::Program& prog) {
   std::vector<std::uint32_t> peer_outputs;
   if (is_garbler) {
     send_summary(*sock, r, own_sent, outputs);
-    peer = recv_summary(*sock, peer_outputs);
+    peer = recv_summary(*sock, peer_outputs, prog.cfg.out_words);
   } else {
-    peer = recv_summary(*sock, peer_outputs);
+    peer = recv_summary(*sock, peer_outputs, prog.cfg.out_words);
     send_summary(*sock, r, own_sent, outputs);
     outputs = peer_outputs;  // Bob learns the result from Alice's wrap-up
   }
