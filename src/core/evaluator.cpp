@@ -116,6 +116,13 @@ void EvaluatorSession::reset() {
     }
   }
   ot_->finish();
+  // Flip-flop outputs start from their initial labels; from here on latch()
+  // installs the ones that change.
+  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
+    const WireId w = nl_.dff_wire(i);
+    lb_[w] = dff_lb_[i];
+    lb_valid_[w] = dff_lb_valid_[i];
+  }
 }
 
 void EvaluatorSession::ot_begin(const netlist::BitVec& bob_stream) {
@@ -151,12 +158,6 @@ void EvaluatorSession::begin_cycle() {
     }
     lb_[w] = tx_->recv();
     lb_valid_[w] = 1;
-  }
-
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    const WireId w = nl_.dff_wire(i);
-    lb_[w] = dff_lb_[i];
-    lb_valid_[w] = dff_lb_valid_[i];
   }
   ot_->finish();
 }
@@ -289,12 +290,19 @@ void EvaluatorSession::send_outputs(const CyclePlan& plan) {
 }
 
 void EvaluatorSession::latch(const CyclePlan& plan) {
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    const Dff& d = nl_.dffs[i];
-    if (!plan.wire_public(d.d)) {
-      dff_lb_[i] = lb_[d.d];
-      dff_lb_valid_[i] = lb_valid_[d.d];
-    }
+  // Only the plan's secret_dffs change label (see GarblerSession::latch);
+  // two passes so a D-input that is another flip-flop's output is read
+  // before it is overwritten.
+  const std::uint32_t* dffs = plan.secret_dffs;
+  for (std::size_t k = 0; k < plan.num_secret_dffs; ++k) {
+    const WireId dw = nl_.dffs[dffs[k]].d;
+    dff_lb_[dffs[k]] = lb_[dw];
+    dff_lb_valid_[dffs[k]] = lb_valid_[dw];
+  }
+  for (std::size_t k = 0; k < plan.num_secret_dffs; ++k) {
+    const WireId w = nl_.dff_wire(dffs[k]);
+    lb_[w] = dff_lb_[dffs[k]];
+    lb_valid_[w] = dff_lb_valid_[dffs[k]];
   }
 }
 

@@ -58,7 +58,7 @@ class EvaluatorSession {
 
   /// Installs root labels for a cycle, receives streamed-input labels and
   /// completes the cycle's OT batch (Bob's choices were consumed by
-  /// ot_begin).
+  /// ot_begin). Flip-flop outputs are installed by reset() and latch().
   void begin_cycle();
 
   /// Runs the evaluator label pass over the plan, consuming garbled tables.
@@ -68,7 +68,8 @@ class EvaluatorSession {
   /// Sends this cycle's secret output labels for decoding.
   void send_outputs(const CyclePlan& plan);
 
-  /// Carries flip-flop labels into the next cycle.
+  /// Carries flip-flop labels into the next cycle: copies and installs the
+  /// labels of the plan's secret_dffs (the only ones that change).
   void latch(const CyclePlan& plan);
 
   /// OT maintenance between cycles (receiver-first halves of the schedule's

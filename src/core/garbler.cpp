@@ -96,6 +96,9 @@ void GarblerSession::reset(const netlist::BitVec& alice_bits, const netlist::Bit
     }
   }
   ot_->flush();  // one batch for every Bob-owned fixed bit and dff init
+  // Flip-flop outputs start from their initial labels; from here on latch()
+  // installs the ones that change.
+  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) la_[nl_.dff_wire(i)] = dff_la_[i];
 }
 
 void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
@@ -114,10 +117,6 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
     if (in.owner == Owner::Public && skipgate) continue;
     const bool v = known_bit(in.owner, in.bit_index, alice_stream, pub_stream, "streamed input");
     bind_secret(in.owner, v, la_[w]);
-  }
-
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    la_[nl_.dff_wire(i)] = dff_la_[i];
   }
   ot_->flush();  // this cycle's streamed Bob bits, as one batch
 }
@@ -241,12 +240,17 @@ netlist::BitVec GarblerSession::decode_outputs(const CyclePlan& plan) {
 }
 
 void GarblerSession::latch(const CyclePlan& plan) {
+  // Only the plan's secret_dffs change label; every other flip-flop keeps
+  // its label or turns public. Two passes: a D-input may be another
+  // flip-flop's output, so all next labels are read before any is installed.
   const Block r = garbler_.R();
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    const Dff& d = nl_.dffs[i];
-    if (!plan.wire_public(d.d)) {
-      dff_la_[i] = la_[d.d] ^ maybe(r, d.d_invert);
-    }
+  const std::uint32_t* dffs = plan.secret_dffs;
+  for (std::size_t k = 0; k < plan.num_secret_dffs; ++k) {
+    const Dff& d = nl_.dffs[dffs[k]];
+    dff_la_[dffs[k]] = la_[d.d] ^ maybe(r, d.d_invert);
+  }
+  for (std::size_t k = 0; k < plan.num_secret_dffs; ++k) {
+    la_[nl_.dff_wire(dffs[k])] = dff_la_[dffs[k]];
   }
 }
 

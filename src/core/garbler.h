@@ -47,7 +47,8 @@ class GarblerSession {
   /// Alice-known bits, batched through OT for Bob's bits).
   void reset(const netlist::BitVec& alice_bits, const netlist::BitVec& pub_bits);
 
-  /// Installs root labels for a cycle and binds streamed inputs.
+  /// Installs root labels for a cycle and binds streamed inputs (flip-flop
+  /// outputs are installed by reset() and latch()).
   void begin_cycle(const netlist::BitVec& alice_stream, const netlist::BitVec& pub_stream);
 
   /// Runs the garbler label pass over the plan, sending garbled tables.
@@ -56,7 +57,8 @@ class GarblerSession {
   /// Receives Bob's output labels and decodes this cycle's sampled outputs.
   [[nodiscard]] netlist::BitVec decode_outputs(const CyclePlan& plan);
 
-  /// Carries flip-flop labels into the next cycle.
+  /// Carries flip-flop labels into the next cycle: computes and installs
+  /// the labels of the plan's secret_dffs (the only ones that change).
   void latch(const CyclePlan& plan);
 
   /// OT maintenance between cycles (the schedule's ot_refill slot): lets the

@@ -103,6 +103,28 @@ void classify_unary(netlist::UnaryTable u, const WireState& in, bool pass_is_a, 
   if (u == netlist::kUnNot) out.flip = !out.flip;
 }
 
+/// The decision table for a gate whose inputs are both secret (every gate in
+/// Conventional mode) — the only gates whose action can depend on a
+/// fingerprint comparison. `equal` is fp(a) == fp(b) (category iii; never
+/// set in Conventional mode). XOR/XNOR of distinct fingerprints yields
+/// FreeXor; the caller's cancellation peephole may refine it to PassSrc.
+/// Classification, cone-adoption verification and the hit-program compiler
+/// all decide through this one function.
+PlanAct pair_action(netlist::TruthTable tt, bool flips_differ, bool equal, bool skipgate) {
+  if (equal) {
+    return netlist::unary_is_const(netlist::tt_restrict_diag(tt, flips_differ)) ? PlanAct::Public
+                                                                                 : PlanAct::PassA;
+  }
+  if (!netlist::tt_is_affine(tt)) return PlanAct::Garble;  // category iv
+  if (tt == netlist::kTtZero || tt == netlist::kTtOne) {
+    if (skipgate) return PlanAct::Public;
+    return tt == netlist::kTtOne ? PlanAct::PassC1 : PlanAct::PassC0;
+  }
+  if (netlist::tt_ignores_a(tt)) return PlanAct::PassB;  // non-const unary of b
+  if (netlist::tt_ignores_b(tt)) return PlanAct::PassA;  // non-const unary of a
+  return PlanAct::FreeXor;
+}
+
 /// Follows pass-style actions back to the wire whose label a wire carries.
 WireId resolve_pass(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
                     WireId w) {
@@ -119,27 +141,89 @@ WireId resolve_pass(const Netlist& nl, const std::uint8_t* acts, const WireId* p
   return w;
 }
 
-/// For a free XOR of wires (wa, wb): if either side resolves to a FreeXor
-/// gate one of whose operands' fingerprint equals the result fingerprint,
-/// the other operand cancels and the result is a plain wire. Returns the
-/// surviving source wire or kNoWire. `is_pub` reads the stitched wire bits,
-/// so classification and hit verification share one decision procedure.
-template <typename IsPubFn>
-WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
-                         const std::vector<WireState>& st, IsPubFn&& is_pub, WireId wa,
-                         WireId wb, const Block& out_fp) {
+/// Follows every pass action (PassA/B/C0/C1/PassSrc) back to the wire whose
+/// fingerprint a wire carries: a pass gate's output fingerprint is exactly
+/// its source's (PassSrc's by the cancellation check that chose it), so a
+/// verified hit reads sources and never writes pass-gate fingerprints.
+WireId fp_source(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs, WireId w) {
   const WireId first_gate = nl.first_gate_wire();
+  while (w >= first_gate) {
+    const std::size_t gi = w - first_gate;
+    switch (static_cast<PlanAct>(acts[gi])) {
+      case PlanAct::PassA: w = nl.gates[gi].a; break;
+      case PlanAct::PassB: w = nl.gates[gi].b; break;
+      case PlanAct::PassC0: return netlist::kConst0;
+      case PlanAct::PassC1: return netlist::kConst1;
+      case PlanAct::PassSrc: w = pass_srcs[gi]; break;
+      default: return w;
+    }
+  }
+  return w;
+}
+
+/// XOR-cancellation candidates of a free XOR of wires (wa, wb): for each
+/// side that resolves to a FreeXor gate, that gate's secret operands, in
+/// order. The XOR carries exactly a candidate's label iff the candidate's
+/// fingerprint equals the result's; the first such candidate wins. `is_pub`
+/// reads the stitched wire bits.
+template <typename IsPubFn>
+std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
+                              IsPubFn&& is_pub, WireId wa, WireId wb,
+                              std::array<WireId, 4>& out) {
+  const WireId first_gate = nl.first_gate_wire();
+  std::size_t n = 0;
   for (const WireId side : {wa, wb}) {
     const WireId r = resolve_pass(nl, acts, pass_srcs, side);
     if (r < first_gate) continue;
     const std::size_t gi = r - first_gate;
     if (static_cast<PlanAct>(acts[gi]) != PlanAct::FreeXor) continue;
     const Gate& g2 = nl.gates[gi];
-    if (!is_pub(g2.a) && st[g2.a].fp == out_fp) return g2.a;
-    if (!is_pub(g2.b) && st[g2.b].fp == out_fp) return g2.b;
+    if (!is_pub(g2.a)) out[n++] = g2.a;
+    if (!is_pub(g2.b)) out[n++] = g2.b;
+  }
+  return n;
+}
+
+/// The XOR-cancellation peephole's decision: the first candidate carrying
+/// `out_fp`, or kNoWire. Classification and cone-adoption verification share
+/// it; the hit compiler replays it from the same candidate list.
+template <typename IsPubFn>
+WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
+                         const std::vector<WireState>& st, IsPubFn&& is_pub, WireId wa,
+                         WireId wb, const Block& out_fp) {
+  std::array<WireId, 4> cand{};
+  const std::size_t n = cancel_candidates(nl, acts, pass_srcs, is_pub, wa, wb, cand);
+  for (std::size_t j = 0; j < n; ++j) {
+    if (st[cand[j]].fp == out_fp) return cand[j];
   }
   return kNoWire;
 }
+
+// Hit-verification program (PlanCache::Entry::program), a flat u32 stream.
+// Each segment's sub-range starts with its Garble gates — a count, then the
+// gate indices — whose derived fingerprints depend only on (epoch, gate) and
+// are computed up front in pipelined AES batches. Then one op per gate whose
+// decision depends on a fingerprint comparison or that makes a fresh XOR
+// fingerprint, in gate order:
+//   header  gate << kOpShift | kind | kOpResA? | kOpResB?
+//   [ra]    fingerprint source of operand a, present iff kOpResA (it differs
+//   [rb]    from the gate's own operand); same for b
+//   cancel  kOpNeXor / kOpNeSrc only: n | k << 3, then n candidate
+//           fingerprint sources; the first candidate carrying fp(a)^fp(b)
+//           must be #k (k == n: none may — FreeXor)
+enum : std::uint32_t {
+  kOpEq = 0,     ///< cached category iii: require fp(a) == fp(b)
+  kOpNe = 1,     ///< cached non-equal outcome (incl. category iv): require !=
+  kOpNeXor = 2,  ///< FreeXor: require !=, no candidate matches, write a^b
+  kOpNeSrc = 3,  ///< PassSrc: require !=, candidate #k matches first
+  kOpXor = 4,    ///< Conventional FreeXor: write a^b, no decision
+  kOpKindMask = 7,
+  kOpResA = 8,
+  kOpResB = 16,
+  kOpShift = 5,
+};
+/// Candidate index no first match can equal: the op never verifies.
+constexpr std::uint32_t kNeverMatches = 7;
 
 }  // namespace
 
@@ -281,7 +365,12 @@ void PlanCache::ensure_sized(std::uint64_t netlist_key, std::size_t num_wires,
   }
   netlist_key_ = netlist_key;
   // Rough per-entry footprint: signature + acts + pass sources + packed
-  // wire bits + touch list + two backward variants (emit + live each).
+  // wire bits + touch list + two backward variants (emit + live each). The
+  // touch list is charged at full netlist size; on SkipGate workloads the
+  // real touch list plus the compiled verify program and latch list fit in
+  // that charge (Hamming-160: ~7.0k touched + ~10.3k program words against
+  // 42.6k), while a Conventional entry (every gate touched) exceeds it by
+  // about its program.
   const std::size_t entry_bytes = 4 * roots + num_gates + 4 * num_gates + num_wires +
                                   4 * num_gates + 256;
   capacity_ = std::clamp<std::size_t>(budget_bytes_ / std::max<std::size_t>(entry_bytes, 1), 4,
@@ -457,6 +546,9 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
       opts_(opts),
       fp_gen_(opts.seed ^ Block{0xf1f2f3f4f5f6f7f8ULL, 0x0102030405060708ULL}) {
   nl_.validate();
+  if (nl_.gates.size() >= (std::size_t{1} << (32 - kOpShift))) {
+    throw std::length_error("planner: netlist exceeds the verify program's gate index range");
+  }
   const std::size_t nw = nl_.num_wires();
   st_.resize(nw);
   needed_.assign(nw, 0);
@@ -568,11 +660,26 @@ Block Planner::fresh_fp() {
   return fp_buf_[fp_pos_++];
 }
 
-Block Planner::derived_fp(std::size_t gate) const {
+Block Planner::derived_plaintext(std::size_t gate) const {
   // Top plaintext bit set: disjoint from the root stream's {counter, 0}
   // plaintexts, so derived and root fingerprints never collide and are
   // jointly pseudorandom under the one keyed permutation.
-  return fp_gen_.encrypt(Block{static_cast<std::uint64_t>(gate), (1ull << 63) | fp_epoch_});
+  return Block{static_cast<std::uint64_t>(gate), (1ull << 63) | fp_epoch_};
+}
+
+Block Planner::derived_fp(std::size_t gate) const {
+  return fp_gen_.encrypt(derived_plaintext(gate));
+}
+
+void Planner::derive_fps(const std::uint32_t* gates, std::size_t n) {
+  const WireId first_gate = nl_.first_gate_wire();
+  std::array<Block, kFpBatch> buf;
+  for (std::size_t base = 0; base < n; base += kFpBatch) {
+    const std::size_t m = std::min(kFpBatch, n - base);
+    for (std::size_t j = 0; j < m; ++j) buf[j] = derived_plaintext(gates[base + j]);
+    fp_gen_.encrypt_batch(buf.data(), m);
+    for (std::size_t j = 0; j < m; ++j) st_[first_gate + gates[base + j]].fp = buf[j];
+  }
 }
 
 void Planner::bind_secret_fp(WireState& s) {
@@ -615,7 +722,8 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
     }
   }
 
-  // Flip-flop initial values.
+  // Flip-flop initial values, installed on the flip-flop output wires here;
+  // from then on latch() installs the ones whose state changes.
   dff_st_.assign(nl_.dffs.size(), WireState{});
   for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
     const Dff& d = nl_.dffs[i];
@@ -625,6 +733,7 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
     } else {
       bind_secret_fp(dff_st_[i]);
     }
+    st_[nl_.dff_wire(i)] = dff_st_[i];
   }
 
   cur_ = nullptr;
@@ -651,10 +760,6 @@ void Planner::begin_cycle(const netlist::BitVec& pub_stream) {
     } else {
       bind_secret_fp(st_[w]);
     }
-  }
-
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    st_[nl_.dff_wire(i)] = dff_st_[i];
   }
 }
 
@@ -737,6 +842,7 @@ void Planner::forward() {
       // reclassify this cycle uncached — clean cones still serve from the
       // memo. The entry keeps serving states that do match it.
       ++cache_misses_;
+      ++verify_rejects_;
       build_plan(scratch_);
       cur_ = &scratch_;
       return;
@@ -761,6 +867,9 @@ void Planner::build_plan(Entry& e) {
   e.wire_bits.resize(nl_.num_wires());
   e.touch.clear();
   e.touch_off.assign(nseg + 1, 0);
+  e.program.clear();
+  e.program_off.clear();
+  e.latch_ready = false;
   e.backward[0].filled = false;
   e.backward[1].filled = false;
   cur_bits_ = e.wire_bits.data();
@@ -963,47 +1072,55 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg,
       classify_unary(netlist::tt_restrict_a(g.tt, a.val), b, /*pass_is_a=*/false, act, out);
     } else if (skipgate && b.is_pub) {  // category ii
       classify_unary(netlist::tt_restrict_b(g.tt, b.val), a, /*pass_is_a=*/true, act, out);
-    } else if (skipgate && a.fp == b.fp) {  // category iii
-      classify_unary(netlist::tt_restrict_diag(g.tt, a.flip != b.flip), a, /*pass_is_a=*/true,
-                     act, out);
-    } else if (netlist::tt_is_affine(g.tt)) {  // free under free-XOR
-      if (g.tt == netlist::kTtZero || g.tt == netlist::kTtOne) {
-        const bool one = g.tt == netlist::kTtOne;
-        if (skipgate) {
-          act = PlanAct::Public;
-          out = pub_state(one);
-        } else {
-          act = one ? PlanAct::PassC1 : PlanAct::PassC0;
-          out = state_of(one ? netlist::kConst1 : netlist::kConst0);
-        }
-      } else if (netlist::tt_ignores_a(g.tt)) {
-        classify_unary(netlist::tt_restrict_a(g.tt, false), b, /*pass_is_a=*/false, act, out);
-      } else if (netlist::tt_ignores_b(g.tt)) {
-        classify_unary(netlist::tt_restrict_b(g.tt, false), a, /*pass_is_a=*/true, act, out);
-      } else {  // XOR / XNOR of two live secrets
-        act = PlanAct::FreeXor;
-        out.is_pub = false;
-        out.fp = a.fp ^ b.fp;
-        out.flip = (a.flip != b.flip) != (g.tt == netlist::kTtXnor);
-        // XOR-cancellation peephole: the 1-AND multiplexer f ^ (s & (t^f))
-        // with a public select degenerates to f ^ (t ^ f) == t. Detecting
-        // that the result carries exactly an existing wire's label (the
-        // paper's "the MUX acts as a wire") releases the unselected side's
-        // label from the needed-cone, so its producing gates are skipped.
-        if (skipgate) {
-          const WireId cancel = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_,
-                                                  wire_pub, g.a, g.b, out.fp);
-          if (cancel != kNoWire) {
-            act = PlanAct::PassSrc;
-            src = cancel;
+    } else {  // both inputs secret (every gate in Conventional mode)
+      const bool fd = a.flip != b.flip;
+      act = pair_action(g.tt, fd, skipgate && a.fp == b.fp, skipgate);
+      switch (act) {
+        case PlanAct::Public:
+          // A constant category-iii collapse or a constant table: either
+          // way the value is the diagonal restriction's constant.
+          out = pub_state(netlist::tt_restrict_diag(g.tt, fd) == netlist::kUnOne);
+          break;
+        case PlanAct::PassA:
+          // Category iii, or a table that ignores b: the diagonal
+          // restriction is the unary function of a in both cases.
+          out = a;
+          if (netlist::tt_restrict_diag(g.tt, fd) == netlist::kUnNot) out.flip = !out.flip;
+          break;
+        case PlanAct::PassB:
+          out = b;
+          if (netlist::tt_restrict_a(g.tt, false) == netlist::kUnNot) out.flip = !out.flip;
+          break;
+        case PlanAct::PassC0:
+        case PlanAct::PassC1:
+          // Conventional mode: even a constant stays a secret-typed wire.
+          out = state_of(act == PlanAct::PassC1 ? netlist::kConst1 : netlist::kConst0);
+          break;
+        case PlanAct::FreeXor: {  // XOR / XNOR of two live secrets
+          out.is_pub = false;
+          out.fp = a.fp ^ b.fp;
+          out.flip = fd != (g.tt == netlist::kTtXnor);
+          // XOR-cancellation peephole: the 1-AND multiplexer f ^ (s & (t^f))
+          // with a public select degenerates to f ^ (t ^ f) == t. Detecting
+          // that the result carries exactly an existing wire's label (the
+          // paper's "the MUX acts as a wire") releases the unselected side's
+          // label from the needed-cone, so its producing gates are skipped.
+          if (skipgate) {
+            const WireId cancel = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_,
+                                                    wire_pub, g.a, g.b, out.fp);
+            if (cancel != kNoWire) {
+              act = PlanAct::PassSrc;
+              src = cancel;
+            }
           }
+          break;
         }
+        default:  // PlanAct::Garble: category iv
+          out.is_pub = false;
+          out.fp = derived_fp(i);
+          out.flip = false;
+          break;
       }
-    } else {  // category iv
-      act = PlanAct::Garble;
-      out.is_pub = false;
-      out.fp = derived_fp(i);
-      out.flip = false;
     }
     st_[first_gate + i].fp = out.fp;
     e.act[i] = static_cast<std::uint8_t>(act);
@@ -1032,46 +1149,165 @@ bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const std::uint8_t
   return true;
 }
 
-bool Planner::verify_entry(const Entry& e) {
+bool Planner::verify_entry(Entry& e) {
+  if (e.program_off.empty()) compile_entry(e);
+  // Each segment runs its program sub-range — in ascending order, or
+  // cone-parallel on the pool with operand fingerprint reads ordered by the
+  // dependency DAG (a resolved operand lies in a transitive producer
+  // segment). A failing segment stops writing fingerprints, which can only
+  // make downstream segments fail too or pass on stale reads: the
+  // conjunction is the same boolean either way, and partially written
+  // fingerprints are rewritten by the fallback classification.
+  const std::uint32_t* prog = e.program.data();
+  const std::uint32_t* off = e.program_off.data();
   const std::size_t nseg = layout_.segments.size();
-  if (opts_.pool == nullptr || nseg <= 1) {
-    return verify_touch(e, e.touch.data(), e.touch.size());
+  WorkPool::execute(opts_.pool, nseg, slice_dep_offsets_.data(), slice_dep_edges_.data(),
+                    [&](std::size_t si) {
+                      seg_ok_[si] = run_program(prog + off[si], prog + off[si + 1]) ? 1 : 0;
+                    });
+  return std::all_of(seg_ok_.begin(), seg_ok_.end(), [](std::uint8_t ok) { return ok != 0; });
+}
+
+void Planner::compile_entry(Entry& e) {
+  const bool skipgate = opts_.mode == Mode::SkipGate;
+  const std::uint8_t* acts = e.act.data();
+  const WireId* srcs = e.pass_src.data();
+  const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
+  const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
+  const std::size_t nseg = layout_.segments.size();
+  std::vector<std::uint32_t>& prog = program_scratch_;
+  prog.clear();
+  e.program_off.assign(nseg + 1, 0);
+
+  for (std::size_t si = 0; si < nseg; ++si) {
+    e.program_off[si] = static_cast<std::uint32_t>(prog.size());
+    const std::uint32_t* tb = e.touch.data() + e.touch_off[si];
+    const std::uint32_t* te = e.touch.data() + e.touch_off[si + 1];
+    const std::size_t count_at = prog.size();
+    prog.push_back(0);
+    for (const std::uint32_t* t = tb; t != te; ++t) {
+      if (static_cast<PlanAct>(acts[*t]) == PlanAct::Garble) prog.push_back(*t);
+    }
+    prog[count_at] = static_cast<std::uint32_t>(prog.size() - count_at - 1);
+
+    for (const std::uint32_t* t = tb; t != te; ++t) {
+      const std::uint32_t i = *t;
+      const Gate g = nl_.gates[i];
+      const PlanAct act = static_cast<PlanAct>(acts[i]);
+      std::uint32_t kind;
+      bool never = false;
+      if (skipgate && !wire_pub(g.a) && !wire_pub(g.b)) {
+        // The cached action is one of the decision table's two outcomes;
+        // the op checks that the fingerprint comparison still selects it.
+        const bool fd = wire_flip(g.a) != wire_flip(g.b);
+        const PlanAct eq = pair_action(g.tt, fd, /*equal=*/true, skipgate);
+        const PlanAct ne = pair_action(g.tt, fd, /*equal=*/false, skipgate);
+        if (act == eq) {
+          // Same action either way: the equal outcomes (Public, PassA)
+          // carry no fresh fingerprint, so nothing is left to do.
+          if (ne == eq) continue;
+          kind = kOpEq;
+        } else if (ne == PlanAct::FreeXor &&
+                   (act == PlanAct::FreeXor || act == PlanAct::PassSrc)) {
+          kind = act == PlanAct::FreeXor ? kOpNeXor : kOpNeSrc;
+        } else if (act == ne) {
+          kind = kOpNe;
+        } else {
+          // An action matching neither outcome cannot come out of
+          // classification; compile it to an op that never verifies.
+          kind = kOpNeSrc;
+          never = true;
+        }
+      } else if (act == PlanAct::FreeXor) {
+        kind = kOpXor;  // Conventional mode: no decision, fresh fingerprint
+      } else {
+        continue;  // no decision; Garble fingerprints are derived up front
+      }
+
+      const WireId ra = fp_source(nl_, acts, srcs, g.a);
+      const WireId rb = fp_source(nl_, acts, srcs, g.b);
+      prog.push_back(i << kOpShift | kind | (ra != g.a ? kOpResA : 0u) |
+                     (rb != g.b ? kOpResB : 0u));
+      if (ra != g.a) prog.push_back(ra);
+      if (rb != g.b) prog.push_back(rb);
+      if (kind == kOpNeXor || kind == kOpNeSrc) {
+        std::array<WireId, 4> cand{};
+        const auto n = static_cast<std::uint32_t>(
+            never ? 0 : cancel_candidates(nl_, acts, srcs, wire_pub, g.a, g.b, cand));
+        // FreeXor: no candidate may match (k == n). PassSrc: the first match
+        // must be the cached source's first occurrence.
+        std::uint32_t k = kind == kOpNeXor ? n : kNeverMatches;
+        for (std::uint32_t j = 0; j < n && kind == kOpNeSrc; ++j) {
+          if (cand[j] == srcs[i]) {
+            k = j;
+            break;
+          }
+        }
+        prog.push_back(n | k << 3);
+        for (std::uint32_t j = 0; j < n; ++j) prog.push_back(fp_source(nl_, acts, srcs, cand[j]));
+      }
+    }
   }
-  // Cone-parallel hit verification: each segment verifies its touch
-  // sub-range, with operand fingerprint reads ordered by the dependency
-  // DAG. A failing segment stops propagating its fingerprints, which can
-  // only make downstream segments fail too — the conjunction is the same
-  // boolean the serial walk computes, and partially-written fingerprints
-  // are rewritten by the fallback classification.
-  std::fill(seg_ok_.begin(), seg_ok_.end(), 1);
-  opts_.pool->run(nseg, slice_dep_offsets_.data(), slice_dep_edges_.data(),
-                  [&](std::size_t si) {
-                    if (!verify_touch(e, e.touch.data() + e.touch_off[si],
-                                      e.touch_off[si + 1] - e.touch_off[si])) {
-                      seg_ok_[si] = 0;
-                    }
-                  });
-  bool ok = true;
-  for (std::size_t si = 0; si < nseg; ++si) ok = ok && seg_ok_[si] != 0;
-  return ok;
+  e.program_off[nseg] = static_cast<std::uint32_t>(prog.size());
+  e.program.assign(prog.begin(), prog.end());  // exact size: entries are long-lived
+}
+
+bool Planner::run_program(const std::uint32_t* p, const std::uint32_t* end) {
+  const WireId first_gate = nl_.first_gate_wire();
+  WireState* st = st_.data();
+  const std::uint32_t num_derived = *p++;
+  derive_fps(p, num_derived);
+  p += num_derived;
+  while (p != end) {
+    const std::uint32_t op = *p++;
+    const std::uint32_t i = op >> kOpShift;
+    const Gate& g = nl_.gates[i];
+    const Block fa = st[(op & kOpResA) != 0 ? *p++ : g.a].fp;
+    const Block fb = st[(op & kOpResB) != 0 ? *p++ : g.b].fp;
+    const std::uint32_t kind = op & kOpKindMask;
+    switch (kind) {
+      case kOpEq:
+        if (!(fa == fb)) return false;
+        break;
+      case kOpNe:
+        if (fa == fb) return false;
+        break;
+      case kOpXor:
+        st[first_gate + i].fp = fa ^ fb;
+        break;
+      default: {  // kOpNeXor, kOpNeSrc
+        if (fa == fb) return false;
+        const Block x = fa ^ fb;
+        const std::uint32_t n = *p & 7u;
+        const std::uint32_t k = *p >> 3;
+        ++p;
+        std::uint32_t first = 0;
+        while (first < n && !(st[p[first]].fp == x)) ++first;
+        if (first != k) return false;
+        p += n;
+        if (kind == kOpNeXor) st[first_gate + i].fp = x;
+        break;
+      }
+    }
+  }
+  return true;
 }
 
 bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
                            std::size_t touch_count) {
-  // Fingerprints are cycle state even on a hit: category-iv gates re-derive
-  // the same (epoch, gate)-addressed fingerprint a fresh classification
-  // would produce and derived fingerprints follow the cached actions, so
-  // the planner's state after a verified hit is identical to a fresh
-  // classification — and a failed verification needs no stream rollback.
-  // Untouched gates are Public with a public input: no fingerprint exists,
-  // no decision can drift.
+  // Fingerprints are cycle state even on an adopted cone: category-iv gates
+  // re-derive the same (epoch, gate)-addressed fingerprint a fresh
+  // classification would produce and derived fingerprints follow the cached
+  // actions, so the planner's state after a verified adoption is identical
+  // to a fresh classification — and a failed verification needs no stream
+  // rollback. Untouched gates are Public with a public input: no fingerprint
+  // exists, no decision can drift.
   const WireId first_gate = nl_.first_gate_wire();
   const bool skipgate = opts_.mode == Mode::SkipGate;
   const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
   const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
 
-  bool ok = true;
-  for (std::size_t t = 0; t < touch_count && ok; ++t) {
+  for (std::size_t t = 0; t < touch_count; ++t) {
     const std::size_t i = touch[t];
     const WireId w = first_gate + static_cast<WireId>(i);
     const Gate g = nl_.gates[i];
@@ -1079,35 +1315,20 @@ bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
 
     // Re-derive the expected action for every gate whose classification can
     // depend on a fingerprint comparison — both secret inputs in SkipGate
-    // mode — mirroring the forward pass branch for branch (the public/flip
-    // structure is pinned by the signature/key; only fingerprints can
-    // drift). Conventional mode makes no fingerprint comparison.
+    // mode (the public/flip structure is pinned by the key; only
+    // fingerprints can drift). Conventional mode makes no comparison.
     if (skipgate && !wire_pub(g.a) && !wire_pub(g.b)) {
-      PlanAct expect;
+      PlanAct expect = pair_action(g.tt, wire_flip(g.a) != wire_flip(g.b),
+                                   st_[g.a].fp == st_[g.b].fp, skipgate);
       WireId expect_src = kNoWire;
-      if (st_[g.a].fp == st_[g.b].fp) {  // category iii
-        const netlist::UnaryTable u =
-            netlist::tt_restrict_diag(g.tt, wire_flip(g.a) != wire_flip(g.b));
-        expect = netlist::unary_is_const(u) ? PlanAct::Public : PlanAct::PassA;
-      } else if (netlist::tt_is_affine(g.tt)) {
-        if (g.tt == netlist::kTtZero || g.tt == netlist::kTtOne) {
-          expect = PlanAct::Public;
-        } else if (netlist::tt_ignores_a(g.tt)) {
-          expect = PlanAct::PassB;  // non-const unary of b
-        } else if (netlist::tt_ignores_b(g.tt)) {
-          expect = PlanAct::PassA;  // non-const unary of a
-        } else {  // XOR of two live secrets
-          const Block out_fp = st_[g.a].fp ^ st_[g.b].fp;
-          const WireId src = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_,
-                                               wire_pub, g.a, g.b, out_fp);
-          expect = src == kNoWire ? PlanAct::FreeXor : PlanAct::PassSrc;
-          expect_src = src;
-        }
-      } else {  // category iv
-        expect = PlanAct::Garble;
+      if (expect == PlanAct::FreeXor) {
+        expect_src = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_, wire_pub, g.a,
+                                       g.b, st_[g.a].fp ^ st_[g.b].fp);
+        if (expect_src != kNoWire) expect = PlanAct::PassSrc;
       }
-      ok = act == expect && (expect != PlanAct::PassSrc || e.pass_src[i] == expect_src);
-      if (!ok) break;
+      if (act != expect || (expect == PlanAct::PassSrc && e.pass_src[i] != expect_src)) {
+        return false;
+      }
     }
 
     switch (act) {
@@ -1121,7 +1342,7 @@ bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
       case PlanAct::Garble: st_[w].fp = derived_fp(i); break;
     }
   }
-  return ok;
+  return true;
 }
 
 bool Planner::wire_public(WireId w) const { return (cur_->wire_bits[w] & 1) != 0; }
@@ -1180,6 +1401,8 @@ CyclePlan Planner::finish(bool is_final) {
     }
   }
 
+  if (!cur_->latch_ready) build_latch_list(*cur_);
+
   slices_.clear();
   const bool conventional = opts_.mode == Mode::Conventional;
   for (std::size_t si = 0; si < layout_.segments.size(); ++si) {
@@ -1207,6 +1430,8 @@ CyclePlan Planner::finish(bool is_final) {
   plan.num_gates = nl_.gates.size();
   plan.num_wires = nl_.num_wires();
   plan.emitted = b->emitted;
+  plan.secret_dffs = cur_->latch_dffs.data();
+  plan.num_secret_dffs = cur_->latch_secret;
   plan.is_final = is_final;
   plan.sample = nl_.outputs_every_cycle || is_final;
   return plan;
@@ -1303,18 +1528,57 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
   b.work_off[nseg] = static_cast<std::uint32_t>(b.work.size());
 }
 
-void Planner::latch(const CyclePlan& plan) {
+void Planner::build_latch_list(Entry& e) {
+  const std::uint8_t* bits = e.wire_bits.data();
+  e.latch_dffs.clear();
+  e.latch_src.clear();
+  // Secret D-inputs first. One that resolves to the flip-flop's own output
+  // with unchanged parity latches exactly the state it already has: same
+  // fingerprint, same flip, and — in both sessions — the same label.
   for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
     const Dff& d = nl_.dffs[i];
-    if (plan.wire_public(d.d)) {
-      dff_st_[i] = pub_state(plan.wire_value(d.d) != d.d_invert);
+    if ((bits[d.d] & 1) != 0) continue;
+    const WireId q = nl_.dff_wire(i);
+    const WireId src = fp_source(nl_, e.act.data(), e.pass_src.data(), d.d);
+    const bool flip = ((bits[d.d] & 4) != 0) != d.d_invert;
+    if (src == q && flip == ((bits[q] & 4) != 0)) continue;
+    e.latch_dffs.push_back(static_cast<std::uint32_t>(i));
+    e.latch_src.push_back(src);
+  }
+  e.latch_secret = static_cast<std::uint32_t>(e.latch_dffs.size());
+  // Public D-inputs whose value differs from the flip-flop's current public
+  // value (or that make a secret flip-flop public).
+  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
+    const Dff& d = nl_.dffs[i];
+    if ((bits[d.d] & 1) == 0) continue;
+    const std::uint8_t q = bits[nl_.dff_wire(i)];
+    const bool v = ((bits[d.d] & 2) != 0) != d.d_invert;
+    if ((q & 1) != 0 && ((q & 2) != 0) == v) continue;
+    e.latch_dffs.push_back(static_cast<std::uint32_t>(i));
+  }
+  e.latch_ready = true;
+}
+
+void Planner::latch(const CyclePlan& plan) {
+  // Only the entry's latch list changes state. Two passes: a D-input may be
+  // another flip-flop's output, so every next state is computed before any
+  // is installed. Secret D-inputs latch the fingerprint of their resolved
+  // source (a verified hit writes no pass-gate fingerprints).
+  const Entry& e = *cur_;
+  for (std::size_t k = 0; k < e.latch_dffs.size(); ++k) {
+    const std::uint32_t i = e.latch_dffs[k];
+    const Dff& d = nl_.dffs[i];
+    if (k < e.latch_secret) {
+      WireState& s = dff_st_[i];
+      s.is_pub = false;
+      s.val = false;
+      s.flip = plan.wire_flip(d.d) != d.d_invert;
+      s.fp = st_[e.latch_src[k]].fp;
     } else {
-      dff_st_[i].is_pub = false;
-      dff_st_[i].val = false;
-      dff_st_[i].flip = plan.wire_flip(d.d) != d.d_invert;
-      dff_st_[i].fp = st_[d.d].fp;
+      dff_st_[i] = pub_state(plan.wire_value(d.d) != d.d_invert);
     }
   }
+  for (const std::uint32_t i : e.latch_dffs) st_[nl_.dff_wire(i)] = dff_st_[i];
 }
 
 }  // namespace arm2gc::core

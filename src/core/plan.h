@@ -20,7 +20,11 @@
 // inputs, flip-flops) — plans are cached under a canonical signature of that
 // state (PlanCache). The garbled ARM core re-enters the same public control
 // state on every loop iteration (fetch/decode is public — the paper's whole
-// point), so repeated cycles skip classification entirely.
+// point), so repeated cycles skip classification entirely: a hit runs the
+// entry's compiled verify program instead — only the cycle's
+// fingerprint-dependent decisions and fresh fingerprints, a few percent of
+// the netlist — and the entry's latch list confines flip-flop bookkeeping
+// (planner and both party sessions) to the flip-flops whose state changes.
 //
 // Classification is additionally *cone-granular*: the netlist is partitioned
 // once into topologically-contiguous segments (fanin cones rooted at
@@ -117,6 +121,14 @@ struct CyclePlan {
   std::size_t num_gates = 0;
   std::size_t num_wires = 0;
   std::uint64_t emitted = 0;  ///< number of garbled tables this cycle
+  /// Flip-flops whose latched label changes at this cycle's latch: those
+  /// with a secret D-input, minus those whose D-input passes their own
+  /// output through with unchanged parity (an enable-gated register
+  /// holding its value). Ascending. The party sessions copy labels for
+  /// exactly these; every other flip-flop either keeps its label or turns
+  /// public (no label is read).
+  const std::uint32_t* secret_dffs = nullptr;
+  std::size_t num_secret_dffs = 0;
   bool is_final = false;
   bool sample = false;  ///< outputs are decoded this cycle
 
@@ -164,8 +176,15 @@ class Planner;
 /// classes). The signature is deliberately coarse — it cannot see XOR-linear
 /// relations *among* root fingerprints — so every hit is re-verified against
 /// the current fingerprints before being served and silently reclassified on
-/// drift, so caching can never change results. The signature trajectory of a
-/// run depends only on the netlist and the *public* inputs, so handing the
+/// drift, so caching can never change results. An entry is compiled on its
+/// first hit into a flat verify program that holds only the gates a hit
+/// still pays for — fingerprint-dependent decisions (both inputs secret) and
+/// fresh fingerprints (free XOR, garbled outputs), with operands resolved
+/// through pass chains and each decision's expected outcome fixed — so a
+/// warm cycle costs what its secret decisions cost, not what its touched
+/// gates cost (Hamming-160 on the ARM core: ~16 % of gates touched, ~7 %
+/// decisions). The signature trajectory of a run depends only on the
+/// netlist and the *public* inputs, so handing the
 /// same PlanCache to successive runs of one machine on fresh private inputs
 /// (the traffic-serving scenario) skips classification wherever the public
 /// trajectory repeats. Capacity is bounded: once full, inserting a new state
@@ -208,10 +227,10 @@ class PlanCache {
   /// Forward + backward results for one entry-state equivalence class. The
   /// flat whole-netlist arrays double as the stitch target for cone-granular
   /// classification; CyclePlan slices point into them at segment offsets.
-  /// `touch` lists (ascending) every gate the hit-verification and backward
-  /// passes must visit: non-Public actions plus Public collapses of two
-  /// secret inputs (category iii) — on SkipGate workloads a small fraction
-  /// of the netlist, which is the planner's hot-path leverage.
+  /// `touch` lists (ascending) every gate the cone-adoption verification and
+  /// backward passes must visit: non-Public actions plus Public collapses of
+  /// two secret inputs (category iii) — on SkipGate workloads a small
+  /// fraction of the netlist.
   struct Entry {
     std::uint64_t hash = 0;
     std::vector<std::uint32_t> sig;
@@ -220,7 +239,22 @@ class PlanCache {
     std::vector<std::uint8_t> wire_bits;
     std::vector<std::uint32_t> touch;
     std::vector<std::uint32_t> touch_off;  ///< per-segment offsets into touch
-    std::array<Backward, 2> backward;      ///< indexed by is_final
+    /// Hit-verification program (Planner::compile_entry), compiled on the
+    /// entry's first hit and sized exactly; program_off holds per-segment
+    /// offsets so pooled verification runs each segment's sub-range (empty
+    /// until compiled).
+    std::vector<std::uint32_t> program;
+    std::vector<std::uint32_t> program_off;
+    /// Latch list: flip-flops whose state changes at this cycle's latch —
+    /// the first latch_secret have a secret D-input (the CyclePlan's
+    /// secret_dffs; latch_src holds the wire whose fingerprint each one
+    /// latches), the rest latch a public value that differs from their
+    /// current one. Built with the first CyclePlan served from the entry.
+    std::vector<std::uint32_t> latch_dffs;
+    std::vector<netlist::WireId> latch_src;
+    std::uint32_t latch_secret = 0;
+    bool latch_ready = false;
+    std::array<Backward, 2> backward;  ///< indexed by is_final
   };
   using LruList = std::list<Entry>;
 
@@ -361,6 +395,7 @@ class Planner {
 
   /// Installs root states for a cycle; draws fresh fingerprints for streamed
   /// secret inputs. `pub_stream` carries this cycle's public streamed bits.
+  /// Flip-flop outputs are installed by reset() and latch().
   void begin_cycle(const netlist::BitVec& pub_stream);
 
   /// Classifies the cycle (forward pass), via the plan cache when the entry
@@ -377,12 +412,18 @@ class Planner {
   /// the next forward().
   [[nodiscard]] CyclePlan finish(bool is_final);
 
-  /// Latches flip-flop planner state through the current plan.
+  /// Latches flip-flop planner state through the current plan (the one the
+  /// last finish() returned): only the entry's latch list changes state, and
+  /// secret D-inputs latch the fingerprint of their pass-resolved source.
   void latch(const CyclePlan& plan);
 
   [[nodiscard]] std::size_t non_free_per_cycle() const { return non_free_per_cycle_; }
   [[nodiscard]] std::uint64_t cache_hits() const { return cache_hits_; }
   [[nodiscard]] std::uint64_t cache_misses() const { return cache_misses_; }
+  /// Whole-netlist cache hits whose verification failed (fingerprint drift
+  /// the signature cannot see) and fell back to reclassification; counted
+  /// in cache_misses() too.
+  [[nodiscard]] std::uint64_t verify_rejects() const { return verify_rejects_; }
   /// Cone-level counters: over segments processed on whole-netlist cache
   /// misses only (a whole-netlist hit never consults the memo).
   [[nodiscard]] std::uint64_t cone_hits() const { return cone_hits_; }
@@ -400,6 +441,9 @@ class Planner {
   /// classification bit-identical to the serial pass. Disjoint from the
   /// root fingerprint stream by construction (top plaintext bit).
   [[nodiscard]] crypto::Block derived_fp(std::size_t gate) const;
+  [[nodiscard]] crypto::Block derived_plaintext(std::size_t gate) const;
+  /// Writes derived_fp() of each listed gate, in pipelined AES batches.
+  void derive_fps(const std::uint32_t* gates, std::size_t n);
   void bind_secret_fp(WireState& s);
   void build_signature();
   /// Gathers a dirty cone's exact memo key into `out`.
@@ -425,21 +469,41 @@ class Planner {
                                    const netlist::WireId* pass_src,
                                    const std::uint8_t* out_bits, const std::uint32_t* touch,
                                    std::size_t touch_count, std::vector<std::uint32_t>& out_touch);
-  /// Hit path: verifies the whole entry — per-segment touch sub-ranges in
-  /// parallel on the pool when one is configured, one serial walk otherwise.
-  [[nodiscard]] bool verify_entry(const Entry& e);
-  /// Walks a touch (sub-)list once, propagating fingerprints through the
-  /// cached actions AND verifying every fingerprint-dependent
-  /// classification decision (category iii, XOR cancellation, category iv)
-  /// against the current fingerprints. Returns false when any decision would
-  /// differ — the cycle's XOR-linear fingerprint structure drifted from the
-  /// cached state, which the equality-class keys cannot see — and the
-  /// caller must reclassify. Failure is side-effect free: derived
-  /// fingerprints are pure functions of (epoch, gate), so there is no
-  /// stream cursor to restore and partially-written fingerprints are
+  /// Hit path: compiles the entry on its first hit, then runs its verify
+  /// program segment by segment — on the pool when one is configured
+  /// (operand reads ordered by the dependency DAG), in ascending order
+  /// otherwise. Returns false on drift; the caller reclassifies.
+  [[nodiscard]] bool verify_entry(Entry& e);
+  /// Compiles `e` into its verify program: per segment, the Garble gates
+  /// (fingerprints derived up front, batched), then one op per touched gate
+  /// that a hit still pays for — a decision whose outcome depends on a
+  /// fingerprint comparison (both inputs secret; gates with the same action
+  /// either way and no fresh fingerprint are dropped) or a fresh XOR
+  /// fingerprint. Operands are pre-resolved through pass chains (a pass
+  /// gate's fingerprint is its source's, so pass gates write none on a
+  /// hit), the expected outcome is fixed from the cached actions, and
+  /// XOR-cancellation candidates are listed with the index of the expected
+  /// pass source.
+  void compile_entry(Entry& e);
+  /// Runs one segment's program [p, end): derives its Garble fingerprints,
+  /// then checks each decision against the current fingerprints and writes
+  /// the fresh XOR ones. False = drift. Failure is side-effect free:
+  /// derived fingerprints are pure functions of (epoch, gate), so there is
+  /// no stream cursor to restore, and partially written fingerprints are
   /// rewritten by the fallback classification.
+  [[nodiscard]] bool run_program(const std::uint32_t* p, const std::uint32_t* end);
+  /// Cone-adoption path: walks a touch (sub-)list once, propagating
+  /// fingerprints through the cached actions (every touched gate, pass gates
+  /// included — the miss path reads operands unresolved) AND verifying every
+  /// fingerprint-dependent decision against the same decision table the
+  /// classifier uses. Returns false when any decision would differ — the
+  /// cycle's XOR-linear fingerprint structure drifted from the cached state,
+  /// which the equality-class keys cannot see — and the caller must
+  /// reclassify.
   [[nodiscard]] bool verify_touch(const Entry& e, const std::uint32_t* touch,
                                   std::size_t touch_count);
+  /// Fills e's latch list from its forward results (see Entry::latch_dffs).
+  void build_latch_list(Entry& e);
   void backward_fill(const Entry& e, PlanCache::Backward& b, bool is_final);
 
   const netlist::Netlist& nl_;
@@ -466,7 +530,9 @@ class Planner {
   // Per-wire cycle state. Packed public/value/flip bits live in the current
   // entry's wire_bits (adopted slices memcpy them wholesale); st_ carries
   // fingerprints, plus valid bits only for root wires (gate-range bits in
-  // st_ are unspecified — always read bits from the entry).
+  // st_ are unspecified — always read bits from the entry). After a verified
+  // whole-entry hit, pass gates' fingerprints are unspecified too: read the
+  // pass-resolved source (the only reader is latch(), via latch_src).
   std::vector<WireState> st_;
   std::vector<WireState> fixed_st_;
   std::vector<WireState> dff_st_;
@@ -489,6 +555,8 @@ class Planner {
   std::vector<PlanSlice> slices_;  ///< rebuilt by finish(); aliases cur_
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
+  std::uint64_t verify_rejects_ = 0;
+  std::vector<std::uint32_t> program_scratch_;  ///< compile_entry staging
   std::uint64_t cone_hits_ = 0;
   std::uint64_t cone_misses_ = 0;
 

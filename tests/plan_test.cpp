@@ -15,7 +15,9 @@
 #include "builder/stdlib.h"
 #include "core/plan.h"
 #include "core/skipgate.h"
+#include "core/workpool.h"
 #include "crypto/rng.h"
+#include "netlist/simulator.h"
 #include "programs/programs.h"
 #include "test_util.h"
 
@@ -36,6 +38,12 @@ void expect_plans_equal(const CyclePlan& x, const CyclePlan& y) {
   EXPECT_EQ(x.is_final, y.is_final);
   EXPECT_EQ(x.sample, y.sample);
   EXPECT_EQ(0, std::memcmp(x.wire_bits, y.wire_bits, x.num_wires));
+  // The latch list decides which flip-flop labels both sessions carry over.
+  ASSERT_EQ(x.num_secret_dffs, y.num_secret_dffs);
+  if (x.num_secret_dffs > 0) {
+    EXPECT_EQ(0, std::memcmp(x.secret_dffs, y.secret_dffs,
+                             x.num_secret_dffs * sizeof(std::uint32_t)));
+  }
   for (std::size_t si = 0; si < x.num_slices; ++si) {
     const core::PlanSlice& a = x.slices[si];
     const core::PlanSlice& b = y.slices[si];
@@ -439,6 +447,201 @@ TEST(PlanCache, XorRelationAmongRootsDoesNotAliasStates) {
     EXPECT_EQ(rc.sampled_outputs, ru.sampled_outputs) << "seed " << seed;
     EXPECT_EQ(rc.stats.garbled_non_xor, ru.stats.garbled_non_xor) << "seed " << seed;
   }
+
+  // Non-vacuity: the cached planner must serve whole-entry hits AND reject
+  // a drifted one (the independent-d3 state re-entering the relation
+  // state's signature) — otherwise the comparison above never reached the
+  // compiled verify program. The planner consumes public data only, so this
+  // replays the driver's cache trajectory over the same select stream.
+  Planner planner(nl, PlannerOptions{});
+  planner.reset({});
+  for (std::size_t c = 0; c < sel_stream.size(); ++c) {
+    planner.begin_cycle(netlist::BitVec{sel_stream[c]});
+    planner.forward();
+    const bool is_final = c + 1 == sel_stream.size();
+    const CyclePlan plan = planner.finish(is_final);
+    if (!is_final) planner.latch(plan);
+  }
+  EXPECT_GT(planner.cache_hits(), 0u);
+  EXPECT_GT(planner.verify_rejects(), 0u);
+}
+
+/// Drift in both directions for each decision kind the compiled verify
+/// program checks: AND(x, d3) cached as category iv hit with equal input
+/// fingerprints and cached as category iii hit with distinct ones; the XOR
+/// d4 ^ (x ^ d5) cached as PassSrc hit with no matching candidate and cached
+/// as FreeXor hit with one. d3/d4 latch either x = d1^d2 or a fresh Bob bit
+/// on their own public select, so XOR relations among roots appear and
+/// vanish under unchanged signatures.
+TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
+  builder::CircuitBuilder cb;
+  const auto d1 = cb.make_dff(netlist::Dff::Init::AliceBit, 0);
+  const auto d2 = cb.make_dff(netlist::Dff::Init::BobBit, 0);
+  const auto d3 = cb.make_dff(netlist::Dff::Init::BobBit, 1);
+  const auto d4 = cb.make_dff(netlist::Dff::Init::BobBit, 2);
+  const auto d5 = cb.make_dff(netlist::Dff::Init::AliceBit, 1);
+  const builder::Wire s0 = cb.input(netlist::Owner::Public, 0, /*streamed=*/true);
+  const builder::Wire s1 = cb.input(netlist::Owner::Public, 1, /*streamed=*/true);
+  const builder::Wire f0 = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
+  const builder::Wire f1 = cb.input(netlist::Owner::Bob, 1, /*streamed=*/true);
+  const builder::Wire x = cb.xor_(cb.dff_out(d1), cb.dff_out(d2));
+  for (const auto d : {d1, d2, d5}) cb.set_dff_d(d, cb.dff_out(d));
+  cb.set_dff_d(d3, cb.mux(s0, x, f0));
+  cb.set_dff_d(d4, cb.mux(s1, x, f1));
+  cb.output(cb.and_(x, cb.dff_out(d3)), "x_and_d3");
+  // d4 ^ (x ^ d5) cancels to d5 exactly when d4 carries x.
+  cb.output(cb.xor_(cb.dff_out(d4), cb.xor_(x, cb.dff_out(d5))), "y");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+
+  // (s0, s1) per cycle. d3 (d4) enters a cycle carrying x iff s0 (s1) was
+  // set the cycle before. Second-sighting admission caches whichever state
+  // re-enters a signature second; the streams then re-enter each cached
+  // signature in both states.
+  const std::vector<std::vector<std::pair<bool, bool>>> scenarios = {
+      {{false, false}, {true, false}, {false, false}, {true, false}, {false, false},
+       {true, false}, {true, false}, {false, false}, {false, false}},
+      {{false, false}, {false, true}, {false, false}, {false, true}, {false, true},
+       {false, true}, {false, false}, {false, false}, {false, true}, {false, true}},
+  };
+  for (std::size_t sc = 0; sc < scenarios.size(); ++sc) {
+    const auto& st = scenarios[sc];
+    const auto pub = [&](std::uint64_t c) { return netlist::BitVec{st[c].first, st[c].second}; };
+
+    // Plan level: the cached planner equals a from-scratch one every cycle
+    // and actually rejected a drifted hit.
+    PlannerOptions fresh;
+    fresh.cache = false;
+    Planner pc(nl, PlannerOptions{});
+    Planner pf(nl, fresh);
+    pc.reset({});
+    pf.reset({});
+    for (std::size_t c = 0; c < st.size(); ++c) {
+      pc.begin_cycle(pub(c));
+      pf.begin_cycle(pub(c));
+      pc.forward();
+      pf.forward();
+      const bool is_final = c + 1 == st.size();
+      const CyclePlan a = pc.finish(is_final);
+      const CyclePlan b = pf.finish(is_final);
+      expect_plans_equal(a, b);
+      if (!is_final) {
+        pc.latch(a);
+        pf.latch(b);
+      }
+    }
+    EXPECT_GT(pc.cache_hits(), 0u) << "scenario " << sc;
+    EXPECT_GT(pc.verify_rejects(), 0u) << "scenario " << sc;
+
+    // Protocol level: cached and uncached runs agree on every sampled
+    // output and garbled-gate count.
+    for (std::uint64_t seed = 0; seed < 4; ++seed) {
+      core::StreamProvider streams;
+      streams.pub = pub;
+      streams.bob = [seed](std::uint64_t c) {
+        return netlist::BitVec{((seed >> (c % 2)) & 1) != 0, ((seed + c) & 1) != 0};
+      };
+      const netlist::BitVec alice = {(seed & 1) != 0, (seed & 2) != 0};
+      const netlist::BitVec bob = {(seed & 2) == 0, (seed & 1) == 0, true};
+      core::RunOptions cached;
+      cached.fixed_cycles = st.size();
+      core::RunOptions uncached = cached;
+      uncached.exec.plan_cache = false;
+      const core::RunResult rc = core::SkipGateDriver(nl, cached).run(alice, bob, {}, &streams);
+      const core::RunResult ru = core::SkipGateDriver(nl, uncached).run(alice, bob, {}, &streams);
+      EXPECT_EQ(rc.sampled_outputs, ru.sampled_outputs) << "scenario " << sc << " seed " << seed;
+      EXPECT_EQ(rc.stats.garbled_non_xor, ru.stats.garbled_non_xor)
+          << "scenario " << sc << " seed " << seed;
+    }
+  }
+}
+
+/// Flip-flops whose D-inputs change kind from cycle to cycle: t toggles
+/// between a public constant and a secret input on a public streamed
+/// select; h holds its own secret value unless a public enable loads a
+/// fresh one (the hold the latch list leaves out); k always holds while f
+/// feeds back its own output inverted (same source, changed parity — not a
+/// hold); and s1 -> s2 is a chain whose D-input is another flip-flop's
+/// output, latched inverted (the two-pass latch order).
+netlist::Netlist toggle_netlist() {
+  builder::CircuitBuilder cb;
+  const builder::Wire sel = cb.input(netlist::Owner::Public, 0, /*streamed=*/true);
+  const builder::Wire en = cb.input(netlist::Owner::Public, 1, /*streamed=*/true);
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0, /*streamed=*/true);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
+  const auto t = cb.make_dff(netlist::Dff::Init::Zero);
+  const auto h = cb.make_dff(netlist::Dff::Init::BobBit, 0);
+  const auto k = cb.make_dff(netlist::Dff::Init::AliceBit, 1);
+  const auto f = cb.make_dff(netlist::Dff::Init::BobBit, 1);
+  const auto s1 = cb.make_dff(netlist::Dff::Init::AliceBit, 0);
+  const auto s2 = cb.make_dff(netlist::Dff::Init::One);
+  cb.set_dff_d(t, cb.mux(sel, a, cb.constant(true)));
+  cb.set_dff_d(h, cb.mux(en, cb.xor_(a, b), cb.dff_out(h)));
+  cb.set_dff_d(k, cb.dff_out(k));
+  cb.set_dff_d(f, builder::CircuitBuilder::not_(cb.dff_out(f)));
+  cb.set_dff_d(s1, cb.xor_(cb.dff_out(t), cb.dff_out(h)));
+  cb.set_dff_d(s2, builder::CircuitBuilder::not_(cb.dff_out(s1)));
+  cb.output(cb.and_(cb.dff_out(t), b), "tb");
+  cb.output(cb.and_(cb.dff_out(h), cb.dff_out(s2)), "hs");
+  cb.output(cb.and_(cb.dff_out(k), cb.dff_out(s1)), "ks");
+  cb.output(cb.dff_out(s2), "s2");
+  cb.output(cb.and_(cb.dff_out(f), cb.dff_out(t)), "ft");
+  cb.set_outputs_every_cycle(true);
+  return cb.take();
+}
+
+/// The latch lists (CyclePlan::secret_dffs) drive which flip-flop labels
+/// both sessions carry across cycles. Warm runs (whole-entry hits, compiled
+/// verification) in both compositions and modes must match the uncached
+/// reference bit for bit and the cleartext simulation.
+TEST(PlanCache, FlipFlopToggleWarmRunsMatchUncached) {
+  const netlist::Netlist nl = toggle_netlist();
+  const std::vector<bool> sel = {true, false, true, false, true, true, false, false, true, false};
+  const std::vector<bool> en = {false, false, true, false, false, false, true, false, false, true};
+  for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
+    for (const a2gtest::Composition c : a2gtest::kCompositions) {
+      core::WarmState gwarm(core::Role::Garbler);
+      core::WarmState ewarm(core::Role::Evaluator);
+      core::RunOptions warm;
+      warm.mode = mode;
+      warm.fixed_cycles = sel.size();
+      warm.exec.garbler_warm = &gwarm;
+      warm.exec.evaluator_warm = &ewarm;
+      core::RunOptions cold;
+      cold.mode = mode;
+      cold.fixed_cycles = sel.size();
+      cold.exec.plan_cache = false;
+
+      for (std::uint64_t run = 0; run < 3; ++run) {
+        const netlist::BitVec alice = {(run & 1) != 0, (run & 2) == 0};
+        const netlist::BitVec bob = {(run & 1) == 0, (run & 2) != 0};
+        core::StreamProvider streams;
+        streams.pub = [&](std::uint64_t cy) { return netlist::BitVec{sel[cy], en[cy]}; };
+        streams.alice = [run](std::uint64_t cy) {
+          return netlist::BitVec{(((run + 1) * 0x5b >> cy) & 1) != 0};
+        };
+        streams.bob = [run](std::uint64_t cy) {
+          return netlist::BitVec{(((run + 3) * 0x6d >> cy) & 1) != 0};
+        };
+        const core::RunResult rw = a2gtest::run_composed(c, nl, warm, alice, bob, {}, &streams);
+        const core::RunResult rc = a2gtest::run_composed(c, nl, cold, alice, bob, {}, &streams);
+        EXPECT_EQ(rw.sampled_outputs, rc.sampled_outputs) << "run " << run;
+        EXPECT_TRUE(rw.stats.table_digest == rc.stats.table_digest) << "run " << run;
+        EXPECT_EQ(rw.stats.garbled_non_xor, rc.stats.garbled_non_xor) << "run " << run;
+        if (run > 0) {
+          EXPECT_GT(rw.stats.plan_cache_hits, 0u) << "run " << run;
+        }
+
+        netlist::Simulator sim(nl);
+        sim.reset(alice, bob);
+        ASSERT_EQ(rw.sampled_outputs.size(), sel.size());
+        for (std::uint64_t cy = 0; cy < sel.size(); ++cy) {
+          sim.step(streams.alice(cy), streams.bob(cy), streams.pub(cy));
+          EXPECT_EQ(rw.sampled_outputs[cy], sim.read_outputs()) << "run " << run << " cycle " << cy;
+        }
+      }
+    }
+  }
 }
 
 TEST(PlanCache, RejectsReuseAcrossNetlists) {
@@ -581,13 +784,20 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
 /// Differential fuzz (both party sides): randomized sequential netlists
 /// driven through randomized public-input sequences; the incremental
 /// (cone-stitched, segmented) plan must be byte-equal to a from-scratch
-/// plan on every cycle. A2G_PLAN_FUZZ_SEEDS scales the sweep (CI sanitizer
-/// job runs a deeper pass).
+/// plan on every cycle. Each netlist then replays its trajectory twice over
+/// one shared PlanCache/ConeMemo (the second pass serves whole-entry hits
+/// through programs compiled in the first) and once more on a 2-worker
+/// pool, so the compiled hit path is covered serially and pooled in both
+/// modes. A2G_PLAN_FUZZ_SEEDS scales the sweep (CI sanitizer job runs a
+/// deeper pass).
 TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   int seeds = 12;
   if (const char* env = std::getenv("A2G_PLAN_FUZZ_SEEDS")) seeds = std::atoi(env);
   constexpr std::uint64_t kCycles = 20;
   constexpr std::uint32_t kStreamedPub = 3;
+  core::WorkPool pool(2);
+  // Whole-entry hits over the sweep, per mode: [mode][0 serial, 1 pooled].
+  std::uint64_t warm_hits[2][2] = {{0, 0}, {0, 0}};
 
   for (int seed = 0; seed < seeds; ++seed) {
     crypto::CtrRng rng(crypto::block_from_u64(static_cast<std::uint64_t>(seed) * 65537 + 11));
@@ -638,7 +848,39 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
       ASSERT_GT(pg.layout().segments.size(), 1u) << "seed " << seed;
       EXPECT_GT(pg.cone_hits() + pg.cone_misses(), 0u) << "seed " << seed;
       EXPECT_EQ(pg.cone_hits(), pe.cone_hits()) << "seed " << seed;
+
+      core::PlanCache shared_cache;
+      core::ConeMemo shared_memo;
+      for (int pass = 0; pass < 3; ++pass) {
+        PlannerOptions warm = inc;
+        warm.shared_cache = &shared_cache;
+        warm.shared_cone_memo = &shared_memo;
+        if (pass == 2) warm.pool = &pool;
+        Planner pw(nl, warm);
+        Planner pr(nl, fresh);
+        pw.reset(pub);
+        pr.reset(pub);
+        for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+          pw.begin_cycle(pub_streams[cycle]);
+          pr.begin_cycle(pub_streams[cycle]);
+          pw.forward();
+          pr.forward();
+          const bool is_final = cycle + 1 == kCycles;
+          const CyclePlan a = pw.finish(is_final);
+          const CyclePlan c = pr.finish(is_final);
+          expect_plans_equal(a, c);
+          if (!is_final) {
+            pw.latch(a);
+            pr.latch(c);
+          }
+        }
+        warm_hits[mode == Mode::SkipGate ? 0 : 1][pass == 2 ? 1 : 0] += pw.cache_hits();
+      }
     }
+  }
+  for (int m = 0; m < 2; ++m) {
+    EXPECT_GT(warm_hits[m][0], 0u) << "mode " << m << ": no serial whole-entry hits";
+    EXPECT_GT(warm_hits[m][1], 0u) << "mode " << m << ": no pooled whole-entry hits";
   }
 }
 
