@@ -325,7 +325,7 @@ namespace {
 /// Full ARM2GC protocol run (SkipGate, halt-driven), parameterized by plan
 /// cache (arg0) and cone memoization (arg1) — the per-cycle plan cache skips
 /// classification on revisited public control states, and the cone memo
-/// re-classifies only dirty cones on cache-missed cycles.
+/// re-classifies only unseen cones on cache-missed cycles.
 /// Labels: "cache=0/1 cone=0/1".
 void protocol_arm(benchmark::State& state, const programs::Program& prog,
                   std::vector<std::uint32_t> a, std::vector<std::uint32_t> b) {

@@ -1,7 +1,6 @@
 #include "core/plan.h"
 
 #include <algorithm>
-#include <cstring>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -298,7 +297,7 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
   if (ng > 0) ends.push_back(ng);
 
   // Segment boundaries (the distinct external wires each segment reads) and
-  // producer-segment dependency edges (the dirty-cascade graph).
+  // producer-segment dependency edges (the cone-parallel schedule's DAG).
   std::vector<std::uint32_t> stamp(nl.num_wires(), 0);
   std::vector<std::uint8_t> any_boundary(nl.num_wires(), 0);
   std::vector<std::uint32_t> gate_to_seg(ng, 0);
@@ -461,22 +460,6 @@ void ConeMemo::ensure_sized(std::uint64_t layout_key, const PlanLayout& layout) 
                                       std::size_t{1} << 18);
 }
 
-ConeMemo::Entry* ConeMemo::find(std::uint32_t segment, std::uint64_t hash,
-                                const std::vector<std::uint64_t>& key, std::size_t* after) {
-  const auto it = map_.find(hash);
-  if (it == map_.end()) return nullptr;
-  for (std::size_t k = *after; k < it->second.size(); ++k) {
-    const LruList::iterator li = it->second[k];
-    if (li->segment == segment && li->key == key) {
-      *after = k + 1;
-      lru_.splice(lru_.begin(), lru_, li);
-      return &*li;
-    }
-  }
-  *after = it->second.size();
-  return nullptr;
-}
-
 const ConeMemo::Entry* ConeMemo::peek(std::uint32_t segment, std::uint64_t hash,
                                       const std::vector<std::uint64_t>& key,
                                       std::size_t* after) const {
@@ -531,7 +514,6 @@ ConeMemo::Entry* ConeMemo::insert(std::uint32_t segment, std::uint64_t hash,
   Entry& e = lru_.front();
   e.segment = segment;
   e.hash = hash;
-  e.slice_id = ++next_slice_id_;  // unique forever: ids are never reused
   e.key = key;
   map_[hash].push_back(lru_.begin());
   return &e;
@@ -577,49 +559,6 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
       memo_ = owned_memo_.get();
     }
     memo_->ensure_sized(layout_.key, layout_);
-
-    // Dirty-sweep state: the previous-cycle snapshot and a CSR reverse index
-    // from root wires to the segments that read them.
-    const WireId first_gate = nl_.first_gate_wire();
-    prev_act_.resize(nl_.gates.size());
-    prev_pass_src_.resize(nl_.gates.size());
-    prev_bits_.resize(nw);
-    prev_sig_.resize(first_gate);
-    prev_touch_off_.resize(layout_.segments.size() + 1);
-    seg_changed_.assign(layout_.segments.size(), 1);
-    seg_dirty_.assign(layout_.segments.size(), 1);
-    slice_ids_.assign(layout_.segments.size(), 0);
-    backward_capacity_ = std::clamp<std::size_t>(
-        opts_.cone_memo_budget_bytes / (2 * std::max<std::size_t>(nl_.gates.size(), 1) + 128),
-        4, 1024);
-    for (const netlist::OutputPort& o : nl_.outputs) {
-      if (o.wire < first_gate) backward_root_wires_.push_back(o.wire);
-    }
-    for (const Dff& d : nl_.dffs) {
-      if (d.d < first_gate) backward_root_wires_.push_back(d.d);
-    }
-    std::sort(backward_root_wires_.begin(), backward_root_wires_.end());
-    backward_root_wires_.erase(
-        std::unique(backward_root_wires_.begin(), backward_root_wires_.end()),
-        backward_root_wires_.end());
-    root_consumer_offsets_.assign(first_gate + 1, 0);
-    for (const PlanSegment& seg : layout_.segments) {
-      for (std::uint32_t k = 0; k < seg.root_count; ++k) {
-        ++root_consumer_offsets_[seg.boundary[k] + 1];
-      }
-    }
-    for (WireId w = 0; w < first_gate; ++w) {
-      root_consumer_offsets_[w + 1] += root_consumer_offsets_[w];
-    }
-    root_consumers_.resize(root_consumer_offsets_[first_gate]);
-    std::vector<std::uint32_t> cursor(root_consumer_offsets_.begin(),
-                                      root_consumer_offsets_.end() - 1);
-    for (std::size_t si = 0; si < layout_.segments.size(); ++si) {
-      const PlanSegment& seg = layout_.segments[si];
-      for (std::uint32_t k = 0; k < seg.root_count; ++k) {
-        root_consumers_[cursor[seg.boundary[k]]++] = static_cast<std::uint32_t>(si);
-      }
-    }
   }
   if (cache_ != nullptr || memo_ != nullptr) {
     class_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
@@ -644,8 +583,7 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
     seg_keys_.resize(nseg);
     seg_hash_.assign(nseg, 0);
     seg_probes_.assign(nseg, 0);
-    seg_adopt_id_.assign(nseg, 0);
-    seg_result_.assign(nseg, 0);
+    seg_adopted_.assign(nseg, 0);
   }
 }
 
@@ -737,7 +675,6 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
   }
 
   cur_ = nullptr;
-  prev_ok_ = false;
 }
 
 void Planner::begin_cycle(const netlist::BitVec& pub_stream) {
@@ -824,10 +761,9 @@ void Planner::forward() {
   // functions of (epoch, gate) — identical across planner variants and
   // worker interleavings.
   ++fp_epoch_;
-  // The root signature doubles as the cone dirty sweep's change detector
-  // and the segment keys' root words, so it is built whenever either reuse
+  // The root signature keys the whole-netlist cache and supplies the
+  // segment keys' root words, so it is built whenever either reuse
   // mechanism is on.
-  stitched_ = false;
   if (cache_ != nullptr || memo_ != nullptr) build_signature();
   if (cache_ != nullptr) {
     const std::uint64_t h = fnv1a64(sig_);
@@ -839,7 +775,7 @@ void Planner::forward() {
         return;
       }
       // Signature matched but the XOR-linear fingerprint structure drifted:
-      // reclassify this cycle uncached — clean cones still serve from the
+      // reclassify this cycle uncached — its cones still serve from the
       // memo. The entry keeps serving states that do match it.
       ++cache_misses_;
       ++verify_rejects_;
@@ -896,70 +832,17 @@ void Planner::build_plan(Entry& e) {
     return;
   }
 
-  // Phase A (serial) — dirty-region seeds: every segment reading a root
-  // whose signature word changed against the snapshot. Everything else
-  // starts clean and only becomes dirty if an upstream slice actually
-  // changes (the cascade stops at segments that reclassify to an identical
-  // slice).
-  const bool have_prev = prev_ok_;
-  std::fill(seg_dirty_.begin(), seg_dirty_.end(), have_prev ? 0 : 1);
-  if (have_prev) {
-    for (WireId w = 0; w < first_gate; ++w) {
-      if (sig_[w] != prev_sig_[w]) {
-        for (std::uint32_t k = root_consumer_offsets_[w]; k < root_consumer_offsets_[w + 1];
-             ++k) {
-          seg_dirty_[root_consumers_[k]] = 1;
-        }
-      }
-    }
-  }
-
-  const auto slice_changed = [&](const PlanSegment& seg) {
-    if (!have_prev) return true;
-    const std::size_t fg = seg.first_gate;
-    return std::memcmp(e.act.data() + fg, prev_act_.data() + fg, seg.count) != 0 ||
-           std::memcmp(e.pass_src.data() + fg, prev_pass_src_.data() + fg,
-                       seg.count * sizeof(WireId)) != 0 ||
-           std::memcmp(e.wire_bits.data() + first_gate + fg, prev_bits_.data() + first_gate + fg,
-                       seg.count) != 0;
-  };
-
-  // Phase B (cone-parallel) — adopt or classify every segment into its own
-  // gate range and per-segment scratch. A task reads its dependencies'
-  // seg_changed_ flags and slice bytes (written before their completion,
-  // ordered by the DAG), probes the memo read-only (peek), and defers all
-  // LRU motion, counters and inserts to phase C, so the pooled run is
-  // bit-identical to the serial one.
+  // Cone-parallel phase — adopt or classify every segment into its own
+  // gate range and per-segment scratch. A task probes the memo read-only
+  // (peek) and defers all LRU motion, counters and inserts to the serial
+  // phase, so the pooled run is bit-identical to the serial one. Key-equal
+  // candidates can still fail verification (the key cannot see XOR-linear
+  // fingerprint structure), so a task walks them until one verifies; none
+  // verifying reclassifies the cone.
   WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
     const PlanSegment& seg = layout_.segments[si];
     seg_touch_[si].clear();
     seg_probes_[si] = 0;
-    bool dirty = seg_dirty_[si] != 0;
-    if (!dirty) {
-      for (const std::uint32_t sj : seg.deps) {
-        if (seg_changed_[sj] != 0) {
-          dirty = true;
-          break;
-        }
-      }
-    }
-    if (!dirty) {
-      // Clean cone: adopt the snapshot slice with no key build or memo
-      // lookup. Verification still guards fingerprint drift.
-      if (adopt_segment(e, seg, prev_act_.data() + seg.first_gate,
-                        prev_pass_src_.data() + seg.first_gate,
-                        prev_bits_.data() + first_gate + seg.first_gate,
-                        prev_touch_.data() + prev_touch_off_[si],
-                        prev_touch_off_[si + 1] - prev_touch_off_[si], seg_touch_[si])) {
-        seg_changed_[si] = 0;
-        seg_result_[si] = kSegCleanAdopt;
-        return;
-      }
-    }
-
-    // Dirty cone (or snapshot drift): consult the memo. Key-equal candidates
-    // can still fail verification (the key cannot see XOR-linear fingerprint
-    // structure), so walk them until one verifies.
     build_segment_key(si, seg, seg_keys_[si]);
     const std::uint64_t h = fnv1a64_u64(seg_keys_[si]);
     seg_hash_[si] = h;
@@ -967,78 +850,39 @@ void Planner::build_plan(Entry& e) {
     std::size_t after = 0;
     while (const ConeMemo::Entry* m = memo_->peek(s32, h, seg_keys_[si], &after)) {
       ++seg_probes_[si];
-      if (adopt_segment(e, seg, m->act.data(), m->pass_src.data(), m->out_bits.data(),
-                        m->touch.data(), m->touch.size(), seg_touch_[si])) {
-        seg_adopt_id_[si] = m->slice_id;
-        seg_changed_[si] = slice_changed(seg) ? 1 : 0;
-        seg_result_[si] = kSegMemoAdopt;
+      if (adopt_segment(e, seg, *m, seg_touch_[si])) {
+        seg_adopted_[si] = 1;
         return;
       }
     }
-
-    // Miss (or every key-equal candidate drifted): reclassify this cone,
-    // minting a fresh slice identity iff the bytes changed.
     classify_segment(e, seg, seg_touch_[si]);
-    seg_changed_[si] = slice_changed(seg) ? 1 : 0;
-    seg_result_[si] = kSegClassified;
+    seg_adopted_[si] = 0;
   });
 
-  // Phase C (serial, ascending) — stitch the touch index, replay the memo's
-  // LRU motion for every probe phase B made, insert fresh classifications,
-  // and settle slice ids and counters in the exact serial order.
+  // Serial phase (ascending) — stitch the touch index, replay the memo's
+  // LRU motion for every probe the parallel phase made, and insert fresh
+  // classifications, in the exact serial order.
   for (std::size_t si = 0; si < nseg; ++si) {
     const PlanSegment& seg = layout_.segments[si];
     e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
     e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
     const std::uint32_t s32 = static_cast<std::uint32_t>(si);
-    switch (seg_result_[si]) {
-      case kSegCleanAdopt:
-        ++cone_hits_;
-        break;
-      case kSegMemoAdopt:
-        ++cone_hits_;
-        memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
-        if (seg_changed_[si] != 0) slice_ids_[si] = seg_adopt_id_[si];
-        // else: keep the snapshot's slice id — same content.
-        break;
-      case kSegClassified:
-      default: {
-        ++cone_misses_;
-        memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
-        if (ConeMemo::Entry* m = memo_->insert(s32, seg_hash_[si], seg_keys_[si])) {
-          const auto ab = e.act.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
-          const auto pb = e.pass_src.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
-          const auto wb =
-              e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
-          m->act.assign(ab, ab + seg.count);
-          m->pass_src.assign(pb, pb + seg.count);
-          m->out_bits.assign(wb, wb + seg.count);
-          m->touch = seg_touch_[si];
-          if (seg_changed_[si] != 0) slice_ids_[si] = m->slice_id;
-        }
-        break;
-      }
+    memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
+    if (seg_adopted_[si] != 0) {
+      ++cone_hits_;
+      continue;
     }
+    ++cone_misses_;
+    ConeMemo::Entry& m = *memo_->insert(s32, seg_hash_[si], seg_keys_[si]);
+    const auto ab = e.act.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
+    const auto pb = e.pass_src.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
+    const auto wb = e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
+    m.act.assign(ab, ab + seg.count);
+    m.pass_src.assign(pb, pb + seg.count);
+    m.out_bits.assign(wb, wb + seg.count);
+    m.touch = seg_touch_[si];
   }
   e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
-
-  // Refresh the snapshot: roots, the touch index, and changed slices only
-  // (clean slices are already byte-identical in the snapshot).
-  std::copy(e.wire_bits.begin(), e.wire_bits.begin() + first_gate, prev_bits_.begin());
-  for (std::size_t si = 0; si < nseg; ++si) {
-    if (seg_changed_[si] == 0) continue;
-    const PlanSegment& seg = layout_.segments[si];
-    const std::size_t fg = seg.first_gate;
-    std::copy_n(e.act.data() + fg, seg.count, prev_act_.data() + fg);
-    std::copy_n(e.pass_src.data() + fg, seg.count, prev_pass_src_.data() + fg);
-    std::copy_n(e.wire_bits.data() + first_gate + fg, seg.count,
-                prev_bits_.data() + first_gate + fg);
-  }
-  prev_touch_ = e.touch;
-  prev_touch_off_ = e.touch_off;
-  std::copy(sig_.begin(), sig_.end(), prev_sig_.begin());
-  prev_ok_ = true;
-  stitched_ = true;
 }
 
 void Planner::classify_segment(Entry& e, const PlanSegment& seg,
@@ -1135,17 +979,15 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg,
   }
 }
 
-bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const std::uint8_t* act,
-                            const WireId* pass_src, const std::uint8_t* out_bits,
-                            const std::uint32_t* touch, std::size_t touch_count,
-                            std::vector<std::uint32_t>& out_touch) {
+bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m,
+                            std::vector<std::uint32_t>& touch) {
   const auto fg = static_cast<std::ptrdiff_t>(seg.first_gate);
-  std::copy_n(act, seg.count, e.act.begin() + fg);
-  std::copy_n(pass_src, seg.count, e.pass_src.begin() + fg);
-  std::copy_n(out_bits, seg.count,
-              e.wire_bits.begin() + static_cast<std::ptrdiff_t>(nl_.first_gate_wire()) + fg);
-  if (!verify_touch(e, touch, touch_count)) return false;
-  out_touch.insert(out_touch.end(), touch, touch + touch_count);
+  std::copy(m.act.begin(), m.act.end(), e.act.begin() + fg);
+  std::copy(m.pass_src.begin(), m.pass_src.end(), e.pass_src.begin() + fg);
+  std::copy(m.out_bits.begin(), m.out_bits.end(),
+            e.wire_bits.begin() + static_cast<std::ptrdiff_t>(nl_.first_gate_wire()) + fg);
+  if (!verify_touch(e, m.touch.data(), m.touch.size())) return false;
+  touch.insert(touch.end(), m.touch.begin(), m.touch.end());
   return true;
 }
 
@@ -1349,57 +1191,8 @@ bool Planner::wire_public(WireId w) const { return (cur_->wire_bits[w] & 1) != 0
 bool Planner::wire_value(WireId w) const { return (cur_->wire_bits[w] & 2) != 0; }
 
 CyclePlan Planner::finish(bool is_final) {
-  PlanCache::Backward* b = &cur_->backward[is_final ? 1 : 0];
-  if (!b->filled) {
-    // Stitched cycles first probe the backward memo: the slice-id
-    // composition exactly identifies the forward plan's gate-range bytes,
-    // which — together with is_final and the root wires the sweep reads
-    // directly — fully determine the needed/emit result.
-    bool memoize = false;
-    std::uint64_t h = 0;
-    if (memo_ != nullptr && stitched_) {
-      backward_key_.clear();
-      backward_key_.reserve(slice_ids_.size() + backward_root_wires_.size() + 1);
-      backward_key_.push_back(is_final ? 1 : 0);
-      backward_key_.insert(backward_key_.end(), slice_ids_.begin(), slice_ids_.end());
-      for (const WireId w : backward_root_wires_) {
-        backward_key_.push_back(cur_->wire_bits[w]);
-      }
-      h = fnv1a64_u64(backward_key_);
-      if (const auto it = backward_map_.find(h); it != backward_map_.end()) {
-        for (const BackwardList::iterator li : it->second) {
-          if (li->key == backward_key_) {
-            backward_lru_.splice(backward_lru_.begin(), backward_lru_, li);
-            b = &li->b;
-            break;
-          }
-        }
-      }
-      memoize = !b->filled;
-    }
-    if (!b->filled) backward_fill(*cur_, *b, is_final);
-    if (memoize) {
-      if (backward_lru_.size() >= backward_capacity_) {
-        const BackwardSlot& victim = backward_lru_.back();
-        const auto vit = backward_map_.find(victim.hash);
-        for (auto i = vit->second.begin(); i != vit->second.end(); ++i) {
-          if (&**i == &victim) {
-            vit->second.erase(i);
-            break;
-          }
-        }
-        if (vit->second.empty()) backward_map_.erase(vit);
-        backward_lru_.pop_back();
-      }
-      backward_lru_.emplace_front();
-      BackwardSlot& slot = backward_lru_.front();
-      slot.hash = h;
-      slot.key = backward_key_;
-      slot.b = *b;
-      backward_map_[h].push_back(backward_lru_.begin());
-      b = &backward_lru_.front().b;
-    }
-  }
+  PlanCache::Backward& b = cur_->backward[is_final ? 1 : 0];
+  if (!b.filled) backward_fill(*cur_, b, is_final);
 
   if (!cur_->latch_ready) build_latch_list(*cur_);
 
@@ -1410,11 +1203,11 @@ CyclePlan Planner::finish(bool is_final) {
     PlanSlice slice;
     slice.act = cur_->act.data() + seg.first_gate;
     slice.pass_src = cur_->pass_src.data() + seg.first_gate;
-    slice.emit = b->emit.data() + seg.first_gate;
-    slice.live = b->live.data() + seg.first_gate;
+    slice.emit = b.emit.data() + seg.first_gate;
+    slice.live = b.live.data() + seg.first_gate;
     if (!conventional) {
-      slice.work = b->work.data() + b->work_off[si];
-      slice.work_count = b->work_off[si + 1] - b->work_off[si];
+      slice.work = b.work.data() + b.work_off[si];
+      slice.work_count = b.work_off[si + 1] - b.work_off[si];
     }
     slice.first_gate = seg.first_gate;
     slice.count = seg.count;
@@ -1429,7 +1222,7 @@ CyclePlan Planner::finish(bool is_final) {
   plan.dep_edges = slice_dep_edges_.data();
   plan.num_gates = nl_.gates.size();
   plan.num_wires = nl_.num_wires();
-  plan.emitted = b->emitted;
+  plan.emitted = b.emitted;
   plan.secret_dffs = cur_->latch_dffs.data();
   plan.num_secret_dffs = cur_->latch_secret;
   plan.is_final = is_final;

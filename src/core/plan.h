@@ -31,15 +31,12 @@
 // constants/inputs/DFFs, cut where the fewest wires cross a frontier), the
 // CyclePlan is a composition of per-segment slices, and each segment's
 // forward classification is memoized under its *local* boundary-state key
-// (ConeMemo). A cycle whose entry state differs from every cached
-// whole-netlist state only inside a few cones re-classifies exactly those
-// dirty cones — found by sweeping which roots' signature words changed and
-// which upstream slices' bytes actually changed — and stitches the rest
-// from the memo (or, for cones untouched since the previous cycle, adopts
-// the previous slice outright). Stitched plans are byte-identical to a
-// from-scratch classification: every fingerprint-dependent decision in an
-// adopted cone is re-verified against the live fingerprints, and drift
-// falls back to reclassifying that cone.
+// (ConeMemo). On a whole-netlist cache miss every cone probes the memo with
+// its local key: cones whose boundary state recurs are adopted from it, the
+// rest are re-classified. Stitched plans are byte-identical to a from-scratch
+// classification: every fingerprint-dependent decision in an adopted cone is
+// re-verified against the live fingerprints, and drift falls back to
+// reclassifying that cone.
 #pragma once
 
 #include <array>
@@ -149,7 +146,7 @@ struct PlanSegment {
   /// the rest are earlier segments' gate outputs.
   std::uint32_t root_count = 0;
   /// Earlier segments whose gate outputs this segment reads (deduplicated,
-  /// ascending) — the dirty-cascade edges.
+  /// ascending) — the dependency-DAG edges of cone-parallel work.
   std::vector<std::uint32_t> deps;
 };
 
@@ -313,7 +310,6 @@ class ConeMemo {
   struct Entry {
     std::uint32_t segment = 0;
     std::uint64_t hash = 0;
-    std::uint64_t slice_id = 0;      ///< content identity (never reused)
     std::vector<std::uint64_t> key;  ///< exact local boundary-state key
     std::vector<std::uint8_t> act;
     std::vector<netlist::WireId> pass_src;
@@ -326,17 +322,13 @@ class ConeMemo {
   /// Returns the first key-equal candidate at index >= *after (advancing
   /// *after past it), or nullptr. Multiple entries may share a key: drifted
   /// fingerprint structure makes key-equal states classify differently, and
-  /// the caller walks candidates until one verifies.
-  [[nodiscard]] Entry* find(std::uint32_t segment, std::uint64_t hash,
-                            const std::vector<std::uint64_t>& key, std::size_t* after);
-  /// Read-only candidate walk: the same sequence find() would return, with
-  /// no LRU motion — safe to call from concurrent workers probing different
-  /// segments. The caller replays the deferred LRU touches serially via
-  /// touch_candidates() once the parallel phase is over.
+  /// the caller walks candidates until one verifies. Read-only (no LRU
+  /// motion), so concurrent workers may probe different segments; the caller
+  /// replays the LRU touches serially via touch_candidates() afterwards.
   [[nodiscard]] const Entry* peek(std::uint32_t segment, std::uint64_t hash,
                                   const std::vector<std::uint64_t>& key,
                                   std::size_t* after) const;
-  /// Replays the LRU effect of `probed` find() probes for this key: splices
+  /// Replays the LRU effect of `probed` peek() probes for this key: splices
   /// the first `probed` key-equal candidates to the front, in probe order.
   /// Candidates evicted since the probe are silently skipped.
   void touch_candidates(std::uint32_t segment, std::uint64_t hash,
@@ -347,7 +339,6 @@ class ConeMemo {
   std::size_t budget_bytes_;
   std::size_t capacity_ = 0;
   std::uint64_t evictions_ = 0;
-  std::uint64_t next_slice_id_ = 0;
   LruList lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::vector<LruList::iterator>> map_;
   /// Layout content hash (netlist + mode + cut positions) this memo is keyed
@@ -371,7 +362,8 @@ struct PlannerOptions {
   /// Optional externally owned cache, reusable across runs (same netlist).
   PlanCache* shared_cache = nullptr;
   /// Cone-granular incremental classification: memoize per-segment forward
-  /// results so whole-netlist cache misses re-classify only dirty cones.
+  /// results so whole-netlist cache misses re-classify only cones whose
+  /// local boundary state is new.
   bool cone_memo = true;
   /// Budget for the planner-owned cone memo when none is supplied.
   std::size_t cone_memo_budget_bytes = 32u << 20;
@@ -407,9 +399,8 @@ class Planner {
   [[nodiscard]] bool wire_public(netlist::WireId w) const;
   [[nodiscard]] bool wire_value(netlist::WireId w) const;
 
-  /// Completes the plan for this cycle (backward needed/emit sweep, cached
-  /// per is_final variant and memoized by slice composition). Valid until
-  /// the next forward().
+  /// Completes the plan for this cycle (backward needed/emit sweep, filled
+  /// once per entry and is_final variant). Valid until the next forward().
   [[nodiscard]] CyclePlan finish(bool is_final);
 
   /// Latches flip-flop planner state through the current plan (the one the
@@ -446,29 +437,26 @@ class Planner {
   void derive_fps(const std::uint32_t* gates, std::size_t n);
   void bind_secret_fp(WireState& s);
   void build_signature();
-  /// Gathers a dirty cone's exact memo key into `out`.
+  /// Gathers a cone's exact memo key into `out`.
   void build_segment_key(std::size_t si, const PlanSegment& seg,
                          std::vector<std::uint64_t>& out) const;
   /// Forward-classifies the cycle into `e` — whole netlist, or stitched
-  /// cone by cone when cone memoization is enabled: clean cones (no root
-  /// signature word changed, no upstream slice changed) adopt the previous
-  /// cycle's slice outright; dirty cones consult the memo by local key;
-  /// memo misses reclassify. Segments are processed on the worker pool when
-  /// one is configured (classification is per-cone data-independent given
-  /// the dependency DAG); memo LRU motion and counters are replayed
-  /// serially afterwards, so the result is bit-identical to a serial run.
+  /// cone by cone when cone memoization is enabled: every cone consults the
+  /// memo by local key and memo misses reclassify. Segments are processed
+  /// on the worker pool when one is configured (classification is per-cone
+  /// data-independent given the dependency DAG); memo LRU motion, inserts
+  /// and counters are replayed serially afterwards, so the result is
+  /// bit-identical to a serial run.
   void build_plan(Entry& e);
   /// Fresh forward classification of one segment's gates into `e`; touched
   /// gate indices are appended to `touch` (per-segment scratch).
   void classify_segment(Entry& e, const PlanSegment& seg, std::vector<std::uint32_t>& touch);
-  /// Copies a cached cone slice (memo entry or previous-cycle snapshot)
-  /// into `e` and verifies it (below); false = drift, caller reclassifies
-  /// the segment (e's slice is simply overwritten). On success the slice's
-  /// touch indices are appended to `touch`.
-  [[nodiscard]] bool adopt_segment(Entry& e, const PlanSegment& seg, const std::uint8_t* act,
-                                   const netlist::WireId* pass_src,
-                                   const std::uint8_t* out_bits, const std::uint32_t* touch,
-                                   std::size_t touch_count, std::vector<std::uint32_t>& out_touch);
+  /// Copies a memoized cone slice into `e` and verifies it (below); false =
+  /// drift, caller reclassifies the segment (e's slice is simply
+  /// overwritten). On success the slice's touch indices are appended to
+  /// `touch`.
+  [[nodiscard]] bool adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m,
+                                   std::vector<std::uint32_t>& touch);
   /// Hit path: compiles the entry on its first hit, then runs its verify
   /// program segment by segment — on the pool when one is configured
   /// (operand reads ordered by the dependency DAG), in ascending order
@@ -560,47 +548,6 @@ class Planner {
   std::uint64_t cone_hits_ = 0;
   std::uint64_t cone_misses_ = 0;
 
-  // Previous stitched cycle's plan snapshot plus its root signature — the
-  // dirty-region sweep's reference point. A cone is clean when none of its
-  // boundary roots' signature words changed against prev_sig_ and none of
-  // its producer segments' slices changed this cycle; clean cones adopt the
-  // snapshot slice with no key build or memo lookup (verification still
-  // runs — fingerprint drift falls back to the memo / reclassify).
-  bool prev_ok_ = false;
-  std::vector<std::uint32_t> prev_sig_;
-  std::vector<std::uint8_t> prev_act_;
-  std::vector<netlist::WireId> prev_pass_src_;
-  std::vector<std::uint8_t> prev_bits_;
-  std::vector<std::uint32_t> prev_touch_;
-  std::vector<std::uint32_t> prev_touch_off_;
-  std::vector<std::uint8_t> seg_changed_;  ///< per segment: slice != snapshot
-  std::vector<std::uint8_t> seg_dirty_;    ///< per-cycle dirty scratch
-  std::vector<std::uint64_t> slice_ids_;   ///< per segment: current content id
-  bool stitched_ = false;  ///< cur_ was stitched this cycle (slice ids valid)
-  /// CSR reverse index: root wire -> segments with it on their boundary.
-  std::vector<std::uint32_t> root_consumer_offsets_;
-  std::vector<std::uint32_t> root_consumers_;
-
-  // Backward-pass memo for stitched cycles, keyed by the exact slice-id
-  // composition plus is_final and the root wires the sweep reads directly:
-  // loop-periodic cycles whose stitched plan recurs skip the needed/emit
-  // sweep. (Whole-netlist cache entries carry their own backward variants;
-  // this covers the cycles that cache misses.) Planner-owned, LRU-bounded.
-  struct BackwardSlot {
-    std::uint64_t hash = 0;
-    std::vector<std::uint64_t> key;
-    PlanCache::Backward b;
-  };
-  using BackwardList = std::list<BackwardSlot>;
-  BackwardList backward_lru_;
-  std::unordered_map<std::uint64_t, std::vector<BackwardList::iterator>> backward_map_;
-  std::size_t backward_capacity_ = 0;
-  std::vector<std::uint64_t> backward_key_;
-  /// Root wires the backward sweep reads directly (output ports / DFF
-  /// D-inputs below the gate range) — their packed bits join the key, since
-  /// slice ids only pin gate-range content.
-  std::vector<netlist::WireId> backward_root_wires_;
-
   // Cone dependency CSR over slices, flattened once from layout_ (every
   // edge points at a lower index). Drives the worker-pool schedule of
   // classification/verification and is exported through CyclePlan for the
@@ -611,13 +558,11 @@ class Planner {
   // Per-segment scratch for the parallel classification phase: each worker
   // writes only its own segment's slots; the serial stitch phase reads them
   // in ascending segment order.
-  enum : std::uint8_t { kSegCleanAdopt = 0, kSegMemoAdopt = 1, kSegClassified = 2 };
   std::vector<std::vector<std::uint32_t>> seg_touch_;
   std::vector<std::vector<std::uint64_t>> seg_keys_;
   std::vector<std::uint64_t> seg_hash_;
-  std::vector<std::uint32_t> seg_probes_;    ///< memo candidates probed
-  std::vector<std::uint64_t> seg_adopt_id_;  ///< slice id of the adopted memo entry
-  std::vector<std::uint8_t> seg_result_;
+  std::vector<std::uint32_t> seg_probes_;   ///< memo candidates probed
+  std::vector<std::uint8_t> seg_adopted_;   ///< 1 = memo adopt, 0 = classified
   std::vector<std::uint8_t> seg_ok_;  ///< per-segment hit-verification flags
 
   // Signature scratch: fingerprint -> root-sweep equivalence-class id,

@@ -29,8 +29,9 @@ struct ExecOptions {
   bool plan_cache = true;
   std::size_t plan_cache_budget_bytes = 64u << 20;
   /// Cone-granular incremental planning: on whole-netlist cache misses,
-  /// stitch the plan from per-cone memo hits and re-classify only dirty
-  /// cones. Never changes results (every adopted cone is re-verified).
+  /// stitch the plan from per-cone memo hits and re-classify only the cones
+  /// the memo misses. Never changes results (every adopted cone is
+  /// re-verified).
   bool cone_memo = true;
   std::size_t cone_memo_budget_bytes = 32u << 20;
   /// Segmentation granularity (gates per cone, approximate; 0 = whole

@@ -1,5 +1,5 @@
 // Shared worker pool for cone-sharded work: garbling/evaluating a cycle's
-// independent per-cone slices and the planner's dirty-cone reclassification
+// independent per-cone slices and the planner's per-cone classification
 // all run the same schedule — a per-run DAG of small tasks whose edges are
 // the cone dependency graph (every edge points at an earlier task, so
 // ascending index order is a valid serial schedule).
