@@ -125,19 +125,27 @@ void EvaluatorSession::reset() {
   }
 }
 
-void EvaluatorSession::ot_begin(const netlist::BitVec& bob_stream) {
-  for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
-    const netlist::Input& in = nl_.inputs[i];
-    if (!binds_streamed(in)) continue;
-    if (in.owner == Owner::Bob) {
-      ot_->enqueue(bob_bit(in.bit_index, bob_stream, "streamed input"),
-                   &lb_[nl_.input_wire(i)]);
+void EvaluatorSession::ot_begin(const std::vector<netlist::BitVec>& bob_window) {
+  std::size_t per_cycle = 0;
+  for (const netlist::Input& in : nl_.inputs) {
+    per_cycle += binds_streamed(in) && in.owner == Owner::Bob ? 1 : 0;
+  }
+  // Sized before any enqueue: the OT queue holds pointers into it until
+  // the batch's finish().
+  win_lb_.assign(bob_window.size() * per_cycle, Block{});
+  std::size_t k = 0;
+  for (const netlist::BitVec& bob_stream : bob_window) {
+    for (const netlist::Input& in : nl_.inputs) {
+      if (binds_streamed(in) && in.owner == Owner::Bob) {
+        ot_->enqueue(bob_bit(in.bit_index, bob_stream, "streamed input"), &win_lb_[k++]);
+      }
     }
   }
+  win_pos_ = 0;
   ot_->request();
 }
 
-void EvaluatorSession::begin_cycle() {
+void EvaluatorSession::begin_cycle(bool window_start) {
   lb_[netlist::kConst0] = const_lb_[0];
   lb_[netlist::kConst1] = const_lb_[1];
   lb_valid_[netlist::kConst0] = 1;
@@ -152,14 +160,14 @@ void EvaluatorSession::begin_cycle() {
       continue;
     }
     if (!binds_streamed(in)) continue;  // public wire, no label
-    if (in.owner == Owner::Bob) {
-      lb_valid_[w] = 1;  // label lands at the batch finish below
-      continue;
-    }
-    lb_[w] = tx_->recv();
     lb_valid_[w] = 1;
+    if (in.owner != Owner::Bob) lb_[w] = tx_->recv();  // Bob's land below
   }
-  ot_->finish();
+  if (window_start) ot_->finish();
+  for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
+    const netlist::Input& in = nl_.inputs[i];
+    if (binds_streamed(in) && in.owner == Owner::Bob) lb_[nl_.input_wire(i)] = win_lb_[win_pos_++];
+  }
 }
 
 void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {

@@ -10,6 +10,9 @@
 // receiver-first round trip works under the lock-step schedule. The regular
 // reset()/begin_cycle() then consume the garbler's direct labels in stream
 // order and complete the OT batch, filling every queued destination.
+// Streamed Bob bits run one batch per OT window (see core/garbler.h): the
+// window-opening ot_begin() queues every cycle of the window into a window
+// buffer, and each begin_cycle() installs its own cycle's slice of it.
 #pragma once
 
 #include <cstdint>
@@ -52,14 +55,17 @@ class EvaluatorSession {
   /// flip-flop initial values; completes the reset OT batch.
   void reset();
 
-  /// Queues OT choices for this cycle's streamed Bob bits and emits the
-  /// receiver-side OT request. Must run before the garbler's begin_cycle().
-  void ot_begin(const netlist::BitVec& bob_stream);
+  /// Opens an OT window: queues OT choices for the streamed Bob bits of
+  /// each of the window's cycles (one BitVec per cycle, in cycle order) and
+  /// emits the receiver-side OT request. Must run before the garbler's
+  /// window-opening begin_cycle().
+  void ot_begin(const std::vector<netlist::BitVec>& bob_window);
 
-  /// Installs root labels for a cycle, receives streamed-input labels and
-  /// completes the cycle's OT batch (Bob's choices were consumed by
-  /// ot_begin). Flip-flop outputs are installed by reset() and latch().
-  void begin_cycle();
+  /// Installs root labels for a cycle, receives streamed-input labels and,
+  /// when `window_start`, completes the window's OT batch (Bob's choices
+  /// were consumed by ot_begin). Flip-flop outputs are installed by reset()
+  /// and latch().
+  void begin_cycle(bool window_start);
 
   /// Runs the evaluator label pass over the plan, consuming garbled tables.
   /// `cycle` is used for trace output only (A2G_TRACE).
@@ -117,6 +123,10 @@ class EvaluatorSession {
   std::vector<crypto::Block> dff_lb_;
   std::vector<std::uint8_t> dff_lb_valid_;
   crypto::Block const_lb_[2];
+  /// The open OT window's streamed Bob labels, cycle-major (Bob's streamed
+  /// inputs ascending per cycle), and the next cycle's offset into it.
+  std::vector<crypto::Block> win_lb_;
+  std::size_t win_pos_ = 0;
   crypto::Block table_digest_{};
   bool trace_;
 };

@@ -33,17 +33,23 @@ GarblerSession::GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme
   const_la_[0] = const_la_[1] = Block{};
 }
 
-/// Binds one secret source bit owned by `owner`: creates the label pair and
-/// transfers Bob's label (directly for bits Alice knows, queued into the OT
-/// batch for Bob's own bits — the value `v` is ignored then; the receiver
-/// chooses at the phase's flush).
-void GarblerSession::bind_secret(Owner owner, bool v, Block& la) {
-  la = garbler_.fresh_label();
-  if (owner == Owner::Bob) {
-    ot_->enqueue(la, la ^ garbler_.R());
-  } else {
+/// Binds one secret source bit owned by `owner`: creates the label pair
+/// (Draw) and transfers Bob's label (Transfer: directly for bits Alice
+/// knows; Bob's own bits were queued into the OT batch at Draw — the value
+/// `v` is ignored for them, the receiver chooses at the phase's flush).
+void GarblerSession::bind_secret(Owner owner, bool v, Block& la, BindStep step) {
+  if (step != BindStep::Transfer) {
+    la = garbler_.fresh_label();
+    if (owner == Owner::Bob) ot_->enqueue(la, la ^ garbler_.R());
+  }
+  if (step != BindStep::Draw && owner != Owner::Bob) {
     tx_->send(la ^ maybe(garbler_.R(), v), gc::Traffic::InputLabel);
   }
+}
+
+/// A streamed input binds a label each cycle unless SkipGate keeps it public.
+bool GarblerSession::binds_streamed(const netlist::Input& in) const {
+  return in.streamed && !(in.owner == Owner::Public && mode_ == Mode::SkipGate);
 }
 
 bool GarblerSession::known_bit(Owner owner, std::uint32_t idx, const netlist::BitVec& alice,
@@ -102,10 +108,23 @@ void GarblerSession::reset(const netlist::BitVec& alice_bits, const netlist::Bit
 }
 
 void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
-                                 const netlist::BitVec& pub_stream) {
-  const bool skipgate = mode_ == Mode::SkipGate;
+                                 const netlist::BitVec& pub_stream, std::uint64_t window) {
   la_[netlist::kConst0] = const_la_[0];
   la_[netlist::kConst1] = const_la_[1];
+
+  if (window > 0) {
+    // Draw the whole window in the order per-cycle draws would take.
+    std::size_t per_cycle = 0;
+    for (const netlist::Input& in : nl_.inputs) per_cycle += binds_streamed(in) ? 1 : 0;
+    win_la_.resize(static_cast<std::size_t>(window) * per_cycle);
+    std::size_t k = 0;
+    for (std::uint64_t c = 0; c < window; ++c) {
+      for (const netlist::Input& in : nl_.inputs) {
+        if (binds_streamed(in)) bind_secret(in.owner, false, win_la_[k++], BindStep::Draw);
+      }
+    }
+    win_pos_ = 0;
+  }
 
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
     const netlist::Input& in = nl_.inputs[i];
@@ -114,11 +133,12 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
       la_[w] = fixed_la_[i];
       continue;
     }
-    if (in.owner == Owner::Public && skipgate) continue;
+    if (!binds_streamed(in)) continue;
+    la_[w] = win_la_[win_pos_++];
     const bool v = known_bit(in.owner, in.bit_index, alice_stream, pub_stream, "streamed input");
-    bind_secret(in.owner, v, la_[w]);
+    bind_secret(in.owner, v, la_[w], BindStep::Transfer);
   }
-  ot_->flush();  // this cycle's streamed Bob bits, as one batch
+  if (window > 0) ot_->flush();  // the window's streamed Bob bits, as one batch
 }
 
 void GarblerSession::garble_cycle(const CyclePlan& plan) {
@@ -216,26 +236,48 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
 }
 
 netlist::BitVec GarblerSession::decode_outputs(const CyclePlan& plan) {
+  hold_outputs(plan);
+  return decode_held();
+}
+
+void GarblerSession::hold_outputs(const CyclePlan& plan) {
+  if (holding_) throw std::logic_error("skipgate: a held output decode was never drained");
+  held_.resize(nl_.outputs.size());
+  held_labels_ = 0;
+  for (std::size_t k = 0; k < nl_.outputs.size(); ++k) {
+    const WireId w = nl_.outputs[k].wire;
+    HeldOutput& h = held_[k];
+    h.is_public = plan.wire_public(w);
+    h.value = h.is_public && plan.wire_value(w);
+    h.false_label = h.is_public ? Block{} : la_[w];
+    held_labels_ += h.is_public ? 0 : 1;
+  }
+  holding_ = true;
+}
+
+netlist::BitVec GarblerSession::decode_held() {
+  if (!holding_) throw std::logic_error("skipgate: no held output decode");
   netlist::BitVec out;
   out.reserve(nl_.outputs.size());
   const Block r = garbler_.R();
-  for (const netlist::OutputPort& o : nl_.outputs) {
-    bool bit;
-    if (plan.wire_public(o.wire)) {
-      bit = plan.wire_value(o.wire);
-    } else {
+  for (std::size_t k = 0; k < nl_.outputs.size(); ++k) {
+    const HeldOutput& h = held_[k];
+    bool bit = h.value;
+    if (!h.is_public) {
       // Bob sends his output label; Alice decodes it against her pair.
       const Block xb = tx_->recv();
-      if (xb == la_[o.wire]) {
+      if (xb == h.false_label) {
         bit = false;
-      } else if (xb == (la_[o.wire] ^ r)) {
+      } else if (xb == (h.false_label ^ r)) {
         bit = true;
       } else {
         throw std::runtime_error("skipgate: output label does not decode");
       }
     }
-    out.push_back(bit != o.invert);
+    out.push_back(bit != nl_.outputs[k].invert);
   }
+  holding_ = false;
+  held_labels_ = 0;
   return out;
 }
 

@@ -1,11 +1,13 @@
 #include "core/party.h"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "core/evaluator.h"
 #include "core/garbler.h"
 #include "core/workpool.h"
 #include "gc/otpre.h"
+#include "gc/transport_socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -97,6 +99,37 @@ bool planner_decide_final(const Planner& planner, const PartyOptions& opts, bool
   return is_final;
 }
 
+/// Whether the start phase's OT batch has choices: Bob's fixed input bits
+/// and flip-flop initial values.
+bool has_bob_fixed_bits(const netlist::Netlist& nl) {
+  for (const netlist::Input& in : nl.inputs) {
+    if (!in.streamed && in.owner == netlist::Owner::Bob) return true;
+  }
+  for (const netlist::Dff& d : nl.dffs) {
+    if (d.init == netlist::Dff::Init::BobBit) return true;
+  }
+  return false;
+}
+
+/// Streamed Bob choices per cycle: the OT window's unit.
+std::size_t count_bob_stream_bits(const netlist::Netlist& nl) {
+  std::size_t n = 0;
+  for (const netlist::Input& in : nl.inputs) {
+    n += in.streamed && in.owner == netlist::Owner::Bob ? 1 : 0;
+  }
+  return n;
+}
+
+/// Cycles of the OT window that opens at `cycle`: as many as fit
+/// kOtWindowChoices streamed Bob choices, but only cycles the run is certain
+/// to execute — a run that can stop on its halt wire opens one per cycle.
+std::uint64_t ot_window_cycles(const PartyOptions& opts, std::size_t bob_stream_bits,
+                               std::uint64_t cycle, std::uint64_t cc) {
+  if (bob_stream_bits == 0 || (opts.halt_wire && opts.mode == Mode::SkipGate)) return 1;
+  const std::uint64_t fit = kOtWindowChoices / bob_stream_bits;
+  return std::max<std::uint64_t>(1, std::min(fit, cc - cycle));
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -133,14 +166,6 @@ std::size_t WarmState::ot_pool_available() const {
   if (otpre_sender_ != nullptr) return otpre_sender_->available();
   if (otpre_receiver_ != nullptr) return otpre_receiver_->available();
   return 0;
-}
-
-bool WarmState::ot_refill_pending() const {
-  if (otpre_sender_ != nullptr) return otpre_sender_->available() < otpre_sender_->low_water();
-  if (otpre_receiver_ != nullptr) {
-    return otpre_receiver_->available() < otpre_receiver_->low_water();
-  }
-  return false;
 }
 
 WorkPool* WarmState::pool(std::size_t threads) {
@@ -188,9 +213,37 @@ GarblerEndpoint::GarblerEndpoint(const netlist::Netlist& nl, const PartyOptions&
                                                 opts.ot_backend,
                                                 warm ? warm->ot_sender_.get() : nullptr, pool_,
                                                 warm ? warm->otpre_sender_.get() : nullptr,
-                                                opts.ot_pool)) {}
+                                                opts.ot_pool)),
+      bob_fixed_(has_bob_fixed_bits(nl)),
+      bob_stream_bits_(count_bob_stream_bits(nl)),
+      defer_decode_(16 * nl.outputs.size() <= gc::kFlushBytes) {}
 
 GarblerEndpoint::~GarblerEndpoint() = default;
+
+bool GarblerEndpoint::start_reads() const {
+  return bob_fixed_ && opts_.ot_backend != gc::OtBackend::Ideal;
+}
+
+bool GarblerEndpoint::begin_reads(std::uint64_t cycle) const {
+  return cycle == window_end_ && bob_stream_bits_ > 0 &&
+         opts_.ot_backend != gc::OtBackend::Ideal;
+}
+
+bool GarblerEndpoint::sample_reads() const {
+  if (!plan_.sample) return false;
+  if (session_->held_labels() > 0) return true;
+  if (defer_decode_ && !plan_.is_final) return false;
+  for (const netlist::OutputPort& o : nl_.outputs) {
+    if (!plan_.wire_public(o.wire)) return true;
+  }
+  return false;
+}
+
+bool GarblerEndpoint::ot_refill_reads() const { return session_->ot_maintain_due(); }
+
+void GarblerEndpoint::drain_decode() {
+  if (session_->holds_outputs()) result_.sampled_outputs.push_back(session_->decode_held());
+}
 
 bool GarblerEndpoint::decide_final(std::uint64_t cycle) const {
   return planner_decide_final(planner_, opts_, halt_driven_, cycle, cycle_count_);
@@ -206,12 +259,18 @@ void GarblerEndpoint::start(const netlist::BitVec& alice_bits, const netlist::Bi
 }
 
 void GarblerEndpoint::begin(std::uint64_t cycle) {
+  std::uint64_t window = 0;
+  if (cycle == window_end_) {
+    if (begin_reads(cycle)) drain_decode();
+    window = ot_window_cycles(opts_, bob_stream_bits_, cycle, cycle_count_);
+    window_end_ = cycle + window;
+  }
   BitVec sp;
   if (streams_ != nullptr && streams_->pub) sp = streams_->pub(cycle);
   planner_.begin_cycle(sp);
   BitVec sa;
   if (streams_ != nullptr && streams_->alice) sa = streams_->alice(cycle);
-  session_->begin_cycle(sa, sp);
+  session_->begin_cycle(sa, sp, window);
 }
 
 bool GarblerEndpoint::work(std::uint64_t cycle) {
@@ -236,7 +295,13 @@ bool GarblerEndpoint::work(std::uint64_t cycle) {
 }
 
 void GarblerEndpoint::sample() {
-  if (plan_.sample) result_.sampled_outputs.push_back(session_->decode_outputs(plan_));
+  if (!plan_.sample) return;
+  drain_decode();
+  if (defer_decode_ && !plan_.is_final) {
+    session_->hold_outputs(plan_);
+  } else {
+    result_.sampled_outputs.push_back(session_->decode_outputs(plan_));
+  }
 }
 
 void GarblerEndpoint::latch() {
@@ -246,10 +311,12 @@ void GarblerEndpoint::latch() {
 
 void GarblerEndpoint::ot_refill() {
   A2G_SPAN("garbler.ot_refill", "party");
+  if (ot_refill_reads()) drain_decode();
   session_->ot_maintain();
 }
 
 RunResult GarblerEndpoint::finish() {
+  drain_decode();
   // The protocol is over; a buffering transport may still hold our last
   // sends (e.g. final tables the peer has yet to evaluate) and no own-recv
   // will come along to flush them implicitly.
@@ -321,7 +388,8 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
                                                   warm ? warm->ot_receiver_.get() : nullptr,
                                                   pool_,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,
-                                                  opts.ot_pool)) {}
+                                                  opts.ot_pool)),
+      bob_stream_bits_(count_bob_stream_bits(nl)) {}
 
 EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOptions& opts,
                                      gc::Transport& tx, WarmState* warm,
@@ -339,7 +407,8 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
                                                   warm ? warm->ot_receiver_.get() : nullptr,
                                                   pool_,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,
-                                                  opts.ot_pool)) {
+                                                  opts.ot_pool)),
+      bob_stream_bits_(count_bob_stream_bits(nl)) {
   if (&leader.nl_ != &nl) {
     throw std::invalid_argument("party: plan-following evaluator bound to a different netlist");
   }
@@ -369,14 +438,20 @@ void EvaluatorEndpoint::begin_request(std::uint64_t cycle) {
     if (streams_ != nullptr && streams_->pub) sp = streams_->pub(cycle);
     planner_->begin_cycle(sp);
   }
+  window_start_ = cycle == window_end_;
+  if (!window_start_) return;
+  const std::uint64_t window = ot_window_cycles(opts_, bob_stream_bits_, cycle, cycle_count_);
+  window_end_ = cycle + window;
   // The choice bits are copied into the OT queue synchronously; nothing here
   // outlives the call.
-  BitVec sb;
-  if (streams_ != nullptr && streams_->bob) sb = streams_->bob(cycle);
+  std::vector<BitVec> sb(static_cast<std::size_t>(window));
+  if (streams_ != nullptr && streams_->bob) {
+    for (std::uint64_t k = 0; k < window; ++k) sb[k] = streams_->bob(cycle + k);
+  }
   session_->ot_begin(sb);
 }
 
-void EvaluatorEndpoint::begin_finish() { session_->begin_cycle(); }
+void EvaluatorEndpoint::begin_finish() { session_->begin_cycle(window_start_); }
 
 bool EvaluatorEndpoint::work(std::uint64_t cycle) {
   A2G_SPAN("evaluator.work", "party");

@@ -51,6 +51,12 @@ class WorkPool;
 inline constexpr crypto::Block kDefaultProtocolSeed{0x4152433247430100ULL,
                                                     0x736b697067617465ULL};
 
+/// Streamed-input OT window cap: the streamed Bob choices of up to this many
+/// upcoming cycles' worth run as one OT batch (see the ordering contract
+/// below). Public protocol constant; both endpoints derive every window
+/// from it.
+inline constexpr std::size_t kOtWindowChoices = 4096;
+
 enum class Role : std::uint8_t { Garbler, Evaluator };
 
 [[nodiscard]] constexpr const char* role_name(Role r) {
@@ -233,14 +239,6 @@ class WarmState {
   /// Precomp only: random OTs banked and not yet consumed (0 otherwise).
   [[nodiscard]] std::size_t ot_pool_available() const;
 
-  /// Precomp only: true when the pool is below its low-water mark, i.e. the
-  /// next ot_refill()/ot_refill_request() slot will actually exchange a
-  /// refill batch rather than no-op. Both roles' pools track the same fill
-  /// level by construction, so a scheduler can predict from its own side
-  /// whether the maintenance slot touches the wire (the garbler service
-  /// parks for the receiver-first refill frames only when this is set).
-  [[nodiscard]] bool ot_refill_pending() const;
-
   /// Discards the warm OT-extension state (the next run redoes the kappa
   /// base OTs; plan caches are untouched). Called by endpoints on protocol
   /// abort; callable directly to force a re-base.
@@ -282,14 +280,34 @@ class WarmState {
 //     E.ot_refill_request  ->  G.ot_refill  ->  E.ot_refill_finish
 //   G.finish / E.finish
 //
+// The arrows order each exchange, not the parties: over a socket the
+// garbler runs ahead, and most of its hooks never wait on the evaluator.
+// Garbler hooks that read from the evaluator:
+//   - start, when Bob has fixed bits and the OT backend is not Ideal
+//     (start_reads);
+//   - begin, only at a cycle that opens an OT window with streamed Bob bits
+//     and a non-Ideal backend (begin_reads). A window is as many upcoming
+//     cycles as fit kOtWindowChoices streamed Bob choices, cut at the last
+//     cycle the run is certain to execute — so a run that may stop on its
+//     halt wire opens a window every cycle;
+//   - sample, when a decode is due (sample_reads): a sampled cycle's output
+//     labels are decoded at the next sampled cycle (deferred decode), the
+//     final cycle's at once. A netlist whose output frame exceeds
+//     gc::kFlushBytes decodes every cycle at once, so the unread frame
+//     always fits the kernel socket buffers and cannot deadlock the
+//     evaluator's sends against the garbler's;
+//   - ot_refill, when a Precomp pool refill is due (ot_refill_reads).
+// Drain invariant: every garbler hook that reads first decodes the held
+// output frame, which the evaluator sent before the frames that hook reads.
+// finish() drains too.
+//
 // The ot_refill_* hooks are the OT maintenance slot: under OtBackend::Precomp
 // they top the random-OT pool back up (one bulk IKNP batch) whenever it falls
-// below its low-water mark, so the precompute work runs between cycles — in
-// the window where the evaluator otherwise idles waiting for the next
-// cycle's tables — instead of stalling an online derandomization batch.
-// No-ops under Ideal/Iknp. Both sides derive the refill decision from the
-// shared pool fill level, so the hooks must stay in the schedule for every
-// backend and transport (run() includes them).
+// below its low-water mark, so the precompute work runs between cycles
+// instead of stalling an online derandomization batch. No-ops under
+// Ideal/Iknp. Both sides derive the refill decision from the shared pool
+// fill level, so the hooks must stay in the schedule for every backend and
+// transport (run() includes them).
 //
 // Any abort (exception out of a hook or out of run()) must be followed by
 // abort(), which resets the warm OT state; run() does this itself.
@@ -328,10 +346,20 @@ class GarblerEndpoint {
   /// EvaluatorEndpoint's plan-following constructor.
   [[nodiscard]] const CyclePlan& plan() const { return plan_; }
 
+  // Read predicates: whether the next call of that hook reads from the
+  // evaluator. Exact, so an event-loop scheduler can park a connection on
+  // them (sample_reads is valid after work()).
+  [[nodiscard]] bool start_reads() const;
+  [[nodiscard]] bool begin_reads(std::uint64_t cycle) const;
+  [[nodiscard]] bool sample_reads() const;
+  [[nodiscard]] bool ot_refill_reads() const;
+
  private:
   friend class EvaluatorEndpoint;  ///< plan-following mode reads the planner
 
   [[nodiscard]] bool decide_final(std::uint64_t cycle) const;
+  /// Decodes the held output frame, if any (the drain invariant).
+  void drain_decode();
 
   const netlist::Netlist& nl_;
   PartyOptions opts_;
@@ -346,6 +374,10 @@ class GarblerEndpoint {
   WorkPool* pool_;
   Planner planner_;
   std::unique_ptr<GarblerSession> session_;
+  bool bob_fixed_;                ///< Bob has fixed input bits or dff inits
+  std::size_t bob_stream_bits_;   ///< streamed Bob choices per cycle
+  std::uint64_t window_end_ = 0;  ///< first cycle past the open OT window
+  bool defer_decode_;             ///< the output frame fits gc::kFlushBytes
   const StreamProvider* streams_ = nullptr;
   netlist::BitVec alice_bits_;
   netlist::BitVec pub_bits_;
@@ -413,6 +445,9 @@ class EvaluatorEndpoint {
   WorkPool* pool_;
   std::unique_ptr<Planner> planner_;         ///< null in plan-following mode
   std::unique_ptr<EvaluatorSession> session_;
+  std::size_t bob_stream_bits_;       ///< streamed Bob choices per cycle
+  std::uint64_t window_end_ = 0;      ///< first cycle past the open OT window
+  bool window_start_ = false;         ///< this cycle opened an OT window
   const StreamProvider* streams_ = nullptr;
   netlist::BitVec bob_bits_;
   netlist::BitVec pub_bits_;

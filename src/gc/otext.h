@@ -197,6 +197,9 @@ class OtSender {
   virtual void enqueue(crypto::Block x0, crypto::Block x1) = 0;
   virtual void flush() = 0;
   virtual void maintain() {}
+  /// True when the next maintain() exchanges frames with the peer (and so
+  /// reads its receiver-first half); always false for Ideal/Iknp.
+  [[nodiscard]] virtual bool maintain_due() const { return false; }
 
   [[nodiscard]] const OtPhaseStats& stats() const { return stats_; }
 

@@ -108,7 +108,11 @@ class PrecompOtSender final : public OtSender {
   }
 
   void maintain() override {
-    if (pool_->available() < pool_->low_water()) refill(pool_->target_);
+    if (maintain_due()) refill(pool_->target_);
+  }
+
+  [[nodiscard]] bool maintain_due() const override {
+    return pool_->available() < pool_->low_water();
   }
 
  private:

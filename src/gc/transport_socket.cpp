@@ -19,10 +19,6 @@ namespace arm2gc::gc {
 
 namespace {
 
-/// Writes coalesce in userspace until this many bytes are pending (or a
-/// recv forces a flush); a full cycle of the garbled ARM core fits well
-/// below it, so the steady state is one writev-sized syscall per phase.
-constexpr std::size_t kFlushBytes = 1u << 16;
 /// Read-side staging buffer for the many small frames of a lock-step phase.
 constexpr std::size_t kReadBytes = 1u << 16;
 

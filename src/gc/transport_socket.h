@@ -12,10 +12,14 @@
 // InMemoryDuplex::stats() of the identical in-process run. The wire carries
 // no extra framing bytes: batching happens in a userspace write buffer that
 // is flushed before any blocking read (every recv() implies the peer may be
-// waiting on our pending bytes), which keeps the strictly alternating
-// protocol deadlock-free while coalescing the many small frames into few
-// syscalls. TCP_NODELAY is set for the same reason: the lock-step
-// request/response pattern would otherwise stall on delayed ACKs.
+// waiting on our pending bytes), which keeps the protocol deadlock-free
+// while coalescing the many small frames into few syscalls. TCP_NODELAY is
+// set for the same reason: a request/response exchange would otherwise
+// stall on delayed ACKs. The endpoints also send frames the peer reads only
+// later (the evaluator's output labels under deferred decode, core/party.h);
+// those stay deadlock-free only while one such frame fits in kFlushBytes,
+// so it never forces a blocking flush and the kernel socket buffers absorb
+// it.
 //
 // Teardown: peer EOF/reset — or a local close() — surfaces as
 // gc::TransportClosed out of send/recv, the same type the in-process drivers
@@ -40,6 +44,11 @@
 #include "gc/transport.h"
 
 namespace arm2gc::gc {
+
+/// Writes coalesce in userspace until this many bytes are pending (or a
+/// recv forces a flush); a full cycle of the garbled ARM core fits well
+/// below it, so the steady state is one writev-sized syscall per phase.
+inline constexpr std::size_t kFlushBytes = 1u << 16;
 
 /// One party's end of an established TCP connection.
 class SocketDuplex {

@@ -33,26 +33,6 @@ constexpr std::uint64_t kSliceCycles = 8;
 /// A /metrics request larger than this is not a scrape; drop it.
 constexpr std::size_t kMaxHttpHeader = 8192;
 
-/// Static facts about one program that decide the park predicates.
-struct SpecFacts {
-  bool bob_fixed = false;     ///< fixed Bob input bits or BobBit dff inits
-  bool bob_streamed = false;  ///< per-cycle Bob bits
-  bool has_outputs = false;
-};
-
-SpecFacts facts_of(const netlist::Netlist& nl) {
-  SpecFacts f;
-  for (const auto& in : nl.inputs) {
-    if (in.owner != netlist::Owner::Bob) continue;
-    (in.streamed ? f.bob_streamed : f.bob_fixed) = true;
-  }
-  for (const auto& d : nl.dffs) {
-    if (d.init == netlist::Dff::Init::BobBit) f.bob_fixed = true;
-  }
-  f.has_outputs = !nl.outputs.empty();
-  return f;
-}
-
 std::string warm_key_of(const std::string& program, gc::OtBackend ot, std::size_t pool) {
   return program + "|" + std::to_string(static_cast<unsigned>(ot)) + "|" +
          std::to_string(pool);
@@ -142,14 +122,13 @@ struct GarblerService::Impl {
   /// granularity. advance() runs hooks until it either needs bytes the
   /// client has not sent (park on read), has queued more than the soft
   /// send limit (park on write — backpressure), exhausts its fairness
-  /// slice, or completes. A hook that recvs on a mispredicted park cannot
+  /// slice, or completes. A hook that recvs without a park cannot
   /// deadlock: the transport falls back to an inline poll() bounded by the
-  /// recv deadline, so a wrong prediction costs scheduling fairness, never
-  /// correctness — which is why the predicates may stay conservative.
+  /// recv deadline. The park predicates come from the endpoint and are
+  /// exact, because a park with no read behind it waits out that deadline.
   struct Conn {
     std::unique_ptr<gc::SocketDuplex> sock;
     const ProgramSpec* spec = nullptr;
-    SpecFacts facts;
     core::PartyOptions popts;
     std::string warm_key;
     std::unique_ptr<core::WarmState> warm;
@@ -221,10 +200,8 @@ struct GarblerService::Impl {
       }
       std::string name(h.name_len, '\0');
       sock->recv_control(name.data(), name.size());
-      const SpecFacts* f = nullptr;
-      spec = impl.find_program(name, &f);
+      spec = impl.find_program(name);
       if (spec == nullptr) return HelloStatus::UnknownProgram;
-      facts = *f;
       if (h.scheme > static_cast<std::uint8_t>(gc::Scheme::Classic4) ||
           h.ot_backend > static_cast<std::uint8_t>(gc::OtBackend::Precomp)) {
         return HelloStatus::OptionMismatch;
@@ -316,8 +293,7 @@ struct GarblerService::Impl {
             // The start-phase OT batch (fixed Bob bits) opens with
             // receiver-first frames under the extension backends; Ideal
             // recvs nothing.
-            const bool parks =
-                facts.bob_fixed && popts.ot_backend != gc::OtBackend::Ideal;
+            const bool parks = ep->start_reads();
             if (parks && !input_hint()) return Waiting::Read;
             if (parks) readable_hint = false;
             ep->start(spec->alice_bits, spec->pub_bits, spec->streams);
@@ -326,8 +302,9 @@ struct GarblerService::Impl {
             break;
           }
           case Phase::Begin: {
-            const bool parks =
-                facts.bob_streamed && popts.ot_backend != gc::OtBackend::Ideal;
+            // Only a cycle that opens an OT window reads (the receiver-first
+            // frames of its streamed Bob batch).
+            const bool parks = ep->begin_reads(cycle);
             if (parks && !input_hint()) return Waiting::Read;
             if (parks) readable_hint = false;
             ep->begin(cycle);
@@ -340,8 +317,10 @@ struct GarblerService::Impl {
             break;
           }
           case Phase::Sample: {
-            // Decoding sampled outputs reads the client's output labels.
-            const bool parks = ep->plan().sample && facts.has_outputs;
+            // Decoding sampled outputs reads the client's output labels —
+            // a previous cycle's held ones, or this cycle's when it decodes
+            // at once.
+            const bool parks = ep->sample_reads();
             if (parks && !input_hint()) return Waiting::Read;
             if (parks) readable_hint = false;
             ep->sample();
@@ -357,8 +336,7 @@ struct GarblerService::Impl {
             // Precomp refills exchange receiver-first frames exactly when
             // the pool is below low water; both sides track the same fill
             // level, so our own pool predicts the client's behavior.
-            const bool parks = popts.ot_backend == gc::OtBackend::Precomp &&
-                               warm->ot_refill_pending();
+            const bool parks = ep->ot_refill_reads();
             if (parks && !input_hint()) return Waiting::Read;
             if (parks) readable_hint = false;
             ep->ot_refill();
@@ -756,7 +734,6 @@ struct GarblerService::Impl {
   };
 
   std::vector<ProgramSpec> programs;
-  std::vector<SpecFacts> facts;
   ServiceOptions opts;
   std::unique_ptr<gc::SocketListener> listener;
   std::unique_ptr<gc::SocketListener> metrics_listener;  ///< null = disabled
@@ -789,7 +766,6 @@ struct GarblerService::Impl {
       if (p.name.empty() || p.name.size() > kMaxProgramName) {
         throw std::invalid_argument("serve: bad program name");
       }
-      facts.push_back(facts_of(*p.nl));
     }
     if (opts.shards == 0) opts.shards = 1;
     listener = std::make_unique<gc::SocketListener>(opts.host, opts.port);
@@ -799,13 +775,9 @@ struct GarblerService::Impl {
     }
   }
 
-  [[nodiscard]] const ProgramSpec* find_program(const std::string& name,
-                                                const SpecFacts** f) const {
-    for (std::size_t i = 0; i < programs.size(); ++i) {
-      if (programs[i].name == name) {
-        *f = &facts[i];
-        return &programs[i];
-      }
+  [[nodiscard]] const ProgramSpec* find_program(const std::string& name) const {
+    for (const ProgramSpec& p : programs) {
+      if (p.name == name) return &p;
     }
     return nullptr;
   }

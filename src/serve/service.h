@@ -7,12 +7,14 @@
 // connection:
 //
 //   - The per-phase recv points of the garbler schedule are predictable
-//     from public data (backend, netlist shape, plan, pool fill level), so
-//     the machine runs hooks greedily and parks the connection on
-//     readability only where the client's receiver-first frames are known
-//     to be coming. A mispredicted park cannot corrupt anything — every
-//     recv inside a hook falls back to a bounded inline poll() — it only
-//     costs scheduling fairness, so the predicates stay conservative.
+//     from public data (backend, netlist shape, plan, OT window, pool fill
+//     level), so the machine runs hooks greedily and parks the connection
+//     on readability only where the endpoint's read predicates
+//     (GarblerEndpoint::begin_reads and friends) say the client's frames
+//     are coming. The predicates are exact: a park where no read follows
+//     would wait for bytes the client never sends until the recv deadline,
+//     and a missed one blocks the shard in the hook's bounded inline
+//     poll().
 //   - Backpressure: a connection whose send queue exceeds the soft limit
 //     stops being read or advanced (parked on writability) until the
 //     kernel drains it; the transport's hard cap bounds the queue

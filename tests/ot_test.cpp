@@ -304,9 +304,10 @@ TEST(OtExt, DriverOtBytesAreTrueFramedBytes) {
   core::RunOptions iknp = opts;
   iknp.exec.ot_backend = gc::OtBackend::Iknp;
   const core::RunResult real = core::SkipGateDriver(nl, iknp).run({}, {}, {}, &streams);
-  // One streamed Bob bit per cycle: 8 batches of m=1 plus the base phase.
-  EXPECT_EQ(real.stats.comm.ot_bytes, iknp_bytes({1, 1, 1, 1, 1, 1, 1, 1}));
-  EXPECT_EQ(real.stats.ot_batches, 8u);
+  // One streamed Bob bit per cycle: the 8 cycles form one OT window, a
+  // single m=8 batch, plus the base phase.
+  EXPECT_EQ(real.stats.comm.ot_bytes, iknp_bytes({8}));
+  EXPECT_EQ(real.stats.ot_batches, 1u);
   EXPECT_EQ(real.stats.ot_base_ots, gc::kOtKappa);
 }
 

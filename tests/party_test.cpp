@@ -13,18 +13,25 @@
 //     extension state) fails loudly on the OT header/check — never a hang or
 //     a wrong label — in both compositions, and endpoint abort
 //     resets warm OT state so the *next* run recovers without rebuilding
-//     the session (base OTs simply rerun).
+//     the session (base OTs simply rerun);
+//   - the windowed streamed-OT / deferred-decode schedule: table digests and
+//     a halt-driven run's bytes equal the per-cycle lock-step schedule's, the
+//     output frame at the deadlock guard's 64 KiB boundary runs over a
+//     socket pair, and Precomp refills drain a held decode first.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <exception>
+#include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "arm/arm2gc.h"
 #include "builder/circuit_builder.h"
 #include "builder/stdlib.h"
+#include "circuits/tg_circuits.h"
 #include "core/party.h"
 #include "core/skipgate.h"
 #include "crypto/rng.h"
@@ -607,6 +614,253 @@ TEST(PartyWarmState, ArmSessionRecoversAfterMidProtocolThrow) {
   EXPECT_EQ(recovered.outputs[0], 42u);
   EXPECT_EQ(recovered.stats.ot_base_ots, gc::kOtKappa);  // re-based after abort
   EXPECT_EQ(recovered.cycles, ok.cycles);
+}
+
+// --- windowed streamed OT and deferred decode --------------------------------------
+
+/// The TinyGarble 4x4 matrix product: 64 cycles, 32 streamed Bob bits and a
+/// sampled output frame every cycle.
+circuits::TgInstance matmult4() {
+  std::vector<std::uint32_t> a(16);
+  std::vector<std::uint32_t> b(16);
+  std::iota(a.begin(), a.end(), 1u);
+  std::iota(b.begin(), b.end(), 100u);
+  return circuits::tg_matmult(4, a, b);
+}
+
+/// Windowing moves only when Bob's streamed OTs run and when the garbler
+/// decodes; the labels, and so every garbled table, stay those of the
+/// per-cycle schedule. The digest is pinned to that schedule's value under
+/// every OT backend and both compositions.
+TEST(PartySchedule, MatmultTableDigestIsTheLockStepSchedules) {
+  const circuits::TgInstance inst = matmult4();
+  std::vector<std::uint64_t> expected;
+  for (std::size_t i = 0; i < 4; ++i) {
+    for (std::size_t j = 0; j < 4; ++j) {
+      std::uint32_t acc = 0;
+      for (std::size_t k = 0; k < 4; ++k) acc += (4 * i + k + 1) * (100 + 4 * k + j);
+      expected.push_back(acc);
+    }
+  }
+  for (const gc::OtBackend ot :
+       {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+    for (const a2gtest::Composition c : a2gtest::kCompositions) {
+      core::RunOptions opts;
+      opts.fixed_cycles = inst.cycles;
+      opts.exec.ot_backend = ot;
+      const core::RunResult r =
+          a2gtest::run_composed(c, inst.nl, opts, inst.alice, inst.bob, inst.pub, &inst.streams);
+      EXPECT_EQ(r.stats.table_digest.hex(), "89a6fcf45d58861e7b92e1250613b398");
+      EXPECT_EQ(r.stats.garbled_non_xor, 65040u);
+      EXPECT_EQ(r.sampled_outputs.size(), inst.cycles);
+      EXPECT_EQ(inst.decode(r.sampled_outputs), expected);
+      // 64 cycles x 32 streamed Bob choices fit one window: one batch.
+      EXPECT_EQ(r.stats.ot_batches, 1u);
+    }
+  }
+}
+
+/// Serial adder over an Alice bit and two Bob bits per cycle, with a public
+/// 4-bit counter whose value 11 drives the halt wire (output 0).
+netlist::Netlist halting_stream_adder() {
+  builder::CircuitBuilder cb;
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0, /*streamed=*/true);
+  const builder::Wire b0 = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
+  const builder::Wire b1 = cb.input(netlist::Owner::Bob, 1, /*streamed=*/true);
+  const auto cnt = cb.make_dff_bus(4);
+  const auto carry = cb.make_dff(netlist::Dff::Init::Zero);
+  const builder::Bus cur = cb.dff_out_bus(cnt);
+  cb.set_dff_d_bus(cnt, builder::inc(cb, cur));
+  const auto fa = builder::full_adder(cb, a, cb.xor_(b0, b1), cb.dff_out(carry));
+  cb.set_dff_d(carry, fa.carry);
+  cb.output(cb.and_(cb.and_(cur[0], cur[1]),
+                    cb.and_(builder::CircuitBuilder::not_(cur[2]), cur[3])),
+            "halt");
+  cb.output(fa.sum, "sum");
+  cb.set_outputs_every_cycle(true);
+  return cb.take();
+}
+
+bool alice_bit(std::uint64_t cycle) { return ((0xB5u >> (cycle % 8)) & 1u) != 0; }
+bool bob_bit0(std::uint64_t cycle) { return (cycle & 1) != 0; }
+bool bob_bit1(std::uint64_t cycle) { return (cycle & 4) != 0; }
+
+/// A run that may stop on its halt wire is certain of no cycle ahead, so it
+/// opens a one-cycle OT window every cycle: its byte stream, per traffic
+/// class, and its stream-provider calls are those of the per-cycle
+/// schedule (pinned values).
+TEST(PartySchedule, HaltDrivenStreamedRunKeepsPerCycleBytes) {
+  const netlist::Netlist nl = halting_stream_adder();
+  struct Pin {
+    gc::OtBackend ot;
+    std::uint64_t ot_bytes;
+  };
+  for (const Pin pin : {Pin{gc::OtBackend::Ideal, 768}, Pin{gc::OtBackend::Iknp, 6800},
+                        Pin{gc::OtBackend::Precomp, 54256}}) {
+    for (const a2gtest::Composition c : a2gtest::kCompositions) {
+      std::vector<std::uint64_t> bob_calls;
+      core::StreamProvider streams;
+      streams.alice = [](std::uint64_t cy) { return netlist::BitVec{alice_bit(cy)}; };
+      streams.bob = [&bob_calls](std::uint64_t cy) {
+        bob_calls.push_back(cy);
+        return netlist::BitVec{bob_bit0(cy), bob_bit1(cy)};
+      };
+      core::RunOptions opts;
+      opts.halt_wire = nl.outputs[0].wire;
+      opts.max_cycles = 64;
+      opts.exec.ot_backend = pin.ot;
+      const core::RunResult r = a2gtest::run_composed(c, nl, opts, {}, {}, {}, &streams);
+      EXPECT_EQ(r.final_cycle, 11u);
+      EXPECT_EQ(r.stats.comm.garbled_table_bytes, 352u);
+      EXPECT_EQ(r.stats.comm.input_label_bytes, 192u);
+      EXPECT_EQ(r.stats.comm.ot_bytes, pin.ot_bytes);
+      EXPECT_EQ(r.stats.comm.output_bytes, 192u);
+      EXPECT_EQ(r.stats.ot_batches, 12u);
+      EXPECT_EQ(r.stats.table_digest.hex(), "26248b9ceea3aa9ec0f124efe03a659b");
+      std::vector<std::uint64_t> per_cycle(12);
+      std::iota(per_cycle.begin(), per_cycle.end(), 0u);
+      EXPECT_EQ(bob_calls, per_cycle);
+      // Sum bits: a + (b0 ^ b1) + carry, LSB first, every cycle.
+      unsigned carry = 0;
+      for (std::uint64_t cy = 0; cy <= 11; ++cy) {
+        const unsigned t = (alice_bit(cy) ? 1 : 0) + (bob_bit0(cy) != bob_bit1(cy) ? 1 : 0) + carry;
+        EXPECT_EQ(r.sampled_outputs[cy][1], (t & 1u) != 0) << cy;
+        carry = t >> 1;
+      }
+    }
+  }
+}
+
+/// `width` streamed Alice and Bob bits per cycle; the first `outputs` of the
+/// pairwise products a_i & b_j (row-major) are sampled every cycle, all
+/// secret — each costs the evaluator one 16-byte label per cycle.
+netlist::Netlist stream_products(std::uint32_t width, std::size_t outputs) {
+  builder::CircuitBuilder cb;
+  const builder::Bus a = cb.input_bus(netlist::Owner::Alice, width, 0, /*streamed=*/true);
+  const builder::Bus b = cb.input_bus(netlist::Owner::Bob, width, 0, /*streamed=*/true);
+  for (std::size_t k = 0; k < outputs; ++k) cb.output(cb.and_(a[k / width], b[k % width]));
+  cb.set_outputs_every_cycle(true);
+  return cb.take();
+}
+
+std::uint64_t stream_word(std::uint64_t seed, std::uint64_t cycle) {
+  return (seed ^ (cycle * 0x9E3779B97F4A7C15ull)) * 0xD1B54A32D192ED03ull;
+}
+
+core::StreamProvider stream_products_inputs(std::uint32_t width) {
+  core::StreamProvider s;
+  s.alice = [width](std::uint64_t c) { return to_bits(stream_word(1, c), width); };
+  s.bob = [width](std::uint64_t c) { return to_bits(stream_word(2, c), width); };
+  return s;
+}
+
+void expect_stream_products(const core::RunResult& r, std::uint32_t width, std::size_t outputs,
+                            std::uint64_t cycles) {
+  ASSERT_EQ(r.sampled_outputs.size(), cycles);
+  for (std::uint64_t c = 0; c < cycles; ++c) {
+    const netlist::BitVec a = to_bits(stream_word(1, c), width);
+    const netlist::BitVec b = to_bits(stream_word(2, c), width);
+    ASSERT_EQ(r.sampled_outputs[c].size(), outputs);
+    for (std::size_t k = 0; k < outputs; ++k) {
+      ASSERT_EQ(r.sampled_outputs[c][k], a[k / width] && b[k % width]) << c << "," << k;
+    }
+  }
+}
+
+/// The deferred decode leaves one output frame unread while the garbler
+/// sends the next cycle's tables; that is deadlock-free only while the frame
+/// fits gc::kFlushBytes. 4096 outputs (exactly 64 KiB) still defer, 4097
+/// decode in-cycle; both must finish over a socket pair and match the
+/// lock-step run.
+TEST(PartySchedule, OutputFrameAtTheFlushBoundaryRunsOverASocketPair) {
+  constexpr std::uint64_t kCycles = 5;
+  for (const std::size_t outputs : {std::size_t{4096}, std::size_t{4097}}) {
+    const std::uint32_t width = outputs == 4096 ? 64 : 65;
+    const netlist::Netlist nl = stream_products(width, outputs);
+    const core::StreamProvider streams = stream_products_inputs(width);
+    core::RunOptions opts;
+    opts.fixed_cycles = kCycles;
+    opts.exec.ot_backend = gc::OtBackend::Iknp;
+    const core::RunResult ref = core::SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
+    expect_stream_products(ref, width, outputs, kCycles);
+    const a2gtest::SocketRun s = a2gtest::socket_run(nl, opts, {}, {}, {}, &streams);
+    expect_matches_reference(s, ref);
+    EXPECT_EQ(s.garbler.stats.comm.output_bytes, 16u * outputs * kCycles);
+  }
+}
+
+/// Precomp with a pool far below a window's demand: every refill slot that
+/// fires finds the previous cycle's output frame held, and must decode it
+/// before reading the refill request behind it on the wire.
+TEST(PartySchedule, PrecompRefillDrainsAHeldDecode) {
+  constexpr std::uint32_t kWidth = 64;
+  constexpr std::uint64_t kCycles = 130;  // OT windows open at 0, 64 and 128
+  const netlist::Netlist nl = stream_products(kWidth, kWidth + 1);
+  const core::StreamProvider streams = stream_products_inputs(kWidth);
+  core::RunOptions opts;
+  opts.fixed_cycles = kCycles;
+  opts.exec.ot_backend = gc::OtBackend::Precomp;
+  opts.exec.ot_pool = 100;
+  const core::RunResult ref = core::SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
+  expect_stream_products(ref, kWidth, kWidth + 1, kCycles);
+  EXPECT_EQ(ref.stats.ot_batches, 3u);
+
+  // The garbler hook by hook over a socket pair, counting refill slots that
+  // read while a decode is held (every non-final cycle is sampled and held,
+  // so each reading slot has one) and checking that sample reads exactly
+  // when no earlier reading hook has drained the held frame.
+  a2gtest::SocketPair pair;
+  core::RunResult g;
+  std::exception_ptr garbler_error;
+  std::uint64_t reading_refills = 0;
+  std::uint64_t reading_begins = 0;
+  std::thread garbler_thread([&] {
+    try {
+      core::GarblerEndpoint ep(nl, core::party_options(core::Role::Garbler, opts),
+                               pair.garbler->end());
+      ep.start({}, {}, &streams);
+      bool drained = true;  // nothing is held before cycle 0
+      for (std::uint64_t cycle = 0;; ++cycle) {
+        if (ep.begin_reads(cycle)) {
+          ++reading_begins;
+          drained = true;
+        }
+        ep.begin(cycle);
+        const bool is_final = ep.work(cycle);
+        EXPECT_EQ(ep.sample_reads(), !drained || is_final) << cycle;
+        ep.sample();
+        drained = false;
+        if (is_final) break;
+        ep.latch();
+        if (ep.ot_refill_reads()) {
+          ++reading_refills;
+          drained = true;
+        }
+        ep.ot_refill();
+      }
+      g = ep.finish();
+    } catch (...) {
+      garbler_error = std::current_exception();
+      pair.garbler->close();
+    }
+  });
+  core::RunResult e;
+  try {
+    core::EvaluatorEndpoint ep(nl, core::party_options(core::Role::Evaluator, opts),
+                               pair.evaluator->end());
+    e = ep.run({}, {}, &streams);
+  } catch (...) {
+    pair.evaluator->close();
+    garbler_thread.join();
+    throw;
+  }
+  garbler_thread.join();
+  if (garbler_error) std::rethrow_exception(garbler_error);
+  EXPECT_EQ(reading_begins, 3u);
+  EXPECT_GT(reading_refills, 0u);
+  EXPECT_EQ(g.sampled_outputs, ref.sampled_outputs);
+  EXPECT_TRUE(g.stats.table_digest == ref.stats.table_digest);
+  EXPECT_TRUE(e.stats.table_digest == ref.stats.table_digest);
 }
 
 }  // namespace

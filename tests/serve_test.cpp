@@ -16,7 +16,10 @@
 //     with or without trailing garbage) never poisons the pooled WarmState —
 //     the next client's run is byte-identical to an undisturbed one;
 //   - untrusted wrap-up: a service claiming more output bits than the
-//     netlist has is rejected before the client allocates for them.
+//     netlist has is rejected before the client allocates for them;
+//   - exact park predicates: streamed programs (OT windows, deferred
+//     decode) finish under short recv deadlines, so no phase parks on a
+//     read that never comes.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -24,6 +27,7 @@
 #include <exception>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
@@ -31,6 +35,7 @@
 #include "arm/arm2gc.h"
 #include "builder/circuit_builder.h"
 #include "builder/stdlib.h"
+#include "circuits/tg_circuits.h"
 #include "core/party.h"
 #include "core/skipgate.h"
 #include "gc/transport_socket.h"
@@ -477,6 +482,98 @@ TEST(GarblerService, MidProtocolDisconnectNeverPoisonsWarmPool) {
   // The killers drew from (and the teardown re-based + returned) the pool.
   EXPECT_EQ(st.warm_misses, 1u);
   EXPECT_EQ(st.warm_hits, 4u);
+}
+
+/// Bob-streamed accumulator with a final-only output: each cycle folds the
+/// inner product of 8 streamed Alice and Bob bits into a secret parity.
+netlist::Netlist streamed_parity_netlist() {
+  builder::CircuitBuilder cb;
+  const builder::Bus x = cb.input_bus(netlist::Owner::Alice, 8, 0, /*streamed=*/true);
+  const builder::Bus y = cb.input_bus(netlist::Owner::Bob, 8, 0, /*streamed=*/true);
+  const auto acc = cb.make_dff();
+  builder::Wire v = cb.dff_out(acc);
+  for (std::size_t i = 0; i < 8; ++i) v = cb.xor_(v, cb.and_(x[i], y[i]));
+  cb.set_dff_d(acc, v);
+  cb.output(v, "parity");
+  return cb.take();
+}
+
+/// Served streamed programs under short recv deadlines on both sides. The
+/// garbler reads from the client only at an OT window's first cycle, at a
+/// due decode and at a due refill; a park anywhere else waits for bytes the
+/// client never sends, and the run stalls. Two
+/// shapes: tg_matmult(2) samples outputs every cycle (deferred decode), and
+/// the streamed parity samples only the final cycle.
+TEST(GarblerService, StreamedProgramsParkOnlyWhereTheEndpointReads) {
+  constexpr int kDeadlineMs = 2000;
+  constexpr std::size_t kPool = 16;
+  const circuits::TgInstance mat = circuits::tg_matmult(2, {1, 2, 3, 4}, {5, 6, 7, 8});
+  const netlist::Netlist parity_nl = streamed_parity_netlist();
+  core::StreamProvider parity_streams;
+  parity_streams.alice = [](std::uint64_t c) { return to_bits(0x5Au ^ (7 * c), 8); };
+  parity_streams.bob = [](std::uint64_t c) { return to_bits(0xC3u + 3 * c, 8); };
+  struct Case {
+    const char* name;
+    const netlist::Netlist* nl;
+    std::uint64_t cycles;
+    netlist::BitVec alice;
+    netlist::BitVec bob;
+    const core::StreamProvider* streams;
+  };
+  const Case cases[] = {
+      {"matmult2", &mat.nl, mat.cycles, mat.alice, mat.bob, &mat.streams},
+      {"parity", &parity_nl, 40, {}, {}, &parity_streams},
+  };
+  for (const Case& c : cases) {
+    for (const gc::OtBackend ot : {gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+      core::RunOptions opts;
+      opts.fixed_cycles = c.cycles;
+      opts.exec.ot_backend = ot;
+      opts.exec.ot_pool = kPool;
+      const a2gtest::SocketRun ref =
+          a2gtest::socket_run(*c.nl, opts, c.alice, c.bob, {}, c.streams);
+
+      serve::ProgramSpec spec;
+      spec.name = c.name;
+      spec.nl = c.nl;
+      spec.opts.fixed_cycles = c.cycles;
+      spec.alice_bits = c.alice;
+      spec.streams = c.streams;
+      serve::ServiceOptions so;
+      so.recv_timeout_ms = kDeadlineMs;
+      serve::GarblerService service({spec}, so);
+      service.start();
+      serve::ClientOptions co;
+      co.program = c.name;
+      co.fixed_cycles = c.cycles;
+      co.ot_backend = ot;
+      co.ot_pool = kPool;
+      co.recv_timeout_ms = kDeadlineMs;
+      // A blocking client waits out a stalled service with no deadline of
+      // its own, so the run gets one here; stopping the service closes a
+      // stalled connection and releases the client.
+      std::future<serve::ClientResult> run = std::async(std::launch::async, [&] {
+        return serve::run_client("127.0.0.1", service.port(), *c.nl, co, c.bob, {}, c.streams);
+      });
+      const bool finished = run.wait_for(std::chrono::seconds(20)) == std::future_status::ready;
+      service.stop();
+      ASSERT_TRUE(finished) << c.name << ": a served phase parked on a read that never came";
+      const serve::ClientResult res = run.get();
+
+      EXPECT_EQ(res.outputs, ref.garbler.final_outputs) << c.name;
+      EXPECT_EQ(res.cycles, c.cycles);
+      EXPECT_EQ(res.garbled_non_xor, ref.garbler.stats.garbled_non_xor);
+      EXPECT_TRUE(res.table_digest == ref.garbler.stats.table_digest);
+      EXPECT_EQ(res.comm_total().total(), ref.garbler.stats.comm.total());
+      EXPECT_EQ(service.stats().runs_ok, 1u);
+    }
+  }
+  // The product itself, from the served path's reference.
+  core::RunOptions opts;
+  opts.fixed_cycles = mat.cycles;
+  const core::RunResult r = core::SkipGateDriver(mat.nl, opts).run(mat.alice, mat.bob, {},
+                                                                    &mat.streams);
+  EXPECT_EQ(mat.decode(r.sampled_outputs), (std::vector<std::uint64_t>{19, 22, 43, 50}));
 }
 
 /// A hostile service: it answers the hello and garbles honestly, then claims

@@ -442,18 +442,26 @@ TEST(SkipGateTransport, SocketPairMatchesInMemoryRandomCircuits) {
 }
 
 TEST(SkipGateTransport, LongRunKeepsTransportMemoryBounded) {
-  // 4096 cycles of the serial adder move ~4096 garbled tables plus OT and
-  // output traffic; the in-memory FIFOs must self-compact so the transport
-  // never buffers more than one cycle's frames.
+  // Thousands of cycles of the serial adder move a garbled table per cycle
+  // plus OT and output traffic; the in-memory FIFOs must self-compact so
+  // the backlog never grows with run length. The largest frame is one OT
+  // window's batch (kOtWindowChoices streamed Bob choices, 2 blocks each
+  // under the Ideal backend); beyond it at most a cycle's frames wait.
   const netlist::Netlist nl = make_serial_adder();
   core::StreamProvider streams;
   streams.alice = [](std::uint64_t c) { return netlist::BitVec{(c & 1) != 0}; };
   streams.bob = [](std::uint64_t c) { return netlist::BitVec{(c & 3) == 2}; };
-  RunOptions opts;
-  opts.fixed_cycles = 4096;
-  const RunResult mem = SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
-  EXPECT_GT(mem.stats.comm.total(), 4096u * 32);
-  EXPECT_LE(mem.stats.transport_high_water_blocks, 16u);
+  std::uint64_t high_water[2] = {};
+  const std::uint64_t cycles[2] = {4096, 16384};
+  for (int k = 0; k < 2; ++k) {
+    RunOptions opts;
+    opts.fixed_cycles = cycles[k];
+    const RunResult mem = SkipGateDriver(nl, opts).run({}, {}, {}, &streams);
+    EXPECT_GT(mem.stats.comm.total(), cycles[k] * 32);
+    high_water[k] = mem.stats.transport_high_water_blocks;
+  }
+  EXPECT_EQ(high_water[0], high_water[1]);
+  EXPECT_LE(high_water[1], 2 * core::kOtWindowChoices + 16);
 }
 
 TEST(SkipGate, GarblingSchemesAllWork) {
