@@ -325,6 +325,7 @@ RunResult GarblerEndpoint::finish() {
   stats_.skipped_non_xor = stats_.non_xor_slots - stats_.garbled_non_xor;
   stats_.plan_cache_hits = planner_.cache_hits();
   stats_.plan_cache_misses = planner_.cache_misses();
+  stats_.plan_link_hits = planner_.link_hits();
   stats_.cone_hits = planner_.cone_hits();
   stats_.cone_misses = planner_.cone_misses();
   // The sender side is the authoritative OT ledger (counts are identical on
@@ -511,6 +512,7 @@ RunResult EvaluatorEndpoint::finish() {
   if (planner_ != nullptr) {
     stats_.plan_cache_hits = planner_->cache_hits();
     stats_.plan_cache_misses = planner_->cache_misses();
+    stats_.plan_link_hits = planner_->link_hits();
     stats_.cone_hits = planner_->cone_hits();
     stats_.cone_misses = planner_->cone_misses();
   }

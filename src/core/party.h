@@ -78,6 +78,10 @@ struct RunStats {
   /// Cycles whose classification was served from the plan cache / computed.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
+  /// Plan cache hits reached through the previous cycle's entry's
+  /// successor link, skipping the hash lookup (a warm run of one program
+  /// walks its entry chain: every hit but the first after reset).
+  std::uint64_t plan_link_hits = 0;
   /// Cone-granular memo counters: segments adopted from / classified into
   /// the cone memo on cycles the whole-netlist plan cache missed. A cone hit
   /// is work the flat cache could not save (similar-but-not-identical entry

@@ -32,14 +32,21 @@ std::uint8_t pack_bits(const WireState& s) {
                                    (s.flip ? 4u : 0u));
 }
 
-std::uint64_t fnv1a64(const std::vector<std::uint32_t>& v) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint32_t x : v) {
-    h ^= x;
-    h *= 1099511628211ull;
-  }
-  return h;
+/// One root's contribution to the entry signature's hash: a splitmix64
+/// finalizer over (position, term), a bijection, so the position-mixed sum
+/// over roots changes in O(1) when one root's term does.
+std::uint64_t sig_mix(WireId pos, std::uint32_t term) {
+  std::uint64_t x = static_cast<std::uint64_t>(pos) << 32 | term;
+  x ^= x >> 30;
+  x *= 0xbf58476d1ce4e5b9ull;
+  x ^= x >> 27;
+  x *= 0x94d049bb133111ebull;
+  x ^= x >> 31;
+  return x;
 }
+
+constexpr std::uint32_t pub_term(const WireState& s) { return 1u | (s.val ? 2u : 0u); }
+constexpr std::uint32_t secret_term(WireId rep, bool flip) { return rep << 2 | (flip ? 2u : 0u); }
 
 std::uint64_t fnv1a64_u64(const std::vector<std::uint64_t>& v) {
   std::uint64_t h = 1469598103934665603ull;
@@ -78,10 +85,16 @@ std::uint64_t netlist_content_key(const Netlist& nl, Mode mode) {
                             (static_cast<std::uint64_t>(d.init_index) << 3) |
                             (static_cast<std::uint64_t>(d.d) << 32));
   }
-  for (const Gate& g : nl.gates) {
-    h = fnv1a64_step(h, static_cast<std::uint64_t>(g.a) | (static_cast<std::uint64_t>(g.b) << 32));
-    h = fnv1a64_step(h, static_cast<std::uint64_t>(g.tt));
+  // Gates dominate and the key is recomputed by every planner: four
+  // interleaved lanes keep the multiply chains independent.
+  std::array<std::uint64_t, 4> lane = {h, h ^ 1, h ^ 2, h ^ 3};
+  for (std::size_t i = 0; i < nl.gates.size(); ++i) {
+    const Gate& g = nl.gates[i];
+    std::uint64_t& l = lane[i & 3];
+    l = fnv1a64_step(l, static_cast<std::uint64_t>(g.a) | (static_cast<std::uint64_t>(g.b) << 32));
+    l = fnv1a64_step(l, static_cast<std::uint64_t>(g.tt));
   }
+  for (const std::uint64_t l : lane) h = fnv1a64_step(h, l);
   for (const netlist::OutputPort& o : nl.outputs) {
     h = fnv1a64_step(h, static_cast<std::uint64_t>(o.wire) | (o.invert ? 1ull << 32 : 0));
   }
@@ -343,6 +356,17 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
                             (static_cast<std::uint64_t>(s.count) << 32));
   }
   layout.key = h;
+
+  const std::size_t nseg = layout.segments.size();
+  layout.dep_offsets.assign(nseg + 1, 0);
+  for (std::size_t si = 0; si < nseg; ++si) {
+    layout.dep_offsets[si + 1] =
+        layout.dep_offsets[si] + static_cast<std::uint32_t>(layout.segments[si].deps.size());
+  }
+  layout.dep_edges.reserve(layout.dep_offsets[nseg]);
+  for (const PlanSegment& s : layout.segments) {
+    layout.dep_edges.insert(layout.dep_edges.end(), s.deps.begin(), s.deps.end());
+  }
   return layout;
 }
 
@@ -354,15 +378,30 @@ PlanCache::PlanCache(std::size_t budget_bytes, bool insert_on_first_sight)
     : budget_bytes_(budget_bytes), insert_first_(insert_on_first_sight) {}
 PlanCache::~PlanCache() = default;
 
-void PlanCache::ensure_sized(std::uint64_t netlist_key, std::size_t num_wires,
-                             std::size_t num_gates, std::size_t roots) {
+void PlanCache::ensure_sized(const Netlist& nl, std::uint64_t netlist_key,
+                             std::size_t target_gates) {
   if (capacity_ != 0) {
     if (netlist_key_ != netlist_key) {
       throw std::invalid_argument("plan cache reused across different netlists");
     }
+    // Entries are indexed by segment: a target that cuts differently would
+    // read their per-segment offsets out of range.
+    if (target_gates != target_gates_ &&
+        PlanLayout::build(nl, target_gates, netlist_key).key != layout_.key) {
+      throw std::invalid_argument("plan cache reused across different cone layouts");
+    }
     return;
   }
+  // Validated once per binding: a later planner's netlist carries the same
+  // content key, which covers every field validate() checks.
+  nl.validate();
   netlist_key_ = netlist_key;
+  target_gates_ = target_gates;
+  layout_ = PlanLayout::build(nl, target_gates, netlist_key);
+  non_free_ = nl.count_non_free();
+  const std::size_t num_wires = nl.num_wires();
+  const std::size_t num_gates = nl.gates.size();
+  const std::size_t roots = nl.first_gate_wire();
   // Rough per-entry footprint: signature + acts + pass sources + packed
   // wire bits + touch list + two backward variants (emit + live each). The
   // touch list is charged at full netlist size; on SkipGate workloads the
@@ -430,6 +469,7 @@ PlanCache::Entry* PlanCache::insert(std::uint64_t hash, const std::vector<std::u
   Entry& e = lru_.front();
   e.hash = hash;
   e.sig = sig;
+  e.self = lru_.begin();
   map_[hash].push_back(lru_.begin());
   return &e;
 }
@@ -527,18 +567,10 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
     : nl_(nl),
       opts_(opts),
       fp_gen_(opts.seed ^ Block{0xf1f2f3f4f5f6f7f8ULL, 0x0102030405060708ULL}) {
-  nl_.validate();
   if (nl_.gates.size() >= (std::size_t{1} << (32 - kOpShift))) {
     throw std::length_error("planner: netlist exceeds the verify program's gate index range");
   }
-  const std::size_t nw = nl_.num_wires();
-  st_.resize(nw);
-  needed_.assign(nw, 0);
-  non_free_per_cycle_ = nl_.count_non_free();
-  netlist_key_ = netlist_content_key(nl_, opts_.mode);
-  layout_ = PlanLayout::build(nl_, opts_.cone_target_gates, netlist_key_);
-
-  const std::size_t roots = netlist::kFirstInputWire + nl_.inputs.size() + nl_.dffs.size();
+  const std::uint64_t netlist_key = netlist_content_key(nl_, opts_.mode);
   if (opts_.cache) {
     if (opts_.shared_cache != nullptr) {
       cache_ = opts_.shared_cache;
@@ -549,7 +581,16 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
                                                  /*insert_on_first_sight=*/false);
       cache_ = owned_cache_.get();
     }
-    cache_->ensure_sized(netlist_key_, nw, nl_.gates.size(), roots);
+    // The cache builds the layout on first use; a warm cache lends it.
+    cache_->ensure_sized(nl_, netlist_key, opts_.cone_target_gates);
+    layout_ = &cache_->layout_;
+    non_free_per_cycle_ = cache_->non_free_;
+  } else {
+    nl_.validate();
+    owned_layout_ = std::make_unique<PlanLayout>(
+        PlanLayout::build(nl_, opts_.cone_target_gates, netlist_key));
+    layout_ = owned_layout_.get();
+    non_free_per_cycle_ = nl_.count_non_free();
   }
   if (opts_.cone_memo) {
     if (opts_.shared_cone_memo != nullptr) {
@@ -558,25 +599,22 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
       owned_memo_ = std::make_unique<ConeMemo>(opts_.cone_memo_budget_bytes);
       memo_ = owned_memo_.get();
     }
-    memo_->ensure_sized(layout_.key, layout_);
+    memo_->ensure_sized(layout_->key, *layout_);
   }
-  if (cache_ != nullptr || memo_ != nullptr) {
-    class_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
-  }
-  slices_.reserve(layout_.segments.size());
 
-  // Flatten the per-segment dependency lists into the CSR that schedules
-  // cone-parallel work (and rides along in every CyclePlan).
-  const std::size_t nseg = layout_.segments.size();
-  slice_dep_offsets_.assign(nseg + 1, 0);
-  for (std::size_t si = 0; si < nseg; ++si) {
-    slice_dep_offsets_[si + 1] =
-        slice_dep_offsets_[si] + static_cast<std::uint32_t>(layout_.segments[si].deps.size());
+  const std::size_t roots = nl_.first_gate_wire();
+  st_.resize(nl_.num_wires());
+  for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
+    if (nl_.inputs[i].streamed) streamed_.push_back(static_cast<std::uint32_t>(i));
   }
-  slice_dep_edges_.reserve(slice_dep_offsets_[nseg]);
-  for (const PlanSegment& s : layout_.segments) {
-    slice_dep_edges_.insert(slice_dep_edges_.end(), s.deps.begin(), s.deps.end());
+  if (cache_ != nullptr) {
+    terms_.assign(roots, 0);
+    rep_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
+    rep_next_.assign(roots, kNoWire);
   }
+
+  const std::size_t nseg = layout_->segments.size();
+  slices_.reserve(nseg);
   seg_touch_.resize(nseg);
   seg_ok_.assign(nseg, 1);
   if (memo_ != nullptr) {
@@ -639,71 +677,206 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
   // Constants. Conventional GC treats even constants as secret wires; the
   // planner tracks them with fingerprints like any other secret.
   if (opts_.mode == Mode::SkipGate) {
-    const_st_[0] = pub_state(false);
-    const_st_[1] = pub_state(true);
+    st_[netlist::kConst0] = pub_state(false);
+    st_[netlist::kConst1] = pub_state(true);
   } else {
-    bind_secret_fp(const_st_[0]);
-    bind_secret_fp(const_st_[1]);
+    bind_secret_fp(st_[netlist::kConst0]);
+    bind_secret_fp(st_[netlist::kConst1]);
   }
 
   // Fixed primary inputs: public ones carry their value (SkipGate mode);
   // secret ones carry a fresh fingerprint. Values of secret inputs never
-  // reach the planner — it consumes public data only.
-  fixed_st_.assign(nl_.inputs.size(), WireState{});
+  // reach the planner — it consumes public data only. Constants and fixed
+  // inputs keep these states for the whole run.
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
     const netlist::Input& in = nl_.inputs[i];
     if (in.streamed) continue;
+    WireState& s = st_[nl_.input_wire(i)];
     if (in.owner == Owner::Public && opts_.mode == Mode::SkipGate) {
-      fixed_st_[i] = pub_state(pub_bit(in.bit_index, "fixed input"));
+      s = pub_state(pub_bit(in.bit_index, "fixed input"));
     } else {
-      bind_secret_fp(fixed_st_[i]);
+      bind_secret_fp(s);
     }
   }
 
   // Flip-flop initial values, installed on the flip-flop output wires here;
   // from then on latch() installs the ones whose state changes.
-  dff_st_.assign(nl_.dffs.size(), WireState{});
   for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
     const Dff& d = nl_.dffs[i];
     const bool const_init = d.init == Dff::Init::Zero || d.init == Dff::Init::One;
+    WireState& s = st_[nl_.dff_wire(i)];
     if (const_init && opts_.mode == Mode::SkipGate) {
-      dff_st_[i] = pub_state(d.init == Dff::Init::One);
+      s = pub_state(d.init == Dff::Init::One);
     } else {
-      bind_secret_fp(dff_st_[i]);
+      bind_secret_fp(s);
     }
-    st_[nl_.dff_wire(i)] = dff_st_[i];
   }
 
+  // Streamed inputs still hold the previous run's states; the rebuilt
+  // signature covers them as they are, and begin_cycle() rewrites them
+  // incrementally like any other root.
+  if (cache_ != nullptr) rebuild_terms();
   cur_ = nullptr;
+  prev_ = nullptr;
 }
 
 void Planner::begin_cycle(const netlist::BitVec& pub_stream) {
-  st_[netlist::kConst0] = const_st_[0];
-  st_[netlist::kConst1] = const_st_[1];
-
-  for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
+  for (const std::uint32_t i : streamed_) {
     const netlist::Input& in = nl_.inputs[i];
-    const WireId w = nl_.input_wire(i);
-    if (!in.streamed) {
-      st_[w] = fixed_st_[i];
-      continue;
-    }
+    WireState s;
     if (in.owner == Owner::Public && opts_.mode == Mode::SkipGate) {
       if (in.bit_index >= pub_stream.size()) {
         throw std::out_of_range("skipgate: missing streamed input bit " +
                                 std::to_string(in.bit_index));
       }
-      st_[w] = pub_state(pub_stream[in.bit_index]);
+      s = pub_state(pub_stream[in.bit_index]);
     } else {
-      bind_secret_fp(st_[w]);
+      bind_secret_fp(s);
     }
+    set_root(nl_.input_wire(i), s);
   }
 }
 
+// ---------------------------------------------------------------------------
+// Kept entry signature. Invariant (plan cache on, after reset()): terms_,
+// terms_hash_ and the fingerprint classes describe st_[0 .. first_gate), so
+// every root write goes through set_root().
+// ---------------------------------------------------------------------------
+
+void Planner::set_term(WireId w, std::uint32_t term) {
+  terms_hash_ += sig_mix(w, term) - sig_mix(w, terms_[w]);
+  terms_[w] = term;
+}
+
+std::size_t Planner::rep_slot(const Block& fp) const {
+  const std::size_t mask = rep_table_.size() - 1;
+  std::size_t i = std::hash<Block>{}(fp)&mask;
+  while (rep_table_[i].epoch == rep_epoch_ && !(rep_table_[i].fp == fp)) i = (i + 1) & mask;
+  return i;
+}
+
+void Planner::rep_erase(std::size_t slot) {
+  // Backward-shift deletion: pull later probe-chain members into the hole
+  // unless their home slot lies cyclically in (hole, j].
+  const std::size_t mask = rep_table_.size() - 1;
+  std::size_t hole = slot;
+  for (std::size_t j = (hole + 1) & mask; rep_table_[j].epoch == rep_epoch_; j = (j + 1) & mask) {
+    const std::size_t home = std::hash<Block>{}(rep_table_[j].fp) & mask;
+    const bool stays = hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+    if (stays) continue;
+    rep_table_[hole] = rep_table_[j];
+    hole = j;
+  }
+  rep_table_[hole].epoch = 0;
+}
+
+void Planner::rep_remove(WireId w, const Block& fp) {
+  const std::size_t i = rep_slot(fp);
+  RepSlot& slot = rep_table_[i];
+  if (slot.head != w) {
+    WireId p = slot.head;
+    while (rep_next_[p] != w) p = rep_next_[p];
+    rep_next_[p] = rep_next_[w];
+    return;
+  }
+  const WireId head = rep_next_[w];
+  if (head == kNoWire) {
+    rep_erase(i);
+    return;
+  }
+  // The representative left: the next member represents the class now.
+  slot.head = head;
+  for (WireId m = head; m != kNoWire; m = rep_next_[m]) {
+    set_term(m, secret_term(head, st_[m].flip));
+  }
+}
+
+void Planner::rep_insert(WireId w, const WireState& s) {
+  RepSlot& slot = rep_table_[rep_slot(s.fp)];
+  if (slot.epoch != rep_epoch_) {
+    slot = RepSlot{s.fp, w, rep_epoch_};
+    rep_next_[w] = kNoWire;
+    set_term(w, secret_term(w, s.flip));
+    return;
+  }
+  if (w < slot.head) {
+    // A new representative: every member's term names it.
+    rep_next_[w] = slot.head;
+    for (WireId m = slot.head; m != kNoWire; m = rep_next_[m]) {
+      set_term(m, secret_term(w, st_[m].flip));
+    }
+    slot.head = w;
+    set_term(w, secret_term(w, s.flip));
+    return;
+  }
+  WireId p = slot.head;
+  while (rep_next_[p] != kNoWire && rep_next_[p] < w) p = rep_next_[p];
+  rep_next_[w] = rep_next_[p];
+  rep_next_[p] = w;
+  set_term(w, secret_term(slot.head, s.flip));
+}
+
+void Planner::set_root(WireId w, const WireState& s) {
+  WireState& cur = st_[w];
+  if (cache_ != nullptr) {
+    if (!cur.is_pub) rep_remove(w, cur.fp);
+    if (s.is_pub) {
+      set_term(w, pub_term(s));
+    } else {
+      rep_insert(w, s);
+    }
+  }
+  cur = s;
+}
+
+void Planner::rebuild_terms() {
+  // Descending sweep: prepending keeps every class chain ascending and
+  // leaves its lowest member at the head. Then each class's head names it in
+  // its members' terms.
+  const WireId roots = nl_.first_gate_wire();
+  ++rep_epoch_;
+  for (WireId w = roots; w-- > 0;) {
+    const WireState& s = st_[w];
+    if (s.is_pub) continue;
+    RepSlot& slot = rep_table_[rep_slot(s.fp)];
+    if (slot.epoch != rep_epoch_) {
+      slot = RepSlot{s.fp, w, rep_epoch_};
+      rep_next_[w] = kNoWire;
+    } else {
+      rep_next_[w] = slot.head;
+      slot.head = w;
+    }
+  }
+  terms_hash_ = 0;
+  for (WireId w = 0; w < roots; ++w) {
+    const WireState& s = st_[w];
+    const std::uint32_t head = s.is_pub ? w : rep_table_[rep_slot(s.fp)].head;
+    terms_[w] = s.is_pub ? pub_term(s) : secret_term(head, s.flip);
+    terms_hash_ += sig_mix(w, terms_[w]);
+  }
+}
+
+std::uint64_t Planner::signature_from_scratch(std::vector<std::uint32_t>& terms) const {
+  const WireId roots = nl_.first_gate_wire();
+  std::unordered_map<Block, WireId> lowest;
+  std::uint64_t hash = 0;
+  terms.assign(roots, 0);
+  for (WireId w = 0; w < roots; ++w) {
+    const WireState& s = st_[w];
+    terms[w] = s.is_pub ? pub_term(s)
+                        : secret_term(lowest.try_emplace(s.fp, w).first->second, s.flip);
+    hash += sig_mix(w, terms[w]);
+  }
+  return hash;
+}
+
 void Planner::build_signature() {
-  // Class ids are first-occurrence over the root sweep — the canonical
-  // whole-netlist entry signature.
+  // Class ids are first-occurrence over the root sweep. The table is sized
+  // on first use: a warm run never misses.
   const WireId first_gate = nl_.first_gate_wire();
+  if (class_table_.empty()) {
+    class_table_.resize(std::max<std::size_t>(16, next_pow2(2 * first_gate + 1)));
+  }
   sig_.clear();
   sig_.reserve(first_gate);
   ++class_epoch_;
@@ -761,43 +934,65 @@ void Planner::forward() {
   // functions of (epoch, gate) — identical across planner variants and
   // worker interleavings.
   ++fp_epoch_;
-  // The root signature keys the whole-netlist cache and supplies the
-  // segment keys' root words, so it is built whenever either reuse
-  // mechanism is on.
-  if (cache_ != nullptr || memo_ != nullptr) build_signature();
-  if (cache_ != nullptr) {
-    const std::uint64_t h = fnv1a64(sig_);
-    if (Entry* e = cache_->find(h, sig_)) {
-      cur_bits_ = e->wire_bits.data();
-      if (verify_entry(*e)) {
-        ++cache_hits_;
-        cur_ = e;
-        return;
-      }
+  // Misses cost milliseconds, so the cone memo's keys take their root words
+  // from the old-form signature, rebuilt in full.
+  const auto build_miss = [&](Entry& e) {
+    if (memo_ != nullptr) build_signature();
+    build_plan(e);
+    cur_ = &e;
+  };
+  if (cache_ == nullptr) {
+    ++cache_misses_;
+    build_miss(scratch_);
+    return;
+  }
+  // The previous entry and its successor link are trusted only while no
+  // eviction has happened since they were recorded.
+  const std::uint64_t stamp = cache_->evictions();
+  Entry* const prev = prev_stamp_ == stamp ? prev_ : nullptr;
+  prev_ = nullptr;
+  const bool linked = prev != nullptr && prev->next != nullptr && prev->next_stamp == stamp &&
+                      prev->next->hash == terms_hash_ && prev->next->sig == terms_;
+  Entry* e = nullptr;
+  if (linked) {
+    e = prev->next;
+    cache_->touch(*e);
+  } else {
+    e = cache_->find(terms_hash_, terms_);
+  }
+  if (e != nullptr) {
+    cur_bits_ = e->wire_bits.data();
+    if (!verify_entry(*e)) {
       // Signature matched but the XOR-linear fingerprint structure drifted:
       // reclassify this cycle uncached — its cones still serve from the
       // memo. The entry keeps serving states that do match it.
       ++cache_misses_;
       ++verify_rejects_;
-      build_plan(scratch_);
-      cur_ = &scratch_;
+      build_miss(scratch_);
       return;
     }
-    ++cache_misses_;
-    Entry* e = cache_->insert(h, sig_);
-    if (e == nullptr) e = &scratch_;
-    build_plan(*e);
+    ++cache_hits_;
+    if (linked) ++link_hits_;
     cur_ = e;
-    return;
+  } else {
+    ++cache_misses_;
+    e = cache_->insert(terms_hash_, terms_);
+    build_miss(e != nullptr ? *e : scratch_);
+    if (e == nullptr) return;
   }
-  ++cache_misses_;
-  build_plan(scratch_);
-  cur_ = &scratch_;
+  // An insert that evicted invalidates every link, the one it would write
+  // included.
+  if (prev != nullptr && cache_->evictions() == stamp) {
+    prev->next = e;
+    prev->next_stamp = stamp;
+  }
+  prev_ = e;
+  prev_stamp_ = cache_->evictions();
 }
 
 void Planner::build_plan(Entry& e) {
   const std::size_t ng = nl_.gates.size();
-  const std::size_t nseg = layout_.segments.size();
+  const std::size_t nseg = layout_->segments.size();
   e.act.resize(ng);
   e.pass_src.resize(ng);
   e.wire_bits.resize(nl_.num_wires());
@@ -813,8 +1008,8 @@ void Planner::build_plan(Entry& e) {
   const WireId first_gate = nl_.first_gate_wire();
   for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
 
-  const std::uint32_t* dep_off = slice_dep_offsets_.data();
-  const std::uint32_t* dep_edg = slice_dep_edges_.data();
+  const std::uint32_t* dep_off = layout_->dep_offsets.data();
+  const std::uint32_t* dep_edg = layout_->dep_edges.data();
 
   if (memo_ == nullptr) {
     // Cone-parallel classification without memoization: every segment
@@ -822,7 +1017,7 @@ void Planner::build_plan(Entry& e) {
     // reads of upstream slices are ordered by the dependency DAG.
     WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
       seg_touch_[si].clear();
-      classify_segment(e, layout_.segments[si], seg_touch_[si]);
+      classify_segment(e, layout_->segments[si], seg_touch_[si]);
     });
     for (std::size_t si = 0; si < nseg; ++si) {
       e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
@@ -840,7 +1035,7 @@ void Planner::build_plan(Entry& e) {
   // fingerprint structure), so a task walks them until one verifies; none
   // verifying reclassifies the cone.
   WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
-    const PlanSegment& seg = layout_.segments[si];
+    const PlanSegment& seg = layout_->segments[si];
     seg_touch_[si].clear();
     seg_probes_[si] = 0;
     build_segment_key(si, seg, seg_keys_[si]);
@@ -863,7 +1058,7 @@ void Planner::build_plan(Entry& e) {
   // LRU motion for every probe the parallel phase made, and insert fresh
   // classifications, in the exact serial order.
   for (std::size_t si = 0; si < nseg; ++si) {
-    const PlanSegment& seg = layout_.segments[si];
+    const PlanSegment& seg = layout_->segments[si];
     e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
     e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
     const std::uint32_t s32 = static_cast<std::uint32_t>(si);
@@ -1002,8 +1197,8 @@ bool Planner::verify_entry(Entry& e) {
   // fingerprints are rewritten by the fallback classification.
   const std::uint32_t* prog = e.program.data();
   const std::uint32_t* off = e.program_off.data();
-  const std::size_t nseg = layout_.segments.size();
-  WorkPool::execute(opts_.pool, nseg, slice_dep_offsets_.data(), slice_dep_edges_.data(),
+  const std::size_t nseg = layout_->segments.size();
+  WorkPool::execute(opts_.pool, nseg, layout_->dep_offsets.data(), layout_->dep_edges.data(),
                     [&](std::size_t si) {
                       seg_ok_[si] = run_program(prog + off[si], prog + off[si + 1]) ? 1 : 0;
                     });
@@ -1016,7 +1211,7 @@ void Planner::compile_entry(Entry& e) {
   const WireId* srcs = e.pass_src.data();
   const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
   const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
-  const std::size_t nseg = layout_.segments.size();
+  const std::size_t nseg = layout_->segments.size();
   std::vector<std::uint32_t>& prog = program_scratch_;
   prog.clear();
   e.program_off.assign(nseg + 1, 0);
@@ -1198,8 +1393,8 @@ CyclePlan Planner::finish(bool is_final) {
 
   slices_.clear();
   const bool conventional = opts_.mode == Mode::Conventional;
-  for (std::size_t si = 0; si < layout_.segments.size(); ++si) {
-    const PlanSegment& seg = layout_.segments[si];
+  for (std::size_t si = 0; si < layout_->segments.size(); ++si) {
+    const PlanSegment& seg = layout_->segments[si];
     PlanSlice slice;
     slice.act = cur_->act.data() + seg.first_gate;
     slice.pass_src = cur_->pass_src.data() + seg.first_gate;
@@ -1218,8 +1413,8 @@ CyclePlan Planner::finish(bool is_final) {
   plan.slices = slices_.data();
   plan.num_slices = slices_.size();
   plan.wire_bits = cur_->wire_bits.data();
-  plan.dep_offsets = slice_dep_offsets_.data();
-  plan.dep_edges = slice_dep_edges_.data();
+  plan.dep_offsets = layout_->dep_offsets.data();
+  plan.dep_edges = layout_->dep_edges.data();
   plan.num_gates = nl_.gates.size();
   plan.num_wires = nl_.num_wires();
   plan.emitted = b.emitted;
@@ -1248,7 +1443,7 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
     return;
   }
 
-  std::fill(needed_.begin(), needed_.end(), 0);
+  needed_.assign(nl_.num_wires(), 0);
   const bool sample = nl_.outputs_every_cycle || is_final;
   if (sample) {
     for (const netlist::OutputPort& o : nl_.outputs) {
@@ -1307,12 +1502,12 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
 
   // Per-slice work lists: the live subset of each segment's touch sublist,
   // as slice-relative indices.
-  const std::size_t nseg = layout_.segments.size();
+  const std::size_t nseg = layout_->segments.size();
   b.work.clear();
   b.work_off.assign(nseg + 1, 0);
   for (std::size_t si = 0; si < nseg; ++si) {
     b.work_off[si] = static_cast<std::uint32_t>(b.work.size());
-    const std::uint32_t fg = layout_.segments[si].first_gate;
+    const std::uint32_t fg = layout_->segments[si].first_gate;
     for (std::uint32_t t = e.touch_off[si]; t < e.touch_off[si + 1]; ++t) {
       const std::uint32_t i = e.touch[t];
       if (b.live[i] != 0) b.work.push_back(i - fg);
@@ -1358,20 +1553,22 @@ void Planner::latch(const CyclePlan& plan) {
   // is installed. Secret D-inputs latch the fingerprint of their resolved
   // source (a verified hit writes no pass-gate fingerprints).
   const Entry& e = *cur_;
+  latch_next_.resize(e.latch_dffs.size());
   for (std::size_t k = 0; k < e.latch_dffs.size(); ++k) {
-    const std::uint32_t i = e.latch_dffs[k];
-    const Dff& d = nl_.dffs[i];
+    const Dff& d = nl_.dffs[e.latch_dffs[k]];
+    WireState& s = latch_next_[k];
     if (k < e.latch_secret) {
-      WireState& s = dff_st_[i];
       s.is_pub = false;
       s.val = false;
       s.flip = plan.wire_flip(d.d) != d.d_invert;
       s.fp = st_[e.latch_src[k]].fp;
     } else {
-      dff_st_[i] = pub_state(plan.wire_value(d.d) != d.d_invert);
+      s = pub_state(plan.wire_value(d.d) != d.d_invert);
     }
   }
-  for (const std::uint32_t i : e.latch_dffs) st_[nl_.dff_wire(i)] = dff_st_[i];
+  for (std::size_t k = 0; k < e.latch_dffs.size(); ++k) {
+    set_root(nl_.dff_wire(e.latch_dffs[k]), latch_next_[k]);
+  }
 }
 
 }  // namespace arm2gc::core

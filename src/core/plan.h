@@ -18,13 +18,21 @@
 // is a pure function of the cycle's *entry state* — the public values, flip
 // parities and fingerprint-equivalence classes of the root wires (constants,
 // inputs, flip-flops) — plans are cached under a canonical signature of that
-// state (PlanCache). The garbled ARM core re-enters the same public control
-// state on every loop iteration (fetch/decode is public — the paper's whole
-// point), so repeated cycles skip classification entirely: a hit runs the
-// entry's compiled verify program instead — only the cycle's
-// fingerprint-dependent decisions and fresh fingerprints, a few percent of
-// the netlist — and the entry's latch list confines flip-flop bookkeeping
-// (planner and both party sessions) to the flip-flops whose state changes.
+// state (PlanCache). The signature is one positional term per root (public:
+// its value; secret: the lowest root index carrying an equal fingerprint, plus
+// its flip) under a position-mixed additive hash, and the planner keeps both
+// up to date incrementally: only the roots a cycle rewrites (its latch list
+// and streamed inputs) and their classes' representatives change. The garbled
+// ARM core re-enters the same public control state on every loop iteration
+// (fetch/decode is public — the paper's whole point), so repeated cycles skip
+// classification entirely: a hit runs the entry's compiled verify program
+// instead — only the cycle's fingerprint-dependent decisions and fresh
+// fingerprints, a few percent of the netlist — and the entry's latch list
+// confines flip-flop bookkeeping (planner and both party sessions) to the
+// flip-flops whose state changes. A warm run of one program walks the same
+// chain of entries every time, so each entry links to the entry that followed
+// it: a warm cycle compares the kept signature with its predecessor's
+// successor before it falls back to the hash lookup.
 //
 // Classification is additionally *cone-granular*: the netlist is partitioned
 // once into topologically-contiguous segments (fanin cones rooted at
@@ -36,7 +44,8 @@
 // rest are re-classified. Stitched plans are byte-identical to a from-scratch
 // classification: every fingerprint-dependent decision in an adopted cone is
 // re-verified against the live fingerprints, and drift falls back to
-// reclassifying that cone.
+// reclassifying that cone. The partition belongs to the PlanCache whose
+// entries it indexes, so planners sharing a cache build it once.
 #pragma once
 
 #include <array>
@@ -161,6 +170,12 @@ struct PlanLayout {
   std::size_t total_boundary = 0;   ///< summed boundary sizes (key cost)
   std::size_t unique_boundary = 0;  ///< distinct wires appearing in any boundary
   std::uint64_t key = 0;            ///< netlist key + cut positions
+  /// Cone dependency CSR over segments, flattened from `deps`: segment i
+  /// reads outputs of dep_edges[dep_offsets[i] .. dep_offsets[i+1]) (every
+  /// edge points at a lower index). Drives the worker-pool schedule of
+  /// classification/verification and rides along in every CyclePlan.
+  std::vector<std::uint32_t> dep_offsets;
+  std::vector<std::uint32_t> dep_edges;
 
   static PlanLayout build(const netlist::Netlist& nl, std::size_t target_gates,
                           std::uint64_t netlist_key);
@@ -169,23 +184,32 @@ struct PlanLayout {
 class Planner;
 
 /// Reusable per-party store of classified cycle plans, keyed by the entry
-/// state signature (public values, flip parities, fingerprint equivalence
-/// classes). The signature is deliberately coarse — it cannot see XOR-linear
-/// relations *among* root fingerprints — so every hit is re-verified against
-/// the current fingerprints before being served and silently reclassified on
-/// drift, so caching can never change results. An entry is compiled on its
-/// first hit into a flat verify program that holds only the gates a hit
-/// still pays for — fingerprint-dependent decisions (both inputs secret) and
-/// fresh fingerprints (free XOR, garbled outputs), with operands resolved
-/// through pass chains and each decision's expected outcome fixed — so a
-/// warm cycle costs what its secret decisions cost, not what its touched
-/// gates cost (Hamming-160 on the ARM core: ~16 % of gates touched, ~7 %
-/// decisions). The signature trajectory of a run depends only on the
-/// netlist and the *public* inputs, so handing the
-/// same PlanCache to successive runs of one machine on fresh private inputs
-/// (the traffic-serving scenario) skips classification wherever the public
-/// trajectory repeats. Capacity is bounded: once full, inserting a new state
-/// evicts the least-recently-used entry, so long multi-program sessions
+/// state signature: one term per root wire — public: `1 | val << 1`; secret:
+/// `rep << 2 | flip << 1`, where rep is the lowest root index carrying an
+/// equal fingerprint — hashed as a position-mixed 64-bit sum so the planner
+/// can keep it incrementally. The signature is deliberately coarse — it
+/// cannot see XOR-linear relations *among* root fingerprints — so every hit
+/// is re-verified against the current fingerprints before being served and
+/// silently reclassified on drift, so caching can never change results. An
+/// entry is compiled on its first hit into a flat verify program that holds
+/// only the gates a hit still pays for — fingerprint-dependent decisions
+/// (both inputs secret) and fresh fingerprints (free XOR, garbled outputs),
+/// with operands resolved through pass chains and each decision's expected
+/// outcome fixed — so a warm cycle costs what its secret decisions cost, not
+/// what its touched gates cost (Hamming-160 on the ARM core: ~16 % of gates
+/// touched, ~7 % decisions). The signature trajectory of a run depends only
+/// on the netlist and the *public* inputs, so handing the same PlanCache to
+/// successive runs of one machine on fresh private inputs (the
+/// traffic-serving scenario) skips classification wherever the public
+/// trajectory repeats; each entry links to the entry served after it, so a
+/// repeated trajectory is walked link by link instead of looked up.
+///
+/// The cache owns the cone layout its entries are indexed by (every entry's
+/// per-segment offsets follow it): the first planner builds it, with the
+/// slice dependency CSR and the per-cycle non-free gate count, and later
+/// planners borrow it. A planner over a different netlist, mode or
+/// segmentation is rejected. Capacity is bounded: once full, inserting a new
+/// state evicts the least-recently-used entry, so long multi-program sessions
 /// cannot grow memory without limit. Not thread-safe; use one instance per
 /// party (a role-scoped core::WarmState enforces this).
 class PlanCache {
@@ -230,7 +254,13 @@ class PlanCache {
   /// fraction of the netlist.
   struct Entry {
     std::uint64_t hash = 0;
-    std::vector<std::uint32_t> sig;
+    std::vector<std::uint32_t> sig;  ///< per-root signature terms
+    /// Successor link: the entry served on the cycle after this one, valid
+    /// only while next_stamp equals the cache's eviction count (any
+    /// eviction may have freed it, so a stale link is never followed).
+    Entry* next = nullptr;
+    std::uint64_t next_stamp = 0;
+    std::list<Entry>::iterator self{};  ///< this entry's LRU position
     std::vector<std::uint8_t> act;
     std::vector<netlist::WireId> pass_src;
     std::vector<std::uint8_t> wire_bits;
@@ -255,11 +285,18 @@ class PlanCache {
   };
   using LruList = std::list<Entry>;
 
-  void ensure_sized(std::uint64_t netlist_key, std::size_t num_wires, std::size_t num_gates,
-                    std::size_t roots);
+  /// Binds the cache to a netlist (content key) and segmentation on first
+  /// use: validates the netlist, builds the layout and sizes the cache.
+  /// Later calls only check the binding; a different netlist or layout
+  /// throws std::invalid_argument.
+  void ensure_sized(const netlist::Netlist& nl, std::uint64_t netlist_key,
+                    std::size_t target_gates);
   [[nodiscard]] bool admit(std::uint64_t hash);
   /// Lookup by hash + full signature; a hit is touched (moved to LRU front).
   [[nodiscard]] Entry* find(std::uint64_t hash, const std::vector<std::uint32_t>& sig);
+  /// Moves an entry reached through a successor link to the LRU front, as
+  /// find() would have.
+  void touch(Entry& e) { lru_.splice(lru_.begin(), lru_, e.self); }
   /// Inserts a fresh entry for the signature (admission policy permitting),
   /// evicting the least-recently-used entry when at capacity. Returns null
   /// when the admission policy declines (classify uncached instead).
@@ -271,9 +308,13 @@ class PlanCache {
   std::uint64_t evictions_ = 0;
   LruList lru_;  ///< front = most recently used
   std::unordered_map<std::uint64_t, std::vector<LruList::iterator>> map_;
-  /// Content hash of (mode, netlist structure) this cache is keyed for; a
-  /// shared cache handed to a different circuit or mode is rejected.
+  /// Content hash of (mode, netlist structure) and segmentation target this
+  /// cache is bound to, and the layout built from them (layout_.key is the
+  /// binding: a target yielding the same cuts is accepted).
   std::uint64_t netlist_key_ = 0;
+  std::size_t target_gates_ = 0;
+  PlanLayout layout_;
+  std::size_t non_free_ = 0;  ///< netlist non-free gate count
   /// Signature hashes seen once (second-sighting admission policy).
   std::vector<std::uint64_t> seen_;
   std::size_t seen_count_ = 0;
@@ -385,9 +426,10 @@ class Planner {
   /// order (the peer's planner consumes the identical sequence).
   void reset(const netlist::BitVec& pub_bits);
 
-  /// Installs root states for a cycle; draws fresh fingerprints for streamed
-  /// secret inputs. `pub_stream` carries this cycle's public streamed bits.
-  /// Flip-flop outputs are installed by reset() and latch().
+  /// Installs the cycle's streamed-input states; draws fresh fingerprints for
+  /// streamed secret inputs. `pub_stream` carries this cycle's public
+  /// streamed bits. Constants and fixed inputs are installed by reset(),
+  /// flip-flop outputs by reset() and latch().
   void begin_cycle(const netlist::BitVec& pub_stream);
 
   /// Classifies the cycle (forward pass), via the plan cache when the entry
@@ -419,7 +461,17 @@ class Planner {
   /// misses only (a whole-netlist hit never consults the memo).
   [[nodiscard]] std::uint64_t cone_hits() const { return cone_hits_; }
   [[nodiscard]] std::uint64_t cone_misses() const { return cone_misses_; }
-  [[nodiscard]] const PlanLayout& layout() const { return layout_; }
+  /// Cache hits reached through the previous entry's successor link rather
+  /// than the hash lookup (a subset of cache_hits()).
+  [[nodiscard]] std::uint64_t link_hits() const { return link_hits_; }
+  [[nodiscard]] const PlanLayout& layout() const { return *layout_; }
+
+  /// Test hooks: the incrementally kept entry signature (valid after
+  /// begin_cycle() on a planner with a plan cache), and the same signature
+  /// recomputed from the root states from scratch, returning its hash.
+  [[nodiscard]] const std::vector<std::uint32_t>& signature_terms() const { return terms_; }
+  [[nodiscard]] std::uint64_t signature_hash() const { return terms_hash_; }
+  std::uint64_t signature_from_scratch(std::vector<std::uint32_t>& terms) const;
 
  private:
   using Entry = PlanCache::Entry;
@@ -436,6 +488,21 @@ class Planner {
   /// Writes derived_fp() of each listed gate, in pipelined AES batches.
   void derive_fps(const std::uint32_t* gates, std::size_t n);
   void bind_secret_fp(WireState& s);
+  /// Installs a root wire's state, keeping the entry signature (terms_,
+  /// terms_hash_ and the fingerprint classes) in step when a cache is on.
+  void set_root(netlist::WireId w, const WireState& s);
+  /// Rebuilds the kept entry signature from the root states.
+  void rebuild_terms();
+  void set_term(netlist::WireId w, std::uint32_t term);
+  /// rep_table_ slot holding `fp`, or the empty slot where it would go.
+  [[nodiscard]] std::size_t rep_slot(const crypto::Block& fp) const;
+  /// Empties a rep_table_ slot (linear-probing backward-shift deletion).
+  void rep_erase(std::size_t slot);
+  /// Removes secret root w (fingerprint fp) from its class / adds it.
+  void rep_remove(netlist::WireId w, const crypto::Block& fp);
+  void rep_insert(netlist::WireId w, const WireState& s);
+  /// Old-form root signature (first-occurrence class ids) into sig_ — the
+  /// root words of the cone memo's keys; built on whole-netlist misses only.
   void build_signature();
   /// Gathers a cone's exact memo key into `out`.
   void build_segment_key(std::size_t si, const PlanSegment& seg,
@@ -496,7 +563,13 @@ class Planner {
 
   const netlist::Netlist& nl_;
   PlannerOptions opts_;
-  PlanLayout layout_;
+  /// The cone layout: the plan cache's (shared across planners of one
+  /// cache) or, without a cache, owned_layout_.
+  const PlanLayout* layout_ = nullptr;
+  std::unique_ptr<PlanLayout> owned_layout_;
+  /// Streamed inputs (indices into nl_.inputs): the only roots begin_cycle()
+  /// rewrites — constants and fixed inputs are installed once by reset().
+  std::vector<std::uint32_t> streamed_;
 
   // Root fingerprints are AES-CTR outputs consumed in strict counter order
   // (binding happens serially in reset()/begin_cycle()), generated a
@@ -522,10 +595,8 @@ class Planner {
   // whole-entry hit, pass gates' fingerprints are unspecified too: read the
   // pass-resolved source (the only reader is latch(), via latch_src).
   std::vector<WireState> st_;
-  std::vector<WireState> fixed_st_;
-  std::vector<WireState> dff_st_;
-  WireState const_st_[2];
-  std::vector<std::uint8_t> needed_;  ///< backward-sweep scratch
+  std::vector<WireState> latch_next_;  ///< latch() staging, per latch-list entry
+  std::vector<std::uint8_t> needed_;   ///< backward-sweep scratch, sized on first use
   std::size_t non_free_per_cycle_ = 0;
 
   // Plan cache: canonical entry-state signature -> Entry. Collisions on the
@@ -537,6 +608,11 @@ class Planner {
   std::unique_ptr<ConeMemo> owned_memo_;
   Entry scratch_;
   Entry* cur_ = nullptr;
+  /// The cache entry served on the previous cycle (null after reset() or a
+  /// cycle served from scratch_) and the cache's eviction count then: its
+  /// successor link is tried first, and it is linked to this cycle's entry.
+  Entry* prev_ = nullptr;
+  std::uint64_t prev_stamp_ = 0;
   /// Packed wire bits of the entry being built/served this cycle (the
   /// authoritative public/value/flip store; st_ gate-range bits are stale).
   const std::uint8_t* cur_bits_ = nullptr;
@@ -544,16 +620,10 @@ class Planner {
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t verify_rejects_ = 0;
+  std::uint64_t link_hits_ = 0;
   std::vector<std::uint32_t> program_scratch_;  ///< compile_entry staging
   std::uint64_t cone_hits_ = 0;
   std::uint64_t cone_misses_ = 0;
-
-  // Cone dependency CSR over slices, flattened once from layout_ (every
-  // edge points at a lower index). Drives the worker-pool schedule of
-  // classification/verification and is exported through CyclePlan for the
-  // party sessions' parallel garble/eval schedules.
-  std::vector<std::uint32_t> slice_dep_offsets_;
-  std::vector<std::uint32_t> slice_dep_edges_;
 
   // Per-segment scratch for the parallel classification phase: each worker
   // writes only its own segment's slots; the serial stitch phase reads them
@@ -565,9 +635,25 @@ class Planner {
   std::vector<std::uint8_t> seg_adopted_;   ///< 1 = memo adopt, 0 = classified
   std::vector<std::uint8_t> seg_ok_;  ///< per-segment hit-verification flags
 
-  // Signature scratch: fingerprint -> root-sweep equivalence-class id,
-  // epoch-stamped so the table never needs clearing (64-bit epoch: never
-  // wraps within a run).
+  // Kept entry signature (plan cache on): one term per root, their
+  // position-mixed sum, and the secret roots' fingerprint classes — an
+  // open-addressing table fp -> lowest member (the class representative),
+  // members chained in ascending order through rep_next_. Slots are
+  // epoch-stamped so a rebuild never clears the table.
+  std::vector<std::uint32_t> terms_;
+  std::uint64_t terms_hash_ = 0;
+  struct RepSlot {
+    crypto::Block fp{};
+    std::uint32_t head = 0;
+    std::uint64_t epoch = 0;
+  };
+  std::vector<RepSlot> rep_table_;
+  std::vector<netlist::WireId> rep_next_;
+  std::uint64_t rep_epoch_ = 1;  ///< slots of any other epoch are empty
+
+  // Old-form signature scratch (cone memo keys): fingerprint -> root-sweep
+  // equivalence-class id, epoch-stamped so the table never needs clearing
+  // (64-bit epoch: never wraps within a run).
   std::vector<std::uint32_t> sig_;
   struct ClassSlot {
     crypto::Block fp{};
@@ -576,7 +662,6 @@ class Planner {
   };
   std::vector<ClassSlot> class_table_;
   std::uint64_t class_epoch_ = 0;
-  std::uint64_t netlist_key_ = 0;
 };
 
 }  // namespace arm2gc::core

@@ -118,6 +118,63 @@ netlist::Netlist random_seq_netlist(crypto::CtrRng& rng, std::uint32_t streamed_
   return nl;
 }
 
+/// Flip-flop shuffle register: every cycle each flip-flop latches, under a
+/// streamed public selector bit, a copy (possibly inverted) of one of two
+/// sources — another flip-flop, a streamed or fixed secret input, or a
+/// garbled mix. So fingerprint classes merge (two flip-flops copy one
+/// source), split (a copied streamed input is re-drawn) and hand their
+/// representative on (the lowest member moves away) from cycle to cycle.
+netlist::Netlist copy_swap_netlist(crypto::CtrRng& rng, std::uint32_t streamed_pub) {
+  builder::CircuitBuilder cb;
+  builder::Bus sel;
+  for (std::uint32_t i = 0; i < streamed_pub; ++i) {
+    sel.push_back(cb.input(netlist::Owner::Public, i, /*streamed=*/true));
+  }
+  std::vector<builder::Wire> src = {
+      cb.input(netlist::Owner::Alice, 0, /*streamed=*/true),
+      cb.input(netlist::Owner::Bob, 0, /*streamed=*/true),
+      cb.input(netlist::Owner::Alice, 0),
+      cb.input(netlist::Owner::Bob, 0),
+  };
+  constexpr std::uint32_t kDffs = 6;
+  std::vector<builder::CircuitBuilder::DffHandle> dffs;
+  for (std::uint32_t i = 0; i < kDffs; ++i) {
+    constexpr netlist::Dff::Init kInits[] = {netlist::Dff::Init::Zero, netlist::Dff::Init::One,
+                                             netlist::Dff::Init::AliceBit,
+                                             netlist::Dff::Init::BobBit};
+    dffs.push_back(cb.make_dff(kInits[rng.next_below(4)], i));
+    src.push_back(cb.dff_out(dffs.back()));
+  }
+  src.push_back(cb.and_(src[0], src[4]));
+  const auto pick = [&] {
+    const builder::Wire w = src[rng.next_below(static_cast<std::uint32_t>(src.size()))];
+    return rng.next_bool() ? builder::CircuitBuilder::not_(w) : w;
+  };
+  for (const auto h : dffs) {
+    const builder::Wire s = sel[rng.next_below(streamed_pub)];
+    cb.set_dff_d(h, cb.mux(s, pick(), pick()));
+  }
+  cb.output(cb.dff_out(dffs[0]), "q0");
+  cb.output(cb.xor_(cb.dff_out(dffs[1]), cb.dff_out(dffs[2])), "q12");
+  cb.set_outputs_every_cycle(rng.next_bool());
+  return cb.take();
+}
+
+/// The planner's incrementally kept entry signature (per-root terms and
+/// their hash) equals the same signature recomputed from scratch. Returns
+/// the number of secret roots whose class representative is another root.
+std::size_t expect_signature_kept(const Planner& p, int seed, std::uint64_t cycle) {
+  std::vector<std::uint32_t> terms;
+  const std::uint64_t hash = p.signature_from_scratch(terms);
+  EXPECT_EQ(p.signature_terms(), terms) << "seed " << seed << " cycle " << cycle;
+  EXPECT_EQ(p.signature_hash(), hash) << "seed " << seed << " cycle " << cycle;
+  std::size_t shared = 0;
+  for (std::size_t w = 0; w < terms.size(); ++w) {
+    if ((terms[w] & 1) == 0 && (terms[w] >> 2) != w) ++shared;
+  }
+  return shared;
+}
+
 class RandomPlans : public ::testing::TestWithParam<int> {};
 
 TEST_P(RandomPlans, PartiesAndCacheAgree) {
@@ -656,6 +713,33 @@ TEST(PlanCache, RejectsReuseAcrossNetlists) {
   EXPECT_THROW(Planner p2(nl2, opts), std::invalid_argument);
 }
 
+TEST(PlanCache, RejectsReuseAcrossLayouts) {
+  // The cache owns the cone layout its entries are indexed by: a planner
+  // cutting the same netlist into other segments must not read them, in
+  // either direction (coarser entries would be misread, finer ones read out
+  // of range). A target that yields the same cuts is the same layout.
+  crypto::CtrRng rng(crypto::block_from_u64(27183));
+  const netlist::Netlist nl = random_seq_netlist(rng);
+  PlannerOptions coarse;
+  coarse.cone_memo = false;  // the cache alone must catch it
+  PlannerOptions fine = coarse;
+  fine.cone_target_gates = 4;
+  PlannerOptions whole = coarse;
+  whole.cone_target_gates = 0;  // one segment, as the default target here
+
+  core::PlanCache coarse_cache;
+  coarse.shared_cache = fine.shared_cache = whole.shared_cache = &coarse_cache;
+  Planner p1(nl, coarse);
+  EXPECT_THROW(Planner p2(nl, fine), std::invalid_argument);
+  EXPECT_NO_THROW(Planner p3(nl, whole));
+
+  core::PlanCache fine_cache;
+  coarse.shared_cache = fine.shared_cache = &fine_cache;
+  Planner p4(nl, fine);
+  ASSERT_GT(p4.layout().segments.size(), 1u);
+  EXPECT_THROW(Planner p5(nl, coarse), std::invalid_argument);
+}
+
 // --- cone-granular incremental planning ----------------------------------------
 
 /// Builds a netlist whose entry state is controlled by a `width`-bit
@@ -705,6 +789,51 @@ TEST(PlanCache, LruEvictionBoundsEntries) {
   EXPECT_EQ(planner.cache_hits(), 4u);
   EXPECT_EQ(cache.entries(), 4u);
   EXPECT_EQ(cache.evictions(), 5u);
+}
+
+TEST(PlanCache, SuccessorLinksUnderEvictionServeExactPlans) {
+  // Successor links over the 4-entry capacity floor: a cyclic trajectory of
+  // 8 selector states (a 4-state loop twice, then 4 more states) replayed
+  // warm by successive planners on one cache. The loop's second lap walks
+  // links; the other states evict the loop's entries, so links recorded
+  // before an eviction go stale and must never be followed. Every cycle's
+  // plan must be byte-equal to an uncached planner's.
+  const netlist::Netlist nl = selector_netlist(3);
+  const std::vector<std::uint64_t> trajectory = {0, 1, 2, 3, 0, 1, 2, 3, 4, 5, 6, 7};
+  core::PlanCache cache(1);
+  PlannerOptions warm;
+  warm.shared_cache = &cache;
+  PlannerOptions fresh;
+  fresh.cache = false;
+  fresh.cone_memo = false;
+  std::uint64_t hits = 0;
+  std::uint64_t link_hits = 0;
+  for (int run = 0; run < 4; ++run) {
+    Planner pw(nl, warm);
+    Planner pr(nl, fresh);
+    pw.reset({});
+    pr.reset({});
+    for (int lap = 0; lap < 3; ++lap) {
+      for (const std::uint64_t v : trajectory) {
+        pw.begin_cycle(to_bits(v, 3));
+        pr.begin_cycle(to_bits(v, 3));
+        pw.forward();
+        pr.forward();
+        const CyclePlan a = pw.finish(/*is_final=*/false);
+        const CyclePlan c = pr.finish(/*is_final=*/false);
+        expect_plans_equal(a, c);
+        pw.latch(a);
+        pr.latch(c);
+      }
+    }
+    EXPECT_LE(pw.link_hits(), pw.cache_hits()) << "run " << run;
+    hits += pw.cache_hits();
+    link_hits += pw.link_hits();
+  }
+  EXPECT_EQ(cache.capacity(), 4u);
+  EXPECT_GT(cache.evictions(), 0u);
+  EXPECT_GT(link_hits, 0u);
+  EXPECT_GT(hits, link_hits);  // a stale or missing link falls back to the lookup
 }
 
 TEST(ConeMemo, LruEvictionBoundsEntries) {
@@ -791,8 +920,12 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
 /// modes. A serial and a pooled planner without a whole-netlist cache, each
 /// on its own 8-entry cone memo, run alongside the first pass: constant
 /// eviction pins the deferred LRU replay (ConeMemo::touch_candidates) of the
-/// pooled miss path to the serial order. A2G_PLAN_FUZZ_SEEDS scales the
-/// sweep (CI sanitizer job runs a deeper pass).
+/// pooled miss path to the serial order. Every cycle, the whole-netlist
+/// planners' incrementally kept entry signatures must equal a from-scratch
+/// recompute; each seed also runs a flip-flop copy/swap register with
+/// streamed secret inputs (copy_swap_netlist), whose fingerprint classes
+/// merge and split. A2G_PLAN_FUZZ_SEEDS scales the sweep (CI sanitizer job
+/// runs a deeper pass).
 TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   int seeds = 12;
   if (const char* env = std::getenv("A2G_PLAN_FUZZ_SEEDS")) seeds = std::atoi(env);
@@ -803,117 +936,126 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   std::uint64_t warm_hits[2][2] = {{0, 0}, {0, 0}};
   std::uint64_t small_memo_evictions = 0;
   std::uint64_t small_memo_hits = 0;
+  std::uint64_t shared_class_roots = 0;  // copy/swap netlists, SkipGate
 
   for (int seed = 0; seed < seeds; ++seed) {
     crypto::CtrRng rng(crypto::block_from_u64(static_cast<std::uint64_t>(seed) * 65537 + 11));
-    const netlist::Netlist nl = random_seq_netlist(rng, kStreamedPub);
+    const netlist::Netlist nl_random = random_seq_netlist(rng, kStreamedPub);
     const netlist::BitVec pub = to_bits(rng.next_u64(), 4);
     std::vector<netlist::BitVec> pub_streams;
     for (std::uint64_t c = 0; c < kCycles; ++c) {
       pub_streams.push_back(to_bits(rng.next_u64(), kStreamedPub));
     }
+    const netlist::Netlist nl_copy = copy_swap_netlist(rng, kStreamedPub);
 
-    for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
-      PlannerOptions inc;
-      inc.mode = mode;
-      inc.cone_target_gates = 4;  // force several segments on small netlists
-      PlannerOptions fresh = inc;
-      fresh.cache = false;
-      fresh.cone_memo = false;
-      // Cone memo only, at its capacity floor: serial and pooled.
-      core::ConeMemo small_memo_s(1);
-      core::ConeMemo small_memo_p(1);
-      PlannerOptions small_s = inc;
-      small_s.cache = false;
-      small_s.shared_cone_memo = &small_memo_s;
-      PlannerOptions small_p = small_s;
-      small_p.shared_cone_memo = &small_memo_p;
-      small_p.pool = &pool;
+    for (const netlist::Netlist* nlp : {&nl_random, &nl_copy}) {
+      const netlist::Netlist& nl = *nlp;
+      for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
+        PlannerOptions inc;
+        inc.mode = mode;
+        inc.cone_target_gates = 4;  // force several segments on small netlists
+        PlannerOptions fresh = inc;
+        fresh.cache = false;
+        fresh.cone_memo = false;
+        // Cone memo only, at its capacity floor: serial and pooled.
+        core::ConeMemo small_memo_s(1);
+        core::ConeMemo small_memo_p(1);
+        PlannerOptions small_s = inc;
+        small_s.cache = false;
+        small_s.shared_cone_memo = &small_memo_s;
+        PlannerOptions small_p = small_s;
+        small_p.shared_cone_memo = &small_memo_p;
+        small_p.pool = &pool;
 
-      // Garbler-side and evaluator-side incremental planners (independent
-      // instances fed identical public data) plus a from-scratch reference.
-      Planner pg(nl, inc);
-      Planner pe(nl, inc);
-      Planner pf(nl, fresh);
-      Planner ps(nl, small_s);
-      Planner pp(nl, small_p);
-      pg.reset(pub);
-      pe.reset(pub);
-      pf.reset(pub);
-      ps.reset(pub);
-      pp.reset(pub);
+        // Garbler-side and evaluator-side incremental planners (independent
+        // instances fed identical public data) plus a from-scratch reference.
+        Planner pg(nl, inc);
+        Planner pe(nl, inc);
+        Planner pf(nl, fresh);
+        Planner ps(nl, small_s);
+        Planner pp(nl, small_p);
+        pg.reset(pub);
+        pe.reset(pub);
+        pf.reset(pub);
+        ps.reset(pub);
+        pp.reset(pub);
 
-      for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
-        const netlist::BitVec& sp = pub_streams[cycle];
-        pg.begin_cycle(sp);
-        pe.begin_cycle(sp);
-        pf.begin_cycle(sp);
-        ps.begin_cycle(sp);
-        pp.begin_cycle(sp);
-        pg.forward();
-        pe.forward();
-        pf.forward();
-        ps.forward();
-        pp.forward();
-        const bool is_final = cycle + 1 == kCycles;
-        const CyclePlan a = pg.finish(is_final);
-        const CyclePlan b = pe.finish(is_final);
-        const CyclePlan c = pf.finish(is_final);
-        const CyclePlan d = ps.finish(is_final);
-        const CyclePlan f = pp.finish(is_final);
-        expect_plans_equal(a, b);
-        expect_plans_equal(a, c);
-        expect_plans_equal(d, c);
-        expect_plans_equal(f, c);
-        expect_plans_equal(d, f);
-        EXPECT_EQ(ps.cone_hits(), pp.cone_hits()) << "seed " << seed << " cycle " << cycle;
-        EXPECT_EQ(ps.cone_misses(), pp.cone_misses()) << "seed " << seed << " cycle " << cycle;
-        EXPECT_EQ(small_memo_s.evictions(), small_memo_p.evictions())
-            << "seed " << seed << " cycle " << cycle;
-        EXPECT_EQ(small_memo_s.entries(), small_memo_p.entries())
-            << "seed " << seed << " cycle " << cycle;
-        if (!is_final) {
-          pg.latch(a);
-          pe.latch(b);
-          pf.latch(c);
-          ps.latch(d);
-          pp.latch(f);
-        }
-      }
-      EXPECT_EQ(small_memo_s.capacity(), 8u);
-      EXPECT_LE(small_memo_s.entries(), small_memo_s.capacity());
-      small_memo_evictions += small_memo_s.evictions();
-      small_memo_hits += ps.cone_hits();
-      ASSERT_GT(pg.layout().segments.size(), 1u) << "seed " << seed;
-      EXPECT_GT(pg.cone_hits() + pg.cone_misses(), 0u) << "seed " << seed;
-      EXPECT_EQ(pg.cone_hits(), pe.cone_hits()) << "seed " << seed;
-
-      core::PlanCache shared_cache;
-      core::ConeMemo shared_memo;
-      for (int pass = 0; pass < 3; ++pass) {
-        PlannerOptions warm = inc;
-        warm.shared_cache = &shared_cache;
-        warm.shared_cone_memo = &shared_memo;
-        if (pass == 2) warm.pool = &pool;
-        Planner pw(nl, warm);
-        Planner pr(nl, fresh);
-        pw.reset(pub);
-        pr.reset(pub);
         for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
-          pw.begin_cycle(pub_streams[cycle]);
-          pr.begin_cycle(pub_streams[cycle]);
-          pw.forward();
-          pr.forward();
+          const netlist::BitVec& sp = pub_streams[cycle];
+          pg.begin_cycle(sp);
+          pe.begin_cycle(sp);
+          pf.begin_cycle(sp);
+          ps.begin_cycle(sp);
+          pp.begin_cycle(sp);
+          const std::size_t shared = expect_signature_kept(pg, seed, cycle);
+          expect_signature_kept(pe, seed, cycle);
+          if (nlp == &nl_copy && mode == Mode::SkipGate) shared_class_roots += shared;
+          pg.forward();
+          pe.forward();
+          pf.forward();
+          ps.forward();
+          pp.forward();
           const bool is_final = cycle + 1 == kCycles;
-          const CyclePlan a = pw.finish(is_final);
-          const CyclePlan c = pr.finish(is_final);
+          const CyclePlan a = pg.finish(is_final);
+          const CyclePlan b = pe.finish(is_final);
+          const CyclePlan c = pf.finish(is_final);
+          const CyclePlan d = ps.finish(is_final);
+          const CyclePlan f = pp.finish(is_final);
+          expect_plans_equal(a, b);
           expect_plans_equal(a, c);
+          expect_plans_equal(d, c);
+          expect_plans_equal(f, c);
+          expect_plans_equal(d, f);
+          EXPECT_EQ(ps.cone_hits(), pp.cone_hits()) << "seed " << seed << " cycle " << cycle;
+          EXPECT_EQ(ps.cone_misses(), pp.cone_misses()) << "seed " << seed << " cycle " << cycle;
+          EXPECT_EQ(small_memo_s.evictions(), small_memo_p.evictions())
+              << "seed " << seed << " cycle " << cycle;
+          EXPECT_EQ(small_memo_s.entries(), small_memo_p.entries())
+              << "seed " << seed << " cycle " << cycle;
           if (!is_final) {
-            pw.latch(a);
-            pr.latch(c);
+            pg.latch(a);
+            pe.latch(b);
+            pf.latch(c);
+            ps.latch(d);
+            pp.latch(f);
           }
         }
-        warm_hits[mode == Mode::SkipGate ? 0 : 1][pass == 2 ? 1 : 0] += pw.cache_hits();
+        EXPECT_EQ(small_memo_s.capacity(), 8u);
+        EXPECT_LE(small_memo_s.entries(), small_memo_s.capacity());
+        small_memo_evictions += small_memo_s.evictions();
+        small_memo_hits += ps.cone_hits();
+        ASSERT_GT(pg.layout().segments.size(), 1u) << "seed " << seed;
+        EXPECT_GT(pg.cone_hits() + pg.cone_misses(), 0u) << "seed " << seed;
+        EXPECT_EQ(pg.cone_hits(), pe.cone_hits()) << "seed " << seed;
+
+        core::PlanCache shared_cache;
+        core::ConeMemo shared_memo;
+        for (int pass = 0; pass < 3; ++pass) {
+          PlannerOptions warm = inc;
+          warm.shared_cache = &shared_cache;
+          warm.shared_cone_memo = &shared_memo;
+          if (pass == 2) warm.pool = &pool;
+          Planner pw(nl, warm);
+          Planner pr(nl, fresh);
+          pw.reset(pub);
+          pr.reset(pub);
+          for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+            pw.begin_cycle(pub_streams[cycle]);
+            pr.begin_cycle(pub_streams[cycle]);
+            expect_signature_kept(pw, seed, cycle);
+            pw.forward();
+            pr.forward();
+            const bool is_final = cycle + 1 == kCycles;
+            const CyclePlan a = pw.finish(is_final);
+            const CyclePlan c = pr.finish(is_final);
+            expect_plans_equal(a, c);
+            if (!is_final) {
+              pw.latch(a);
+              pr.latch(c);
+            }
+          }
+          warm_hits[mode == Mode::SkipGate ? 0 : 1][pass == 2 ? 1 : 0] += pw.cache_hits();
+        }
       }
     }
   }
@@ -923,6 +1065,7 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   }
   EXPECT_GT(small_memo_evictions, 0u) << "the 8-entry cone memos never evicted";
   EXPECT_GT(small_memo_hits, 0u) << "the 8-entry cone memos never hit";
+  EXPECT_GT(shared_class_roots, 0u) << "no copy/swap flip-flop ever shared a class";
 }
 
 TEST(ConeMemo, DriverResultsIdenticalWithConeMemoOnAndOff) {
@@ -994,6 +1137,26 @@ TEST(ConeMemo, ArmConeHitsOnCyclesTheFlatCacheMissed) {
   EXPECT_EQ(r_on.stats.cone_hits, 1255u);
   EXPECT_EQ(r_on.stats.cone_misses, 1282u);
   EXPECT_EQ(r_off.stats.cone_hits + r_off.stats.cone_misses, 0u);
+}
+
+TEST(PlanCache, WarmHammingRunWalksItsEntryChain) {
+  // Hamming-160 on the ARM core (5 words per party): a Session's second run
+  // is served entirely from the warm plan cache, and only the first cycle
+  // after reset() looks its entry up by hash — every later cycle follows
+  // the previous entry's successor link.
+  const programs::Program prog = programs::hamming(5);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const std::vector<std::uint32_t> a = {1, 2, 3, 4, 5};
+  const std::vector<std::uint32_t> b = {0xFFFFFFFFu, 0, 0x0F0F0F0Fu, 7, 0x80000000u};
+  arm::Arm2Gc::Session session(machine);
+  const arm::Arm2GcResult first = session.run(a, b);
+  const arm::Arm2GcResult second = session.run(b, a);
+  EXPECT_EQ(second.outputs, machine.run_reference(b, a).outputs);
+  EXPECT_EQ(first.cycles, 97u);
+  EXPECT_EQ(second.cycles, 97u);
+  EXPECT_EQ(second.stats.plan_cache_hits, 97u);
+  EXPECT_EQ(second.stats.plan_cache_misses, 0u);
+  EXPECT_EQ(second.stats.plan_link_hits, 96u);
 }
 
 }  // namespace
