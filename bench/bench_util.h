@@ -6,6 +6,10 @@
 // files in the repo can be regenerated reproducibly instead of hand-edited:
 //
 //   ./bench_table1 --json BENCH_table1.json
+//
+// Rows are deterministic counts only (gates, bytes, choices, ratios of
+// counts), so a regenerated file is byte-identical to the committed one and
+// CI diffs them. Wall-clock belongs to perfbench/.
 #pragma once
 
 #include <cstdint>
@@ -104,12 +108,9 @@ inline void json_stats(const std::string& prefix, const arm2gc::core::RunStats& 
   json().add(prefix + ".cone_hit_ratio", s.cone_hit_ratio());
   json().add(prefix + ".comm_bytes", s.comm.total());
   json().add(prefix + ".ot_online_bytes", s.ot_online_bytes);
-  json().add(prefix + ".ot_offline_ms", static_cast<double>(s.ot_offline_wall_ns) / 1e6);
-  json().add(prefix + ".threads", s.threads);
 }
 
-/// Records service-side counters under `prefix.*` — one shape shared by
-/// bench_serve rows and `arm2gc_serve --json` summaries.
+/// Records service-side counters under `prefix.*` (`arm2gc_serve --json`).
 inline void json_service_stats(const std::string& prefix,
                                const arm2gc::serve::ServiceStats& s) {
   if (!json().enabled()) return;
@@ -173,16 +174,13 @@ inline std::string improv_ratio(std::uint64_t without, std::uint64_t with) {
 }
 
 /// Uniform per-row protocol-stats suffix: SkipGate elision ratio, plan cache
-/// hit rate, cone-memo hit rate, online/offline OT split and worker-thread
-/// count, straight from RunStats (no per-bench hand computation).
+/// hit rate, cone-memo hit rate and online OT bytes, straight from RunStats
+/// (no per-bench hand computation).
 inline std::string stats_brief(const arm2gc::core::RunStats& s) {
-  char buf[160];
-  std::snprintf(buf, sizeof buf,
-                "skip %6.2f%%  cache %5.1f%%  cone %5.1f%%  otB %s  otOff %.1fms  thr %llu",
+  char buf[128];
+  std::snprintf(buf, sizeof buf, "skip %6.2f%%  cache %5.1f%%  cone %5.1f%%  otB %s",
                 100.0 * s.skip_ratio(), 100.0 * s.plan_cache_hit_ratio(),
-                100.0 * s.cone_hit_ratio(), num(s.ot_online_bytes).c_str(),
-                static_cast<double>(s.ot_offline_wall_ns) / 1e6,
-                static_cast<unsigned long long>(s.threads));
+                100.0 * s.cone_hit_ratio(), num(s.ot_online_bytes).c_str());
   return buf;
 }
 

@@ -1,7 +1,5 @@
 #include "core/evaluator.h"
 
-#include <cstdio>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
@@ -28,8 +26,7 @@ EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Sc
       eval_(scheme),
       tx_(&tx),
       ot_(gc::make_ot_receiver(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
-      pool_(pool),
-      trace_(std::getenv("A2G_TRACE") != nullptr) {
+      pool_(pool) {
   lb_.resize(nl_.num_wires());
   lb_valid_.assign(nl_.num_wires(), 0);
   // Sized here as well as in ot_reset() so a reset() without its ot_reset()
@@ -170,7 +167,7 @@ void EvaluatorSession::begin_cycle(bool window_start) {
   }
 }
 
-void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
+void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   const WireId first_gate = nl_.first_gate_wire();
   const bool conventional = mode_ == Mode::Conventional;
 
@@ -272,11 +269,6 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan, std::uint64_t cycle) {
           lb_[w] = eval_.eval_at(lb_[g.a], lb_[g.b], stage[next_table++], tweak);
           tweak += 2;
           lb_valid_[w] = 1;
-          if (trace_) {
-            std::fprintf(stderr, "emit cycle=%llu gate=%zu a=%u b=%u tt=%d\n",
-                         static_cast<unsigned long long>(cycle), i, g.a, g.b,
-                         static_cast<int>(g.tt));
-          }
           break;
         }
       }

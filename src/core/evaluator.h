@@ -68,8 +68,7 @@ class EvaluatorSession {
   void begin_cycle(bool window_start);
 
   /// Runs the evaluator label pass over the plan, consuming garbled tables.
-  /// `cycle` is used for trace output only (A2G_TRACE).
-  void eval_cycle(const CyclePlan& plan, std::uint64_t cycle);
+  void eval_cycle(const CyclePlan& plan);
 
   /// Sends this cycle's secret output labels for decoding.
   void send_outputs(const CyclePlan& plan);
@@ -128,7 +127,6 @@ class EvaluatorSession {
   std::vector<crypto::Block> win_lb_;
   std::size_t win_pos_ = 0;
   crypto::Block table_digest_{};
-  bool trace_;
 };
 
 }  // namespace arm2gc::core

@@ -475,7 +475,7 @@ bool EvaluatorEndpoint::work(std::uint64_t cycle) {
   }
   {
     A2G_SPAN("evaluator.eval", "party");
-    session_->eval_cycle(plan_, cycle);
+    session_->eval_cycle(plan_);
   }
   stats_.cycles++;
   stats_.non_xor_slots += non_free;

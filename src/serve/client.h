@@ -50,7 +50,6 @@ struct ClientOptions {
   /// This client's own randomness; defaults to the protocol seed (which
   /// keeps served runs byte-identical to the in-process reference).
   std::optional<crypto::Block> private_seed;
-  std::size_t threads = 1;
   std::size_t cone_target_gates = 512;
   int connect_timeout_ms = 10'000;
   /// Inline-wait deadline while the service garbles; <= 0 waits forever.

@@ -1,15 +1,11 @@
 #include "serve/poller.h"
 
 #include <poll.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
 #include <stdexcept>
-
-#ifdef __linux__
-#include <sys/epoll.h>
-#endif
+#include <string>
 
 namespace arm2gc::serve {
 
@@ -26,89 +22,20 @@ short poll_mask(bool want_read, bool want_write) {
   return m;
 }
 
-#ifdef __linux__
-std::uint32_t epoll_mask(bool want_read, bool want_write) {
-  std::uint32_t m = 0;
-  if (want_read) m |= EPOLLIN;
-  if (want_write) m |= EPOLLOUT;
-  return m;
-}
-#endif
-
 }  // namespace
 
-Poller::Poller(PollerBackend backend) {
-#ifdef __linux__
-  if (backend == PollerBackend::Default) {
-    epfd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epfd_ < 0) throw_errno("epoll_create1");
-  }
-#else
-  (void)backend;
-#endif
-}
-
-Poller::~Poller() {
-  if (epfd_ >= 0) ::close(epfd_);
-}
-
 void Poller::add(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    epoll_event ev{};
-    ev.events = epoll_mask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_ADD, fd, &ev) != 0) throw_errno("epoll_ctl(add)");
-    return;
-  }
-#endif
   interest_[fd] = poll_mask(want_read, want_write);
 }
 
 void Poller::mod(int fd, bool want_read, bool want_write) {
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    epoll_event ev{};
-    ev.events = epoll_mask(want_read, want_write);
-    ev.data.fd = fd;
-    if (::epoll_ctl(epfd_, EPOLL_CTL_MOD, fd, &ev) != 0) throw_errno("epoll_ctl(mod)");
-    return;
-  }
-#endif
   interest_.at(fd) = poll_mask(want_read, want_write);
 }
 
-void Poller::del(int fd) {
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    if (::epoll_ctl(epfd_, EPOLL_CTL_DEL, fd, nullptr) != 0) throw_errno("epoll_ctl(del)");
-    return;
-  }
-#endif
-  interest_.erase(fd);
-}
+void Poller::del(int fd) { interest_.erase(fd); }
 
 std::size_t Poller::wait(std::vector<Event>& out, int timeout_ms) {
   out.clear();
-#ifdef __linux__
-  if (epfd_ >= 0) {
-    epoll_event evs[64];
-    int n;
-    do {
-      n = ::epoll_wait(epfd_, evs, 64, timeout_ms);
-    } while (n < 0 && errno == EINTR);
-    if (n < 0) throw_errno("epoll_wait");
-    for (int i = 0; i < n; ++i) {
-      Event e;
-      e.fd = evs[i].data.fd;
-      e.readable = (evs[i].events & EPOLLIN) != 0;
-      e.writable = (evs[i].events & EPOLLOUT) != 0;
-      e.error = (evs[i].events & (EPOLLERR | EPOLLHUP)) != 0;
-      out.push_back(e);
-    }
-    return out.size();
-  }
-#endif
   std::vector<pollfd> pfds;
   pfds.reserve(interest_.size());
   for (const auto& [fd, mask] : interest_) pfds.push_back({fd, mask, 0});

@@ -1,23 +1,17 @@
 // Readiness multiplexer behind the garbler service's event loop: a thin
-// level-triggered interest set over epoll where available (Linux), with a
-// portable poll() backend everywhere — selectable at runtime so the tests
-// exercise both on any host. Level-triggered on purpose: the service's
-// connections park with data possibly already staged in userspace, and
-// edge-triggered wakeups plus userspace buffers is how readiness loops lose
-// wakeups.
+// level-triggered interest set over the portable poll(). Level-triggered on
+// purpose: the service's connections park with data possibly already staged
+// in userspace, and edge-triggered wakeups plus userspace buffers is how
+// readiness loops lose wakeups. poll() rebuilds its fd array on every wait;
+// a shard holds few connections, and on the served Hamming-160 workload
+// that cost measured level with epoll.
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <map>
 #include <vector>
 
 namespace arm2gc::serve {
-
-enum class PollerBackend : std::uint8_t {
-  Default,  ///< epoll on Linux, poll() elsewhere
-  Poll,     ///< force the portable poll() backend
-};
 
 class Poller {
  public:
@@ -28,14 +22,6 @@ class Poller {
     bool error = false;  ///< POLLERR/POLLHUP-class condition
   };
 
-  explicit Poller(PollerBackend backend = PollerBackend::Default);
-  ~Poller();
-  Poller(const Poller&) = delete;
-  Poller& operator=(const Poller&) = delete;
-
-  /// True when this poller runs on epoll (false = portable poll()).
-  [[nodiscard]] bool using_epoll() const { return epfd_ >= 0; }
-
   void add(int fd, bool want_read, bool want_write);
   void mod(int fd, bool want_read, bool want_write);
   void del(int fd);
@@ -45,8 +31,7 @@ class Poller {
   std::size_t wait(std::vector<Event>& out, int timeout_ms);
 
  private:
-  int epfd_ = -1;                  ///< epoll backend; -1 = poll backend
-  std::map<int, short> interest_;  ///< poll backend's registered fds
+  std::map<int, short> interest_;  ///< registered fds -> poll() event mask
 };
 
 }  // namespace arm2gc::serve

@@ -20,6 +20,7 @@
 #include "gc/transport_socket.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "serve/poller.h"
 #include "serve/wire.h"
 
 namespace arm2gc::serve {
@@ -218,7 +219,6 @@ struct GarblerService::Impl {
       popts.scheme = static_cast<gc::Scheme>(h.scheme);
       popts.ot_backend = static_cast<gc::OtBackend>(h.ot_backend);
       popts.ot_pool = static_cast<std::size_t>(h.ot_pool);
-      popts.threads = impl.opts.exec_threads;
       return HelloStatus::Ok;
     }
 
@@ -411,7 +411,7 @@ struct GarblerService::Impl {
     std::uint64_t last_publish_ns = 0;
     obs::Gauge* ready_depth_gauge = nullptr;  ///< per-shard ready-queue depth
 
-    Shard(Impl* i, std::size_t idx) : impl(i), index(idx), poller(i->opts.poller) {
+    Shard(Impl* i, std::size_t idx) : impl(i), index(idx) {
       int pipefd[2];
       if (::pipe(pipefd) != 0) {
         throw std::runtime_error("serve: pipe() failed");

@@ -27,10 +27,10 @@
 //     the WarmState to the pool in the same known-good shape as a clean
 //     finish. A pooled WarmState can never be poisoned by a dying client.
 //
-// `shards` event-loop threads each own a private poller and a disjoint set
-// of connections (handed over once at accept), so no connection state is
-// ever shared across threads; the cross-thread surface is the warm pool
-// (mutex) and the stats (atomics).
+// `shards` event-loop threads each own a private poll() loop (serve/poller.h)
+// and a disjoint set of connections (handed over once at accept), so no
+// connection state is ever shared across threads; the cross-thread surface
+// is the warm pool (mutex) and the stats (atomics).
 #pragma once
 
 #include <cstdint>
@@ -40,7 +40,6 @@
 
 #include "core/party.h"
 #include "netlist/netlist.h"
-#include "serve/poller.h"
 
 namespace arm2gc::serve {
 
@@ -64,14 +63,12 @@ struct ServiceOptions {
   std::size_t max_clients = 64;
   std::size_t shards = 1;     ///< event-loop threads
   std::size_t warm_pool = 4;  ///< WarmStates retained per program/backend key
-  std::size_t exec_threads = 1;  ///< worker threads per run (PartyOptions::threads)
   /// Park a connection (stop reading/advancing) beyond this many queued
   /// send bytes; the hard limit is enforced inside the transport.
   std::size_t send_soft_limit = 1u << 20;
   std::size_t send_hard_limit = 8u << 20;
   /// Inline-wait deadline for a stalled peer; expiry tears the run down.
   int recv_timeout_ms = 30'000;
-  PollerBackend poller = PollerBackend::Default;
   /// Live telemetry: bind a plain-HTTP /metrics listener (Prometheus text
   /// exposition of the obs registry) served from shard 0's event loop.
   /// -1 = disabled; 0 = ephemeral (GarblerService::metrics_port() reports

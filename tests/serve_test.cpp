@@ -4,12 +4,13 @@
 //   - differential: outputs, table digest, gate counts and per-class comm
 //     bytes are byte-identical across {in-memory driver, two blocking
 //     endpoints over a socket pair, GarblerService + run_client} for every
-//     OT backend and at 1 and 4 worker threads — including with a tiny
-//     send soft limit that forces the backpressure (park-on-write) path,
-//     and under the portable poll() poller backend;
-//   - connection churn: hundreds of sequential and dozens of concurrent
-//     clients complete correctly with no fd leaks, bounded send-queue high
-//     water, and warm-pool hit accounting (1 miss, N-1 hits sequentially);
+//     OT backend — including with a tiny send soft limit that forces the
+//     backpressure (park-on-write) path;
+//   - connection churn: hundreds of sequential clients, and dozens of
+//     concurrent ones alternating a one-cycle adder and the fixed-cycle
+//     AES-128 program across two shards, complete correctly with no fd
+//     leaks, bounded send-queue high water, and warm-pool hit accounting
+//     (1 miss, N-1 hits sequentially);
 //   - admission control: Busy at capacity (slot freed on disconnect),
 //     UnknownProgram, OptionMismatch and BadMagic all reject at the door;
 //   - fault tolerance: a client disconnecting mid-protocol (after hello,
@@ -22,6 +23,7 @@
 //     read that never comes.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -74,26 +76,23 @@ serve::ProgramSpec adder_spec(const netlist::Netlist& nl, const netlist::BitVec&
   return spec;
 }
 
-serve::ClientOptions adder_client_opts(gc::OtBackend ot, std::size_t pool,
-                                       std::size_t threads) {
+serve::ClientOptions adder_client_opts(gc::OtBackend ot, std::size_t pool) {
   serve::ClientOptions co;
   co.program = "adder8";
   co.fixed_cycles = 1;
   co.ot_backend = ot;
   co.ot_pool = pool;
-  co.threads = threads;
   return co;
 }
 
 /// In-memory reference of the same protocol run.
 core::RunResult adder_reference(const netlist::Netlist& nl, gc::OtBackend ot,
-                                std::size_t pool, std::size_t threads,
-                                const netlist::BitVec& a, const netlist::BitVec& b) {
+                                std::size_t pool, const netlist::BitVec& a,
+                                const netlist::BitVec& b) {
   core::RunOptions opts;
   opts.fixed_cycles = 1;
   opts.exec.ot_backend = ot;
   opts.exec.ot_pool = pool;
-  opts.exec.threads = threads;
   return core::SkipGateDriver(nl, opts).run(a, b);
 }
 
@@ -132,7 +131,7 @@ void expect_matches_reference(const serve::ClientResult& res, const core::RunRes
   EXPECT_EQ(comm.output_bytes, ref.stats.comm.output_bytes);
 }
 
-TEST(GarblerService, DifferentialAcrossBackendsAndThreads) {
+TEST(GarblerService, DifferentialAcrossBackends) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(200, 8);
   const netlist::BitVec b = to_bits(55, 8);
@@ -140,33 +139,28 @@ TEST(GarblerService, DifferentialAcrossBackendsAndThreads) {
 
   for (const gc::OtBackend ot :
        {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const core::RunResult ref = adder_reference(nl, ot, kPool, threads, a, b);
-      EXPECT_EQ(a2gtest::from_bits(ref.final_outputs, 0, 8), 255u);
+    const core::RunResult ref = adder_reference(nl, ot, kPool, a, b);
+    EXPECT_EQ(a2gtest::from_bits(ref.final_outputs, 0, 8), 255u);
 
-      core::RunOptions opts;
-      opts.fixed_cycles = 1;
-      opts.exec.ot_backend = ot;
-      opts.exec.ot_pool = kPool;
-      opts.exec.threads = threads;
-      const a2gtest::SocketRun two = a2gtest::socket_run(nl, opts, a, b);
-      EXPECT_EQ(two.garbler.final_outputs, ref.final_outputs);
-      EXPECT_TRUE(two.garbler.stats.table_digest == ref.stats.table_digest);
-      EXPECT_EQ(two.garbler.stats.comm.total(), ref.stats.comm.total());
+    core::RunOptions opts;
+    opts.fixed_cycles = 1;
+    opts.exec.ot_backend = ot;
+    opts.exec.ot_pool = kPool;
+    const a2gtest::SocketRun two = a2gtest::socket_run(nl, opts, a, b);
+    EXPECT_EQ(two.garbler.final_outputs, ref.final_outputs);
+    EXPECT_TRUE(two.garbler.stats.table_digest == ref.stats.table_digest);
+    EXPECT_EQ(two.garbler.stats.comm.total(), ref.stats.comm.total());
 
-      serve::ServiceOptions so;
-      so.exec_threads = threads;
-      serve::GarblerService service({adder_spec(nl, a)}, so);
-      service.start();
-      const serve::ClientResult res = serve::run_client(
-          "127.0.0.1", service.port(), nl, adder_client_opts(ot, kPool, threads), b);
-      expect_matches_reference(res, ref);
-      service.stop();
-      const serve::ServiceStats st = service.stats();
-      EXPECT_EQ(st.runs_ok, 1u);
-      EXPECT_EQ(st.runs_failed, 0u);
-      EXPECT_EQ(st.gates_garbled, ref.stats.garbled_non_xor);
-    }
+    serve::GarblerService service({adder_spec(nl, a)}, serve::ServiceOptions{});
+    service.start();
+    const serve::ClientResult res =
+        serve::run_client("127.0.0.1", service.port(), nl, adder_client_opts(ot, kPool), b);
+    expect_matches_reference(res, ref);
+    service.stop();
+    const serve::ServiceStats st = service.stats();
+    EXPECT_EQ(st.runs_ok, 1u);
+    EXPECT_EQ(st.runs_failed, 0u);
+    EXPECT_EQ(st.gates_garbled, ref.stats.garbled_non_xor);
   }
 }
 
@@ -176,40 +170,17 @@ TEST(GarblerService, BackpressureSoftLimitIsResultInvariant) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(17, 8);
   const netlist::BitVec b = to_bits(21, 8);
-  const core::RunResult ref =
-      adder_reference(nl, gc::OtBackend::Iknp, 16, 1, a, b);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, a, b);
 
   serve::ServiceOptions so;
   so.send_soft_limit = 256;  // park on write constantly
   serve::GarblerService service({adder_spec(nl, a)}, so);
   service.start();
   const serve::ClientResult res = serve::run_client(
-      "127.0.0.1", service.port(), nl, adder_client_opts(gc::OtBackend::Iknp, 16, 1), b);
+      "127.0.0.1", service.port(), nl, adder_client_opts(gc::OtBackend::Iknp, 16), b);
   expect_matches_reference(res, ref);
   service.stop();
   EXPECT_LE(service.stats().send_queue_high_water, so.send_hard_limit);
-}
-
-/// The portable poll() backend must serve byte-identical runs (multi-shard,
-/// so the cross-shard handoff path runs too).
-TEST(GarblerService, PollBackendDifferential) {
-  const netlist::Netlist nl = adder_netlist();
-  const netlist::BitVec a = to_bits(100, 8);
-  const netlist::BitVec b = to_bits(50, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, 1, a, b);
-
-  serve::ServiceOptions so;
-  so.poller = serve::PollerBackend::Poll;
-  so.shards = 2;
-  serve::GarblerService service({adder_spec(nl, a)}, so);
-  service.start();
-  for (int i = 0; i < 3; ++i) {
-    const serve::ClientResult res = serve::run_client(
-        "127.0.0.1", service.port(), nl, adder_client_opts(gc::OtBackend::Iknp, 16, 1), b);
-    expect_matches_reference(res, ref);
-  }
-  service.stop();
-  EXPECT_EQ(service.stats().runs_ok, 3u);
 }
 
 /// The ARM hamming160 workload end to end: netlist-level service vs the
@@ -254,8 +225,8 @@ TEST(GarblerService, SequentialChurnNoFdLeakAndWarmHits) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(7, 8);
   const netlist::BitVec b = to_bits(35, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, 1, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, a, b);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
 
   // Warmup lifecycle absorbs lazily created process-wide fds, so the leak
   // check below is an exact equality.
@@ -294,20 +265,58 @@ TEST(GarblerService, SequentialChurnNoFdLeakAndWarmHits) {
   EXPECT_EQ(open_fd_count(), fds_before);
 }
 
-/// Dozens of concurrent clients across two shards: all complete, all
-/// byte-identical, accounting adds up.
+/// Dozens of concurrent clients across two shards, each thread alternating
+/// two registered programs: the one-cycle adder (ideal OT) and the
+/// fixed-cycle AES-128 netlist (IKNP, public round constants streamed per
+/// cycle). All complete, every result equals its program's in-process
+/// reference, and the accounting adds up.
 TEST(GarblerService, ConcurrentChurn) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(90, 8);
   const netlist::BitVec b = to_bits(9, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Ideal, 16, 1, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+
+  std::array<std::uint8_t, 16> pt{}, key{};
+  for (std::size_t i = 0; i < 16; ++i) {
+    pt[i] = static_cast<std::uint8_t>(0x11 * i);
+    key[i] = static_cast<std::uint8_t>(i);
+  }
+  const circuits::TgInstance aes = circuits::tg_aes128(pt, key);
+  serve::ProgramSpec aes_spec;
+  aes_spec.name = "aes128";
+  aes_spec.nl = &aes.nl;
+  aes_spec.opts.fixed_cycles = aes.cycles;
+  aes_spec.alice_bits = aes.alice;
+  aes_spec.pub_bits = aes.pub;
+  aes_spec.streams = &aes.streams;
+
+  serve::ClientOptions aes_co;
+  aes_co.program = aes_spec.name;
+  aes_co.ot_backend = gc::OtBackend::Iknp;
+  aes_co.fixed_cycles = aes.cycles;
+  core::RunOptions aes_opts;
+  aes_opts.fixed_cycles = aes.cycles;
+  aes_opts.exec.ot_backend = gc::OtBackend::Iknp;
+
+  struct Program {
+    const netlist::Netlist* nl;
+    serve::ClientOptions co;
+    netlist::BitVec bob;
+    netlist::BitVec pub;
+    const core::StreamProvider* streams;
+    core::RunResult ref;
+  };
+  const Program programs[2] = {
+      {&nl, adder_client_opts(gc::OtBackend::Ideal, 16), b, {}, nullptr,
+       adder_reference(nl, gc::OtBackend::Ideal, 16, a, b)},
+      {&aes.nl, aes_co, aes.bob, aes.pub, &aes.streams,
+       core::SkipGateDriver(aes.nl, aes_opts).run(aes.alice, aes.bob, aes.pub, &aes.streams)},
+  };
 
   serve::ServiceOptions so;
   so.shards = 2;
   so.max_clients = 64;
   so.warm_pool = 8;
-  serve::GarblerService service({adder_spec(nl, a)}, so);
+  serve::GarblerService service({adder_spec(nl, a), aes_spec}, so);
   service.start();
 
   constexpr int kThreads = 24;
@@ -319,11 +328,14 @@ TEST(GarblerService, ConcurrentChurn) {
     clients.emplace_back([&, t] {
       try {
         for (int r = 0; r < kRunsPerThread; ++r) {
-          const serve::ClientResult res =
-              serve::run_client("127.0.0.1", service.port(), nl, co, b);
-          if (res.outputs != ref.final_outputs ||
-              !(res.table_digest == ref.stats.table_digest)) {
-            failures[t] = "result mismatch";
+          const Program& p = programs[(t + r) % 2];
+          const serve::ClientResult res = serve::run_client(
+              "127.0.0.1", service.port(), *p.nl, p.co, p.bob, p.pub, p.streams);
+          if (res.outputs != p.ref.final_outputs ||
+              !(res.table_digest == p.ref.stats.table_digest) ||
+              res.garbled_non_xor != p.ref.stats.garbled_non_xor ||
+              res.comm_total().total() != p.ref.stats.comm.total()) {
+            failures[t] = "result mismatch on " + p.co.program;
             return;
           }
         }
@@ -343,6 +355,9 @@ TEST(GarblerService, ConcurrentChurn) {
   EXPECT_EQ(st.runs_failed, 0u);
   EXPECT_EQ(st.active, 0u);
   EXPECT_EQ(st.warm_hits + st.warm_misses, st.runs_ok);
+  constexpr std::uint64_t kRunsEach = kThreads * kRunsPerThread / 2;
+  EXPECT_EQ(st.gates_garbled, kRunsEach * (programs[0].ref.stats.garbled_non_xor +
+                                           programs[1].ref.stats.garbled_non_xor));
 }
 
 /// Admission control: a full service answers Busy without reading the hello;
@@ -351,7 +366,7 @@ TEST(GarblerService, BusyAtCapacityThenSlotFrees) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(1, 8);
   const netlist::BitVec b = to_bits(2, 8);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
 
   serve::ServiceOptions so;
   so.max_clients = 1;
@@ -382,7 +397,7 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
   serve::GarblerService service({adder_spec(nl, to_bits(1, 8))}, serve::ServiceOptions{});
   service.start();
 
-  serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
   co.program = "no-such-program";
   try {
     (void)serve::run_client("127.0.0.1", service.port(), nl, co, to_bits(2, 8));
@@ -391,7 +406,7 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
     EXPECT_EQ(e.status(), serve::HelloStatus::UnknownProgram);
   }
 
-  co = adder_client_opts(gc::OtBackend::Ideal, 16, 1);
+  co = adder_client_opts(gc::OtBackend::Ideal, 16);
   co.fixed_cycles = 2;  // spec says 1
   try {
     (void)serve::run_client("127.0.0.1", service.port(), nl, co, to_bits(2, 8));
@@ -423,8 +438,8 @@ TEST(GarblerService, MidProtocolDisconnectNeverPoisonsWarmPool) {
   const netlist::Netlist nl = adder_netlist();
   const netlist::BitVec a = to_bits(40, 8);
   const netlist::BitVec b = to_bits(2, 8);
-  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, 1, a, b);
-  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16, 1);
+  const core::RunResult ref = adder_reference(nl, gc::OtBackend::Iknp, 16, a, b);
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Iknp, 16);
 
   serve::ServiceOptions so;
   so.warm_pool = 1;  // every client shares ONE pooled WarmState
@@ -611,7 +626,7 @@ TEST(ServeClient, RejectsOversizedOutBitsBeforeAllocating) {
   std::string error = "no error";
   try {
     (void)serve::run_client("127.0.0.1", listener.port(), nl,
-                            adder_client_opts(gc::OtBackend::Ideal, 16, 1), to_bits(4, 8));
+                            adder_client_opts(gc::OtBackend::Ideal, 16), to_bits(4, 8));
   } catch (const std::runtime_error& e) {
     error = e.what();
   } catch (const std::exception& e) {

@@ -20,9 +20,11 @@
 
 namespace a2gtest {
 
+/// Bits at positions >= 64 are zero (shifting a 64-bit value that far is
+/// undefined).
 inline arm2gc::netlist::BitVec to_bits(std::uint64_t v, std::size_t width) {
   arm2gc::netlist::BitVec b(width);
-  for (std::size_t i = 0; i < width; ++i) b[i] = ((v >> i) & 1u) != 0;
+  for (std::size_t i = 0; i < width && i < 64; ++i) b[i] = ((v >> i) & 1u) != 0;
   return b;
 }
 

@@ -56,7 +56,6 @@ struct Args {
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   std::size_t max_clients = 64;
   std::size_t shards = 1;
-  std::size_t exec_threads = 1;
   std::size_t warm_pool = 4;
   std::uint64_t exit_after_runs = 0;  ///< serve: exit once this many runs finished
   std::size_t runs = 1;               ///< client: sequential runs on one warm state
@@ -73,7 +72,7 @@ struct Args {
                "  serve:  --listen host:port\n"
                "          --program <builtin> --input w,w,...   (repeatable pairs;\n"
                "                  builtins: sum32 compare32 mult32 hamming160)\n"
-               "          [--max-clients N] [--shards N] [--exec-threads N]\n"
+               "          [--max-clients N] [--shards N]\n"
                "          [--warm-pool N] [--exit-after-runs N]\n"
                "          [--metrics-port N] [--metrics-host H] [--stats-interval-ms N]\n"
                "  client: --connect host:port --program <builtin> --input w,w,...\n"
@@ -126,8 +125,6 @@ Args parse_args(int argc, char** argv) {
       a.max_clients = std::stoull(next(i), nullptr, 0);
     } else if (f == "--shards") {
       a.shards = std::stoull(next(i), nullptr, 0);
-    } else if (f == "--exec-threads") {
-      a.exec_threads = std::stoull(next(i), nullptr, 0);
     } else if (f == "--warm-pool") {
       a.warm_pool = std::stoull(next(i), nullptr, 0);
     } else if (f == "--exit-after-runs") {
@@ -218,7 +215,6 @@ int run_serve(const Args& a) {
   so.port = port;
   so.max_clients = a.max_clients;
   so.shards = a.shards;
-  so.exec_threads = a.exec_threads;
   so.warm_pool = a.warm_pool;
   so.metrics_port = a.metrics_port;
   so.metrics_host = a.metrics_host;
@@ -275,7 +271,6 @@ int run_client(const Args& a) {
   co.ot_pool = a.ot_pool;
   co.halt_wire = machine.cpu().halt_wire;
   co.max_cycles = a.max_cycles;
-  co.threads = a.exec_threads;
 
   // One warm state across --runs: repeat runs ride the warm plan caches on
   // both sides, the serving scenario.
