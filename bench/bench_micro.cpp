@@ -1,5 +1,6 @@
 // Microbenchmarks (google-benchmark): the cryptographic kernels under the
-// protocol — AES, the garbling hash, garble/eval per scheme, the IKNP
+// protocol — AES, the garbling hash, garble/eval per scheme (one gate per
+// call, and half-gates batches through the fused kernel), the IKNP
 // transpose and OT batches. They are per-kernel rooflines, not a paper
 // table: end-to-end protocol wall time is measured by perfbench/.
 //
@@ -136,6 +137,62 @@ static void BM_Eval(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_Eval)->Arg(0)->Arg(1)->Arg(2);
+
+/// Independent gates at the session batch width (gc::kGateBatch) for the
+/// fused half-gates kernels: the label array holds 2 inputs per gate and the
+/// outputs land beside them, as in a session slice batch.
+std::vector<crypto::HalfGateJob> independent_jobs() {
+  std::vector<crypto::HalfGateJob> jobs(gc::kGateBatch);
+  for (std::size_t k = 0; k < jobs.size(); ++k) {
+    const auto w = static_cast<std::uint32_t>(3 * k);
+    jobs[k] = crypto::HalfGateJob{w, w + 1, w + 2, static_cast<std::uint32_t>(k % 8)};
+  }
+  return jobs;
+}
+
+/// Half-gates garbled gates per second through the fused batch kernel
+/// (runtime-dispatched backend), kGateBatch independent gates per call —
+/// the roofline beside BM_Garble's one gate per call.
+static void BM_GarbleBatch(benchmark::State& state) {
+  const gc::Garbler g(crypto::block_from_u64(6));
+  const std::vector<crypto::HalfGateJob> jobs = independent_jobs();
+  std::vector<crypto::Block> labels(3 * jobs.size());
+  crypto::CtrRng rng(crypto::block_from_u64(7));
+  for (crypto::Block& l : labels) l = rng.next_block();
+  std::vector<crypto::Block> rows(2 * jobs.size());
+  std::uint64_t tweak = 0;
+  for (auto _ : state) {
+    g.garble_half_gates(labels.data(), jobs.data(), jobs.size(), tweak, rows.data());
+    tweak += 2 * jobs.size();
+    benchmark::DoNotOptimize(rows.data());
+  }
+  state.SetLabel("halfgates");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK(BM_GarbleBatch);
+
+/// Half-gates evaluated gates per second through the fused batch kernel,
+/// kGateBatch independent gates per call (rows are not re-garbled per
+/// iteration: the hash work, what this bench measures, is the same).
+static void BM_EvalBatch(benchmark::State& state) {
+  const gc::Garbler g(crypto::block_from_u64(8));
+  const gc::Evaluator ev;
+  const std::vector<crypto::HalfGateJob> jobs = independent_jobs();
+  std::vector<crypto::Block> labels(3 * jobs.size());
+  crypto::CtrRng rng(crypto::block_from_u64(9));
+  for (crypto::Block& l : labels) l = rng.next_block();
+  std::vector<crypto::Block> rows(2 * jobs.size());
+  g.garble_half_gates(labels.data(), jobs.data(), jobs.size(), 0, rows.data());
+  std::uint64_t tweak = 0;
+  for (auto _ : state) {
+    ev.eval_half_gates(labels.data(), jobs.data(), jobs.size(), tweak, rows.data());
+    tweak += 2 * jobs.size();
+    benchmark::DoNotOptimize(labels.data());
+  }
+  state.SetLabel("halfgates");
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(jobs.size()));
+}
+BENCHMARK(BM_EvalBatch);
 
 /// 128xN bit-transpose throughput (the IKNP column->row pivot).
 /// arg0: 0 = portable kernel, 1 = dispatched (SSE2 when compiled in).

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/slice_loop.h"
 #include "core/workpool.h"
 #include "obs/trace.h"
 
@@ -168,65 +169,43 @@ void EvaluatorSession::begin_cycle(bool window_start) {
 }
 
 void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
-  const WireId first_gate = nl_.first_gate_wire();
+  const std::size_t bpg = gc::blocks_per_gate(scheme_);
   const bool conventional = mode_ == Mode::Conventional;
 
-  // Prepass: per-slice emitted-table counts, mirroring the garbler's — the
-  // ordered reader pulls exactly each cone's frames off the transport in
-  // slice order, and each cone evaluates against the preassigned tweak
-  // range starting at tweak0 + 2*emit_base_[si].
-  emit_base_.assign(plan.num_slices + 1, 0);
-  for (std::size_t si = 0; si < plan.num_slices; ++si) {
-    const PlanSlice& sl = plan.slices[si];
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    std::uint64_t emitted = 0;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      if (sl.action(j) == PlanAct::Garble && sl.emit[j] != 0) ++emitted;
-    }
-    emit_base_[si + 1] = emit_base_[si] + emitted;
-  }
+  // Per-slice emitted-table counts, mirroring the garbler's — the ordered
+  // reader pulls exactly each cone's frame off the transport in slice
+  // order, and each cone evaluates against the preassigned tweak range
+  // starting at tweak0 + 2*emit_base_[si].
+  count_emitted(plan, conventional, emit_base_);
   const std::uint64_t tweak0 = eval_.tweak_cursor();
   if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
 
-  // Ordered reader: slice si's table frames are received (and folded into
-  // the digest) in slice order on the calling thread, before si's worker
-  // task is released — the byte stream consumed is identical to serial.
+  // Ordered reader: slice si's frame is received (and folded into the
+  // digest) in slice order on the calling thread, before si's worker task
+  // is released — the byte stream consumed is identical to serial.
   const auto feed_slice = [&](std::size_t si) {
-    std::vector<gc::GarbledTable>& stage = stage_[si];
-    stage.assign(static_cast<std::size_t>(emit_base_[si + 1] - emit_base_[si]),
-                 gc::GarbledTable{});
-    for (gc::GarbledTable& table : stage) {
-      table.count = static_cast<std::uint8_t>(gc::blocks_per_gate(scheme_));
-      tx_->recv(table.rows.data(), table.count);
-      for (std::uint8_t t = 0; t < table.count; ++t) {
-        table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-      }
-    }
+    const std::size_t blocks = static_cast<std::size_t>(emit_base_[si + 1] - emit_base_[si]) * bpg;
+    if (blocks == 0) return;
+    std::vector<Block>& rows = stage_[si].rows;
+    if (rows.size() < blocks) rows.resize(blocks);
+    tx_->recv(rows.data(), blocks);
+    for (std::size_t t = 0; t < blocks; ++t) table_digest_ = table_digest_.gf_double() ^ rows[t];
   };
 
-  // Worker body: evaluate one cone slice against its staged tables. Label
+  // Worker body: evaluate one cone slice against its staged rows. Label
   // reads of upstream slices are ordered by the plan's dependency DAG.
   const auto eval_slice = [&](std::size_t si) {
     // Slice tracing lives in the session's task body, not the WorkPool —
     // the pool stays obs-free under the planner-purity lint rule.
     A2G_SPAN("eval.slice", "slice");
     const PlanSlice& sl = plan.slices[si];
-    const std::vector<gc::GarbledTable>& stage = stage_[si];
-    std::size_t next_table = 0;
-    std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
-    // SkipGate slices carry an explicit work list of their live gates;
-    // Conventional mode processes every gate. Skipped gates keep stale
-    // labels, which is sound: a live gate's inputs are always live-produced
-    // (or roots) by the backward sweep's needed-closure, and every
-    // label-validity consumer (outputs, latched flip-flops) checks
-    // publicness first.
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      const std::size_t i = sl.first_gate + j;
-      const WireId w = first_gate + static_cast<WireId>(i);
-      const Gate g = nl_.gates[i];
+    SliceStage& st = stage_[si];
+    const std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
+    // Skipped gates (SkipGate work lists) keep stale labels, which is sound:
+    // a live gate's inputs are always live-produced (or roots) by the
+    // backward sweep's needed-closure, and every label-validity consumer
+    // (outputs, latched flip-flops) checks publicness first.
+    const auto apply = [&](std::uint32_t j, WireId w, const Gate& g) {
       switch (sl.action(j)) {
         case PlanAct::Public:
           lb_valid_[w] = 0;
@@ -256,23 +235,33 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
           lb_[w] = lb_[g.a] ^ lb_[g.b];
           lb_valid_[w] = lb_valid_[g.a] & lb_valid_[g.b];
           break;
-        case PlanAct::Garble: {
-          if (!sl.emit[j]) {
-            // Paper Alg. 5 line 18: a skipped gate's output is tracked as an
-            // opaque secret; fingerprints already play that role, so no label.
-            lb_valid_[w] = 0;
-            break;
-          }
-          if (!lb_valid_[g.a] || !lb_valid_[g.b]) {
-            throw std::logic_error("skipgate: evaluator missing label for a needed gate");
-          }
-          lb_[w] = eval_.eval_at(lb_[g.a], lb_[g.b], stage[next_table++], tweak);
-          tweak += 2;
-          lb_valid_[w] = 1;
+        case PlanAct::Garble:
+          // Paper Alg. 5 line 18: a skipped gate's output is tracked as an
+          // opaque secret; fingerprints already play that role, so no label.
+          lb_valid_[w] = 0;
           break;
-        }
       }
-    }
+    };
+    const auto flush = [&](const crypto::HalfGateJob* jobs, std::size_t n, std::uint64_t k0) {
+      // Batched gates read no pending wire, so their inputs' validity is final.
+      for (std::size_t k = 0; k < n; ++k) {
+        if (!lb_valid_[jobs[k].a] || !lb_valid_[jobs[k].b]) {
+          throw std::logic_error("skipgate: evaluator missing label for a needed gate");
+        }
+        lb_valid_[jobs[k].out] = 1;
+      }
+      const Block* rows = st.rows.data() + k0 * bpg;
+      if (scheme_ == gc::Scheme::HalfGates) {
+        eval_.eval_half_gates(lb_.data(), jobs, n, tweak + 2 * k0, rows);
+        return;
+      }
+      for (std::size_t k = 0; k < n; ++k) {
+        const crypto::HalfGateJob& job = jobs[k];
+        lb_[job.out] =
+            eval_.eval_rows(lb_[job.a], lb_[job.b], rows + k * bpg, tweak + 2 * (k0 + k));
+      }
+    };
+    walk_slice(nl_, sl, conventional, st, apply, flush);
   };
   WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, eval_slice,
                     feed_slice);

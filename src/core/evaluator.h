@@ -13,6 +13,10 @@
 // Streamed Bob bits run one batch per OT window (see core/garbler.h): the
 // window-opening ot_begin() queues every cycle of the window into a window
 // buffer, and each begin_cycle() installs its own cycle's slice of it.
+//
+// Evaluation: eval_cycle walks each cone slice through the shared slice loop
+// (core/slice_loop.h), the same batching as the garbler's, so batches of
+// independent gates run through the fused half-gates kernel.
 #pragma once
 
 #include <cstdint>
@@ -20,6 +24,7 @@
 #include <vector>
 
 #include "core/plan.h"
+#include "core/slice_loop.h"
 #include "crypto/block.h"
 #include "gc/garble.h"
 #include "gc/otext.h"
@@ -36,10 +41,10 @@ class EvaluatorSession {
   /// evaluator holds no label-generating state. `warm_ot` (optional, IKNP
   /// only) carries base-OT state across runs of one pairing. `pool`
   /// (optional) evaluates independent cone slices on its workers once their
-  /// table frames arrive: frames are pulled off the transport in slice
-  /// order on the calling thread (the read mirror of the garbler's ordered
-  /// writer), so the consumed byte stream and received-table digest are
-  /// byte-identical to the serial path.
+  /// frames arrive. Either way each slice's table frame is pulled off the
+  /// transport with one receive, in slice order on the calling thread (the
+  /// read mirror of the garbler's ordered writer), so the consumed byte
+  /// stream and received-table digest are byte-identical to the serial path.
   EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
                    gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
                    gc::IknpReceiverState* warm_ot = nullptr, WorkPool* pool = nullptr,
@@ -67,7 +72,8 @@ class EvaluatorSession {
   /// and latch().
   void begin_cycle(bool window_start);
 
-  /// Runs the evaluator label pass over the plan, consuming garbled tables.
+  /// Runs the evaluator label pass over the plan, consuming each slice's
+  /// garbled tables as one frame.
   void eval_cycle(const CyclePlan& plan);
 
   /// Sends this cycle's secret output labels for decoding.
@@ -110,10 +116,11 @@ class EvaluatorSession {
   std::unique_ptr<gc::OtReceiver> ot_;
   WorkPool* pool_;
 
-  /// Per-slice staged tables (filled by the ordered transport reader,
-  /// consumed by the slice's worker) and the per-slice emitted-table prefix
-  /// sums that preassign each cone's tweak range.
-  std::vector<std::vector<gc::GarbledTable>> stage_;
+  /// Per-slice row frames (filled by the ordered transport reader, consumed
+  /// by the slice's worker) with their batching state (core/slice_loop.h),
+  /// and the per-slice emitted-table prefix sums that preassign each cone's
+  /// tweak range.
+  std::vector<SliceStage> stage_;
   std::vector<std::uint64_t> emit_base_;
 
   std::vector<crypto::Block> lb_;

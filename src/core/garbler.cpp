@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "core/slice_loop.h"
 #include "core/workpool.h"
 #include "obs/trace.h"
 
@@ -142,49 +143,36 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
 }
 
 void GarblerSession::garble_cycle(const CyclePlan& plan) {
-  const WireId first_gate = nl_.first_gate_wire();
   const Block r = garbler_.R();
+  const gc::Scheme scheme = garbler_.scheme();
+  const std::size_t bpg = gc::blocks_per_gate(scheme);
   const bool conventional = mode_ == Mode::Conventional;
   ++cycle_epoch_;  // advanced on serial and pooled paths alike
 
-  // Prepass: per-slice emitted-table counts. Each cone garbles against the
-  // preassigned tweak range starting at tweak0 + 2*emit_base_[si], which is
-  // exactly the range the serial pass would consume — so tables are
-  // bit-identical no matter which worker builds them.
-  emit_base_.assign(plan.num_slices + 1, 0);
-  for (std::size_t si = 0; si < plan.num_slices; ++si) {
-    const PlanSlice& sl = plan.slices[si];
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    std::uint64_t emitted = 0;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      if (sl.action(j) == PlanAct::Garble && sl.emit[j] != 0) ++emitted;
-    }
-    emit_base_[si + 1] = emit_base_[si] + emitted;
-  }
+  // Each cone garbles against the preassigned tweak range starting at
+  // tweak0 + 2*emit_base_[si], exactly the range the serial pass would
+  // consume — so tables are bit-identical no matter which worker builds them.
+  count_emitted(plan, conventional, emit_base_);
   const std::uint64_t tweak0 = garbler_.tweak_cursor();
   if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
+  const auto slice_blocks = [&](std::size_t si) {
+    return static_cast<std::size_t>(emit_base_[si + 1] - emit_base_[si]) * bpg;
+  };
 
-  // Worker body: garble one cone slice into its staging buffer. Label
-  // reads of upstream slices are ordered by the plan's dependency DAG.
+  // Worker body: garble one cone slice into its row frame. Label reads of
+  // upstream slices are ordered by the plan's dependency DAG.
   const auto garble_slice = [&](std::size_t si) {
     // Slice tracing lives in the session's task body, not the WorkPool —
     // the pool stays obs-free under the planner-purity lint rule.
     A2G_SPAN("garble.slice", "slice");
     const PlanSlice& sl = plan.slices[si];
-    std::vector<gc::GarbledTable>& stage = stage_[si];
-    stage.clear();
-    std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
-    // SkipGate slices carry an explicit work list of their live gates;
-    // Conventional mode processes every gate.
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      const std::size_t i = sl.first_gate + j;
-      const WireId w = first_gate + static_cast<WireId>(i);
-      const Gate g = nl_.gates[i];
+    SliceStage& st = stage_[si];
+    if (st.rows.size() < slice_blocks(si)) st.rows.resize(slice_blocks(si));
+    const std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
+    const auto apply = [&](std::uint32_t j, WireId w, const Gate& g) {
       switch (sl.action(j)) {
         case PlanAct::Public:
+        case PlanAct::Garble:  // dead garbled gate: never built nor sent
           break;
         case PlanAct::PassA:
           la_[w] = la_[g.a] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.a));
@@ -207,28 +195,37 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
           la_[w] = la_[g.a] ^ la_[g.b] ^
                    maybe(r, (plan.wire_flip(w) != plan.wire_flip(g.a)) != plan.wire_flip(g.b));
           break;
-        case PlanAct::Garble: {
-          if (!sl.emit[j]) break;  // dead garbled gate: never built nor sent
-          gc::GarbledTable table;
-          la_[w] = garbler_.garble_at(la_[g.a], la_[g.b], netlist::tt_and_core(g.tt), tweak,
-                                      garbler_.derived_label(cycle_epoch_, i), table);
-          tweak += 2;
-          stage.push_back(table);
-          break;
-        }
       }
-    }
+    };
+    const auto flush = [&](const crypto::HalfGateJob* jobs, std::size_t n, std::uint64_t k0) {
+      Block* rows = st.rows.data() + k0 * bpg;
+      if (scheme == gc::Scheme::HalfGates) {
+        garbler_.garble_half_gates(la_.data(), jobs, n, tweak + 2 * k0, rows);
+        return;
+      }
+      const WireId first_gate = nl_.first_gate_wire();
+      for (std::size_t k = 0; k < n; ++k) {
+        const crypto::HalfGateJob& job = jobs[k];
+        // Only Classic4 reads a fresh output label; it is a function of
+        // (cycle, gate), so worker order cannot perturb it.
+        const Block fresh = scheme == gc::Scheme::Classic4
+                                ? garbler_.derived_label(cycle_epoch_, job.out - first_gate)
+                                : Block{};
+        la_[job.out] = garbler_.garble_rows(la_[job.a], la_[job.b], job.polarity,
+                                            tweak + 2 * (k0 + k), fresh, rows + k * bpg);
+      }
+    };
+    walk_slice(nl_, sl, conventional, st, apply, flush);
   };
-  // Ordered writer: completed cones drain onto the transport in slice-id
-  // order on the calling thread, keeping the framed byte stream — and the
-  // digest folded over it — byte-identical to the serial schedule.
+  // Ordered writer: each completed cone's rows go onto the transport as one
+  // frame, in slice-id order on the calling thread, keeping the byte stream
+  // — and the digest folded over it — byte-identical to the serial schedule.
   const auto drain_slice = [&](std::size_t si) {
-    for (const gc::GarbledTable& table : stage_[si]) {
-      tx_->send(table.rows.data(), table.count, gc::Traffic::GarbledTable);
-      for (std::uint8_t t = 0; t < table.count; ++t) {
-        table_digest_ = table_digest_.gf_double() ^ table.rows[t];
-      }
-    }
+    const std::size_t blocks = slice_blocks(si);
+    if (blocks == 0) return;
+    const Block* rows = stage_[si].rows.data();
+    tx_->send(rows, blocks, gc::Traffic::GarbledTable);
+    for (std::size_t t = 0; t < blocks; ++t) table_digest_ = table_digest_.gf_double() ^ rows[t];
   };
   WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, garble_slice, {},
                     drain_slice);

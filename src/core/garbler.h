@@ -14,6 +14,10 @@
 // per-cycle draw would take, so labels and tables do not depend on the
 // window size) and runs one OT batch for all of Bob's; each cycle then
 // transfers only its own Alice/public labels.
+//
+// Garbling: garble_cycle walks each cone slice through the shared slice loop
+// (core/slice_loop.h), which hands batches of independent garbled gates to
+// the fused half-gates kernel straight over the label array.
 #pragma once
 
 #include <cstdint>
@@ -21,6 +25,7 @@
 #include <vector>
 
 #include "core/plan.h"
+#include "core/slice_loop.h"
 #include "crypto/block.h"
 #include "gc/garble.h"
 #include "gc/otext.h"
@@ -38,9 +43,10 @@ class GarblerSession {
   /// Precomp counterpart (the random-OT pool, which embeds its own base
   /// state) and `ot_pool` sizes a fresh Precomp pool when no warm one is
   /// handed in. `pool` (optional) garbles independent cone slices on its
-  /// workers, staging each cone's tables and draining them in slice order
-  /// through a single ordered writer — the framed byte stream, table digests
-  /// and comm accounting are byte-identical to the serial path.
+  /// workers. Either way each slice's tables are staged as one flat row
+  /// frame and sent as one frame, in slice order, by a single ordered
+  /// writer — the byte stream, table digests and comm accounting are
+  /// byte-identical to a per-table send.
   GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
                  gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
                  gc::IknpSenderState* warm_ot = nullptr, WorkPool* pool = nullptr,
@@ -59,7 +65,8 @@ class GarblerSession {
   void begin_cycle(const netlist::BitVec& alice_stream, const netlist::BitVec& pub_stream,
                    std::uint64_t window);
 
-  /// Runs the garbler label pass over the plan, sending garbled tables.
+  /// Runs the garbler label pass over the plan, sending each slice's
+  /// garbled tables as one frame.
   void garble_cycle(const CyclePlan& plan);
 
   /// Receives Bob's output labels and decodes this cycle's sampled outputs.
@@ -131,10 +138,10 @@ class GarblerSession {
   std::size_t held_labels_ = 0;
   bool holding_ = false;
   crypto::Block table_digest_{};
-  /// Per-slice staging buffers for pooled garbling (drained in slice order
-  /// by the transport writer) and the per-slice emitted-table prefix sums
-  /// that preassign each cone's tweak range.
-  std::vector<std::vector<gc::GarbledTable>> stage_;
+  /// Per-slice row frames and batching state (core/slice_loop.h; drained
+  /// in slice order by the transport writer) and the per-slice
+  /// emitted-table prefix sums that preassign each cone's tweak range.
+  std::vector<SliceStage> stage_;
   std::vector<std::uint64_t> emit_base_;
   /// Per-cycle domain for Classic4 derived output labels (advanced every
   /// garble_cycle, never reset): labels are functions of (epoch, gate), so

@@ -45,6 +45,10 @@ class Aes128 {
   static bool aesni_available();
 
  private:
+  // The fused half-gates kernels hand the AES-NI round keys straight to
+  // src/crypto/aesni.cpp.
+  friend class PiHash;
+
   [[nodiscard]] Block encrypt_portable(Block plaintext) const;
 
   // 11 round keys, 4 words each, stored column-major as in FIPS-197

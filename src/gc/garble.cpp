@@ -27,50 +27,35 @@ Block Garbler::garble(Block a0, Block b0, netlist::AndCore core, GarbledTable& t
 
 Block Garbler::garble_at(Block a0, Block b0, netlist::AndCore core, std::uint64_t tweak,
                          Block classic_fresh, GarbledTable& table) const {
+  table.count = static_cast<std::uint8_t>(blocks_per_gate(scheme_));
+  return garble_rows(a0, b0, polarity_bits(core), tweak, classic_fresh, table.rows.data());
+}
+
+Block Garbler::garble_rows(Block a0, Block b0, std::uint32_t polarity, std::uint64_t tweak,
+                           Block classic_fresh, Block* rows) const {
+  if (scheme_ == Scheme::HalfGates) {
+    // The fused kernel at width 1 over a local three-label array.
+    Block labels[3] = {a0, b0, Block{}};
+    const crypto::HalfGateJob job{0, 1, 2, polarity};
+    hash_.garble_half_gates(r_, labels, &job, 1, tweak, rows);
+    return labels[2];
+  }
   // Fold the gate's polarity into the labels: garble a plain AND over the
   // polarity-adjusted false labels, flip the output for gamma.
-  const Block ea0 = a0 ^ maybe(r_, core.alpha);
-  const Block eb0 = b0 ^ maybe(r_, core.beta);
+  const Block ea0 = a0 ^ maybe(r_, (polarity & 1u) != 0);
+  const Block eb0 = b0 ^ maybe(r_, (polarity & 2u) != 0);
   Block out0;
   switch (scheme_) {
-    case Scheme::HalfGates: out0 = half_gates(ea0, eb0, tweak, table); break;
-    case Scheme::Grr3: out0 = classic(ea0, eb0, tweak, kZero, table, /*grr3=*/true); break;
+    case Scheme::Grr3: out0 = classic(ea0, eb0, tweak, kZero, rows, /*grr3=*/true); break;
     case Scheme::Classic4:
-      out0 = classic(ea0, eb0, tweak, classic_fresh, table, /*grr3=*/false);
+      out0 = classic(ea0, eb0, tweak, classic_fresh, rows, /*grr3=*/false);
       break;
     default: throw std::logic_error("garbler: unknown scheme");
   }
-  return out0 ^ maybe(r_, core.gamma);
+  return out0 ^ maybe(r_, (polarity & 4u) != 0);
 }
 
-Block Garbler::half_gates(Block a0, Block b0, std::uint64_t j0, GarbledTable& table) const {
-  const bool pa = a0.lsb();
-  const bool pb = b0.lsb();
-  const std::uint64_t j1 = j0 + 1;
-
-  // The generator and evaluator half-gates need 4 independent hashes; one
-  // batched call keeps all of them in the AES pipeline at once.
-  const Block in[4] = {a0, a0 ^ r_, b0, b0 ^ r_};
-  const std::uint64_t tw[4] = {j0, j0, j1, j1};
-  Block h[4];
-  hash_.hash4(in, tw, h);
-  const Block ha0 = h[0];
-  const Block ha1 = h[1];
-  const Block tg = ha0 ^ ha1 ^ maybe(r_, pb);
-  const Block wg0 = ha0 ^ maybe(tg, pa);
-
-  const Block hb0 = h[2];
-  const Block hb1 = h[3];
-  const Block te = hb0 ^ hb1 ^ a0;
-  const Block we0 = hb0 ^ maybe(te ^ a0, pb);
-
-  table.rows[0] = tg;
-  table.rows[1] = te;
-  table.count = 2;
-  return wg0 ^ we0;
-}
-
-Block Garbler::classic(Block a0, Block b0, std::uint64_t j0, Block w0_fresh, GarbledTable& table,
+Block Garbler::classic(Block a0, Block b0, std::uint64_t j0, Block w0_fresh, Block* rows,
                        bool grr3) const {
   const bool pa = a0.lsb();
   const bool pb = b0.lsb();
@@ -94,7 +79,6 @@ Block Garbler::classic(Block a0, Block b0, std::uint64_t j0, Block w0_fresh, Gar
     w0 = w0_fresh;
   }
 
-  table.count = grr3 ? 3 : 4;
   for (int va = 0; va < 2; ++va) {
     for (int vb = 0; vb < 2; ++vb) {
       const int sa = static_cast<int>(pa) ^ va;
@@ -104,9 +88,9 @@ Block Garbler::classic(Block a0, Block b0, std::uint64_t j0, Block w0_fresh, Gar
       const Block ct = ha[va] ^ hb[vb] ^ w0 ^ maybe(r_, out_val);
       if (grr3) {
         if (slot == 0) continue;  // implicit all-zero row
-        table.rows[static_cast<std::size_t>(slot - 1)] = ct;
+        rows[slot - 1] = ct;
       } else {
-        table.rows[static_cast<std::size_t>(slot)] = ct;
+        rows[slot] = ct;
       }
     }
   }
@@ -121,29 +105,24 @@ Block Evaluator::eval(Block a, Block b, const GarbledTable& table) {
 }
 
 Block Evaluator::eval_at(Block a, Block b, const GarbledTable& table, std::uint64_t tweak) const {
+  return eval_rows(a, b, table.rows.data(), tweak);
+}
+
+Block Evaluator::eval_rows(Block a, Block b, const Block* rows, std::uint64_t tweak) const {
   switch (scheme_) {
-    case Scheme::HalfGates: return eval_half_gates(a, b, tweak, table);
-    case Scheme::Grr3: return eval_classic(a, b, tweak, table, /*grr3=*/true);
-    case Scheme::Classic4: return eval_classic(a, b, tweak, table, /*grr3=*/false);
+    case Scheme::HalfGates: {
+      Block labels[3] = {a, b, Block{}};
+      const crypto::HalfGateJob job{0, 1, 2, 0};
+      hash_.eval_half_gates(labels, &job, 1, tweak, rows);
+      return labels[2];
+    }
+    case Scheme::Grr3: return eval_classic(a, b, tweak, rows, /*grr3=*/true);
+    case Scheme::Classic4: return eval_classic(a, b, tweak, rows, /*grr3=*/false);
     default: throw std::logic_error("evaluator: unknown scheme");
   }
 }
 
-Block Evaluator::eval_half_gates(Block a, Block b, std::uint64_t j0,
-                                 const GarbledTable& table) const {
-  const std::uint64_t j1 = j0 + 1;
-  const Block tg = table.rows[0];
-  const Block te = table.rows[1];
-  const Block in[2] = {a, b};
-  const std::uint64_t tw[2] = {j0, j1};
-  Block h[2];
-  hash_.hash2(in, tw, h);
-  const Block wg = h[0] ^ maybe(tg, a.lsb());
-  const Block we = h[1] ^ maybe(te ^ a, b.lsb());
-  return wg ^ we;
-}
-
-Block Evaluator::eval_classic(Block a, Block b, std::uint64_t j0, const GarbledTable& table,
+Block Evaluator::eval_classic(Block a, Block b, std::uint64_t j0, const Block* rows,
                               bool grr3) const {
   const std::uint64_t j1 = j0 + 1;
   const int slot = (static_cast<int>(a.lsb()) << 1) | static_cast<int>(b.lsb());
@@ -154,9 +133,9 @@ Block Evaluator::eval_classic(Block a, Block b, std::uint64_t j0, const GarbledT
   const Block pad = h[0] ^ h[1];
   if (grr3) {
     if (slot == 0) return pad;
-    return pad ^ table.rows[static_cast<std::size_t>(slot - 1)];
+    return pad ^ rows[slot - 1];
   }
-  return pad ^ table.rows[static_cast<std::size_t>(slot)];
+  return pad ^ rows[slot];
 }
 
 }  // namespace arm2gc::gc

@@ -7,9 +7,17 @@
 // decomposition  f(a,b) = gamma ^ ((a^alpha) & (b^beta)) : the garbler offsets
 // the false input labels by alpha*R / beta*R and the false output label by
 // gamma*R; the evaluator is oblivious to the polarities.
+//
+// Half-gates runs through the fused batch kernels of crypto::PiHash
+// (garble_half_gates / eval_half_gates): the party sessions hand them up to
+// kGateBatch independent gates at once, straight over their label arrays,
+// and the per-gate entry points below are the same kernels at width 1.
+// GRR3 and classic garble per gate. Tables travel as flat row arrays
+// (blocks_per_gate rows per gate); GarbledTable is the per-gate view.
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 
 #include "crypto/block.h"
@@ -29,6 +37,27 @@ struct GarbledTable {
   std::array<Block, 4> rows{};
   std::uint8_t count = 0;
 };
+
+/// Gates per fused half-gates batch in the party sessions' slice loop: a
+/// compile-time constant, not an option. A full batch is four 8-block AES
+/// groups when garbling and two when evaluating.
+inline constexpr std::size_t kGateBatch = 8;
+
+/// HalfGateJob::polarity bits of an AND core (bit 0 alpha, 1 beta, 2 gamma).
+[[nodiscard]] constexpr std::uint32_t polarity_bits(netlist::AndCore core) {
+  return static_cast<std::uint32_t>(core.alpha) | static_cast<std::uint32_t>(core.beta) << 1 |
+         static_cast<std::uint32_t>(core.gamma) << 2;
+}
+
+/// polarity_bits(tt_and_core(tt)) for every truth table, so the slice loop
+/// reads a gate's polarities with one load.
+inline constexpr std::array<std::uint32_t, 16> kPolarityOfTable = [] {
+  std::array<std::uint32_t, 16> p{};
+  for (std::size_t tt = 0; tt < p.size(); ++tt) {
+    p[tt] = polarity_bits(netlist::tt_and_core(static_cast<netlist::TruthTable>(tt)));
+  }
+  return p;
+}();
 
 /// Number of ciphertext blocks per non-XOR gate under a scheme.
 [[nodiscard]] constexpr std::size_t blocks_per_gate(Scheme s) {
@@ -67,6 +96,20 @@ class Garbler {
   Block garble_at(Block a0, Block b0, netlist::AndCore core, std::uint64_t tweak,
                   Block classic_fresh, GarbledTable& table) const;
 
+  /// garble_at writing its blocks_per_gate(scheme()) rows to `rows`, with
+  /// the polarities as polarity_bits.
+  Block garble_rows(Block a0, Block b0, std::uint32_t polarity, std::uint64_t tweak,
+                    Block classic_fresh, Block* rows) const;
+
+  /// Garbles `n` independent half-gates over the false-label array `labels`
+  /// (see crypto::PiHash::garble_half_gates): gate k uses tweaks
+  /// `tweak + 2k`, `tweak + 2k + 1` and rows[2k], rows[2k + 1] — exactly what
+  /// n garble_at calls would. HalfGates scheme only.
+  void garble_half_gates(Block* labels, const crypto::HalfGateJob* jobs, std::size_t n,
+                         std::uint64_t tweak, Block* rows) const {
+    hash_.garble_half_gates(r_, labels, jobs, n, tweak, rows);
+  }
+
   /// Label addressed by (domain, ordinal) from the session seed — the
   /// deterministic-under-parallelism replacement for a fresh_label() draw
   /// whose stream position would depend on worker interleaving. Disjoint
@@ -89,8 +132,7 @@ class Garbler {
   [[nodiscard]] std::uint64_t gates_garbled() const { return gate_counter_; }
 
  private:
-  Block half_gates(Block a0, Block b0, std::uint64_t j0, GarbledTable& table) const;
-  Block classic(Block a0, Block b0, std::uint64_t j0, Block w0_fresh, GarbledTable& table,
+  Block classic(Block a0, Block b0, std::uint64_t j0, Block w0_fresh, Block* rows,
                 bool grr3) const;
 
   crypto::PiHash hash_;
@@ -114,6 +156,16 @@ class Evaluator {
   /// concurrently against preassigned tweak ranges.
   Block eval_at(Block a, Block b, const GarbledTable& table, std::uint64_t tweak) const;
 
+  /// eval_at reading the gate's rows from `rows`.
+  Block eval_rows(Block a, Block b, const Block* rows, std::uint64_t tweak) const;
+
+  /// Evaluates `n` independent half-gates over the active-label array
+  /// `labels`, the mirror of Garbler::garble_half_gates. HalfGates only.
+  void eval_half_gates(Block* labels, const crypto::HalfGateJob* jobs, std::size_t n,
+                       std::uint64_t tweak, const Block* rows) const {
+    hash_.eval_half_gates(labels, jobs, n, tweak, rows);
+  }
+
   /// Advances the gate counter and tweak cursor past `gates` gates handled
   /// out-of-band through eval_at().
   void advance(std::uint64_t gates) {
@@ -127,9 +179,7 @@ class Evaluator {
   [[nodiscard]] std::uint64_t gates_evaluated() const { return gate_counter_; }
 
  private:
-  Block eval_half_gates(Block a, Block b, std::uint64_t j0, const GarbledTable& table) const;
-  Block eval_classic(Block a, Block b, std::uint64_t j0, const GarbledTable& table,
-                     bool grr3) const;
+  Block eval_classic(Block a, Block b, std::uint64_t j0, const Block* rows, bool grr3) const;
 
   crypto::PiHash hash_;
   Scheme scheme_;

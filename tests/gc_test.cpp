@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "crypto/block.h"
+#include "crypto/rng.h"
 #include "gc/garble.h"
 #include "gc/golden_digest.h"
 #include "gc/otext.h"
@@ -156,6 +160,60 @@ TEST(Garble, GoldenTableDigestsStableAcrossBackends) {
   for (const GoldenCase& c : cases) {
     EXPECT_EQ(golden_table_digest(c.scheme), c.digest)
         << "scheme=" << static_cast<int>(c.scheme);
+  }
+}
+
+/// The session slice loop's batched path against the per-gate API: a batch
+/// of n independent gates through Garbler::garble_half_gates /
+/// Evaluator::eval_half_gates equals n garble_at / eval_at calls at the same
+/// tweaks, for every width up to kGateBatch and all 8 polarity combinations
+/// (runtime-dispatched backend; crypto_test covers both backends).
+TEST(Garble, BatchedHalfGatesMatchGarbleAtAtEveryWidth) {
+  Garbler g(block_from_u64(0xba7c4));
+  const Evaluator ev;
+  const Block r = g.R();
+  arm2gc::crypto::CtrRng rng(block_from_u64(0x5eed));
+  for (std::size_t n = 1; n <= kGateBatch; ++n) {
+    for (std::uint32_t pol0 = 0; pol0 < 8; ++pol0) {
+      std::vector<Block> labels(3 * n);
+      for (Block& l : labels) l = rng.next_block();
+      std::vector<arm2gc::crypto::HalfGateJob> jobs(n);
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto w = static_cast<std::uint32_t>(3 * k);
+        jobs[k] = {w, w + 1, w + 2, static_cast<std::uint32_t>((pol0 + k) % 8)};
+      }
+      const std::uint64_t tweak = rng.next_u64();
+      std::vector<Block> out = labels;
+      std::vector<Block> rows(2 * n);
+      g.garble_half_gates(out.data(), jobs.data(), n, tweak, rows.data());
+
+      std::vector<Block> active = out;
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto& job = jobs[k];
+        const arm2gc::netlist::AndCore core{(job.polarity & 1u) != 0, (job.polarity & 2u) != 0,
+                                            (job.polarity & 4u) != 0};
+        EXPECT_EQ(polarity_bits(core), job.polarity);
+        GarbledTable t;
+        const Block w0 = g.garble_at(labels[job.a], labels[job.b], core, tweak + 2 * k, Block{}, t);
+        ASSERT_EQ(t.count, 2);
+        EXPECT_EQ(out[job.out], w0) << "n=" << n << " k=" << k;
+        EXPECT_EQ(rows[2 * k], t.rows[0]) << "n=" << n << " k=" << k;
+        EXPECT_EQ(rows[2 * k + 1], t.rows[1]) << "n=" << n << " k=" << k;
+        if (rng.next_below(2) != 0) active[job.a] ^= r;
+        if (rng.next_below(2) != 0) active[job.b] ^= r;
+      }
+      std::vector<Block> evald = active;
+      ev.eval_half_gates(evald.data(), jobs.data(), n, tweak, rows.data());
+      for (std::size_t k = 0; k < n; ++k) {
+        const auto& job = jobs[k];
+        GarbledTable t;
+        t.rows[0] = rows[2 * k];
+        t.rows[1] = rows[2 * k + 1];
+        t.count = 2;
+        EXPECT_EQ(evald[job.out], ev.eval_at(active[job.a], active[job.b], t, tweak + 2 * k))
+            << "n=" << n << " k=" << k;
+      }
+    }
   }
 }
 

@@ -660,6 +660,85 @@ TEST(PartySchedule, MatmultTableDigestIsTheLockStepSchedules) {
   }
 }
 
+/// Every non-affine AND-core polarity, once each.
+constexpr netlist::TruthTable kPolarityTables[] = {
+    netlist::kTtAnd,       netlist::kTtNand,     netlist::kTtOr,
+    netlist::kTtNor,       netlist::kTtAndANotB, netlist::kTtNotAAndB,
+    netlist::kTtOrANotB,   netlist::kTtOrNotAB};
+
+/// A netlist shaped to walk every batching path of the session slice loop
+/// (core/slice_loop.h): an XOR reads a pending AND (deferred), an AND reads
+/// that deferred XOR (flush, replay, new batch), a public-select MUX whose
+/// final XOR cancels to a PassSrc of a still-pending AND (deferred under
+/// SkipGate), more independent ANDs sharing inputs than one batch holds, and
+/// every AND-core polarity.
+netlist::Netlist batching_netlist() {
+  builder::CircuitBuilder cb;
+  const builder::Bus a = cb.input_bus(netlist::Owner::Alice, 4, 0);
+  const builder::Bus b = cb.input_bus(netlist::Owner::Bob, 4, 0);
+  const builder::Wire p = cb.input(netlist::Owner::Public, 0);
+  const builder::Wire t = cb.and_(a[0], b[0]);
+  const builder::Wire f = cb.and_(a[1], b[1]);
+  const builder::Wire o = cb.or_(a[0], b[1]);
+  const builder::Wire x = cb.xor_(t, a[2]);
+  const builder::Wire y = cb.and_(x, b[2]);
+  const builder::Wire t2 = cb.and_(a[3], b[3]);
+  const builder::Wire f2 = cb.nand_(b[3], a[2]);
+  const builder::Wire r = cb.mux(p, t2, f2);
+  const builder::Wire z = cb.and_(r, x);
+  builder::Wire acc = cb.xor_(cb.xor_(f, o), cb.xor_(y, z));
+  for (std::uint32_t k = 0; k < 12; ++k) {
+    acc = cb.xor_(acc, cb.gate(kPolarityTables[k % 8], a[k % 4], b[(k + k / 4) % 4]));
+  }
+  cb.output(t, "t");
+  cb.output(x, "x");
+  cb.output(r, "r");
+  cb.output(acc, "acc");
+  return cb.take();
+}
+
+/// The batched slice loop reorders when gates are garbled, never what is
+/// garbled: outputs are right and the table digest equals the per-gate
+/// loop's (pinned from the revision before batching), under SkipGate and
+/// Conventional, lock-step and over a socket pair.
+TEST(PartyBatching, DeferredGatesKeepThePerGateDigest) {
+  const netlist::Netlist nl = batching_netlist();
+  struct Pin {
+    core::Mode mode;
+    const char* digest;
+    std::uint64_t garbled;
+  };
+  const Pin pins[] = {{core::Mode::SkipGate, "3e4fb204754590b52cbecc7571be088f", 16},
+                      {core::Mode::Conventional, "cd705655431b838f14d8dd3ab3b1a955", 18}};
+  for (const std::uint64_t av : {0x5u, 0xbu, 0xfu}) {
+    for (const std::uint64_t bv : {0x3u, 0xeu}) {
+      const netlist::BitVec a = to_bits(av, 4);
+      const netlist::BitVec b = to_bits(bv, 4);
+      const bool t = a[0] && b[0];
+      const bool x = t != a[2];
+      const bool r = a[3] && b[3];  // public select 1 picks t2
+      bool acc = ((a[1] && b[1]) != (a[0] || b[1])) != ((x && b[2]) != (r && x));
+      for (std::size_t k = 0; k < 12; ++k) {
+        acc = acc != netlist::tt_eval(kPolarityTables[k % 8], a[k % 4], b[(k + k / 4) % 4]);
+      }
+      for (const Pin& pin : pins) {
+        for (const a2gtest::Composition c : a2gtest::kCompositions) {
+          core::RunOptions opts;
+          opts.mode = pin.mode;
+          opts.fixed_cycles = 1;
+          const core::RunResult res = a2gtest::run_composed(c, nl, opts, a, b, to_bits(1, 1));
+          EXPECT_EQ(res.final_outputs, (netlist::BitVec{t, x, r, acc}))
+              << "a=" << av << " b=" << bv;
+          if (av == 0x5u && bv == 0x3u) {
+            EXPECT_EQ(res.stats.table_digest.hex(), pin.digest);
+            EXPECT_EQ(res.stats.garbled_non_xor, pin.garbled);
+          }
+        }
+      }
+    }
+  }
+}
+
 /// Serial adder over an Alice bit and two Bob bits per cycle, with a public
 /// 4-bit counter whose value 11 drives the halt wire (output 0).
 netlist::Netlist halting_stream_adder() {
