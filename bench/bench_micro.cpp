@@ -1,8 +1,9 @@
 // Microbenchmarks (google-benchmark): the cryptographic kernels under the
 // protocol — AES, the garbling hash, garble/eval per scheme (one gate per
 // call, and half-gates batches through the fused kernel), the IKNP
-// transpose and OT batches. They are per-kernel rooflines, not a paper
-// table: end-to-end protocol wall time is measured by perfbench/.
+// transpose and OT batches — plus the warm planner cycle (BM_WarmPlanHit).
+// They are per-kernel rooflines, not a paper table: end-to-end protocol
+// wall time is measured by perfbench/.
 //
 // The AES benchmarks are parameterized by backend (0 = portable tables,
 // 1 = AES-NI) and by batching (scalar vs hash4/encrypt_batch), so one run
@@ -14,6 +15,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "arm/arm2gc.h"
+#include "core/plan.h"
 #include "crypto/aes128.h"
 #include "crypto/prf.h"
 #include "crypto/rng.h"
@@ -22,6 +25,7 @@
 #include "gc/otext.h"
 #include "gc/otpre.h"
 #include "gc/transport.h"
+#include "programs/programs.h"
 
 using namespace arm2gc;
 
@@ -301,5 +305,49 @@ static void BM_OtDerandomize(benchmark::State& state) {
       static_cast<double>(sender->stats().choices ? sender->stats().choices : 1));
 }
 BENCHMARK(BM_OtDerandomize)->Arg(1)->Arg(8)->Arg(160)->Arg(4096);
+
+/// Warm planner cycles: a Hamming-160 (5 words per party) planner replay
+/// over a primed PlanCache, as a warm Session's planner runs it — every
+/// cycle a whole-entry hit through the compiled verify program, then
+/// finish() and latch(). Two untimed replays prime the cache (cold plans)
+/// and compile every entry; items = planner cycles, so the rate reads as
+/// warm planner cycles per second.
+static void BM_WarmPlanHit(benchmark::State& state) {
+  const programs::Program prog = programs::hamming(5);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const core::PartyOptions po = machine.party_options(core::Role::Garbler);
+  core::PlanCache cache;
+  core::ConeMemo memo;
+  core::PlannerOptions opts;
+  opts.mode = po.mode;
+  opts.seed = po.protocol_seed;
+  opts.shared_cache = &cache;
+  opts.shared_cone_memo = &memo;
+  opts.cone_target_gates = po.cone_target_gates;
+  core::Planner planner(machine.cpu().nl, opts);
+  const auto replay = [&] {
+    std::int64_t cycles = 0;
+    planner.reset({});
+    for (;;) {
+      planner.begin_cycle({});
+      planner.forward();
+      ++cycles;
+      const bool is_final = planner.wire_value(*po.halt_wire);
+      const core::CyclePlan plan = planner.finish(is_final);
+      benchmark::DoNotOptimize(plan.slices);
+      if (is_final) return cycles;
+      planner.latch(plan);
+    }
+  };
+  replay();
+  replay();
+  const std::uint64_t hits0 = planner.cache_hits();
+  std::int64_t cycles = 0;
+  for (auto _ : state) cycles += replay();
+  state.SetItemsProcessed(cycles);
+  state.counters["hit_ratio"] = benchmark::Counter(
+      static_cast<double>(planner.cache_hits() - hits0) / static_cast<double>(cycles ? cycles : 1));
+}
+BENCHMARK(BM_WarmPlanHit);
 
 BENCHMARK_MAIN();

@@ -172,11 +172,11 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   const std::size_t bpg = gc::blocks_per_gate(scheme_);
   const bool conventional = mode_ == Mode::Conventional;
 
-  // Per-slice emitted-table counts, mirroring the garbler's — the ordered
-  // reader pulls exactly each cone's frame off the transport in slice
-  // order, and each cone evaluates against the preassigned tweak range
-  // starting at tweak0 + 2*emit_base_[si].
-  count_emitted(plan, conventional, emit_base_);
+  // The plan's per-slice emitted-table prefix, shared with the garbler:
+  // the ordered reader pulls exactly each cone's frame off the transport in
+  // slice order, and each cone evaluates against the preassigned tweak
+  // range starting at tweak0 + 2*emit_base[si].
+  const std::uint64_t* emit_base = plan.emit_base;
   const std::uint64_t tweak0 = eval_.tweak_cursor();
   if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
 
@@ -184,7 +184,7 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   // digest) in slice order on the calling thread, before si's worker task
   // is released — the byte stream consumed is identical to serial.
   const auto feed_slice = [&](std::size_t si) {
-    const std::size_t blocks = static_cast<std::size_t>(emit_base_[si + 1] - emit_base_[si]) * bpg;
+    const std::size_t blocks = static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * bpg;
     if (blocks == 0) return;
     std::vector<Block>& rows = stage_[si].rows;
     if (rows.size() < blocks) rows.resize(blocks);
@@ -200,7 +200,7 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
     A2G_SPAN("eval.slice", "slice");
     const PlanSlice& sl = plan.slices[si];
     SliceStage& st = stage_[si];
-    const std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
+    const std::uint64_t tweak = tweak0 + 2 * emit_base[si];
     // Skipped gates (SkipGate work lists) keep stale labels, which is sound:
     // a live gate's inputs are always live-produced (or roots) by the
     // backward sweep's needed-closure, and every label-validity consumer
@@ -265,7 +265,7 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   };
   WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, eval_slice,
                     feed_slice);
-  eval_.advance(emit_base_[plan.num_slices]);
+  eval_.advance(emit_base[plan.num_slices]);
 }
 
 void EvaluatorSession::send_outputs(const CyclePlan& plan) {

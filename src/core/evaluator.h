@@ -117,11 +117,8 @@ class EvaluatorSession {
   WorkPool* pool_;
 
   /// Per-slice row frames (filled by the ordered transport reader, consumed
-  /// by the slice's worker) with their batching state (core/slice_loop.h),
-  /// and the per-slice emitted-table prefix sums that preassign each cone's
-  /// tweak range.
+  /// by the slice's worker) with their batching state (core/slice_loop.h).
   std::vector<SliceStage> stage_;
-  std::vector<std::uint64_t> emit_base_;
 
   std::vector<crypto::Block> lb_;
   std::vector<std::uint8_t> lb_valid_;

@@ -150,13 +150,14 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
   ++cycle_epoch_;  // advanced on serial and pooled paths alike
 
   // Each cone garbles against the preassigned tweak range starting at
-  // tweak0 + 2*emit_base_[si], exactly the range the serial pass would
-  // consume — so tables are bit-identical no matter which worker builds them.
-  count_emitted(plan, conventional, emit_base_);
+  // tweak0 + 2*emit_base[si] (the plan's per-slice emitted-table prefix),
+  // exactly the range the serial pass would consume — so tables are
+  // bit-identical no matter which worker builds them.
+  const std::uint64_t* emit_base = plan.emit_base;
   const std::uint64_t tweak0 = garbler_.tweak_cursor();
   if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
   const auto slice_blocks = [&](std::size_t si) {
-    return static_cast<std::size_t>(emit_base_[si + 1] - emit_base_[si]) * bpg;
+    return static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * bpg;
   };
 
   // Worker body: garble one cone slice into its row frame. Label reads of
@@ -168,7 +169,7 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
     const PlanSlice& sl = plan.slices[si];
     SliceStage& st = stage_[si];
     if (st.rows.size() < slice_blocks(si)) st.rows.resize(slice_blocks(si));
-    const std::uint64_t tweak = tweak0 + 2 * emit_base_[si];
+    const std::uint64_t tweak = tweak0 + 2 * emit_base[si];
     const auto apply = [&](std::uint32_t j, WireId w, const Gate& g) {
       switch (sl.action(j)) {
         case PlanAct::Public:
@@ -229,7 +230,7 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
   };
   WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, garble_slice, {},
                     drain_slice);
-  garbler_.advance(emit_base_[plan.num_slices]);
+  garbler_.advance(emit_base[plan.num_slices]);
 }
 
 netlist::BitVec GarblerSession::decode_outputs(const CyclePlan& plan) {

@@ -139,10 +139,8 @@ class GarblerSession {
   bool holding_ = false;
   crypto::Block table_digest_{};
   /// Per-slice row frames and batching state (core/slice_loop.h; drained
-  /// in slice order by the transport writer) and the per-slice
-  /// emitted-table prefix sums that preassign each cone's tweak range.
+  /// in slice order by the transport writer).
   std::vector<SliceStage> stage_;
-  std::vector<std::uint64_t> emit_base_;
   /// Per-cycle domain for Classic4 derived output labels (advanced every
   /// garble_cycle, never reset): labels are functions of (epoch, gate), so
   /// worker order cannot perturb them.

@@ -1,6 +1,7 @@
 #include "core/plan.h"
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <stdexcept>
 #include <string>
@@ -211,29 +212,24 @@ WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const Wire
   return kNoWire;
 }
 
-// Hit-verification program (PlanCache::Entry::program), a flat u32 stream.
-// Each segment's sub-range starts with its Garble gates — a count, then the
-// gate indices — whose derived fingerprints depend only on (epoch, gate) and
-// are computed up front in pipelined AES batches. Then one op per gate whose
-// decision depends on a fingerprint comparison or that makes a fresh XOR
-// fingerprint, in gate order:
-//   header  gate << kOpShift | kind | kOpResA? | kOpResB?
-//   [ra]    fingerprint source of operand a, present iff kOpResA (it differs
-//   [rb]    from the gate's own operand); same for b
-//   cancel  kOpNeXor / kOpNeSrc only: n | k << 3, then n candidate
-//           fingerprint sources; the first candidate carrying fp(a)^fp(b)
-//           must be #k (k == n: none may — FreeXor)
-enum : std::uint32_t {
-  kOpEq = 0,     ///< cached category iii: require fp(a) == fp(b)
-  kOpNe = 1,     ///< cached non-equal outcome (incl. category iv): require !=
-  kOpNeXor = 2,  ///< FreeXor: require !=, no candidate matches, write a^b
-  kOpNeSrc = 3,  ///< PassSrc: require !=, candidate #k matches first
-  kOpXor = 4,    ///< Conventional FreeXor: write a^b, no decision
-  kOpKindMask = 7,
-  kOpResA = 8,
-  kOpResB = 16,
-  kOpShift = 5,
-};
+// Hit program (PlanCache::Entry::program), one u32 stream over the planner's
+// fingerprint slab. Operands are slab slots, never wire ids, and no op reads
+// a Gate. Every slot is written exactly once per run, so the pure checks can
+// run after all writes. The parts, in run order (HitProgram::end):
+//   gather  one root wire per slot: slots [0, R) copy the root fingerprints
+//   derive  one gate index per slot: slots [R, R+D) get the gates' derived
+//           fingerprints in one pipelined AES pass
+//   write   a, b per fresh XOR, in gate order: the j-th writes
+//           fp(a)^fp(b) to slot R+D+j. Under SkipGate (a cached FreeXor)
+//           every written slot must be nonzero — the operands differ;
+//           Conventional mode makes no decision.
+//   eq      a, b: cached category iii, require fp(a) == fp(b)
+//   ne      a, b: cached non-equal outcome (incl. category iv), require
+//           fp(a) != fp(b); a cached FreeXor adds its output and each
+//           XOR-cancellation candidate: no candidate may carry the output
+//   nesrc   a, b, n | k << 3, then n candidate slots: cached PassSrc,
+//           require != and candidate #k the first carrying fp(a)^fp(b)
+//   latch   the slot of each secret latch source (Entry::latch_src order)
 /// Candidate index no first match can equal: the op never verifies.
 constexpr std::uint32_t kNeverMatches = 7;
 
@@ -403,12 +399,13 @@ void PlanCache::ensure_sized(const Netlist& nl, std::uint64_t netlist_key,
   const std::size_t num_gates = nl.gates.size();
   const std::size_t roots = nl.first_gate_wire();
   // Rough per-entry footprint: signature + acts + pass sources + packed
-  // wire bits + touch list + two backward variants (emit + live each). The
-  // touch list is charged at full netlist size; on SkipGate workloads the
-  // real touch list plus the compiled verify program and latch list fit in
-  // that charge (Hamming-160: ~7.0k touched + ~10.3k program words against
-  // 42.6k), while a Conventional entry (every gate touched) exceeds it by
-  // about its program.
+  // wire bits + touch list. The touch list is charged at full netlist size
+  // (4 B per gate); on SkipGate workloads that charge also covers the
+  // compiled hit program, the latch list and a filled backward variant —
+  // emit bytes, work list and slice table (Hamming-160: ~7.0k touched +
+  // ~11.1k program words + 42.6k emit bytes + a ~5 kB slice table against
+  // 170 kB), while a Conventional entry (every gate touched) exceeds it by
+  // about its program and backward variants.
   const std::size_t entry_bytes = 4 * roots + num_gates + 4 * num_gates + num_wires +
                                   4 * num_gates + 256;
   capacity_ = std::clamp<std::size_t>(budget_bytes_ / std::max<std::size_t>(entry_bytes, 1), 4,
@@ -567,9 +564,6 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
     : nl_(nl),
       opts_(opts),
       fp_gen_(opts.seed ^ Block{0xf1f2f3f4f5f6f7f8ULL, 0x0102030405060708ULL}) {
-  if (nl_.gates.size() >= (std::size_t{1} << (32 - kOpShift))) {
-    throw std::length_error("planner: netlist exceeds the verify program's gate index range");
-  }
   const std::uint64_t netlist_key = netlist_content_key(nl_, opts_.mode);
   if (opts_.cache) {
     if (opts_.shared_cache != nullptr) {
@@ -614,9 +608,7 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
   }
 
   const std::size_t nseg = layout_->segments.size();
-  slices_.reserve(nseg);
   seg_touch_.resize(nseg);
-  seg_ok_.assign(nseg, 1);
   if (memo_ != nullptr) {
     seg_keys_.resize(nseg);
     seg_hash_.assign(nseg, 0);
@@ -645,17 +637,6 @@ Block Planner::derived_plaintext(std::size_t gate) const {
 
 Block Planner::derived_fp(std::size_t gate) const {
   return fp_gen_.encrypt(derived_plaintext(gate));
-}
-
-void Planner::derive_fps(const std::uint32_t* gates, std::size_t n) {
-  const WireId first_gate = nl_.first_gate_wire();
-  std::array<Block, kFpBatch> buf;
-  for (std::size_t base = 0; base < n; base += kFpBatch) {
-    const std::size_t m = std::min(kFpBatch, n - base);
-    for (std::size_t j = 0; j < m; ++j) buf[j] = derived_plaintext(gates[base + j]);
-    fp_gen_.encrypt_batch(buf.data(), m);
-    for (std::size_t j = 0; j < m; ++j) st_[first_gate + gates[base + j]].fp = buf[j];
-  }
 }
 
 void Planner::bind_secret_fp(WireState& s) {
@@ -934,6 +915,7 @@ void Planner::forward() {
   // functions of (epoch, gate) — identical across planner variants and
   // worker interleavings.
   ++fp_epoch_;
+  hit_ = false;
   // Misses cost milliseconds, so the cone memo's keys take their root words
   // from the old-form signature, rebuilt in full.
   const auto build_miss = [&](Entry& e) {
@@ -973,6 +955,7 @@ void Planner::forward() {
     }
     ++cache_hits_;
     if (linked) ++link_hits_;
+    hit_ = true;
     cur_ = e;
   } else {
     ++cache_misses_;
@@ -998,8 +981,8 @@ void Planner::build_plan(Entry& e) {
   e.wire_bits.resize(nl_.num_wires());
   e.touch.clear();
   e.touch_off.assign(nseg + 1, 0);
-  e.program.clear();
-  e.program_off.clear();
+  e.program.code.clear();
+  e.program.compiled = false;
   e.latch_ready = false;
   e.backward[0].filled = false;
   e.backward[1].filled = false;
@@ -1165,7 +1148,7 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg,
     e.act[i] = static_cast<std::uint8_t>(act);
     e.pass_src[i] = src;
     e.wire_bits[first_gate + i] = pack_bits(out);
-    // The touch list drives hit verification and the backward sweep: every
+    // The touch list drives the hit compiler and the backward sweep: every
     // non-Public action plus every fingerprint-dependent Public collapse
     // (two secret inputs, category iii / constant-affine).
     if (act != PlanAct::Public || (!a.is_pub && !b.is_pub)) {
@@ -1187,147 +1170,211 @@ bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::En
 }
 
 bool Planner::verify_entry(Entry& e) {
-  if (e.program_off.empty()) compile_entry(e);
-  // Each segment runs its program sub-range — in ascending order, or
-  // cone-parallel on the pool with operand fingerprint reads ordered by the
-  // dependency DAG (a resolved operand lies in a transitive producer
-  // segment). A failing segment stops writing fingerprints, which can only
-  // make downstream segments fail too or pass on stale reads: the
-  // conjunction is the same boolean either way, and partially written
-  // fingerprints are rewritten by the fallback classification.
-  const std::uint32_t* prog = e.program.data();
-  const std::uint32_t* off = e.program_off.data();
-  const std::size_t nseg = layout_->segments.size();
-  WorkPool::execute(opts_.pool, nseg, layout_->dep_offsets.data(), layout_->dep_edges.data(),
-                    [&](std::size_t si) {
-                      seg_ok_[si] = run_program(prog + off[si], prog + off[si + 1]) ? 1 : 0;
-                    });
-  return std::all_of(seg_ok_.begin(), seg_ok_.end(), [](std::uint8_t ok) { return ok != 0; });
+  PlanCache::HitProgram& h = e.program;
+  if (!h.compiled) compile_entry(e);
+  // A shared cache's entries may have been compiled by another planner.
+  if (slab_.size() < h.slots) slab_.resize(h.slots);
+  Block* const fp = slab_.data();
+  const std::uint32_t* const code = h.code.data();
+  const std::uint32_t* p = code;
+
+  // Gather, then derive: plaintexts into their slots, one AES pass.
+  Block* out = fp;
+  for (const std::uint32_t* end = code + h.end[PlanCache::kGather]; p != end; ++p) {
+    *out++ = st_[*p].fp;
+  }
+  Block* const derived = out;
+  for (const std::uint32_t* end = code + h.end[PlanCache::kDerive]; p != end; ++p) {
+    *out++ = derived_plaintext(*p);
+  }
+  fp_gen_.encrypt_batch(derived, static_cast<std::size_t>(out - derived));
+
+  // Writes, then the pure checks. No early exit: a failed check only
+  // decides the result, and every slot a later op reads is written anyway.
+  // A cached FreeXor's operands differ, so under SkipGate its fresh
+  // fingerprint is nonzero; Conventional mode makes no decision.
+  bool zero_xor = false;
+  const std::uint32_t* end = code + h.end[PlanCache::kWrite];
+  for (; p != end; p += 2) {
+    *out = fp[p[0]] ^ fp[p[1]];
+    zero_xor |= out++->is_zero();
+  }
+  bool bad = zero_xor && opts_.mode == Mode::SkipGate;
+  // Nonzero where the two blocks differ.
+  const auto differ = [](const Block& x, const Block& y) { return (x.lo ^ y.lo) | (x.hi ^ y.hi); };
+  std::uint64_t eq_miss = 0;
+  for (end = code + h.end[PlanCache::kEq]; p != end; p += 2) eq_miss |= differ(fp[p[0]], fp[p[1]]);
+  for (end = code + h.end[PlanCache::kNe]; p != end; p += 2) {
+    bad |= differ(fp[p[0]], fp[p[1]]) == 0;
+  }
+  for (end = code + h.end[PlanCache::kNeSrc]; p != end;) {
+    const Block x = fp[p[0]] ^ fp[p[1]];
+    const std::uint32_t n = p[2] & 7u;
+    const std::uint32_t k = p[2] >> 3;
+    std::uint32_t first = n;
+    for (std::uint32_t j = n; j-- > 0;) {
+      if (differ(fp[p[3 + j]], x) == 0) first = j;
+    }
+    bad |= x.is_zero() || first != k;
+    p += 3 + n;
+  }
+  return !bad && eq_miss == 0;
 }
 
 void Planner::compile_entry(Entry& e) {
+  // The latch part needs the latch list, which is otherwise built with the
+  // entry's first CyclePlan.
+  if (!e.latch_ready) build_latch_list(e);
   const bool skipgate = opts_.mode == Mode::SkipGate;
   const std::uint8_t* acts = e.act.data();
   const WireId* srcs = e.pass_src.data();
+  const WireId first_gate = nl_.first_gate_wire();
   const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
   const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
-  const std::size_t nseg = layout_->segments.size();
-  std::vector<std::uint32_t>& prog = program_scratch_;
-  prog.clear();
-  e.program_off.assign(nseg + 1, 0);
+  const auto source = [&](WireId w) { return fp_source(nl_, acts, srcs, w); };
 
-  for (std::size_t si = 0; si < nseg; ++si) {
-    e.program_off[si] = static_cast<std::uint32_t>(prog.size());
-    const std::uint32_t* tb = e.touch.data() + e.touch_off[si];
-    const std::uint32_t* te = e.touch.data() + e.touch_off[si + 1];
-    const std::size_t count_at = prog.size();
-    prog.push_back(0);
-    for (const std::uint32_t* t = tb; t != te; ++t) {
-      if (static_cast<PlanAct>(acts[*t]) == PlanAct::Garble) prog.push_back(*t);
-    }
-    prog[count_at] = static_cast<std::uint32_t>(prog.size() - count_at - 1);
-
-    for (const std::uint32_t* t = tb; t != te; ++t) {
-      const std::uint32_t i = *t;
-      const Gate g = nl_.gates[i];
-      const PlanAct act = static_cast<PlanAct>(acts[i]);
-      std::uint32_t kind;
-      bool never = false;
-      if (skipgate && !wire_pub(g.a) && !wire_pub(g.b)) {
-        // The cached action is one of the decision table's two outcomes;
-        // the op checks that the fingerprint comparison still selects it.
-        const bool fd = wire_flip(g.a) != wire_flip(g.b);
-        const PlanAct eq = pair_action(g.tt, fd, /*equal=*/true, skipgate);
-        const PlanAct ne = pair_action(g.tt, fd, /*equal=*/false, skipgate);
-        if (act == eq) {
-          // Same action either way: the equal outcomes (Public, PassA)
-          // carry no fresh fingerprint, so nothing is left to do.
-          if (ne == eq) continue;
-          kind = kOpEq;
-        } else if (ne == PlanAct::FreeXor &&
-                   (act == PlanAct::FreeXor || act == PlanAct::PassSrc)) {
-          kind = act == PlanAct::FreeXor ? kOpNeXor : kOpNeSrc;
-        } else if (act == ne) {
-          kind = kOpNe;
-        } else {
-          // An action matching neither outcome cannot come out of
-          // classification; compile it to an op that never verifies.
-          kind = kOpNeSrc;
-          never = true;
-        }
-      } else if (act == PlanAct::FreeXor) {
-        kind = kOpXor;  // Conventional mode: no decision, fresh fingerprint
+  // Pass 1, in gate order: each op goes to its part as wire ids (its
+  // fingerprint sources). A SkipGate write also sends its output and each
+  // cancellation candidate to the ne part; an nesrc op carries n | k << 3
+  // and its candidates after a, b.
+  std::array<std::vector<std::uint32_t>, PlanCache::kHitParts>& part = hit_stage_;
+  for (std::vector<std::uint32_t>& v : part) v.clear();
+  std::vector<WireId> writes;
+  for (const std::uint32_t i : e.touch) {
+    const Gate g = nl_.gates[i];
+    const PlanAct act = static_cast<PlanAct>(acts[i]);
+    PlanCache::HitPart kind;
+    bool never = false;
+    if (skipgate && !wire_pub(g.a) && !wire_pub(g.b)) {
+      // The cached action is one of the decision table's two outcomes;
+      // the op checks that the fingerprint comparison still selects it.
+      const bool fd = wire_flip(g.a) != wire_flip(g.b);
+      const PlanAct eq = pair_action(g.tt, fd, /*equal=*/true, skipgate);
+      const PlanAct ne = pair_action(g.tt, fd, /*equal=*/false, skipgate);
+      if (act == eq) {
+        // Same action either way: the equal outcomes (Public, PassA)
+        // carry no fresh fingerprint, so nothing is left to do.
+        if (ne == eq) continue;
+        kind = PlanCache::kEq;
+      } else if (ne == PlanAct::FreeXor && act == PlanAct::FreeXor) {
+        kind = PlanCache::kWrite;
+      } else if (ne == PlanAct::FreeXor && act == PlanAct::PassSrc) {
+        kind = PlanCache::kNeSrc;
+      } else if (act == ne) {
+        kind = PlanCache::kNe;
       } else {
-        continue;  // no decision; Garble fingerprints are derived up front
+        // An action matching neither outcome cannot come out of
+        // classification; compile it to an op that never verifies.
+        kind = PlanCache::kNeSrc;
+        never = true;
       }
-
-      const WireId ra = fp_source(nl_, acts, srcs, g.a);
-      const WireId rb = fp_source(nl_, acts, srcs, g.b);
-      prog.push_back(i << kOpShift | kind | (ra != g.a ? kOpResA : 0u) |
-                     (rb != g.b ? kOpResB : 0u));
-      if (ra != g.a) prog.push_back(ra);
-      if (rb != g.b) prog.push_back(rb);
-      if (kind == kOpNeXor || kind == kOpNeSrc) {
-        std::array<WireId, 4> cand{};
-        const auto n = static_cast<std::uint32_t>(
-            never ? 0 : cancel_candidates(nl_, acts, srcs, wire_pub, g.a, g.b, cand));
-        // FreeXor: no candidate may match (k == n). PassSrc: the first match
-        // must be the cached source's first occurrence.
-        std::uint32_t k = kind == kOpNeXor ? n : kNeverMatches;
-        for (std::uint32_t j = 0; j < n && kind == kOpNeSrc; ++j) {
-          if (cand[j] == srcs[i]) {
-            k = j;
-            break;
-          }
-        }
-        prog.push_back(n | k << 3);
-        for (std::uint32_t j = 0; j < n; ++j) prog.push_back(fp_source(nl_, acts, srcs, cand[j]));
+    } else if (act == PlanAct::FreeXor) {
+      kind = PlanCache::kWrite;  // Conventional mode: no decision, fresh fingerprint
+    } else {
+      continue;  // no decision; Garble fingerprints are derived when read
+    }
+    std::vector<std::uint32_t>& op = part[kind];
+    op.insert(op.end(), {source(g.a), source(g.b)});
+    if (kind == PlanCache::kWrite) writes.push_back(first_gate + i);
+    if (!skipgate || (kind != PlanCache::kWrite && kind != PlanCache::kNeSrc)) continue;
+    std::array<WireId, 4> cand{};
+    const auto n = static_cast<std::uint32_t>(
+        never ? 0 : cancel_candidates(nl_, acts, srcs, wire_pub, g.a, g.b, cand));
+    if (kind == PlanCache::kWrite) {
+      for (std::uint32_t j = 0; j < n; ++j) {
+        part[PlanCache::kNe].insert(part[PlanCache::kNe].end(), {first_gate + i, source(cand[j])});
+      }
+      continue;
+    }
+    // The first match must be the cached source's first occurrence.
+    std::uint32_t k = kNeverMatches;
+    for (std::uint32_t j = 0; j < n && k == kNeverMatches; ++j) {
+      if (cand[j] == srcs[i]) k = j;
+    }
+    op.push_back(n | k << 3);
+    for (std::uint32_t j = 0; j < n; ++j) op.push_back(source(cand[j]));
+  }
+  part[PlanCache::kLatch].assign(e.latch_src.begin(), e.latch_src.begin() + e.latch_secret);
+  // Every staged word but the nesrc n | k words names a wire.
+  const auto for_each_wire = [&](auto&& fn) {
+    for (std::size_t p = PlanCache::kWrite; p < PlanCache::kHitParts; ++p) {
+      std::vector<std::uint32_t>& v = part[p];
+      if (p != PlanCache::kNeSrc) {
+        for (std::uint32_t& w : v) fn(w);
+        continue;
+      }
+      for (std::size_t j = 0; j < v.size(); j += 3 + (v[j + 2] & 7u)) {
+        fn(v[j]);
+        fn(v[j + 1]);
+        for (std::size_t c = j + 3; c < j + 3 + (v[j + 2] & 7u); ++c) fn(v[c]);
       }
     }
-  }
-  e.program_off[nseg] = static_cast<std::uint32_t>(prog.size());
-  e.program.assign(prog.begin(), prog.end());  // exact size: entries are long-lived
-}
+  };
 
-bool Planner::run_program(const std::uint32_t* p, const std::uint32_t* end) {
-  const WireId first_gate = nl_.first_gate_wire();
-  WireState* st = st_.data();
-  const std::uint32_t num_derived = *p++;
-  derive_fps(p, num_derived);
-  p += num_derived;
-  while (p != end) {
-    const std::uint32_t op = *p++;
-    const std::uint32_t i = op >> kOpShift;
-    const Gate& g = nl_.gates[i];
-    const Block fa = st[(op & kOpResA) != 0 ? *p++ : g.a].fp;
-    const Block fb = st[(op & kOpResB) != 0 ? *p++ : g.b].fp;
-    const std::uint32_t kind = op & kOpKindMask;
-    switch (kind) {
-      case kOpEq:
-        if (!(fa == fb)) return false;
-        break;
-      case kOpNe:
-        if (fa == fb) return false;
-        break;
-      case kOpXor:
-        st[first_gate + i].fp = fa ^ fb;
-        break;
-      default: {  // kOpNeXor, kOpNeSrc
-        if (fa == fb) return false;
-        const Block x = fa ^ fb;
-        const std::uint32_t n = *p & 7u;
-        const std::uint32_t k = *p >> 3;
-        ++p;
-        std::uint32_t first = 0;
-        while (first < n && !(st[p[first]].fp == x)) ++first;
-        if (first != k) return false;
-        p += n;
-        if (kind == kOpNeXor) st[first_gate + i].fp = x;
-        break;
-      }
+  // Pass 2: one slot per wire the program reads or writes — roots gathered
+  // first, then garbled outputs derived, then the fresh XORs, each range
+  // ascending (so the writes run in gate order). An action no
+  // classification yields can leave a stale gate wire among the gathered
+  // ones, read only by an op that never verifies. The slotted wires are
+  // a bitset over wire ids; a wire's rank in it indexes `slot`.
+  const std::size_t words = (nl_.num_wires() + 63) / 64;
+  std::vector<std::uint64_t> used(words);
+  std::vector<std::uint64_t> written(words);
+  const auto mark = [](std::vector<std::uint64_t>& bits, WireId w) {
+    bits[w >> 6] |= std::uint64_t{1} << (w & 63);
+  };
+  for (const WireId w : writes) {
+    mark(used, w);
+    mark(written, w);
+  }
+  for_each_wire([&](std::uint32_t w) { mark(used, w); });
+  std::vector<std::uint32_t> rank(words + 1);  // slotted wires below each word
+  for (std::size_t k = 0; k < words; ++k) {
+    rank[k + 1] = rank[k] + static_cast<std::uint32_t>(std::popcount(used[k]));
+  }
+  const auto rank_of = [&](WireId w) {
+    const std::uint64_t below = used[w >> 6] & ((std::uint64_t{1} << (w & 63)) - 1);
+    return rank[w >> 6] + static_cast<std::uint32_t>(std::popcount(below));
+  };
+  // In wire order, slot[j] first holds the j-th wire's range (0 gather,
+  // 1 derive, 2 write), then its slot.
+  std::vector<WireId> wires;
+  std::vector<std::uint32_t> slot;
+  std::array<std::uint32_t, 3> next{};
+  for (std::size_t k = 0; k < words; ++k) {
+    for (std::uint64_t bits = used[k]; bits != 0; bits &= bits - 1) {
+      const auto w = static_cast<WireId>(64 * k + static_cast<unsigned>(std::countr_zero(bits)));
+      const bool garbled =
+          w >= first_gate && static_cast<PlanAct>(acts[w - first_gate]) == PlanAct::Garble;
+      wires.push_back(w);
+      slot.push_back((written[k] >> (w & 63) & 1) != 0 ? 2 : garbled ? 1 : 0);
+      ++next[slot.back()];
     }
   }
-  return true;
+  const std::uint32_t gathered = next[0];
+  const std::uint32_t fixed = next[0] + next[1];  // gathered + derived slots
+  next = {0, gathered, fixed};
+  for (std::uint32_t& sl : slot) sl = next[sl]++;
+
+  // Pass 3: wire ids become slots, and the parts join into one stream.
+  for_each_wire([&](std::uint32_t& w) { w = slot[rank_of(w)]; });
+  PlanCache::HitProgram& h = e.program;
+  std::size_t size = fixed;
+  for (const std::vector<std::uint32_t>& v : part) size += v.size();
+  std::vector<std::uint32_t> code(fixed);
+  code.reserve(size);  // exact: entries are long-lived
+  for (std::size_t j = 0; j < wires.size(); ++j) {
+    if (slot[j] < fixed) code[slot[j]] = slot[j] < gathered ? wires[j] : wires[j] - first_gate;
+  }
+  h.end[PlanCache::kGather] = gathered;
+  h.end[PlanCache::kDerive] = fixed;
+  for (std::size_t p = PlanCache::kWrite; p < PlanCache::kHitParts; ++p) {
+    code.insert(code.end(), part[p].begin(), part[p].end());
+    h.end[p] = static_cast<std::uint32_t>(code.size());
+  }
+  h.code = std::move(code);
+  h.slots = static_cast<std::uint32_t>(wires.size());
+  h.compiled = true;
 }
 
 bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
@@ -1391,33 +1438,16 @@ CyclePlan Planner::finish(bool is_final) {
 
   if (!cur_->latch_ready) build_latch_list(*cur_);
 
-  slices_.clear();
-  const bool conventional = opts_.mode == Mode::Conventional;
-  for (std::size_t si = 0; si < layout_->segments.size(); ++si) {
-    const PlanSegment& seg = layout_->segments[si];
-    PlanSlice slice;
-    slice.act = cur_->act.data() + seg.first_gate;
-    slice.pass_src = cur_->pass_src.data() + seg.first_gate;
-    slice.emit = b.emit.data() + seg.first_gate;
-    slice.live = b.live.data() + seg.first_gate;
-    if (!conventional) {
-      slice.work = b.work.data() + b.work_off[si];
-      slice.work_count = b.work_off[si + 1] - b.work_off[si];
-    }
-    slice.first_gate = seg.first_gate;
-    slice.count = seg.count;
-    slices_.push_back(slice);
-  }
-
   CyclePlan plan;
-  plan.slices = slices_.data();
-  plan.num_slices = slices_.size();
+  plan.slices = b.slices.data();
+  plan.num_slices = b.slices.size();
   plan.wire_bits = cur_->wire_bits.data();
   plan.dep_offsets = layout_->dep_offsets.data();
   plan.dep_edges = layout_->dep_edges.data();
   plan.num_gates = nl_.gates.size();
   plan.num_wires = nl_.num_wires();
-  plan.emitted = b.emitted;
+  plan.emitted = b.emit_base.back();
+  plan.emit_base = b.emit_base.data();
   plan.secret_dffs = cur_->latch_dffs.data();
   plan.num_secret_dffs = cur_->latch_secret;
   plan.is_final = is_final;
@@ -1427,93 +1457,107 @@ CyclePlan Planner::finish(bool is_final) {
 
 void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_final) {
   const std::size_t ng = nl_.gates.size();
+  const std::size_t nseg = layout_->segments.size();
+  const bool conventional = opts_.mode == Mode::Conventional;
+  const WireId first_gate = nl_.first_gate_wire();
   b.emit.assign(ng, 0);
-  b.live.assign(ng, 0);
-  b.emitted = 0;
+  b.work.clear();
+  b.slices.assign(nseg, PlanSlice{});
+  b.emit_base.assign(nseg + 1, 0);
   b.filled = true;
-  if (ng == 0) return;
 
-  if (opts_.mode == Mode::Conventional) {
+  if (conventional) {
     // Conventional GC garbles every non-affine gate unconditionally.
     for (std::size_t i = 0; i < ng; ++i) {
       b.emit[i] = e.act[i] == static_cast<std::uint8_t>(PlanAct::Garble) ? 1 : 0;
-      b.live[i] = 1;
-      b.emitted += b.emit[i];
     }
-    return;
-  }
+  } else {
+    needed_.assign(nl_.num_wires(), 0);
+    const bool sample = nl_.outputs_every_cycle || is_final;
+    if (sample) {
+      for (const netlist::OutputPort& o : nl_.outputs) {
+        if ((e.wire_bits[o.wire] & 1) == 0) needed_[o.wire] = 1;
+      }
+    }
+    if (!is_final) {
+      // Labels entering flip-flops must survive into the next cycle
+      // (paper: "copy flip flops labels"). On the final cycle they are dead,
+      // which is how e.g. the last carry of a serial adder gets skipped.
+      for (const Dff& d : nl_.dffs) {
+        if ((e.wire_bits[d.d] & 1) == 0) needed_[d.d] = 1;
+      }
+    }
 
-  needed_.assign(nl_.num_wires(), 0);
-  const bool sample = nl_.outputs_every_cycle || is_final;
-  if (sample) {
-    for (const netlist::OutputPort& o : nl_.outputs) {
-      if ((e.wire_bits[o.wire] & 1) == 0) needed_[o.wire] = 1;
-    }
-  }
-  if (!is_final) {
-    // Labels entering flip-flops must survive into the next cycle
-    // (paper: "copy flip flops labels"). On the final cycle they are dead,
-    // which is how e.g. the last carry of a serial adder gets skipped.
-    for (const Dff& d : nl_.dffs) {
-      if ((e.wire_bits[d.d] & 1) == 0) needed_[d.d] = 1;
-    }
-  }
-
-  // Only touched gates can be needed or emit: untouched gates are Public
-  // (no label), and `needed` is only ever set on secret wires. Sweep the
-  // touch list in reverse gate order.
-  const WireId first_gate = nl_.first_gate_wire();
-  for (std::size_t t = e.touch.size(); t-- > 0;) {
-    const std::size_t i = e.touch[t];
-    const WireId w = first_gate + static_cast<WireId>(i);
-    if (!needed_[w]) continue;
-    const Gate g = nl_.gates[i];
-    switch (static_cast<PlanAct>(e.act[i])) {
-      case PlanAct::Public:
-        break;
-      case PlanAct::PassA:
-        needed_[g.a] = 1;
-        break;
-      case PlanAct::PassB:
-        needed_[g.b] = 1;
-        break;
-      case PlanAct::PassC0:
-      case PlanAct::PassC1:
-        break;  // constants are always bound; nothing to propagate
-      case PlanAct::PassSrc:
-        needed_[e.pass_src[i]] = 1;
-        break;
-      case PlanAct::FreeXor:
-        needed_[g.a] = 1;
-        needed_[g.b] = 1;
-        break;
-      case PlanAct::Garble:
-        b.emit[i] = 1;
-        if ((e.wire_bits[g.a] & 1) == 0) needed_[g.a] = 1;
-        if ((e.wire_bits[g.b] & 1) == 0) needed_[g.b] = 1;
-        break;
+    // Only touched gates can be needed or emit: untouched gates are Public
+    // (no label), and `needed` is only ever set on secret wires. Sweep the
+    // touch list in reverse gate order.
+    for (std::size_t t = e.touch.size(); t-- > 0;) {
+      const std::size_t i = e.touch[t];
+      const WireId w = first_gate + static_cast<WireId>(i);
+      if (!needed_[w]) continue;
+      const Gate g = nl_.gates[i];
+      switch (static_cast<PlanAct>(e.act[i])) {
+        case PlanAct::Public:
+          break;
+        case PlanAct::PassA:
+          needed_[g.a] = 1;
+          break;
+        case PlanAct::PassB:
+          needed_[g.b] = 1;
+          break;
+        case PlanAct::PassC0:
+        case PlanAct::PassC1:
+          break;  // constants are always bound; nothing to propagate
+        case PlanAct::PassSrc:
+          needed_[e.pass_src[i]] = 1;
+          break;
+        case PlanAct::FreeXor:
+          needed_[g.a] = 1;
+          needed_[g.b] = 1;
+          break;
+        case PlanAct::Garble:
+          b.emit[i] = 1;
+          if ((e.wire_bits[g.a] & 1) == 0) needed_[g.a] = 1;
+          if ((e.wire_bits[g.b] & 1) == 0) needed_[g.b] = 1;
+          break;
+      }
     }
   }
 
-  for (const std::uint32_t i : e.touch) {
-    b.live[i] = (needed_[first_gate + i] || b.emit[i]) ? 1 : 0;
-    b.emitted += b.emit[i];
-  }
-
-  // Per-slice work lists: the live subset of each segment's touch sublist,
-  // as slice-relative indices.
-  const std::size_t nseg = layout_->segments.size();
-  b.work.clear();
-  b.work_off.assign(nseg + 1, 0);
+  // The slice table: per slice its plan data, its SkipGate work list (the
+  // live — needed or emitting — subset of its touch sublist, slice-relative)
+  // and its emitted-table count, prefix-summed into emit_base. Work pointers
+  // are set once the concatenated lists stop growing.
   for (std::size_t si = 0; si < nseg; ++si) {
-    b.work_off[si] = static_cast<std::uint32_t>(b.work.size());
-    const std::uint32_t fg = layout_->segments[si].first_gate;
-    for (std::uint32_t t = e.touch_off[si]; t < e.touch_off[si + 1]; ++t) {
-      const std::uint32_t i = e.touch[t];
-      if (b.live[i] != 0) b.work.push_back(i - fg);
+    const PlanSegment& seg = layout_->segments[si];
+    PlanSlice& slice = b.slices[si];
+    slice.act = e.act.data() + seg.first_gate;
+    slice.pass_src = e.pass_src.data() + seg.first_gate;
+    slice.emit = b.emit.data() + seg.first_gate;
+    slice.first_gate = seg.first_gate;
+    slice.count = seg.count;
+    std::uint64_t emitted = 0;
+    if (conventional) {
+      for (std::uint32_t j = 0; j < seg.count; ++j) emitted += slice.emit[j];
+    } else {
+      const auto begin = static_cast<std::uint32_t>(b.work.size());
+      for (std::uint32_t t = e.touch_off[si]; t < e.touch_off[si + 1]; ++t) {
+        const std::uint32_t i = e.touch[t];
+        if (needed_[first_gate + i] == 0 && b.emit[i] == 0) continue;
+        b.work.push_back(i - seg.first_gate);
+        emitted += b.emit[i];
+      }
+      slice.work_count = static_cast<std::uint32_t>(b.work.size()) - begin;
+    }
+    b.emit_base[si + 1] = b.emit_base[si] + emitted;
+  }
+  if (!conventional) {
+    const std::uint32_t* work = b.work.data();
+    for (PlanSlice& slice : b.slices) {
+      slice.work = work;
+      work += slice.work_count;
     }
   }
-  b.work_off[nseg] = static_cast<std::uint32_t>(b.work.size());
 }
 
 void Planner::build_latch_list(Entry& e) {
@@ -1553,6 +1597,9 @@ void Planner::latch(const CyclePlan& plan) {
   // is installed. Secret D-inputs latch the fingerprint of their resolved
   // source (a verified hit writes no pass-gate fingerprints).
   const Entry& e = *cur_;
+  // After a verified hit the cycle's fingerprints live in the slab.
+  const std::uint32_t* latch_slot =
+      hit_ ? e.program.code.data() + e.program.end[PlanCache::kNeSrc] : nullptr;
   latch_next_.resize(e.latch_dffs.size());
   for (std::size_t k = 0; k < e.latch_dffs.size(); ++k) {
     const Dff& d = nl_.dffs[e.latch_dffs[k]];
@@ -1561,7 +1608,7 @@ void Planner::latch(const CyclePlan& plan) {
       s.is_pub = false;
       s.val = false;
       s.flip = plan.wire_flip(d.d) != d.d_invert;
-      s.fp = st_[e.latch_src[k]].fp;
+      s.fp = hit_ ? slab_[latch_slot[k]] : st_[e.latch_src[k]].fp;
     } else {
       s = pub_state(plan.wire_value(d.d) != d.d_invert);
     }

@@ -27,7 +27,8 @@
 // (fetch/decode is public — the paper's whole point), so repeated cycles skip
 // classification entirely: a hit runs the entry's compiled verify program
 // instead — only the cycle's fingerprint-dependent decisions and fresh
-// fingerprints, a few percent of the netlist — and the entry's latch list
+// fingerprints, a few percent of the netlist, over a dense slab of the
+// fingerprints they read — and the entry's latch list
 // confines flip-flop bookkeeping (planner and both party sessions) to the
 // flip-flops whose state changes. A warm run of one program walks the same
 // chain of entries every time, so each entry links to the entry that followed
@@ -96,7 +97,6 @@ struct PlanSlice {
   const std::uint8_t* act = nullptr;          ///< PlanAct per gate in the slice
   const netlist::WireId* pass_src = nullptr;  ///< source wire for PassSrc gates
   const std::uint8_t* emit = nullptr;         ///< per gate: garbled table sent
-  const std::uint8_t* live = nullptr;         ///< per gate: party passes process it
   /// Slice-relative indices of the live gates, ascending — the party
   /// sessions' SkipGate work list (null in Conventional mode: every gate is
   /// live, iterate the full range). Gates not listed need no label work and
@@ -127,6 +127,10 @@ struct CyclePlan {
   std::size_t num_gates = 0;
   std::size_t num_wires = 0;
   std::uint64_t emitted = 0;  ///< number of garbled tables this cycle
+  /// Per-slice prefix of emitted tables (num_slices + 1 entries): slice si
+  /// carries the cycle's tables emit_base[si] .. emit_base[si + 1], which
+  /// preassigns both sessions' tweak range and table frame for the slice.
+  const std::uint64_t* emit_base = nullptr;
   /// Flip-flops whose latched label changes at this cycle's latch: those
   /// with a secret D-input, minus those whose D-input passes their own
   /// output through with unchanged parity (an enable-gated register
@@ -191,13 +195,17 @@ class Planner;
 /// cannot see XOR-linear relations *among* root fingerprints — so every hit
 /// is re-verified against the current fingerprints before being served and
 /// silently reclassified on drift, so caching can never change results. An
-/// entry is compiled on its first hit into a flat verify program that holds
-/// only the gates a hit still pays for — fingerprint-dependent decisions
-/// (both inputs secret) and fresh fingerprints (free XOR, garbled outputs),
-/// with operands resolved through pass chains and each decision's expected
-/// outcome fixed — so a warm cycle costs what its secret decisions cost, not
-/// what its touched gates cost (Hamming-160 on the ARM core: ~16 % of gates
-/// touched, ~7 % decisions). The signature trajectory of a run depends only
+/// entry is compiled on its first hit into a verify program that holds only
+/// the gates a hit still pays for — fingerprint-dependent decisions (both
+/// inputs secret) and fresh fingerprints (free XOR, garbled outputs), with
+/// operands resolved through pass chains and each decision's expected
+/// outcome fixed. The program addresses a planner-owned slab of 16-byte
+/// fingerprints by slot, not the per-wire state by wire id, and reads no
+/// gate: it gathers the roots it reads, derives the garbled outputs in one
+/// AES pass, runs the fresh XORs in gate order and the pure checks last. So
+/// a warm cycle costs what its secret decisions cost, not what its touched
+/// gates cost (Hamming-160 on the ARM core: ~16 % of gates touched, ~7 %
+/// decisions, ~3.1k slab slots). The signature trajectory of a run depends only
 /// on the netlist and the *public* inputs, so handing the same PlanCache to
 /// successive runs of one machine on fresh private inputs (the
 /// traffic-serving scenario) skips classification wherever the public
@@ -236,22 +244,36 @@ class PlanCache {
 
   struct Backward {
     std::vector<std::uint8_t> emit;
-    std::vector<std::uint8_t> live;
-    /// Slice-relative indices of live gates, concatenated per segment
-    /// (offsets in work_off) — the sessions' per-slice work lists.
+    /// Slice-relative indices of live gates, concatenated per segment —
+    /// the sessions' per-slice work lists.
     std::vector<std::uint32_t> work;
-    std::vector<std::uint32_t> work_off;
-    std::uint64_t emitted = 0;
+    /// The CyclePlan's slice table and per-slice emitted-table prefix
+    /// (CyclePlan::emit_base), built with the rest of the variant.
+    std::vector<PlanSlice> slices;
+    std::vector<std::uint64_t> emit_base;
     bool filled = false;
+  };
+
+  /// Parts of a compiled hit program, in run order (format in plan.cpp).
+  enum HitPart : std::uint8_t { kGather, kDerive, kWrite, kEq, kNe, kNeSrc, kLatch, kHitParts };
+
+  /// Whole-entry hit-verification program (Planner::compile_entry): one
+  /// u32 stream over the planner's fingerprint slab, compiled on the entry's
+  /// first hit and sized exactly.
+  struct HitProgram {
+    std::vector<std::uint32_t> code;
+    std::array<std::uint32_t, kHitParts> end{};  ///< end offset in code of each part
+    std::uint32_t slots = 0;                     ///< slab slots one run writes
+    bool compiled = false;
   };
 
   /// Forward + backward results for one entry-state equivalence class. The
   /// flat whole-netlist arrays double as the stitch target for cone-granular
   /// classification; CyclePlan slices point into them at segment offsets.
-  /// `touch` lists (ascending) every gate the cone-adoption verification and
-  /// backward passes must visit: non-Public actions plus Public collapses of
-  /// two secret inputs (category iii) — on SkipGate workloads a small
-  /// fraction of the netlist.
+  /// `touch` lists (ascending) every gate the hit compiler, cone-adoption
+  /// verification and backward passes must visit: non-Public actions plus
+  /// Public collapses of two secret inputs (category iii) — on SkipGate
+  /// workloads a small fraction of the netlist.
   struct Entry {
     std::uint64_t hash = 0;
     std::vector<std::uint32_t> sig;  ///< per-root signature terms
@@ -266,17 +288,13 @@ class PlanCache {
     std::vector<std::uint8_t> wire_bits;
     std::vector<std::uint32_t> touch;
     std::vector<std::uint32_t> touch_off;  ///< per-segment offsets into touch
-    /// Hit-verification program (Planner::compile_entry), compiled on the
-    /// entry's first hit and sized exactly; program_off holds per-segment
-    /// offsets so pooled verification runs each segment's sub-range (empty
-    /// until compiled).
-    std::vector<std::uint32_t> program;
-    std::vector<std::uint32_t> program_off;
+    HitProgram program;
     /// Latch list: flip-flops whose state changes at this cycle's latch —
     /// the first latch_secret have a secret D-input (the CyclePlan's
     /// secret_dffs; latch_src holds the wire whose fingerprint each one
-    /// latches), the rest latch a public value that differs from their
-    /// current one. Built with the first CyclePlan served from the entry.
+    /// latches, and the program's latch part its slab slot), the rest latch
+    /// a public value that differs from their current one. Built with the
+    /// first CyclePlan served from the entry, or by the hit compiler.
     std::vector<std::uint32_t> latch_dffs;
     std::vector<netlist::WireId> latch_src;
     std::uint32_t latch_secret = 0;
@@ -392,10 +410,11 @@ class WorkPool;
 struct PlannerOptions {
   Mode mode = Mode::SkipGate;
   crypto::Block seed{};  ///< fingerprint stream seed (public; must match peer)
-  /// Optional worker pool for cone-parallel classification and hit
-  /// verification (null = serial). Parallel and serial runs produce
-  /// bit-identical plans: per-gate fingerprints are derived, not streamed,
-  /// and all cache/memo bookkeeping stays on the calling thread.
+  /// Optional worker pool for cone-parallel classification on cache misses
+  /// (null = serial); hit verification always runs serially on the calling
+  /// thread. Parallel and serial runs produce bit-identical plans: per-gate
+  /// fingerprints are derived, not streamed, and all cache/memo bookkeeping
+  /// stays on the calling thread.
   WorkPool* pool = nullptr;
   bool cache = true;
   /// Budget for the planner-owned cache when no shared cache is supplied.
@@ -447,7 +466,8 @@ class Planner {
 
   /// Latches flip-flop planner state through the current plan (the one the
   /// last finish() returned): only the entry's latch list changes state, and
-  /// secret D-inputs latch the fingerprint of their pass-resolved source.
+  /// secret D-inputs latch the fingerprint of their pass-resolved source
+  /// (after a verified hit, from its hit-program slab slot).
   void latch(const CyclePlan& plan);
 
   [[nodiscard]] std::size_t non_free_per_cycle() const { return non_free_per_cycle_; }
@@ -485,8 +505,6 @@ class Planner {
   /// root fingerprint stream by construction (top plaintext bit).
   [[nodiscard]] crypto::Block derived_fp(std::size_t gate) const;
   [[nodiscard]] crypto::Block derived_plaintext(std::size_t gate) const;
-  /// Writes derived_fp() of each listed gate, in pipelined AES batches.
-  void derive_fps(const std::uint32_t* gates, std::size_t n);
   void bind_secret_fp(WireState& s);
   /// Installs a root wire's state, keeping the entry signature (terms_,
   /// terms_hash_ and the fingerprint classes) in step when a cache is on.
@@ -524,29 +542,24 @@ class Planner {
   /// `touch`.
   [[nodiscard]] bool adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m,
                                    std::vector<std::uint32_t>& touch);
-  /// Hit path: compiles the entry on its first hit, then runs its verify
-  /// program segment by segment — on the pool when one is configured
-  /// (operand reads ordered by the dependency DAG), in ascending order
-  /// otherwise. Returns false on drift; the caller reclassifies.
+  /// Hit path: compiles the entry on its first hit, then runs its program
+  /// over the fingerprint slab — gather, derive, write, check — serially.
+  /// Returns false on drift; the caller reclassifies. Failure is side-effect
+  /// free: the program writes only the slab, and derived fingerprints are
+  /// pure functions of (epoch, gate), so no stream cursor moves.
   [[nodiscard]] bool verify_entry(Entry& e);
-  /// Compiles `e` into its verify program: per segment, the Garble gates
-  /// (fingerprints derived up front, batched), then one op per touched gate
-  /// that a hit still pays for — a decision whose outcome depends on a
-  /// fingerprint comparison (both inputs secret; gates with the same action
-  /// either way and no fresh fingerprint are dropped) or a fresh XOR
-  /// fingerprint. Operands are pre-resolved through pass chains (a pass
-  /// gate's fingerprint is its source's, so pass gates write none on a
-  /// hit), the expected outcome is fixed from the cached actions, and
-  /// XOR-cancellation candidates are listed with the index of the expected
-  /// pass source.
+  /// Compiles `e` into its hit program: one op per touched gate that a hit
+  /// still pays for — a decision whose outcome depends on a fingerprint
+  /// comparison (both inputs secret; gates with the same action either way
+  /// and no fresh fingerprint are dropped) or a fresh XOR fingerprint.
+  /// Operands are pre-resolved through pass chains (a pass gate's
+  /// fingerprint is its source's, so pass gates get no slot), the expected
+  /// outcome is fixed from the cached actions, and XOR-cancellation
+  /// candidates are listed with the index of the expected pass source.
+  /// Every fingerprint an op or a secret latch reads gets one slab slot:
+  /// roots first, then the garbled outputs, then the fresh XORs in gate
+  /// order, each written once per run.
   void compile_entry(Entry& e);
-  /// Runs one segment's program [p, end): derives its Garble fingerprints,
-  /// then checks each decision against the current fingerprints and writes
-  /// the fresh XOR ones. False = drift. Failure is side-effect free:
-  /// derived fingerprints are pure functions of (epoch, gate), so there is
-  /// no stream cursor to restore, and partially written fingerprints are
-  /// rewritten by the fallback classification.
-  [[nodiscard]] bool run_program(const std::uint32_t* p, const std::uint32_t* end);
   /// Cone-adoption path: walks a touch (sub-)list once, propagating
   /// fingerprints through the cached actions (every touched gate, pass gates
   /// included — the miss path reads operands unresolved) AND verifying every
@@ -591,10 +604,14 @@ class Planner {
   // Per-wire cycle state. Packed public/value/flip bits live in the current
   // entry's wire_bits (adopted slices memcpy them wholesale); st_ carries
   // fingerprints, plus valid bits only for root wires (gate-range bits in
-  // st_ are unspecified — always read bits from the entry). After a verified
-  // whole-entry hit, pass gates' fingerprints are unspecified too: read the
-  // pass-resolved source (the only reader is latch(), via latch_src).
+  // st_ are unspecified — always read bits from the entry). A verified
+  // whole-entry hit writes no gate-range fingerprint: the cycle's gate
+  // fingerprints live in slab_ (the only reader is latch(), through the
+  // program's latch slots).
   std::vector<WireState> st_;
+  /// Hit-program fingerprint slab, sized to the largest program run.
+  std::vector<crypto::Block> slab_;
+  bool hit_ = false;  ///< the current cycle was served by a verified hit
   std::vector<WireState> latch_next_;  ///< latch() staging, per latch-list entry
   std::vector<std::uint8_t> needed_;   ///< backward-sweep scratch, sized on first use
   std::size_t non_free_per_cycle_ = 0;
@@ -616,12 +633,12 @@ class Planner {
   /// Packed wire bits of the entry being built/served this cycle (the
   /// authoritative public/value/flip store; st_ gate-range bits are stale).
   const std::uint8_t* cur_bits_ = nullptr;
-  std::vector<PlanSlice> slices_;  ///< rebuilt by finish(); aliases cur_
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t verify_rejects_ = 0;
   std::uint64_t link_hits_ = 0;
-  std::vector<std::uint32_t> program_scratch_;  ///< compile_entry staging
+  /// compile_entry staging: each hit-program part over wire ids.
+  std::array<std::vector<std::uint32_t>, PlanCache::kHitParts> hit_stage_;
   std::uint64_t cone_hits_ = 0;
   std::uint64_t cone_misses_ = 0;
 
@@ -633,7 +650,6 @@ class Planner {
   std::vector<std::uint64_t> seg_hash_;
   std::vector<std::uint32_t> seg_probes_;   ///< memo candidates probed
   std::vector<std::uint8_t> seg_adopted_;   ///< 1 = memo adopt, 0 = classified
-  std::vector<std::uint8_t> seg_ok_;  ///< per-segment hit-verification flags
 
   // Kept entry signature (plan cache on): one term per root, their
   // position-mixed sum, and the secret roots' fingerprint classes — an

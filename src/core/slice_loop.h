@@ -42,24 +42,6 @@ struct SliceStage {
   std::vector<std::uint32_t> deferred;
 };
 
-/// Fills emit_base[0..num_slices] with the prefix sums of each slice's
-/// emitted-table count: slice si's tables are the cycle's
-/// emit_base[si] .. emit_base[si + 1], which preassigns its tweak range.
-inline void count_emitted(const CyclePlan& plan, bool conventional,
-                          std::vector<std::uint64_t>& emit_base) {
-  emit_base.assign(plan.num_slices + 1, 0);
-  for (std::size_t si = 0; si < plan.num_slices; ++si) {
-    const PlanSlice& sl = plan.slices[si];
-    const std::uint32_t n = conventional ? sl.count : sl.work_count;
-    std::uint64_t emitted = 0;
-    for (std::uint32_t k = 0; k < n; ++k) {
-      const std::uint32_t j = conventional ? k : sl.work[k];
-      if (sl.action(j) == PlanAct::Garble && sl.emit[j] != 0) ++emitted;
-    }
-    emit_base[si + 1] = emit_base[si] + emitted;
-  }
-}
-
 /// Walks slice `sl` (every gate in Conventional mode, its work list under
 /// SkipGate). `apply(j, w, g)` runs the non-batched gate j (slice-relative;
 /// output wire w, gate g): every action except an emitted Garble.

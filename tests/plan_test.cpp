@@ -52,7 +52,6 @@ void expect_plans_equal(const CyclePlan& x, const CyclePlan& y) {
     EXPECT_EQ(0, std::memcmp(a.act, b.act, a.count));
     EXPECT_EQ(0, std::memcmp(a.pass_src, b.pass_src, a.count * sizeof(netlist::WireId)));
     EXPECT_EQ(0, std::memcmp(a.emit, b.emit, a.count));
-    EXPECT_EQ(0, std::memcmp(a.live, b.live, a.count));
     // The work list is the iteration set the sessions actually execute;
     // diverging lists would desynchronize the transport stream even with
     // identical emit/live bytes.
@@ -529,7 +528,13 @@ TEST(PlanCache, XorRelationAmongRootsDoesNotAliasStates) {
 /// d4 ^ (x ^ d5) cached as PassSrc hit with no matching candidate and cached
 /// as FreeXor hit with one. d3/d4 latch either x = d1^d2 or a fresh Bob bit
 /// on their own public select, so XOR relations among roots appear and
-/// vanish under unchanged signatures.
+/// vanish under unchanged signatures. d6 latches z = d4 ^ d5, a free XOR
+/// the hit program writes into its slab, so a hit latches d6 from a slab
+/// slot, while d9 latches the root d4 itself. AND(d6, d9 ^ d5) collapses
+/// every cycle after the first — exactly when d6 carries the fingerprint z
+/// had — so a wrongly latched d6 shows in the next cycle's plan. The
+/// planner's kept signature must equal a from-scratch one on every cycle,
+/// the cycles after a rejected hit included.
 TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
   builder::CircuitBuilder cb;
   const auto d1 = cb.make_dff(netlist::Dff::Init::AliceBit, 0);
@@ -537,6 +542,8 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
   const auto d3 = cb.make_dff(netlist::Dff::Init::BobBit, 1);
   const auto d4 = cb.make_dff(netlist::Dff::Init::BobBit, 2);
   const auto d5 = cb.make_dff(netlist::Dff::Init::AliceBit, 1);
+  const auto d6 = cb.make_dff(netlist::Dff::Init::BobBit, 3);
+  const auto d9 = cb.make_dff(netlist::Dff::Init::AliceBit, 2);
   const builder::Wire s0 = cb.input(netlist::Owner::Public, 0, /*streamed=*/true);
   const builder::Wire s1 = cb.input(netlist::Owner::Public, 1, /*streamed=*/true);
   const builder::Wire f0 = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
@@ -548,6 +555,9 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
   cb.output(cb.and_(x, cb.dff_out(d3)), "x_and_d3");
   // d4 ^ (x ^ d5) cancels to d5 exactly when d4 carries x.
   cb.output(cb.xor_(cb.dff_out(d4), cb.xor_(x, cb.dff_out(d5))), "y");
+  cb.set_dff_d(d6, cb.xor_(cb.dff_out(d4), cb.dff_out(d5)));
+  cb.set_dff_d(d9, cb.dff_out(d4));
+  cb.output(cb.and_(cb.dff_out(d6), cb.xor_(cb.dff_out(d9), cb.dff_out(d5))), "d6_and_d9x");
   cb.set_outputs_every_cycle(true);
   const netlist::Netlist nl = cb.take();
 
@@ -573,9 +583,12 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
     Planner pf(nl, fresh);
     pc.reset({});
     pf.reset({});
+    std::uint64_t checked_after_reject = 0;
     for (std::size_t c = 0; c < st.size(); ++c) {
       pc.begin_cycle(pub(c));
       pf.begin_cycle(pub(c));
+      expect_signature_kept(pc, static_cast<int>(sc), c);
+      if (pc.verify_rejects() > 0) ++checked_after_reject;
       pc.forward();
       pf.forward();
       const bool is_final = c + 1 == st.size();
@@ -589,6 +602,7 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
     }
     EXPECT_GT(pc.cache_hits(), 0u) << "scenario " << sc;
     EXPECT_GT(pc.verify_rejects(), 0u) << "scenario " << sc;
+    EXPECT_GT(checked_after_reject, 0u) << "scenario " << sc;
 
     // Protocol level: cached and uncached runs agree on every sampled
     // output and garbled-gate count.
@@ -598,8 +612,8 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
       streams.bob = [seed](std::uint64_t c) {
         return netlist::BitVec{((seed >> (c % 2)) & 1) != 0, ((seed + c) & 1) != 0};
       };
-      const netlist::BitVec alice = {(seed & 1) != 0, (seed & 2) != 0};
-      const netlist::BitVec bob = {(seed & 2) == 0, (seed & 1) == 0, true};
+      const netlist::BitVec alice = {(seed & 1) != 0, (seed & 2) != 0, (seed & 2) == 0};
+      const netlist::BitVec bob = {(seed & 2) == 0, (seed & 1) == 0, true, (seed & 1) != 0};
       core::RunOptions cached;
       cached.fixed_cycles = st.size();
       core::RunOptions uncached = cached;
@@ -610,6 +624,84 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
       EXPECT_EQ(rc.stats.garbled_non_xor, ru.stats.garbled_non_xor)
           << "scenario " << sc << " seed " << seed;
     }
+  }
+}
+
+/// The hit program runs its pure checks after all of its writes. Here the
+/// only decision that drifts is AND(x, d3) — category iii when d3 carries
+/// x = d1^d2, category iv when it holds a fresh Bob bit — and the free XOR
+/// w = d5 ^ d1 after it in gate order is written before that Eq/Ne check
+/// runs. w feeds flip-flop d7, so the cycle after a rejection latches w's
+/// fingerprint from the fallback classification. A rejected hit must leave
+/// the planner exactly where a from-scratch planner is.
+TEST(PlanCache, DriftInACheckAfterLaterWritesRejects) {
+  builder::CircuitBuilder cb;
+  const auto d1 = cb.make_dff(netlist::Dff::Init::AliceBit, 0);
+  const auto d2 = cb.make_dff(netlist::Dff::Init::BobBit, 0);
+  const auto d3 = cb.make_dff(netlist::Dff::Init::BobBit, 1);
+  const auto d5 = cb.make_dff(netlist::Dff::Init::AliceBit, 1);
+  const auto d7 = cb.make_dff(netlist::Dff::Init::BobBit, 2);
+  const builder::Wire s0 = cb.input(netlist::Owner::Public, 0, /*streamed=*/true);
+  const builder::Wire f0 = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
+  const builder::Wire x = cb.xor_(cb.dff_out(d1), cb.dff_out(d2));
+  cb.set_dff_d(d3, cb.mux(s0, x, f0));
+  cb.output(cb.and_(x, cb.dff_out(d3)), "x_and_d3");
+  const builder::Wire w = cb.xor_(cb.dff_out(d5), cb.dff_out(d1));
+  for (const auto d : {d1, d2, d5}) cb.set_dff_d(d, cb.dff_out(d));
+  cb.set_dff_d(d7, w);
+  cb.output(cb.and_(cb.dff_out(d7), cb.dff_out(d2)), "d7_and_d2");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+
+  // d3 enters a cycle carrying x iff s0 was set the cycle before. With
+  // second-sighting admission, s0 = 0 caches the x state (cycle 2) and
+  // s0 = 1 the fresh state (cycle 3); cycles 6 and 8 re-enter those
+  // signatures in the other state.
+  const std::vector<bool> s0s = {false, true, false, true, false, true, true, false, false, true,
+                                 false, false};
+  PlannerOptions fresh;
+  fresh.cache = false;
+  Planner pc(nl, PlannerOptions{});
+  Planner pf(nl, fresh);
+  pc.reset({});
+  pf.reset({});
+  std::uint64_t cycles_after_reject = 0;
+  for (std::size_t c = 0; c < s0s.size(); ++c) {
+    pc.begin_cycle(netlist::BitVec{s0s[c]});
+    pf.begin_cycle(netlist::BitVec{s0s[c]});
+    expect_signature_kept(pc, 0, c);
+    if (pc.verify_rejects() > 0) ++cycles_after_reject;
+    pc.forward();
+    pf.forward();
+    const bool is_final = c + 1 == s0s.size();
+    const CyclePlan a = pc.finish(is_final);
+    const CyclePlan b = pf.finish(is_final);
+    expect_plans_equal(a, b);
+    if (!is_final) {
+      pc.latch(a);
+      pf.latch(b);
+    }
+  }
+  EXPECT_GT(pc.cache_hits(), 0u);
+  EXPECT_GT(pc.verify_rejects(), 0u);
+  EXPECT_GT(cycles_after_reject, 0u);
+
+  // Protocol level: every sampled output and garbled-gate count equals an
+  // uncached run's.
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    core::StreamProvider streams;
+    streams.pub = [&](std::uint64_t c) { return netlist::BitVec{s0s[c]}; };
+    streams.bob = [seed](std::uint64_t c) { return netlist::BitVec{((seed + c) & 1) != 0}; };
+    const netlist::BitVec alice = {(seed & 1) != 0, (seed & 2) != 0};
+    const netlist::BitVec bob = {(seed & 2) == 0, (seed & 1) == 0, true};
+    core::RunOptions cached;
+    cached.fixed_cycles = s0s.size();
+    core::RunOptions uncached = cached;
+    uncached.exec.plan_cache = false;
+    const core::RunResult rc = core::SkipGateDriver(nl, cached).run(alice, bob, {}, &streams);
+    const core::RunResult ru = core::SkipGateDriver(nl, uncached).run(alice, bob, {}, &streams);
+    EXPECT_EQ(rc.sampled_outputs, ru.sampled_outputs) << "seed " << seed;
+    EXPECT_EQ(rc.stats.garbled_non_xor, ru.stats.garbled_non_xor) << "seed " << seed;
   }
 }
 
@@ -915,9 +1007,12 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
 /// (cone-stitched, segmented) plan must be byte-equal to a from-scratch
 /// plan on every cycle. Each netlist then replays its trajectory twice over
 /// one shared PlanCache/ConeMemo (the second pass serves whole-entry hits
-/// through programs compiled in the first) and once more on a 2-worker
-/// pool, so the compiled hit path is covered serially and pooled in both
-/// modes. A serial and a pooled planner without a whole-netlist cache, each
+/// through programs compiled in the first) and once more with a 2-worker
+/// pool, so the compiled hit path is covered in both modes. Hit
+/// verification is serial whatever the options, so that pooled pass covers
+/// pooled classification of its misses and hits served by a pooled planner
+/// from programs another planner compiled. A serial and a pooled planner
+/// without a whole-netlist cache, each
 /// on its own 8-entry cone memo, run alongside the first pass: constant
 /// eviction pins the deferred LRU replay (ConeMemo::touch_candidates) of the
 /// pooled miss path to the serial order. Every cycle, the whole-netlist
@@ -932,7 +1027,8 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   constexpr std::uint64_t kCycles = 20;
   constexpr std::uint32_t kStreamedPub = 3;
   core::WorkPool pool(2);
-  // Whole-entry hits over the sweep, per mode: [mode][0 serial, 1 pooled].
+  // Whole-entry hits over the sweep, per mode: [mode][0 serial planner,
+  // 1 pooled planner].
   std::uint64_t warm_hits[2][2] = {{0, 0}, {0, 0}};
   std::uint64_t small_memo_evictions = 0;
   std::uint64_t small_memo_hits = 0;
@@ -1061,7 +1157,7 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   }
   for (int m = 0; m < 2; ++m) {
     EXPECT_GT(warm_hits[m][0], 0u) << "mode " << m << ": no serial whole-entry hits";
-    EXPECT_GT(warm_hits[m][1], 0u) << "mode " << m << ": no pooled whole-entry hits";
+    EXPECT_GT(warm_hits[m][1], 0u) << "mode " << m << ": no whole-entry hits on a pooled planner";
   }
   EXPECT_GT(small_memo_evictions, 0u) << "the 8-entry cone memos never evicted";
   EXPECT_GT(small_memo_hits, 0u) << "the 8-entry cone memos never hit";
