@@ -306,12 +306,13 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
   if (ng > 0) ends.push_back(ng);
 
   // Segment boundaries (the distinct external wires each segment reads) and
-  // producer-segment dependency edges (the cone-parallel schedule's DAG).
+  // producer-segment dependency edges (the cone-parallel schedule's DAG, as
+  // CSR: each segment's edges sorted and deduplicated).
   std::vector<std::uint32_t> stamp(nl.num_wires(), 0);
-  std::vector<std::uint8_t> any_boundary(nl.num_wires(), 0);
   std::vector<std::uint32_t> gate_to_seg(ng, 0);
   std::uint32_t cur_stamp = 0;
   std::size_t seg_start = 0;
+  layout.dep_offsets.push_back(0);
   for (const std::size_t end : ends) {
     PlanSegment seg;
     seg.first_gate = static_cast<std::uint32_t>(seg_start);
@@ -324,10 +325,6 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
         if (w < seg_first_wire && stamp[w] != cur_stamp) {
           stamp[w] = cur_stamp;
           seg.boundary.push_back(w);
-          if (!any_boundary[w]) {
-            any_boundary[w] = 1;
-            ++layout.unique_boundary;
-          }
         }
       }
     }
@@ -335,12 +332,14 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
     seg.root_count = static_cast<std::uint32_t>(
         std::lower_bound(seg.boundary.begin(), seg.boundary.end(), first_gate) -
         seg.boundary.begin());
+    std::vector<std::uint32_t>& edges = layout.dep_edges;
+    const auto deps = static_cast<std::ptrdiff_t>(edges.size());
     for (std::size_t k = seg.root_count; k < seg.boundary.size(); ++k) {
-      seg.deps.push_back(gate_to_seg[seg.boundary[k] - first_gate]);
+      edges.push_back(gate_to_seg[seg.boundary[k] - first_gate]);
     }
-    std::sort(seg.deps.begin(), seg.deps.end());
-    seg.deps.erase(std::unique(seg.deps.begin(), seg.deps.end()), seg.deps.end());
-    layout.max_boundary = std::max(layout.max_boundary, seg.boundary.size());
+    std::sort(edges.begin() + deps, edges.end());
+    edges.erase(std::unique(edges.begin() + deps, edges.end()), edges.end());
+    layout.dep_offsets.push_back(static_cast<std::uint32_t>(edges.size()));
     layout.total_boundary += seg.boundary.size();
     layout.segments.push_back(std::move(seg));
     seg_start = end;
@@ -352,17 +351,6 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
                             (static_cast<std::uint64_t>(s.count) << 32));
   }
   layout.key = h;
-
-  const std::size_t nseg = layout.segments.size();
-  layout.dep_offsets.assign(nseg + 1, 0);
-  for (std::size_t si = 0; si < nseg; ++si) {
-    layout.dep_offsets[si + 1] =
-        layout.dep_offsets[si] + static_cast<std::uint32_t>(layout.segments[si].deps.size());
-  }
-  layout.dep_edges.reserve(layout.dep_offsets[nseg]);
-  for (const PlanSegment& s : layout.segments) {
-    layout.dep_edges.insert(layout.dep_edges.end(), s.deps.begin(), s.deps.end());
-  }
   return layout;
 }
 
@@ -601,11 +589,9 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
     if (nl_.inputs[i].streamed) streamed_.push_back(static_cast<std::uint32_t>(i));
   }
-  if (cache_ != nullptr) {
-    terms_.assign(roots, 0);
-    rep_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
-    rep_next_.assign(roots, kNoWire);
-  }
+  terms_.assign(roots, 0);
+  rep_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
+  rep_next_.assign(roots, kNoWire);
 
   const std::size_t nseg = layout_->segments.size();
   seg_touch_.resize(nseg);
@@ -696,7 +682,7 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
   // Streamed inputs still hold the previous run's states; the rebuilt
   // signature covers them as they are, and begin_cycle() rewrites them
   // incrementally like any other root.
-  if (cache_ != nullptr) rebuild_terms();
+  rebuild_terms();
   cur_ = nullptr;
   prev_ = nullptr;
 }
@@ -719,9 +705,9 @@ void Planner::begin_cycle(const netlist::BitVec& pub_stream) {
 }
 
 // ---------------------------------------------------------------------------
-// Kept entry signature. Invariant (plan cache on, after reset()): terms_,
-// terms_hash_ and the fingerprint classes describe st_[0 .. first_gate), so
-// every root write goes through set_root().
+// Kept entry signature. Invariant (after reset()): terms_, terms_hash_ and
+// the fingerprint classes describe st_[0 .. first_gate), so every root write
+// goes through set_root().
 // ---------------------------------------------------------------------------
 
 void Planner::set_term(WireId w, std::uint32_t term) {
@@ -799,13 +785,11 @@ void Planner::rep_insert(WireId w, const WireState& s) {
 
 void Planner::set_root(WireId w, const WireState& s) {
   WireState& cur = st_[w];
-  if (cache_ != nullptr) {
-    if (!cur.is_pub) rep_remove(w, cur.fp);
-    if (s.is_pub) {
-      set_term(w, pub_term(s));
-    } else {
-      rep_insert(w, s);
-    }
+  if (!cur.is_pub) rep_remove(w, cur.fp);
+  if (s.is_pub) {
+    set_term(w, pub_term(s));
+  } else {
+    rep_insert(w, s);
   }
   cur = s;
 }
@@ -851,58 +835,25 @@ std::uint64_t Planner::signature_from_scratch(std::vector<std::uint32_t>& terms)
   return hash;
 }
 
-void Planner::build_signature() {
-  // Class ids are first-occurrence over the root sweep. The table is sized
-  // on first use: a warm run never misses.
-  const WireId first_gate = nl_.first_gate_wire();
-  if (class_table_.empty()) {
-    class_table_.resize(std::max<std::size_t>(16, next_pow2(2 * first_gate + 1)));
-  }
-  sig_.clear();
-  sig_.reserve(first_gate);
-  ++class_epoch_;
-  std::uint32_t next_class = 0;
-  const std::size_t mask = class_table_.size() - 1;
-  const auto class_of = [&](const Block& fp) {
-    std::size_t i = std::hash<Block>{}(fp)&mask;
-    for (;;) {
-      ClassSlot& slot = class_table_[i];
-      if (slot.epoch != class_epoch_) {
-        slot.epoch = class_epoch_;
-        slot.fp = fp;
-        slot.id = next_class++;
-        return slot.id;
-      }
-      if (slot.fp == fp) return slot.id;
-      i = (i + 1) & mask;
-    }
-  };
-  for (WireId w = 0; w < first_gate; ++w) {
-    const WireState& s = st_[w];
-    if (s.is_pub) {
-      sig_.push_back(1u | (s.val ? 2u : 0u));
-    } else {
-      sig_.push_back((class_of(s.fp) << 2) | (s.flip ? 2u : 0u));
-    }
-  }
-}
-
 void Planner::build_segment_key(std::size_t si, const PlanSegment& seg,
                                 std::vector<std::uint64_t>& out) const {
-  // Cheap pure gathers: boundary roots contribute their root-signature
-  // words verbatim (pinning publicness/value/flip and the fingerprint
-  // equivalence pattern over the root sweep); boundary internals contribute
-  // their packed bits. The key deliberately carries no internal fingerprint
-  // structure — that is discrimination, not soundness (every adopted cone's
-  // fingerprint-dependent decisions are re-verified), and the common
-  // all-distinct fingerprint pattern then collapses onto one key. The low
-  // tag bit separates the two word kinds so they can never alias.
+  // Cheap pure gathers: boundary roots contribute their kept signature terms
+  // verbatim (pinning publicness/value/flip and, through the class
+  // representative, which boundary roots share a fingerprint); boundary
+  // internals contribute their packed bits. A root's term depends only on
+  // its own state and its class, so it does not shift when a root outside
+  // its class turns public or secret. The key deliberately carries no
+  // internal fingerprint structure — that is discrimination, not soundness
+  // (every adopted cone's fingerprint-dependent decisions are re-verified),
+  // and the common all-distinct fingerprint pattern then collapses onto one
+  // key. The low tag bit separates the two word kinds so they can never
+  // alias.
   const std::uint8_t* bits = cur_bits_;
   out.clear();
   out.reserve(1 + seg.boundary.size());
   out.push_back(static_cast<std::uint64_t>(si));
   for (std::uint32_t k = 0; k < seg.root_count; ++k) {
-    out.push_back(static_cast<std::uint64_t>(sig_[seg.boundary[k]]) << 1 | 1u);
+    out.push_back(static_cast<std::uint64_t>(terms_[seg.boundary[k]]) << 1 | 1u);
   }
   for (std::size_t k = seg.root_count; k < seg.boundary.size(); ++k) {
     out.push_back(static_cast<std::uint64_t>(bits[seg.boundary[k]]) << 1);
@@ -916,16 +867,9 @@ void Planner::forward() {
   // worker interleavings.
   ++fp_epoch_;
   hit_ = false;
-  // Misses cost milliseconds, so the cone memo's keys take their root words
-  // from the old-form signature, rebuilt in full.
-  const auto build_miss = [&](Entry& e) {
-    if (memo_ != nullptr) build_signature();
-    build_plan(e);
-    cur_ = &e;
-  };
   if (cache_ == nullptr) {
     ++cache_misses_;
-    build_miss(scratch_);
+    build_plan(scratch_);
     return;
   }
   // The previous entry and its successor link are trusted only while no
@@ -950,7 +894,7 @@ void Planner::forward() {
       // memo. The entry keeps serving states that do match it.
       ++cache_misses_;
       ++verify_rejects_;
-      build_miss(scratch_);
+      build_plan(scratch_);
       return;
     }
     ++cache_hits_;
@@ -960,7 +904,7 @@ void Planner::forward() {
   } else {
     ++cache_misses_;
     e = cache_->insert(terms_hash_, terms_);
-    build_miss(e != nullptr ? *e : scratch_);
+    build_plan(e != nullptr ? *e : scratch_);
     if (e == nullptr) return;
   }
   // An insert that evicted invalidates every link, the one it would write
@@ -986,6 +930,7 @@ void Planner::build_plan(Entry& e) {
   e.latch_ready = false;
   e.backward[0].filled = false;
   e.backward[1].filled = false;
+  cur_ = &e;
   cur_bits_ = e.wire_bits.data();
 
   const WireId first_gate = nl_.first_gate_wire();

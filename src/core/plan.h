@@ -158,9 +158,6 @@ struct PlanSegment {
   /// boundary[0..root_count) are root wires (constants/inputs/DFF outputs);
   /// the rest are earlier segments' gate outputs.
   std::uint32_t root_count = 0;
-  /// Earlier segments whose gate outputs this segment reads (deduplicated,
-  /// ascending) — the dependency-DAG edges of cone-parallel work.
-  std::vector<std::uint32_t> deps;
 };
 
 /// Deterministic one-time partition of a netlist's gates into segments. Both
@@ -170,14 +167,12 @@ struct PlanSegment {
 /// the fewest live wires cross — so boundary keys stay small.
 struct PlanLayout {
   std::vector<PlanSegment> segments;
-  std::size_t max_boundary = 0;     ///< largest boundary size over all segments
-  std::size_t total_boundary = 0;   ///< summed boundary sizes (key cost)
-  std::size_t unique_boundary = 0;  ///< distinct wires appearing in any boundary
-  std::uint64_t key = 0;            ///< netlist key + cut positions
-  /// Cone dependency CSR over segments, flattened from `deps`: segment i
-  /// reads outputs of dep_edges[dep_offsets[i] .. dep_offsets[i+1]) (every
-  /// edge points at a lower index). Drives the worker-pool schedule of
-  /// classification/verification and rides along in every CyclePlan.
+  std::size_t total_boundary = 0;  ///< summed boundary sizes (key cost)
+  std::uint64_t key = 0;           ///< netlist key + cut positions
+  /// Cone dependency CSR over segments: segment i reads outputs of
+  /// dep_edges[dep_offsets[i] .. dep_offsets[i+1]) (deduplicated, ascending;
+  /// every edge points at a lower index). Drives the worker-pool schedule of
+  /// classification and rides along in every CyclePlan.
   std::vector<std::uint32_t> dep_offsets;
   std::vector<std::uint32_t> dep_edges;
 
@@ -339,7 +334,7 @@ class PlanCache {
 };
 
 /// Reusable per-party store of per-cone forward classifications, keyed by
-/// the cone's *local* entry state: the root signature words of its boundary
+/// the cone's *local* entry state: the kept signature terms of its boundary
 /// roots plus the packed public/value/flip bits of its boundary internals.
 /// The key deliberately carries no internal fingerprint structure — that is
 /// discrimination, not soundness: every adopted cone's fingerprint-dependent
@@ -487,8 +482,8 @@ class Planner {
   [[nodiscard]] const PlanLayout& layout() const { return *layout_; }
 
   /// Test hooks: the incrementally kept entry signature (valid after
-  /// begin_cycle() on a planner with a plan cache), and the same signature
-  /// recomputed from the root states from scratch, returning its hash.
+  /// begin_cycle()), and the same signature recomputed from the root states
+  /// from scratch, returning its hash.
   [[nodiscard]] const std::vector<std::uint32_t>& signature_terms() const { return terms_; }
   [[nodiscard]] std::uint64_t signature_hash() const { return terms_hash_; }
   std::uint64_t signature_from_scratch(std::vector<std::uint32_t>& terms) const;
@@ -507,7 +502,7 @@ class Planner {
   [[nodiscard]] crypto::Block derived_plaintext(std::size_t gate) const;
   void bind_secret_fp(WireState& s);
   /// Installs a root wire's state, keeping the entry signature (terms_,
-  /// terms_hash_ and the fingerprint classes) in step when a cache is on.
+  /// terms_hash_ and the fingerprint classes) in step.
   void set_root(netlist::WireId w, const WireState& s);
   /// Rebuilds the kept entry signature from the root states.
   void rebuild_terms();
@@ -519,19 +514,17 @@ class Planner {
   /// Removes secret root w (fingerprint fp) from its class / adds it.
   void rep_remove(netlist::WireId w, const crypto::Block& fp);
   void rep_insert(netlist::WireId w, const WireState& s);
-  /// Old-form root signature (first-occurrence class ids) into sig_ — the
-  /// root words of the cone memo's keys; built on whole-netlist misses only.
-  void build_signature();
-  /// Gathers a cone's exact memo key into `out`.
+  /// Gathers a cone's exact memo key into `out`: its boundary roots' kept
+  /// signature terms and its boundary internals' packed wire bits.
   void build_segment_key(std::size_t si, const PlanSegment& seg,
                          std::vector<std::uint64_t>& out) const;
-  /// Forward-classifies the cycle into `e` — whole netlist, or stitched
-  /// cone by cone when cone memoization is enabled: every cone consults the
-  /// memo by local key and memo misses reclassify. Segments are processed
-  /// on the worker pool when one is configured (classification is per-cone
-  /// data-independent given the dependency DAG); memo LRU motion, inserts
-  /// and counters are replayed serially afterwards, so the result is
-  /// bit-identical to a serial run.
+  /// Forward-classifies the cycle into `e`, which becomes the current entry —
+  /// whole netlist, or stitched cone by cone when cone memoization is
+  /// enabled: every cone consults the memo by local key and memo misses
+  /// reclassify. Segments are processed on the worker pool when one is
+  /// configured (classification is per-cone data-independent given the
+  /// dependency DAG); memo LRU motion, inserts and counters are replayed
+  /// serially afterwards, so the result is bit-identical to a serial run.
   void build_plan(Entry& e);
   /// Fresh forward classification of one segment's gates into `e`; touched
   /// gate indices are appended to `touch` (per-segment scratch).
@@ -651,11 +644,12 @@ class Planner {
   std::vector<std::uint32_t> seg_probes_;   ///< memo candidates probed
   std::vector<std::uint8_t> seg_adopted_;   ///< 1 = memo adopt, 0 = classified
 
-  // Kept entry signature (plan cache on): one term per root, their
-  // position-mixed sum, and the secret roots' fingerprint classes — an
-  // open-addressing table fp -> lowest member (the class representative),
-  // members chained in ascending order through rep_next_. Slots are
-  // epoch-stamped so a rebuild never clears the table.
+  // Kept entry signature (the plan cache's key; its terms are the root words
+  // of the cone memo's keys): one term per root, their position-mixed sum,
+  // and the secret roots' fingerprint classes — an open-addressing table
+  // fp -> lowest member (the class representative), members chained in
+  // ascending order through rep_next_. Slots are epoch-stamped so a rebuild
+  // never clears the table.
   std::vector<std::uint32_t> terms_;
   std::uint64_t terms_hash_ = 0;
   struct RepSlot {
@@ -666,18 +660,6 @@ class Planner {
   std::vector<RepSlot> rep_table_;
   std::vector<netlist::WireId> rep_next_;
   std::uint64_t rep_epoch_ = 1;  ///< slots of any other epoch are empty
-
-  // Old-form signature scratch (cone memo keys): fingerprint -> root-sweep
-  // equivalence-class id, epoch-stamped so the table never needs clearing
-  // (64-bit epoch: never wraps within a run).
-  std::vector<std::uint32_t> sig_;
-  struct ClassSlot {
-    crypto::Block fp{};
-    std::uint32_t id = 0;
-    std::uint64_t epoch = 0;
-  };
-  std::vector<ClassSlot> class_table_;
-  std::uint64_t class_epoch_ = 0;
 };
 
 }  // namespace arm2gc::core

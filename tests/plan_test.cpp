@@ -962,6 +962,84 @@ TEST(ConeMemo, LruEvictionBoundsEntries) {
   EXPECT_EQ(memo.evictions(), 9u);
 }
 
+TEST(ConeMemo, KeysIgnoreEarlierRootsTurningPublicOrSecret) {
+  // The lowest flip-flop alternates between public and secret (a public
+  // toggle gates a garbled product of both parties' inputs into it), while a
+  // later chain of cones reads only a held secret flip-flop and Bob's input.
+  // A cone's key takes each boundary root's kept signature term, which names
+  // the root's own class representative, so those cones' keys stay put when
+  // the low flip-flop flips and every cycle after the first adopts them.
+  builder::CircuitBuilder cb;
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0);
+  const auto flipping = cb.make_dff(netlist::Dff::Init::Zero);
+  const auto toggle = cb.make_dff(netlist::Dff::Init::One);
+  const auto held = cb.make_dff(netlist::Dff::Init::BobBit, 0);
+  const builder::Wire tq = cb.dff_out(toggle);
+  const builder::Wire fq = cb.dff_out(flipping);
+  const builder::Wire hq = cb.dff_out(held);
+  cb.set_dff_d(flipping, cb.and_(tq, cb.and_(a, b)));
+  cb.set_dff_d(toggle, builder::CircuitBuilder::not_(tq));
+  cb.set_dff_d(held, hq);
+  cb.output(cb.and_(fq, b), "fb");
+  builder::Wire acc = cb.and_(hq, b);
+  for (int i = 0; i < 12; ++i) acc = i % 2 == 0 ? cb.xor_(acc, hq) : cb.and_(acc, b);
+  cb.output(acc, "chain");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+
+  PlannerOptions memo_only;
+  memo_only.cache = false;
+  memo_only.cone_target_gates = 4;
+  PlannerOptions fresh = memo_only;
+  fresh.cone_memo = false;
+  Planner pm(nl, memo_only);
+  Planner pf(nl, fresh);
+
+  // Stable cones: no boundary root is one of the toggling flip-flops, and
+  // every upstream cone is stable too.
+  const core::PlanLayout& layout = pm.layout();
+  const netlist::WireId fw = nl.dff_wire(0);
+  const netlist::WireId tw = nl.dff_wire(1);
+  std::vector<bool> stable(layout.segments.size(), true);
+  std::uint64_t stable_count = 0;
+  for (std::size_t si = 0; si < layout.segments.size(); ++si) {
+    const core::PlanSegment& seg = layout.segments[si];
+    for (std::uint32_t k = 0; k < seg.root_count; ++k) {
+      if (seg.boundary[k] == fw || seg.boundary[k] == tw) stable[si] = false;
+    }
+    for (std::uint32_t d = layout.dep_offsets[si]; d < layout.dep_offsets[si + 1]; ++d) {
+      if (!stable[layout.dep_edges[d]]) stable[si] = false;
+    }
+    stable_count += stable[si] ? 1 : 0;
+  }
+  ASSERT_GT(stable_count, 0u);
+
+  pm.reset({});
+  pf.reset({});
+  constexpr std::uint64_t kCycles = 8;
+  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
+    pm.begin_cycle({});
+    pf.begin_cycle({});
+    const std::uint64_t hits_before = pm.cone_hits();
+    pm.forward();
+    pf.forward();
+    EXPECT_EQ(pm.wire_public(fw), cycle % 2 == 0) << "cycle " << cycle;
+    if (cycle > 0) {
+      EXPECT_GE(pm.cone_hits() - hits_before, stable_count) << "cycle " << cycle;
+    }
+    const bool is_final = cycle + 1 == kCycles;
+    const CyclePlan m = pm.finish(is_final);
+    const CyclePlan f = pf.finish(is_final);
+    expect_plans_equal(m, f);
+    expect_signature_kept(pm, 0, cycle);
+    if (!is_final) {
+      pm.latch(m);
+      pf.latch(f);
+    }
+  }
+}
+
 TEST(ConeMemo, RejectsReuseAcrossNetlistsAndLayouts) {
   crypto::CtrRng rng(crypto::block_from_u64(27182));
   const netlist::Netlist nl1 = random_seq_netlist(rng);
@@ -1015,12 +1093,12 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
 /// without a whole-netlist cache, each
 /// on its own 8-entry cone memo, run alongside the first pass: constant
 /// eviction pins the deferred LRU replay (ConeMemo::touch_candidates) of the
-/// pooled miss path to the serial order. Every cycle, the whole-netlist
-/// planners' incrementally kept entry signatures must equal a from-scratch
-/// recompute; each seed also runs a flip-flop copy/swap register with
-/// streamed secret inputs (copy_swap_netlist), whose fingerprint classes
-/// merge and split. A2G_PLAN_FUZZ_SEEDS scales the sweep (CI sanitizer job
-/// runs a deeper pass).
+/// pooled miss path to the serial order. Every cycle, the incremental
+/// planners' kept entry signatures (whose terms key the cone memo too) must
+/// equal a from-scratch recompute; each seed also runs a flip-flop copy/swap
+/// register with streamed secret inputs (copy_swap_netlist), whose
+/// fingerprint classes merge and split. A2G_PLAN_FUZZ_SEEDS scales the sweep
+/// (CI runs deeper passes).
 TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   int seeds = 12;
   if (const char* env = std::getenv("A2G_PLAN_FUZZ_SEEDS")) seeds = std::atoi(env);
@@ -1085,6 +1163,8 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
           pp.begin_cycle(sp);
           const std::size_t shared = expect_signature_kept(pg, seed, cycle);
           expect_signature_kept(pe, seed, cycle);
+          expect_signature_kept(ps, seed, cycle);
+          expect_signature_kept(pp, seed, cycle);
           if (nlp == &nl_copy && mode == Mode::SkipGate) shared_class_roots += shared;
           pg.forward();
           pe.forward();
@@ -1230,8 +1310,8 @@ TEST(ConeMemo, ArmConeHitsOnCyclesTheFlatCacheMissed) {
   // ...and the cone memo converts about half of each missed cycle's cones
   // into cone hits. The counts are deterministic; pinning them exactly
   // proves the memo probe finds every recurring cone.
-  EXPECT_EQ(r_on.stats.cone_hits, 1255u);
-  EXPECT_EQ(r_on.stats.cone_misses, 1282u);
+  EXPECT_EQ(r_on.stats.cone_hits, 1309u);
+  EXPECT_EQ(r_on.stats.cone_misses, 1228u);
   EXPECT_EQ(r_off.stats.cone_hits + r_off.stats.cone_misses, 0u);
 }
 
