@@ -2,7 +2,9 @@
 // (garbled gates, bytes, OT choices); `--json` writes BENCH_ablation.json,
 // which CI regenerates and diffs byte-for-byte:
 //  1. garbling scheme (classic 4-row vs GRR3 vs half-gates) — communication
-//     per non-XOR gate under the same SkipGate plan;
+//     per non-XOR gate under the same SkipGate plan, as a cost model: the
+//     endpoints garble half-gates only, and a scheme's table bytes are the
+//     half-gates run's garbled gates x 16 B x gc::blocks_per_gate(scheme);
 //  2. the deferred-flag / conditional-execution machinery — cost of a
 //     predicated ARM instruction vs a branch-free HDL mux;
 //  3. Hamming circuit structure (bit-serial counter vs popcount tree);
@@ -11,7 +13,9 @@
 //  6. OT backend bytes (ideal stand-in vs IKNP extension);
 //  7. precomputed OT: online vs offline bytes per backend.
 // Wall-clock and thread scaling are measured by perfbench/, not here.
+#include <cstdio>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "arm/arm2gc.h"
@@ -29,15 +33,25 @@ int main(int argc, char** argv) {
 
   benchutil::header("Ablation 1: garbling scheme vs communication (Mult 32 instance)");
   {
-    const circuits::TgInstance inst = circuits::tg_mult32(0xCAFEBABE, 0x31415926);
-    for (const auto scheme : {gc::Scheme::Classic4, gc::Scheme::Grr3, gc::Scheme::HalfGates}) {
-      const circuits::TgRun r = circuits::run_instance(inst, core::Mode::SkipGate, scheme);
-      const char* name = scheme == gc::Scheme::Classic4
-                             ? "classic 4-row"
-                             : (scheme == gc::Scheme::Grr3 ? "GRR3 (3-row)" : "half-gates");
+    const circuits::TgRun r =
+        circuits::run_instance(circuits::tg_mult32(0xCAFEBABE, 0x31415926), core::Mode::SkipGate);
+    const auto table_bytes = [&](gc::Scheme s) -> std::uint64_t {
+      return r.stats.garbled_non_xor * 16 * gc::blocks_per_gate(s);
+    };
+    if (r.stats.comm.garbled_table_bytes != table_bytes(gc::Scheme::HalfGates)) {
+      std::fprintf(stderr, "ablation 1: half-gates table bytes do not match the cost model\n");
+      return 1;
+    }
+    for (const auto& [scheme, name, key] :
+         {std::tuple{gc::Scheme::Classic4, "classic 4-row", "classic4"},
+          {gc::Scheme::Grr3, "GRR3 (3-row)", "grr3"},
+          {gc::Scheme::HalfGates, "half-gates", "halfgates"}}) {
+      const std::uint64_t bytes = table_bytes(scheme);
       std::printf("%-14s garbled non-XOR %8s   table bytes %10s\n", name,
-                  num(r.stats.garbled_non_xor).c_str(),
-                  num(r.stats.comm.garbled_table_bytes).c_str());
+                  num(r.stats.garbled_non_xor).c_str(), num(bytes).c_str());
+      if (benchutil::json().enabled()) {
+        benchutil::json().add(std::string("mult32.table_bytes_") + key, bytes);
+      }
     }
   }
 

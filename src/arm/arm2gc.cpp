@@ -36,6 +36,13 @@ Arm2GcResult decode_run(const core::RunResult& r, std::size_t out_words) {
   }
   return res;
 }
+
+/// The frozen `scheme` slot of Arm2Gc::run and Arm2Gc::party_options.
+void require_half_gates(gc::Scheme scheme) {
+  if (scheme != gc::Scheme::HalfGates) {
+    throw std::invalid_argument("arm2gc: the endpoints garble half-gates only");
+  }
+}
 }  // namespace
 
 netlist::BitVec Arm2Gc::alice_input_bits(std::span<const std::uint32_t> words) const {
@@ -62,9 +69,9 @@ std::vector<std::uint32_t> Arm2Gc::decode_output_bits(
 Arm2GcResult Arm2Gc::run(std::span<const std::uint32_t> alice,
                          std::span<const std::uint32_t> bob, std::uint64_t max_cycles,
                          gc::Scheme scheme, const core::ExecOptions& exec) const {
+  require_half_gates(scheme);
   core::RunOptions opts;
   opts.mode = core::Mode::SkipGate;
-  opts.scheme = scheme;
   opts.halt_wire = cpu_.halt_wire;
   opts.max_cycles = max_cycles;
   opts.exec = exec;
@@ -118,17 +125,16 @@ Arm2Gc::Session::Session(const Arm2Gc& machine, core::ExecOptions exec)
 }
 
 Arm2GcResult Arm2Gc::Session::run(std::span<const std::uint32_t> alice,
-                                  std::span<const std::uint32_t> bob, std::uint64_t max_cycles,
-                                  gc::Scheme scheme) {
-  return machine_->run(alice, bob, max_cycles, scheme, exec_);
+                                  std::span<const std::uint32_t> bob, std::uint64_t max_cycles) {
+  return machine_->run(alice, bob, max_cycles, gc::Scheme::HalfGates, exec_);
 }
 
 core::PartyOptions Arm2Gc::party_options(core::Role role, std::uint64_t max_cycles,
                                          gc::Scheme scheme,
                                          const core::ExecOptions& exec) const {
+  require_half_gates(scheme);
   core::RunOptions opts;
   opts.mode = core::Mode::SkipGate;
-  opts.scheme = scheme;
   opts.halt_wire = cpu_.halt_wire;
   opts.max_cycles = max_cycles;
   opts.exec = exec;

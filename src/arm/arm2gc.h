@@ -37,7 +37,11 @@ class Arm2Gc {
   /// Executes the two-party protocol (SkipGate mode, halt-driven) through
   /// the in-process lock-step driver. `exec` selects plan-cache, OT and
   /// thread tuning; results are identical across all tunings, only
-  /// wall-clock and memory differ.
+  /// wall-clock and memory differ. The endpoints garble half-gates only:
+  /// `scheme` is a frozen positional slot kept for existing callers that
+  /// pass gc::Scheme::HalfGates, and any other value throws
+  /// std::invalid_argument. Once those callers stop passing it, the
+  /// parameter goes (here and in party_options).
   [[nodiscard]] Arm2GcResult run(std::span<const std::uint32_t> alice,
                                  std::span<const std::uint32_t> bob,
                                  std::uint64_t max_cycles = 1u << 20,
@@ -64,6 +68,8 @@ class Arm2Gc {
   /// Expands driver-style tuning into one role's endpoint options for this
   /// machine (SkipGate mode, halt-driven on the CPU's halt wire). Adjust
   /// private_seed on the result before a real two-process deployment.
+  /// `scheme` is the same frozen slot as run()'s: anything but
+  /// gc::Scheme::HalfGates throws std::invalid_argument.
   [[nodiscard]] core::PartyOptions party_options(core::Role role,
                                                  std::uint64_t max_cycles = 1u << 20,
                                                  gc::Scheme scheme = gc::Scheme::HalfGates,
@@ -108,8 +114,7 @@ class Arm2Gc {
 
     [[nodiscard]] Arm2GcResult run(std::span<const std::uint32_t> alice,
                                    std::span<const std::uint32_t> bob,
-                                   std::uint64_t max_cycles = 1u << 20,
-                                   gc::Scheme scheme = gc::Scheme::HalfGates);
+                                   std::uint64_t max_cycles = 1u << 20);
 
     [[nodiscard]] core::WarmState& garbler_warm() { return garbler_warm_; }
     [[nodiscard]] core::WarmState& evaluator_warm() { return evaluator_warm_; }

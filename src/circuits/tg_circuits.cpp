@@ -71,10 +71,9 @@ Bus aes_mul2(CircuitBuilder& cb, const Bus& b) {
 
 }  // namespace
 
-TgRun run_instance(const TgInstance& inst, core::Mode mode, gc::Scheme scheme) {
+TgRun run_instance(const TgInstance& inst, core::Mode mode) {
   core::RunOptions opts;
   opts.mode = mode;
-  opts.scheme = scheme;
   opts.fixed_cycles = inst.cycles;
   core::SkipGateDriver driver(inst.nl, opts);
   const bool has_streams = inst.streams.alice || inst.streams.bob || inst.streams.pub;

@@ -17,14 +17,12 @@ using netlist::Owner;
 using netlist::WireId;
 }  // namespace
 
-EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme,
-                                   Block seed, gc::Transport& tx, gc::OtBackend ot_backend,
+EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, Block seed,
+                                   gc::Transport& tx, gc::OtBackend ot_backend,
                                    gc::IknpReceiverState* warm_ot, WorkPool* pool,
                                    gc::RandomOtPoolReceiver* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
-      scheme_(scheme),
-      eval_(scheme),
       tx_(&tx),
       ot_(gc::make_ot_receiver(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
       pool_(pool) {
@@ -169,7 +167,6 @@ void EvaluatorSession::begin_cycle(bool window_start) {
 }
 
 void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
-  const std::size_t bpg = gc::blocks_per_gate(scheme_);
   const bool conventional = mode_ == Mode::Conventional;
 
   // The plan's per-slice emitted-table prefix, shared with the garbler:
@@ -184,7 +181,8 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   // digest) in slice order on the calling thread, before si's worker task
   // is released — the byte stream consumed is identical to serial.
   const auto feed_slice = [&](std::size_t si) {
-    const std::size_t blocks = static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * bpg;
+    const std::size_t blocks =
+        static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * kRowsPerGate;
     if (blocks == 0) return;
     std::vector<Block>& rows = stage_[si].rows;
     if (rows.size() < blocks) rows.resize(blocks);
@@ -250,16 +248,8 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
         }
         lb_valid_[jobs[k].out] = 1;
       }
-      const Block* rows = st.rows.data() + k0 * bpg;
-      if (scheme_ == gc::Scheme::HalfGates) {
-        eval_.eval_half_gates(lb_.data(), jobs, n, tweak + 2 * k0, rows);
-        return;
-      }
-      for (std::size_t k = 0; k < n; ++k) {
-        const crypto::HalfGateJob& job = jobs[k];
-        lb_[job.out] =
-            eval_.eval_rows(lb_[job.a], lb_[job.b], rows + k * bpg, tweak + 2 * (k0 + k));
-      }
+      eval_.eval_half_gates(lb_.data(), jobs, n, tweak + 2 * k0,
+                            st.rows.data() + k0 * kRowsPerGate);
     };
     walk_slice(nl_, sl, conventional, st, apply, flush);
   };

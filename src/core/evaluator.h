@@ -45,8 +45,8 @@ class EvaluatorSession {
   /// transport with one receive, in slice order on the calling thread (the
   /// read mirror of the garbler's ordered writer), so the consumed byte
   /// stream and received-table digest are byte-identical to the serial path.
-  EvaluatorSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
-                   gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
+  EvaluatorSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
+                   gc::OtBackend ot_backend = gc::OtBackend::Ideal,
                    gc::IknpReceiverState* warm_ot = nullptr, WorkPool* pool = nullptr,
                    gc::RandomOtPoolReceiver* warm_ot_pool = nullptr,
                    std::size_t ot_pool = gc::kDefaultOtPoolBatch);
@@ -110,7 +110,6 @@ class EvaluatorSession {
 
   const netlist::Netlist& nl_;
   Mode mode_;
-  gc::Scheme scheme_;
   gc::Evaluator eval_;
   gc::Transport* tx_;
   std::unique_ptr<gc::OtReceiver> ot_;

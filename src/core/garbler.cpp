@@ -20,13 +20,13 @@ constexpr Block kZeroBlock{};
 Block maybe(Block b, bool take) { return take ? b : kZeroBlock; }
 }  // namespace
 
-GarblerSession::GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme,
-                               Block seed, gc::Transport& tx, gc::OtBackend ot_backend,
+GarblerSession::GarblerSession(const netlist::Netlist& nl, Mode mode, Block seed,
+                               gc::Transport& tx, gc::OtBackend ot_backend,
                                gc::IknpSenderState* warm_ot, WorkPool* pool,
                                gc::RandomOtPoolSender* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
-      garbler_(seed, scheme),
+      garbler_(seed),
       tx_(&tx),
       ot_(gc::make_ot_sender(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
       pool_(pool) {
@@ -144,10 +144,7 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
 
 void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const Block r = garbler_.R();
-  const gc::Scheme scheme = garbler_.scheme();
-  const std::size_t bpg = gc::blocks_per_gate(scheme);
   const bool conventional = mode_ == Mode::Conventional;
-  ++cycle_epoch_;  // advanced on serial and pooled paths alike
 
   // Each cone garbles against the preassigned tweak range starting at
   // tweak0 + 2*emit_base[si] (the plan's per-slice emitted-table prefix),
@@ -157,7 +154,7 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const std::uint64_t tweak0 = garbler_.tweak_cursor();
   if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
   const auto slice_blocks = [&](std::size_t si) {
-    return static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * bpg;
+    return static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * kRowsPerGate;
   };
 
   // Worker body: garble one cone slice into its row frame. Label reads of
@@ -199,22 +196,8 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
       }
     };
     const auto flush = [&](const crypto::HalfGateJob* jobs, std::size_t n, std::uint64_t k0) {
-      Block* rows = st.rows.data() + k0 * bpg;
-      if (scheme == gc::Scheme::HalfGates) {
-        garbler_.garble_half_gates(la_.data(), jobs, n, tweak + 2 * k0, rows);
-        return;
-      }
-      const WireId first_gate = nl_.first_gate_wire();
-      for (std::size_t k = 0; k < n; ++k) {
-        const crypto::HalfGateJob& job = jobs[k];
-        // Only Classic4 reads a fresh output label; it is a function of
-        // (cycle, gate), so worker order cannot perturb it.
-        const Block fresh = scheme == gc::Scheme::Classic4
-                                ? garbler_.derived_label(cycle_epoch_, job.out - first_gate)
-                                : Block{};
-        la_[job.out] = garbler_.garble_rows(la_[job.a], la_[job.b], job.polarity,
-                                            tweak + 2 * (k0 + k), fresh, rows + k * bpg);
-      }
+      garbler_.garble_half_gates(la_.data(), jobs, n, tweak + 2 * k0,
+                                 st.rows.data() + k0 * kRowsPerGate);
     };
     walk_slice(nl_, sl, conventional, st, apply, flush);
   };

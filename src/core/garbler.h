@@ -47,8 +47,8 @@ class GarblerSession {
   /// frame and sent as one frame, in slice order, by a single ordered
   /// writer — the byte stream, table digests and comm accounting are
   /// byte-identical to a per-table send.
-  GarblerSession(const netlist::Netlist& nl, Mode mode, gc::Scheme scheme, crypto::Block seed,
-                 gc::Transport& tx, gc::OtBackend ot_backend = gc::OtBackend::Ideal,
+  GarblerSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
+                 gc::OtBackend ot_backend = gc::OtBackend::Ideal,
                  gc::IknpSenderState* warm_ot = nullptr, WorkPool* pool = nullptr,
                  gc::RandomOtPoolSender* warm_ot_pool = nullptr,
                  std::size_t ot_pool = gc::kDefaultOtPoolBatch);
@@ -141,10 +141,6 @@ class GarblerSession {
   /// Per-slice row frames and batching state (core/slice_loop.h; drained
   /// in slice order by the transport writer).
   std::vector<SliceStage> stage_;
-  /// Per-cycle domain for Classic4 derived output labels (advanced every
-  /// garble_cycle, never reset): labels are functions of (epoch, gate), so
-  /// worker order cannot perturb them.
-  std::uint64_t cycle_epoch_ = 0;
 };
 
 }  // namespace arm2gc::core

@@ -209,7 +209,7 @@ GarblerEndpoint::GarblerEndpoint(const netlist::Netlist& nl, const PartyOptions&
       pool_(resolve_pool(opts, warm_, owned_pool_)),
       planner_(nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr,
                                      warm ? &warm->cone_memo_ : nullptr, pool_)),
-      session_(std::make_unique<GarblerSession>(nl, opts.mode, opts.scheme, opts.own_seed(), tx,
+      session_(std::make_unique<GarblerSession>(nl, opts.mode, opts.own_seed(), tx,
                                                 opts.ot_backend,
                                                 warm ? warm->ot_sender_.get() : nullptr, pool_,
                                                 warm ? warm->otpre_sender_.get() : nullptr,
@@ -384,8 +384,8 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
       planner_(std::make_unique<Planner>(
           nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr,
                                 warm ? &warm->cone_memo_ : nullptr, pool_))),
-      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.scheme, opts.own_seed(),
-                                                  tx, opts.ot_backend,
+      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.own_seed(), tx,
+                                                  opts.ot_backend,
                                                   warm ? warm->ot_receiver_.get() : nullptr,
                                                   pool_,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,
@@ -403,8 +403,8 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
       tx_(&tx),
       leader_(&leader),
       pool_(resolve_pool(opts, warm_, owned_pool_)),
-      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.scheme, opts.own_seed(),
-                                                  tx, opts.ot_backend,
+      session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.own_seed(), tx,
+                                                  opts.ot_backend,
                                                   warm ? warm->ot_receiver_.get() : nullptr,
                                                   pool_,
                                                   warm ? warm->otpre_receiver_.get() : nullptr,

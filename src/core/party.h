@@ -155,12 +155,12 @@ struct RunResult {
 };
 
 /// Everything one endpoint needs to know to run its role. The protocol
-/// fields (mode, scheme, cycle schedule, protocol_seed, ot_backend, plan
-/// tuning that affects the layout key) must match the peer's; private_seed
-/// and the cache budgets are the party's own business.
+/// fields (mode, cycle schedule, protocol_seed, ot_backend, plan tuning
+/// that affects the layout key) must match the peer's; private_seed and the
+/// cache budgets are the party's own business. Garbling is always
+/// half-gates with free XOR: the endpoints run no other scheme.
 struct PartyOptions {
   Mode mode = Mode::SkipGate;
-  gc::Scheme scheme = gc::Scheme::HalfGates;
   /// Run exactly this many cycles (sequential circuits with a known schedule).
   std::optional<std::uint64_t> fixed_cycles;
   /// Public wire that announces termination (the processor's halt signal);

@@ -138,22 +138,6 @@ PlanAct pair_action(netlist::TruthTable tt, bool flips_differ, bool equal, bool 
   return PlanAct::FreeXor;
 }
 
-/// Follows pass-style actions back to the wire whose label a wire carries.
-WireId resolve_pass(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
-                    WireId w) {
-  const WireId first_gate = nl.first_gate_wire();
-  for (int hops = 0; hops < 64 && w >= first_gate; ++hops) {
-    const std::size_t gi = w - first_gate;
-    switch (static_cast<PlanAct>(acts[gi])) {
-      case PlanAct::PassA: w = nl.gates[gi].a; break;
-      case PlanAct::PassB: w = nl.gates[gi].b; break;
-      case PlanAct::PassSrc: w = pass_srcs[gi]; break;
-      default: return w;
-    }
-  }
-  return w;
-}
-
 /// Follows every pass action (PassA/B/C0/C1/PassSrc) back to the wire whose
 /// fingerprint a wire carries: a pass gate's output fingerprint is exactly
 /// its source's (PassSrc's by the cancellation check that chose it), so a
@@ -175,7 +159,7 @@ WireId fp_source(const Netlist& nl, const std::uint8_t* acts, const WireId* pass
 }
 
 /// XOR-cancellation candidates of a free XOR of wires (wa, wb): for each
-/// side that resolves to a FreeXor gate, that gate's secret operands, in
+/// side whose fp_source is a FreeXor gate, that gate's secret operands, in
 /// order. The XOR carries exactly a candidate's label iff the candidate's
 /// fingerprint equals the result's; the first such candidate wins. `is_pub`
 /// reads the stitched wire bits.
@@ -186,7 +170,7 @@ std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const
   const WireId first_gate = nl.first_gate_wire();
   std::size_t n = 0;
   for (const WireId side : {wa, wb}) {
-    const WireId r = resolve_pass(nl, acts, pass_srcs, side);
+    const WireId r = fp_source(nl, acts, pass_srcs, side);
     if (r < first_gate) continue;
     const std::size_t gi = r - first_gate;
     if (static_cast<PlanAct>(acts[gi]) != PlanAct::FreeXor) continue;

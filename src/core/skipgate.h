@@ -63,7 +63,6 @@ struct ExecOptions {
 
 struct RunOptions {
   Mode mode = Mode::SkipGate;
-  gc::Scheme scheme = gc::Scheme::HalfGates;
   /// Run exactly this many cycles (sequential circuits with a known schedule).
   std::optional<std::uint64_t> fixed_cycles;
   /// Public wire that announces termination (the processor's halt signal);

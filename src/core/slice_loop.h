@@ -30,6 +30,10 @@
 
 namespace arm2gc::core {
 
+/// Rows per emitted table in a slice frame: the sessions garble half-gates
+/// only.
+inline constexpr std::size_t kRowsPerGate = gc::blocks_per_gate(gc::Scheme::HalfGates);
+
 /// One slice's staging: its garbled-table rows as one flat frame, and the
 /// loop's batching state (reused across cycles).
 struct SliceStage {

@@ -34,17 +34,6 @@ class CtrRng {
 
   bool next_bool() { return (next_u64() & 1u) != 0; }
 
-  /// Deterministic block addressed by (domain, ordinal) instead of drawn
-  /// from the sequential stream. The plaintext sets the top counter bit,
-  /// which next_block()'s {counter, 0} plaintexts never do, so derived
-  /// blocks and stream blocks are outputs of one AES permutation on
-  /// disjoint inputs — mutually distinct and jointly pseudorandom. Const
-  /// and stateless: concurrent workers can derive per-domain counter-mode
-  /// subsequences from one seeded generator without sharing a cursor.
-  [[nodiscard]] Block derive(std::uint64_t domain, std::uint64_t ordinal) const {
-    return aes_.encrypt(Block{ordinal, (1ull << 63) | domain});
-  }
-
  private:
   static constexpr std::size_t kBatch = 8;
 

@@ -1,7 +1,9 @@
-// Garbling schemes. The production scheme is half-gates (Zahur, Rosulek,
-// Evans — EUROCRYPT'15): free XOR, 2 ciphertexts per non-XOR gate. Classic
-// four-row and GRR3 (row-reduction, Naor-Pinkas-Sumner) schemes are provided
-// for the ablation benchmarks; all three share the fixed-key pi-hash.
+// Garbling schemes. Half-gates (Zahur, Rosulek, Evans — EUROCRYPT'15: free
+// XOR, 2 ciphertexts per non-XOR gate) is the only scheme the protocol
+// endpoints run. Classic four-row and GRR3 (row-reduction, Naor-Pinkas-
+// Sumner) stay here as kernels only: the reference for the round-trip and
+// golden-digest tests, the per-scheme microbenchmarks, and the cost model
+// of the garbling-scheme ablation. All three share the fixed-key pi-hash.
 //
 // Any non-affine 2-input gate is garbled at AND cost through its AND-core
 // decomposition  f(a,b) = gamma ^ ((a^alpha) & (b^beta)) : the garbler offsets
@@ -76,7 +78,6 @@ class Garbler {
   explicit Garbler(Block seed, Scheme scheme = Scheme::HalfGates);
 
   [[nodiscard]] Block R() const { return r_; }
-  [[nodiscard]] Scheme scheme() const { return scheme_; }
 
   /// Fresh false label for a new wire (input or GRR-independent output).
   Block fresh_label();
@@ -91,8 +92,8 @@ class Garbler {
   /// bit-identical to garble() fed the same tweaks, but const, so
   /// independent cones garble concurrently against preassigned tweak
   /// ranges. `classic_fresh` supplies the fresh output label Classic4 needs
-  /// (derived_label; ignored by the row-reduced schemes). The caller
-  /// advances the shared cursors once per cycle via advance().
+  /// (ignored by the row-reduced schemes). The caller advances the shared
+  /// cursors once per cycle via advance().
   Block garble_at(Block a0, Block b0, netlist::AndCore core, std::uint64_t tweak,
                   Block classic_fresh, GarbledTable& table) const;
 
@@ -108,14 +109,6 @@ class Garbler {
   void garble_half_gates(Block* labels, const crypto::HalfGateJob* jobs, std::size_t n,
                          std::uint64_t tweak, Block* rows) const {
     hash_.garble_half_gates(r_, labels, jobs, n, tweak, rows);
-  }
-
-  /// Label addressed by (domain, ordinal) from the session seed — the
-  /// deterministic-under-parallelism replacement for a fresh_label() draw
-  /// whose stream position would depend on worker interleaving. Disjoint
-  /// from the fresh_label() stream by construction (crypto::CtrRng::derive).
-  [[nodiscard]] Block derived_label(std::uint64_t domain, std::uint64_t ordinal) const {
-    return rng_.derive(domain, ordinal);
   }
 
   /// Advances the gate counter and tweak cursor past `gates` garbled gates

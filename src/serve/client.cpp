@@ -11,7 +11,6 @@ namespace {
 
 core::PartyOptions to_party_options(const ClientOptions& c) {
   core::PartyOptions o;
-  o.scheme = c.scheme;
   o.fixed_cycles = c.fixed_cycles;
   o.halt_wire = c.halt_wire;
   o.max_cycles = c.max_cycles;
@@ -36,7 +35,6 @@ ClientResult run_client(const std::string& host, std::uint16_t port,
   // Hello: program + every protocol field the two endpoints must agree on.
   HelloRequest h;
   h.name_len = static_cast<std::uint32_t>(copts.program.size());
-  h.scheme = static_cast<std::uint8_t>(copts.scheme);
   h.ot_backend = static_cast<std::uint8_t>(copts.ot_backend);
   h.ot_pool = copts.ot_pool;
   h.fixed_cycles = copts.fixed_cycles.value_or(0);

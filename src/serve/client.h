@@ -37,7 +37,6 @@ class ServiceRejected : public std::runtime_error {
 
 struct ClientOptions {
   std::string program;
-  gc::Scheme scheme = gc::Scheme::HalfGates;
   gc::OtBackend ot_backend = gc::OtBackend::Ideal;
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   /// Cycle schedule; must match the service's registered spec (the hello

@@ -203,8 +203,7 @@ struct GarblerService::Impl {
       sock->recv_control(name.data(), name.size());
       spec = impl.find_program(name);
       if (spec == nullptr) return HelloStatus::UnknownProgram;
-      if (h.scheme > static_cast<std::uint8_t>(gc::Scheme::Classic4) ||
-          h.ot_backend > static_cast<std::uint8_t>(gc::OtBackend::Precomp)) {
+      if (h.reserved0 != 0 || h.ot_backend > static_cast<std::uint8_t>(gc::OtBackend::Precomp)) {
         return HelloStatus::OptionMismatch;
       }
       // The cycle schedule and the public seed are part of the registered
@@ -216,7 +215,6 @@ struct GarblerService::Impl {
         return HelloStatus::OptionMismatch;
       }
       popts = spec->opts;
-      popts.scheme = static_cast<gc::Scheme>(h.scheme);
       popts.ot_backend = static_cast<gc::OtBackend>(h.ot_backend);
       popts.ot_pool = static_cast<std::size_t>(h.ot_pool);
       return HelloStatus::Ok;

@@ -47,16 +47,19 @@ enum class HelloStatus : std::uint32_t {
 
 /// Client -> service, first bytes on the connection; `name_len` bytes of
 /// program name follow the struct. The protocol fields the two endpoints
-/// must agree on all travel here: the service adopts scheme/OT choices per
-/// client (so one service instance serves every backend) but insists the
-/// cycle schedule and public seed match the registered spec — a silent
-/// mismatch there would desync the planners mid-protocol instead of
-/// failing loudly at the door.
+/// must agree on all travel here: the service adopts OT choices per client
+/// (so one service instance serves every backend) but insists the cycle
+/// schedule and public seed match the registered spec — a silent mismatch
+/// there would desync the planners mid-protocol instead of failing loudly
+/// at the door. `reserved0` is the byte a garbling-scheme choice used to
+/// occupy: the endpoints garble half-gates only, so it must be 0, and a
+/// peer that still asks for another scheme is answered OptionMismatch
+/// instead of running one it did not ask for.
 struct HelloRequest {
   std::uint64_t magic = kHelloMagic;
   std::uint32_t version = kWireVersion;
   std::uint32_t name_len = 0;
-  std::uint8_t scheme = 0;      ///< gc::Scheme
+  std::uint8_t reserved0 = 0;   ///< must be 0
   std::uint8_t ot_backend = 0;  ///< gc::OtBackend
   std::uint8_t reserved[6] = {};
   std::uint64_t ot_pool = 0;

@@ -1,9 +1,9 @@
 // Differential tests for multicore garbling/evaluation: threads=N must be
 // *observationally identical* to threads=1 — same outputs, same golden table
 // digests on both party sides, same garbled_non_xor, same planner counters
-// and same per-class comm bytes — on fuzzed sequential netlists (all three
-// schemes, lock-step and two-thread socket-pair compositions, both OT
-// backends) and on the ARM Hamming-160 program. The ordered transport writer/reader makes the framed
+// and same per-class comm bytes — on fuzzed sequential netlists (lock-step
+// and two-thread socket-pair compositions, both OT backends) and on the ARM
+// Hamming-160 program. The ordered transport writer/reader makes the framed
 // byte stream byte-identical, so every digest and byte count is pinned, not
 // just the decoded outputs. Wall-clock-only fields (ot_wall_ns,
 // transport_high_water_blocks) are the sole exclusions.
@@ -123,16 +123,10 @@ TEST(ParallelExec, FuzzedNetlistsMatchSerialAcrossCompositionsAndBackends) {
     core::StreamProvider streams;
     streams.alice = [aw](std::uint64_t c) { return netlist::BitVec{((aw >> c) & 1u) != 0}; };
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
-    // Rotate the scheme per seed: Classic4 exercises the derived fresh-label
-    // path, Grr3/HalfGates the row-reduced tables.
-    const gc::Scheme scheme = seed % 3 == 0   ? gc::Scheme::Classic4
-                              : seed % 3 == 1 ? gc::Scheme::Grr3
-                                              : gc::Scheme::HalfGates;
 
     for (const a2gtest::Composition c : a2gtest::kCompositions) {
       for (const gc::OtBackend ot : {gc::OtBackend::Ideal, gc::OtBackend::Iknp}) {
         core::RunOptions opts;
-        opts.scheme = scheme;
         opts.fixed_cycles = 8;
         opts.exec.ot_backend = ot;
         opts.exec.cone_target_gates = 24;  // force a multi-cone layout

@@ -172,6 +172,29 @@ TEST(PartyEndpoints, SocketMatchesInMemoryArmHamming160) {
   EXPECT_EQ(s.garbler.stats.comm.output_bytes, ref.stats.comm.output_bytes);
 }
 
+/// Arm2Gc::run and Arm2Gc::party_options keep a positional gc::Scheme slot
+/// for existing callers only: half-gates is the one scheme the endpoints
+/// garble, so any other value throws before a run starts.
+TEST(PartyEndpoints, ArmApiRejectsEveryNonHalfGatesScheme) {
+  const programs::Program prog = programs::hamming(1);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const std::vector<std::uint32_t> a = {0x0001F00Du};
+  const std::vector<std::uint32_t> b = {0xFF00FF00u};
+  // GRR3, classic 4-row, and a value no enumerator names.
+  for (const int v : {1, 2, 3}) {
+    const auto s = static_cast<gc::Scheme>(v);
+    EXPECT_THROW((void)machine.run(a, b, 1u << 20, s), std::invalid_argument);
+    EXPECT_THROW((void)machine.party_options(core::Role::Garbler, 1u << 20, s),
+                 std::invalid_argument);
+    EXPECT_THROW((void)machine.party_options(core::Role::Evaluator, 1u << 20, s),
+                 std::invalid_argument);
+  }
+  const arm::Arm2GcResult r = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates);
+  EXPECT_EQ(r.outputs, machine.run_reference(a, b).outputs);
+  EXPECT_EQ(machine.party_options(core::Role::Garbler, 1u << 20, gc::Scheme::HalfGates).halt_wire,
+            machine.cpu().halt_wire);
+}
+
 TEST(PartyEndpoints, PrivatePerPartySeedsStillAgree) {
   // Each party seeding its own randomness moves the label stream (and hence
   // the digest *value*) but nothing observable: outputs stay correct and the

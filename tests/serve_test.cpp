@@ -430,6 +430,41 @@ TEST(GarblerService, RejectsUnknownProgramOptionMismatchAndBadMagic) {
   EXPECT_EQ(service.stats().runs_ok, 0u);
 }
 
+/// The hello byte that once chose a garbling scheme is reserved: the
+/// endpoints garble half-gates only, so a nonzero value is turned away at the
+/// door, and the shard goes on serving the next (well-formed) client.
+TEST(GarblerService, RejectsNonzeroReservedSchemeByte) {
+  const netlist::Netlist nl = adder_netlist();
+  const netlist::BitVec a = to_bits(21, 8);
+  const netlist::BitVec b = to_bits(9, 8);
+  serve::GarblerService service({adder_spec(nl, a)}, serve::ServiceOptions{});
+  service.start();
+
+  {
+    auto sock = gc::SocketDuplex::connect("127.0.0.1", service.port());
+    serve::HelloRequest h;
+    h.name_len = 6;
+    h.reserved0 = 1;  // what a GRR3 choice used to send
+    h.ot_backend = static_cast<std::uint8_t>(gc::OtBackend::Ideal);
+    h.ot_pool = 16;
+    h.fixed_cycles = 1;
+    h.max_cycles = core::PartyOptions{}.max_cycles;
+    core::kDefaultProtocolSeed.to_bytes(h.protocol_seed);
+    sock->send_control(&h, sizeof h);
+    sock->send_control("adder8", 6);
+    serve::HelloReply reply{};
+    sock->recv_control(&reply, sizeof reply);
+    EXPECT_EQ(static_cast<serve::HelloStatus>(reply.status), serve::HelloStatus::OptionMismatch);
+  }
+
+  const serve::ClientOptions co = adder_client_opts(gc::OtBackend::Ideal, 16);
+  expect_matches_reference(serve::run_client("127.0.0.1", service.port(), nl, co, b),
+                           adder_reference(nl, gc::OtBackend::Ideal, 16, a, b));
+  service.stop();
+  EXPECT_EQ(service.stats().hello_rejected, 1u);
+  EXPECT_EQ(service.stats().runs_ok, 1u);
+}
+
 /// A client dying mid-protocol — right after the hello, or after pushing a
 /// few garbage bytes into the protocol stream — must never poison the pooled
 /// WarmState: the teardown path re-bases it, and the next client's run is

@@ -54,7 +54,6 @@ struct Args {
   std::vector<std::uint32_t> bob;
   std::uint64_t max_cycles = 1u << 20;
   std::size_t threads = 1;  ///< worker threads (0 = hardware concurrency)
-  gc::Scheme scheme = gc::Scheme::HalfGates;
   gc::OtBackend ot = gc::OtBackend::Iknp;
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   crypto::Block seed = core::kDefaultProtocolSeed;
@@ -71,7 +70,7 @@ struct Args {
                "  --program <builtin|file.s>    builtins: sum32 compare32 mult32 hamming160\n"
                "  --input w,w,...               this party's private words\n"
                "  --alice w,... --bob w,...     local-role inputs\n"
-               "  [--max-cycles N] [--scheme halfgates|grr3|classic4]\n"
+               "  [--max-cycles N]              garbling is half-gates + free XOR\n"
                "  [--ot ideal|iknp|precomp]     precomp banks random OTs off the online\n"
                "                                path and derandomizes online choices\n"
                "  [--ot-pool N]                 precomp refill target in random OTs\n"
@@ -152,17 +151,6 @@ Args parse_args(int argc, char** argv) {
       a.max_cycles = std::stoull(next(i), nullptr, 0);
     } else if (f == "--threads") {
       a.threads = std::stoull(next(i), nullptr, 0);
-    } else if (f == "--scheme") {
-      const std::string v = next(i);
-      if (v == "halfgates") {
-        a.scheme = gc::Scheme::HalfGates;
-      } else if (v == "grr3") {
-        a.scheme = gc::Scheme::Grr3;
-      } else if (v == "classic4") {
-        a.scheme = gc::Scheme::Classic4;
-      } else {
-        usage("unknown scheme");
-      }
     } else if (f == "--ot") {
       const std::string v = next(i);
       if (v == "ideal") {
@@ -305,7 +293,8 @@ int run_local(const Args& a, const programs::Program& prog) {
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
   exec.threads = a.threads;
-  const arm::Arm2GcResult r = machine.run(a.alice, a.bob, a.max_cycles, a.scheme, exec);
+  const arm::Arm2GcResult r =
+      machine.run(a.alice, a.bob, a.max_cycles, gc::Scheme::HalfGates, exec);
   std::printf("role=local\n");
   print_summary(prog.name, r.cycles, r.stats.garbled_non_xor, r.outputs,
                 r.stats.table_digest, r.stats.comm);
@@ -336,8 +325,9 @@ int run_party(const Args& a, const programs::Program& prog) {
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
   exec.threads = a.threads;
-  core::PartyOptions opts = machine.party_options(
-      is_garbler ? core::Role::Garbler : core::Role::Evaluator, a.max_cycles, a.scheme, exec);
+  core::PartyOptions opts =
+      machine.party_options(is_garbler ? core::Role::Garbler : core::Role::Evaluator,
+                            a.max_cycles, gc::Scheme::HalfGates, exec);
   opts.protocol_seed = a.seed;
   // This process's own randomness: never shipped, never shared. The default
   // (protocol seed) keeps runs byte-identical to the in-process driver.
