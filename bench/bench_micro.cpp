@@ -308,10 +308,12 @@ BENCHMARK(BM_OtDerandomize)->Arg(1)->Arg(8)->Arg(160)->Arg(4096);
 
 /// Warm planner cycles: a Hamming-160 (5 words per party) planner replay
 /// over a primed PlanCache, as a warm Session's planner runs it — every
-/// cycle a whole-entry hit through the compiled verify program, then
-/// finish() and latch(). Two untimed replays prime the cache (cold plans)
-/// and compile every entry; items = planner cycles, so the rate reads as
-/// warm planner cycles per second.
+/// cycle a whole-entry hit (its successor-link check, then the compiled
+/// symbolic program's ~68 kept root relations), then finish() and latch()
+/// (which derives the few garbled fingerprints its latch forms read). Two
+/// untimed replays prime the cache (cold plans) and compile every entry;
+/// items = planner cycles, so the rate reads as warm planner cycles per
+/// second.
 static void BM_WarmPlanHit(benchmark::State& state) {
   const programs::Program prog = programs::hamming(5);
   const arm::Arm2Gc machine(prog.cfg, prog.words);

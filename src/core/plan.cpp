@@ -196,26 +196,78 @@ WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const Wire
   return kNoWire;
 }
 
-// Hit program (PlanCache::Entry::program), one u32 stream over the planner's
-// fingerprint slab. Operands are slab slots, never wire ids, and no op reads
-// a Gate. Every slot is written exactly once per run, so the pure checks can
-// run after all writes. The parts, in run order (HitProgram::end):
-//   gather  one root wire per slot: slots [0, R) copy the root fingerprints
-//   derive  one gate index per slot: slots [R, R+D) get the gates' derived
-//           fingerprints in one pipelined AES pass
-//   write   a, b per fresh XOR, in gate order: the j-th writes
-//           fp(a)^fp(b) to slot R+D+j. Under SkipGate (a cached FreeXor)
-//           every written slot must be nonzero — the operands differ;
-//           Conventional mode makes no decision.
-//   eq      a, b: cached category iii, require fp(a) == fp(b)
-//   ne      a, b: cached non-equal outcome (incl. category iv), require
-//           fp(a) != fp(b); a cached FreeXor adds its output and each
-//           XOR-cancellation candidate: no candidate may carry the output
-//   nesrc   a, b, n | k << 3, then n candidate slots: cached PassSrc,
-//           require != and candidate #k the first carrying fp(a)^fp(b)
-//   latch   the slot of each secret latch source (Entry::latch_src order)
-/// Candidate index no first match can equal: the op never verifies.
-constexpr std::uint32_t kNeverMatches = 7;
+// Hit program (PlanCache::Entry::program): symbolic verification. On a hit
+// every fingerprint of the cycle is a fixed XOR of root fingerprints and of
+// this cycle's derived fingerprints AES(gate, epoch) — the entry's actions
+// fix which ones. So each wire has a *form*: an ascending list of terms, a
+// term < first_gate naming a root's class representative (read from the
+// entry's signature) and a term >= first_gate naming a garbled gate's
+// output wire. Every comparison a hit must repeat (a cached FreeXor's
+// operands differ, category iii/iv, each XOR-cancellation candidate) asks
+// whether the XOR of two forms is zero, and the compiler fixes its outcome
+// whenever it can:
+//   - a derived term survives: nonzero. Derived plaintexts carry the top
+//     bit and this cycle's fresh epoch, so under the one keyed permutation
+//     they are independent of every root fingerprint, which came from the
+//     counter stream or an earlier epoch (a collision is a 2^-128 event, as
+//     for any fingerprint comparison).
+//   - nothing survives: zero.
+//   - one or two roots survive: nonzero. Root fingerprints are nonzero
+//     (fresh AES outputs, or latched from a cycle whose every FreeXor
+//     decision was checked), and two class representatives differ by the
+//     definition of the signature's classes, which a hit matches exactly.
+// Only a relation over three or more roots and no derived term is unknown:
+// the XOR-linear structure the signature cannot see. Those are kept. A fixed
+// outcome that contradicts the cached action makes the entry never verify.
+// The stream, in part order (HitProgram::end):
+//   relations  n | expect_zero << 31, then n root wires: the roots' XOR
+//              must be zero (expect_zero) or nonzero
+//   latch      per secret latch source (Entry::latch_src order): r, d, then
+//              r root wires and d indices into the derive part — the
+//              source's fingerprint is the XOR of all of them
+//   derive     the distinct garbled gates the latch forms read, derived in
+//              one pipelined AES pass
+constexpr std::uint32_t kExpectZero = 1u << 31;
+
+/// Appends the symmetric difference of the ascending term lists a[0, na)
+/// and b[0, nb) to `out`, ascending: the form of the XOR of two forms.
+void xor_forms(const std::uint32_t* a, std::size_t na, const std::uint32_t* b, std::size_t nb,
+               std::vector<std::uint32_t>& out) {
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < na && j < nb) {
+    if (a[i] < b[j]) {
+      out.push_back(a[i++]);
+    } else if (b[j] < a[i]) {
+      out.push_back(b[j++]);
+    } else {
+      ++i;
+      ++j;
+    }
+  }
+  out.insert(out.end(), a + i, a + na);
+  out.insert(out.end(), b + j, b + nb);
+}
+
+enum class Outcome : std::uint8_t { Zero, Nonzero, Kept };
+
+/// Whether the XOR of forms a[0, na) and b[0, nb) is zero (see the program
+/// format above). Derived terms sort above every root, so the highest term
+/// the forms do not share decides most comparisons without a merge; only a
+/// roots-only remainder is merged, into `rel`, which holds a Kept relation.
+Outcome decide(const std::uint32_t* a, std::size_t na, const std::uint32_t* b, std::size_t nb,
+               WireId first_gate, std::vector<std::uint32_t>& rel) {
+  while (na != 0 && nb != 0 && a[na - 1] == b[nb - 1]) {
+    --na;
+    --nb;
+  }
+  if (na == 0 && nb == 0) return Outcome::Zero;
+  const std::uint32_t top = std::max(na != 0 ? a[na - 1] : 0u, nb != 0 ? b[nb - 1] : 0u);
+  if (top >= first_gate) return Outcome::Nonzero;
+  rel.clear();
+  xor_forms(a, na, b, nb, rel);
+  return rel.size() <= 2 ? Outcome::Nonzero : Outcome::Kept;
+}
 
 }  // namespace
 
@@ -375,9 +427,9 @@ void PlanCache::ensure_sized(const Netlist& nl, std::uint64_t netlist_key,
   // (4 B per gate); on SkipGate workloads that charge also covers the
   // compiled hit program, the latch list and a filled backward variant —
   // emit bytes, work list and slice table (Hamming-160: ~7.0k touched +
-  // ~11.1k program words + 42.6k emit bytes + a ~5 kB slice table against
+  // ~0.6k program words + 42.6k emit bytes + a ~5 kB slice table against
   // 170 kB), while a Conventional entry (every gate touched) exceeds it by
-  // about its program and backward variants.
+  // about its backward variants.
   const std::size_t entry_bytes = 4 * roots + num_gates + 4 * num_gates + num_wires +
                                   4 * num_gates + 256;
   capacity_ = std::clamp<std::size_t>(budget_bytes_ / std::max<std::size_t>(entry_bytes, 1), 4,
@@ -667,6 +719,7 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
   // signature covers them as they are, and begin_cycle() rewrites them
   // incrementally like any other root.
   rebuild_terms();
+  dirty_.clear();
   cur_ = nullptr;
   prev_ = nullptr;
 }
@@ -697,6 +750,7 @@ void Planner::begin_cycle(const netlist::BitVec& pub_stream) {
 void Planner::set_term(WireId w, std::uint32_t term) {
   terms_hash_ += sig_mix(w, term) - sig_mix(w, terms_[w]);
   terms_[w] = term;
+  dirty_.push_back(w);
 }
 
 std::size_t Planner::rep_slot(const Block& fp) const {
@@ -852,17 +906,31 @@ void Planner::forward() {
   ++fp_epoch_;
   hit_ = false;
   if (cache_ == nullptr) {
+    dirty_.clear();
     ++cache_misses_;
     build_plan(scratch_);
     return;
   }
   // The previous entry and its successor link are trusted only while no
-  // eviction has happened since they were recorded.
+  // eviction has happened since they were recorded. The kept signature
+  // equalled prev->sig at the last forward(), and every term written since
+  // is on the dirty list; prev->sig and the successor's differ only on the
+  // link's diff list. So the successor's signature equals the kept one iff
+  // it does on those two lists — an exact test that reads no other term.
   const std::uint64_t stamp = cache_->evictions();
   Entry* const prev = prev_stamp_ == stamp ? prev_ : nullptr;
   prev_ = nullptr;
+  const auto same_on = [&](const std::vector<std::uint32_t>& sig,
+                           const std::vector<std::uint32_t>& positions) {
+    for (const std::uint32_t w : positions) {
+      if (terms_[w] != sig[w]) return false;
+    }
+    return true;
+  };
   const bool linked = prev != nullptr && prev->next != nullptr && prev->next_stamp == stamp &&
-                      prev->next->hash == terms_hash_ && prev->next->sig == terms_;
+                      prev->next->hash == terms_hash_ && same_on(prev->next->sig, dirty_) &&
+                      same_on(prev->next->sig, prev->next_diff);
+  dirty_.clear();
   Entry* e = nullptr;
   if (linked) {
     e = prev->next;
@@ -892,10 +960,16 @@ void Planner::forward() {
     if (e == nullptr) return;
   }
   // An insert that evicted invalidates every link, the one it would write
-  // included.
-  if (prev != nullptr && cache_->evictions() == stamp) {
+  // included. A link that still holds keeps its diff list: no eviction since
+  // it was written, so its successor is the same entry.
+  if (prev != nullptr && cache_->evictions() == stamp &&
+      (prev->next != e || prev->next_stamp != stamp)) {
     prev->next = e;
     prev->next_stamp = stamp;
+    prev->next_diff.clear();
+    for (std::uint32_t w = 0; w < prev->sig.size(); ++w) {
+      if (prev->sig[w] != e->sig[w]) prev->next_diff.push_back(w);
+    }
   }
   prev_ = e;
   prev_stamp_ = cache_->evictions();
@@ -1101,53 +1175,22 @@ bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::En
 bool Planner::verify_entry(Entry& e) {
   PlanCache::HitProgram& h = e.program;
   if (!h.compiled) compile_entry(e);
-  // A shared cache's entries may have been compiled by another planner.
-  if (slab_.size() < h.slots) slab_.resize(h.slots);
-  Block* const fp = slab_.data();
-  const std::uint32_t* const code = h.code.data();
-  const std::uint32_t* p = code;
-
-  // Gather, then derive: plaintexts into their slots, one AES pass.
-  Block* out = fp;
-  for (const std::uint32_t* end = code + h.end[PlanCache::kGather]; p != end; ++p) {
-    *out++ = st_[*p].fp;
+  if (h.never) return false;
+  // Each kept relation XORs its roots' live fingerprints. No early exit: a
+  // failed relation only decides the result.
+  const std::uint32_t* p = h.code.data();
+  const std::uint32_t* const end = p + h.end[PlanCache::kRelations];
+  bool bad = false;
+  while (p != end) {
+    const std::uint32_t n = *p & ~kExpectZero;
+    const bool expect_zero = (*p & kExpectZero) != 0;
+    Block x = st_[p[1]].fp;
+    for (std::uint32_t j = 1; j < n; ++j) x ^= st_[p[1 + j]].fp;
+    bad |= x.is_zero() != expect_zero;
+    p += 1 + n;
+    ++relation_checks_;
   }
-  Block* const derived = out;
-  for (const std::uint32_t* end = code + h.end[PlanCache::kDerive]; p != end; ++p) {
-    *out++ = derived_plaintext(*p);
-  }
-  fp_gen_.encrypt_batch(derived, static_cast<std::size_t>(out - derived));
-
-  // Writes, then the pure checks. No early exit: a failed check only
-  // decides the result, and every slot a later op reads is written anyway.
-  // A cached FreeXor's operands differ, so under SkipGate its fresh
-  // fingerprint is nonzero; Conventional mode makes no decision.
-  bool zero_xor = false;
-  const std::uint32_t* end = code + h.end[PlanCache::kWrite];
-  for (; p != end; p += 2) {
-    *out = fp[p[0]] ^ fp[p[1]];
-    zero_xor |= out++->is_zero();
-  }
-  bool bad = zero_xor && opts_.mode == Mode::SkipGate;
-  // Nonzero where the two blocks differ.
-  const auto differ = [](const Block& x, const Block& y) { return (x.lo ^ y.lo) | (x.hi ^ y.hi); };
-  std::uint64_t eq_miss = 0;
-  for (end = code + h.end[PlanCache::kEq]; p != end; p += 2) eq_miss |= differ(fp[p[0]], fp[p[1]]);
-  for (end = code + h.end[PlanCache::kNe]; p != end; p += 2) {
-    bad |= differ(fp[p[0]], fp[p[1]]) == 0;
-  }
-  for (end = code + h.end[PlanCache::kNeSrc]; p != end;) {
-    const Block x = fp[p[0]] ^ fp[p[1]];
-    const std::uint32_t n = p[2] & 7u;
-    const std::uint32_t k = p[2] >> 3;
-    std::uint32_t first = n;
-    for (std::uint32_t j = n; j-- > 0;) {
-      if (differ(fp[p[3 + j]], x) == 0) first = j;
-    }
-    bad |= x.is_zero() || first != k;
-    p += 3 + n;
-  }
-  return !bad && eq_miss == 0;
+  return !bad;
 }
 
 void Planner::compile_entry(Entry& e) {
@@ -1162,147 +1205,149 @@ void Planner::compile_entry(Entry& e) {
   const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
   const auto source = [&](WireId w) { return fp_source(nl_, acts, srcs, w); };
 
-  // Pass 1, in gate order: each op goes to its part as wire ids (its
-  // fingerprint sources). A SkipGate write also sends its output and each
-  // cancellation candidate to the ne part; an nesrc op carries n | k << 3
-  // and its candidates after a, b.
-  std::array<std::vector<std::uint32_t>, PlanCache::kHitParts>& part = hit_stage_;
-  for (std::vector<std::uint32_t>& v : part) v.clear();
-  std::vector<WireId> writes;
+  // Every FreeXor output stores its form in the arena, in gate order; a
+  // bitset over wire ids marks them, and a wire's rank in it indexes
+  // form_off_. Every other fingerprint source has a one-term form: a root
+  // its class representative, a garbled gate its own wire.
+  const std::size_t words = (nl_.num_wires() + 63) / 64;
+  form_bits_.assign(words, 0);
+  for (const std::uint32_t i : e.touch) {
+    if (static_cast<PlanAct>(acts[i]) != PlanAct::FreeXor) continue;
+    const WireId w = first_gate + i;
+    form_bits_[w >> 6] |= std::uint64_t{1} << (w & 63);
+  }
+  form_rank_.resize(words + 1);
+  form_rank_[0] = 0;
+  for (std::size_t k = 0; k < words; ++k) {
+    form_rank_[k + 1] = form_rank_[k] + static_cast<std::uint32_t>(std::popcount(form_bits_[k]));
+  }
+  form_terms_.clear();
+  form_off_.assign(1, 0);
+  struct Form {
+    const std::uint32_t* terms;
+    std::size_t n;
+  };
+  // `leaf` holds a one-term form. Operands precede their gate, so every
+  // stored form a gate reads is complete.
+  const auto form = [&](WireId w, std::uint32_t& leaf) -> Form {
+    const std::uint64_t bits = w >= first_gate ? form_bits_[w >> 6] : 0;
+    if ((bits >> (w & 63) & 1) == 0) {
+      leaf = w < first_gate ? e.sig[w] >> 2 : w;
+      return {&leaf, 1};
+    }
+    const std::uint32_t r =
+        form_rank_[w >> 6] +
+        static_cast<std::uint32_t>(std::popcount(bits & ((std::uint64_t{1} << (w & 63)) - 1)));
+    return {form_terms_.data() + form_off_[r], form_off_[r + 1] - form_off_[r]};
+  };
+
+  // Staged stream: the kept relations, then the latch part.
+  std::vector<std::uint32_t>& code = stage_;
+  code.clear();
+  bool never = false;
+  const auto expect = [&](Outcome got, bool zero) {
+    if (got != Outcome::Kept) {
+      never |= (got == Outcome::Zero) != zero;
+      return;
+    }
+    code.push_back(static_cast<std::uint32_t>(rel_.size()) | (zero ? kExpectZero : 0u));
+    code.insert(code.end(), rel_.begin(), rel_.end());
+  };
+  const auto decide_with = [&](const std::vector<std::uint32_t>& x, WireId w) {
+    std::uint32_t leaf = 0;
+    const Form f = form(source(w), leaf);
+    return decide(x.data(), x.size(), f.terms, f.n, first_gate, rel_);
+  };
+
   for (const std::uint32_t i : e.touch) {
     const Gate g = nl_.gates[i];
     const PlanAct act = static_cast<PlanAct>(acts[i]);
-    PlanCache::HitPart kind;
-    bool never = false;
-    if (skipgate && !wire_pub(g.a) && !wire_pub(g.b)) {
-      // The cached action is one of the decision table's two outcomes;
-      // the op checks that the fingerprint comparison still selects it.
-      const bool fd = wire_flip(g.a) != wire_flip(g.b);
-      const PlanAct eq = pair_action(g.tt, fd, /*equal=*/true, skipgate);
-      const PlanAct ne = pair_action(g.tt, fd, /*equal=*/false, skipgate);
-      if (act == eq) {
-        // Same action either way: the equal outcomes (Public, PassA)
-        // carry no fresh fingerprint, so nothing is left to do.
-        if (ne == eq) continue;
-        kind = PlanCache::kEq;
-      } else if (ne == PlanAct::FreeXor && act == PlanAct::FreeXor) {
-        kind = PlanCache::kWrite;
-      } else if (ne == PlanAct::FreeXor && act == PlanAct::PassSrc) {
-        kind = PlanCache::kNeSrc;
-      } else if (act == ne) {
-        kind = PlanCache::kNe;
-      } else {
-        // An action matching neither outcome cannot come out of
-        // classification; compile it to an op that never verifies.
-        kind = PlanCache::kNeSrc;
-        never = true;
+    const bool decision = skipgate && !wire_pub(g.a) && !wire_pub(g.b);
+    if (act != PlanAct::FreeXor && !decision) continue;  // Conventional: no decision
+    // The cached action is one of the decision table's two outcomes; its
+    // comparisons must still select it. The equal outcomes (Public, PassA)
+    // carry no fresh fingerprint, so one that is also the unequal outcome
+    // leaves nothing to check.
+    const bool fd = wire_flip(g.a) != wire_flip(g.b);
+    const PlanAct eq = pair_action(g.tt, fd, /*equal=*/true, skipgate);
+    const PlanAct ne = pair_action(g.tt, fd, /*equal=*/false, skipgate);
+    if (decision && act == eq && ne == eq) continue;
+    std::uint32_t la = 0;
+    std::uint32_t lb = 0;
+    const Form fa = form(source(g.a), la);
+    const Form fb = form(source(g.b), lb);
+    // x_ = the form of fp(a) ^ fp(b).
+    x_.clear();
+    if (act == PlanAct::FreeXor || act == PlanAct::PassSrc) {
+      xor_forms(fa.terms, fa.n, fb.terms, fb.n, x_);
+    }
+    if (!decision) {
+      // Conventional mode makes no decision.
+    } else if (act == eq) {
+      expect(decide(fa.terms, fa.n, fb.terms, fb.n, first_gate, rel_), true);
+    } else if (ne == PlanAct::FreeXor && (act == PlanAct::FreeXor || act == PlanAct::PassSrc)) {
+      // The operands differ, and the XOR-cancellation peephole's choice
+      // holds: no candidate carries a FreeXor's output; the cached source's
+      // first occurrence is the first candidate carrying a PassSrc's.
+      expect(decide(x_.data(), x_.size(), nullptr, 0, first_gate, rel_), false);
+      std::array<WireId, 4> cand{};
+      const std::size_t n = cancel_candidates(nl_, acts, srcs, wire_pub, g.a, g.b, cand);
+      std::size_t k = n;
+      if (act == PlanAct::PassSrc) {
+        k = 0;
+        while (k < n && cand[k] != srcs[i]) ++k;
+        if (k < n) expect(decide_with(x_, cand[k]), true);
+        never |= k == n;
       }
-    } else if (act == PlanAct::FreeXor) {
-      kind = PlanCache::kWrite;  // Conventional mode: no decision, fresh fingerprint
+      for (std::size_t j = 0; j < k; ++j) expect(decide_with(x_, cand[j]), false);
+    } else if (act == ne) {
+      expect(decide(fa.terms, fa.n, fb.terms, fb.n, first_gate, rel_), false);
     } else {
-      continue;  // no decision; Garble fingerprints are derived when read
+      // An action matching neither outcome cannot come out of
+      // classification.
+      never = true;
     }
-    std::vector<std::uint32_t>& op = part[kind];
-    op.insert(op.end(), {source(g.a), source(g.b)});
-    if (kind == PlanCache::kWrite) writes.push_back(first_gate + i);
-    if (!skipgate || (kind != PlanCache::kWrite && kind != PlanCache::kNeSrc)) continue;
-    std::array<WireId, 4> cand{};
-    const auto n = static_cast<std::uint32_t>(
-        never ? 0 : cancel_candidates(nl_, acts, srcs, wire_pub, g.a, g.b, cand));
-    if (kind == PlanCache::kWrite) {
-      for (std::uint32_t j = 0; j < n; ++j) {
-        part[PlanCache::kNe].insert(part[PlanCache::kNe].end(), {first_gate + i, source(cand[j])});
-      }
-      continue;
+    // Last: the append may move the arena that fa and fb point into.
+    if (act == PlanAct::FreeXor) {
+      form_terms_.insert(form_terms_.end(), x_.begin(), x_.end());
+      form_off_.push_back(static_cast<std::uint32_t>(form_terms_.size()));
     }
-    // The first match must be the cached source's first occurrence.
-    std::uint32_t k = kNeverMatches;
-    for (std::uint32_t j = 0; j < n && k == kNeverMatches; ++j) {
-      if (cand[j] == srcs[i]) k = j;
-    }
-    op.push_back(n | k << 3);
-    for (std::uint32_t j = 0; j < n; ++j) op.push_back(source(cand[j]));
   }
-  part[PlanCache::kLatch].assign(e.latch_src.begin(), e.latch_src.begin() + e.latch_secret);
-  // Every staged word but the nesrc n | k words names a wire.
-  const auto for_each_wire = [&](auto&& fn) {
-    for (std::size_t p = PlanCache::kWrite; p < PlanCache::kHitParts; ++p) {
-      std::vector<std::uint32_t>& v = part[p];
-      if (p != PlanCache::kNeSrc) {
-        for (std::uint32_t& w : v) fn(w);
-        continue;
-      }
-      for (std::size_t j = 0; j < v.size(); j += 3 + (v[j + 2] & 7u)) {
-        fn(v[j]);
-        fn(v[j + 1]);
-        for (std::size_t c = j + 3; c < j + 3 + (v[j + 2] & 7u); ++c) fn(v[c]);
-      }
-    }
-  };
+  const auto rel_end = static_cast<std::uint32_t>(code.size());
 
-  // Pass 2: one slot per wire the program reads or writes — roots gathered
-  // first, then garbled outputs derived, then the fresh XORs, each range
-  // ascending (so the writes run in gate order). An action no
-  // classification yields can leave a stale gate wire among the gathered
-  // ones, read only by an op that never verifies. The slotted wires are
-  // a bitset over wire ids; a wire's rank in it indexes `slot`.
-  const std::size_t words = (nl_.num_wires() + 63) / 64;
-  std::vector<std::uint64_t> used(words);
-  std::vector<std::uint64_t> written(words);
-  const auto mark = [](std::vector<std::uint64_t>& bits, WireId w) {
-    bits[w >> 6] |= std::uint64_t{1} << (w & 63);
-  };
-  for (const WireId w : writes) {
-    mark(used, w);
-    mark(written, w);
-  }
-  for_each_wire([&](std::uint32_t w) { mark(used, w); });
-  std::vector<std::uint32_t> rank(words + 1);  // slotted wires below each word
-  for (std::size_t k = 0; k < words; ++k) {
-    rank[k + 1] = rank[k] + static_cast<std::uint32_t>(std::popcount(used[k]));
-  }
-  const auto rank_of = [&](WireId w) {
-    const std::uint64_t below = used[w >> 6] & ((std::uint64_t{1} << (w & 63)) - 1);
-    return rank[w >> 6] + static_cast<std::uint32_t>(std::popcount(below));
-  };
-  // In wire order, slot[j] first holds the j-th wire's range (0 gather,
-  // 1 derive, 2 write), then its slot.
-  std::vector<WireId> wires;
-  std::vector<std::uint32_t> slot;
-  std::array<std::uint32_t, 3> next{};
-  for (std::size_t k = 0; k < words; ++k) {
-    for (std::uint64_t bits = used[k]; bits != 0; bits &= bits - 1) {
-      const auto w = static_cast<WireId>(64 * k + static_cast<unsigned>(std::countr_zero(bits)));
-      const bool garbled =
-          w >= first_gate && static_cast<PlanAct>(acts[w - first_gate]) == PlanAct::Garble;
-      wires.push_back(w);
-      slot.push_back((written[k] >> (w & 63) & 1) != 0 ? 2 : garbled ? 1 : 0);
-      ++next[slot.back()];
+  // Latch part: each secret latch source's form, its garbled gates listed
+  // once in the derive part (ascending) and named by index.
+  std::vector<std::uint32_t>& derived = x_;
+  derived.clear();
+  for (std::uint32_t k = 0; k < e.latch_secret; ++k) {
+    std::uint32_t leaf = 0;
+    const Form f = form(e.latch_src[k], leaf);
+    for (std::size_t j = 0; j < f.n; ++j) {
+      if (f.terms[j] >= first_gate) derived.push_back(f.terms[j]);
     }
   }
-  const std::uint32_t gathered = next[0];
-  const std::uint32_t fixed = next[0] + next[1];  // gathered + derived slots
-  next = {0, gathered, fixed};
-  for (std::uint32_t& sl : slot) sl = next[sl]++;
+  std::sort(derived.begin(), derived.end());
+  derived.erase(std::unique(derived.begin(), derived.end()), derived.end());
+  for (std::uint32_t k = 0; k < e.latch_secret; ++k) {
+    std::uint32_t leaf = 0;
+    const Form f = form(e.latch_src[k], leaf);
+    const auto roots = static_cast<std::uint32_t>(
+        std::lower_bound(f.terms, f.terms + f.n, first_gate) - f.terms);
+    code.insert(code.end(), {roots, static_cast<std::uint32_t>(f.n) - roots});
+    code.insert(code.end(), f.terms, f.terms + roots);
+    for (std::size_t j = roots; j < f.n; ++j) {
+      code.push_back(static_cast<std::uint32_t>(
+          std::lower_bound(derived.begin(), derived.end(), f.terms[j]) - derived.begin()));
+    }
+  }
+  const auto latch_end = static_cast<std::uint32_t>(code.size());
+  for (const std::uint32_t w : derived) code.push_back(w - first_gate);
 
-  // Pass 3: wire ids become slots, and the parts join into one stream.
-  for_each_wire([&](std::uint32_t& w) { w = slot[rank_of(w)]; });
   PlanCache::HitProgram& h = e.program;
-  std::size_t size = fixed;
-  for (const std::vector<std::uint32_t>& v : part) size += v.size();
-  std::vector<std::uint32_t> code(fixed);
-  code.reserve(size);  // exact: entries are long-lived
-  for (std::size_t j = 0; j < wires.size(); ++j) {
-    if (slot[j] < fixed) code[slot[j]] = slot[j] < gathered ? wires[j] : wires[j] - first_gate;
-  }
-  h.end[PlanCache::kGather] = gathered;
-  h.end[PlanCache::kDerive] = fixed;
-  for (std::size_t p = PlanCache::kWrite; p < PlanCache::kHitParts; ++p) {
-    code.insert(code.end(), part[p].begin(), part[p].end());
-    h.end[p] = static_cast<std::uint32_t>(code.size());
-  }
-  h.code = std::move(code);
-  h.slots = static_cast<std::uint32_t>(wires.size());
+  h.code.assign(code.begin(), code.end());
+  h.code.shrink_to_fit();  // exact: entries are long-lived
+  h.end = {rel_end, latch_end, static_cast<std::uint32_t>(code.size())};
+  h.never = never;
   h.compiled = true;
 }
 
@@ -1524,11 +1569,21 @@ void Planner::latch(const CyclePlan& plan) {
   // Only the entry's latch list changes state. Two passes: a D-input may be
   // another flip-flop's output, so every next state is computed before any
   // is installed. Secret D-inputs latch the fingerprint of their resolved
-  // source (a verified hit writes no pass-gate fingerprints).
+  // source. A verified hit computes no gate fingerprint: each secret source
+  // is the XOR its compiled latch form names — root fingerprints plus the
+  // derive part's garbled gates, derived in one AES pass.
   const Entry& e = *cur_;
-  // After a verified hit the cycle's fingerprints live in the slab.
-  const std::uint32_t* latch_slot =
-      hit_ ? e.program.code.data() + e.program.end[PlanCache::kNeSrc] : nullptr;
+  const PlanCache::HitProgram& h = e.program;
+  const std::uint32_t* form = nullptr;
+  if (hit_) {
+    form = h.code.data() + h.end[PlanCache::kRelations];
+    const std::uint32_t* gates = h.code.data() + h.end[PlanCache::kLatch];
+    latch_derived_.resize(h.end[PlanCache::kDerive] - h.end[PlanCache::kLatch]);
+    for (std::size_t j = 0; j < latch_derived_.size(); ++j) {
+      latch_derived_[j] = derived_plaintext(gates[j]);
+    }
+    fp_gen_.encrypt_batch(latch_derived_.data(), latch_derived_.size());
+  }
   latch_next_.resize(e.latch_dffs.size());
   for (std::size_t k = 0; k < e.latch_dffs.size(); ++k) {
     const Dff& d = nl_.dffs[e.latch_dffs[k]];
@@ -1537,7 +1592,18 @@ void Planner::latch(const CyclePlan& plan) {
       s.is_pub = false;
       s.val = false;
       s.flip = plan.wire_flip(d.d) != d.d_invert;
-      s.fp = hit_ ? slab_[latch_slot[k]] : st_[e.latch_src[k]].fp;
+      if (!hit_) {
+        s.fp = st_[e.latch_src[k]].fp;
+        continue;
+      }
+      const std::uint32_t roots = form[0];
+      const std::uint32_t derived = form[1];
+      form += 2;
+      s.fp = Block{};
+      for (const std::uint32_t* end = form + roots; form != end; ++form) s.fp ^= st_[*form].fp;
+      for (const std::uint32_t* end = form + derived; form != end; ++form) {
+        s.fp ^= latch_derived_[*form];
+      }
     } else {
       s = pub_state(plan.wire_value(d.d) != d.d_invert);
     }

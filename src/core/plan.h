@@ -26,14 +26,13 @@
 // ARM core re-enters the same public control state on every loop iteration
 // (fetch/decode is public — the paper's whole point), so repeated cycles skip
 // classification entirely: a hit runs the entry's compiled verify program
-// instead — only the cycle's fingerprint-dependent decisions and fresh
-// fingerprints, a few percent of the netlist, over a dense slab of the
-// fingerprints they read — and the entry's latch list
+// instead — only the root XOR relations the signature cannot see, a few dozen
+// short XORs of root fingerprints — and the entry's latch list
 // confines flip-flop bookkeeping (planner and both party sessions) to the
 // flip-flops whose state changes. A warm run of one program walks the same
 // chain of entries every time, so each entry links to the entry that followed
-// it: a warm cycle compares the kept signature with its predecessor's
-// successor before it falls back to the hash lookup.
+// it: a warm cycle checks its predecessor's successor on the signature terms
+// that changed before it falls back to the hash lookup.
 //
 // Classification is additionally *cone-granular*: the netlist is partitioned
 // once into topologically-contiguous segments (fanin cones rooted at
@@ -189,19 +188,33 @@ class Planner;
 /// can keep it incrementally. The signature is deliberately coarse — it
 /// cannot see XOR-linear relations *among* root fingerprints — so every hit
 /// is re-verified against the current fingerprints before being served and
-/// silently reclassified on drift, so caching can never change results. An
-/// entry is compiled on its first hit into a verify program that holds only
-/// the gates a hit still pays for — fingerprint-dependent decisions (both
-/// inputs secret) and fresh fingerprints (free XOR, garbled outputs), with
-/// operands resolved through pass chains and each decision's expected
-/// outcome fixed. The program addresses a planner-owned slab of 16-byte
-/// fingerprints by slot, not the per-wire state by wire id, and reads no
-/// gate: it gathers the roots it reads, derives the garbled outputs in one
-/// AES pass, runs the fresh XORs in gate order and the pure checks last. So
-/// a warm cycle costs what its secret decisions cost, not what its touched
-/// gates cost (Hamming-160 on the ARM core: ~16 % of gates touched, ~7 %
-/// decisions, ~3.1k slab slots). The signature trajectory of a run depends only
-/// on the netlist and the *public* inputs, so handing the same PlanCache to
+/// silently reclassified on drift, so caching can never change results.
+///
+/// Verification is symbolic. An entry is compiled on its first hit: every
+/// fingerprint of a hit cycle is a fixed XOR (its *form*) of root
+/// fingerprints and of the cycle's derived fingerprints AES(gate, epoch) for
+/// its garbled gates, so each fingerprint comparison the cached decisions
+/// rest on (category iii/iv, a free XOR's distinct operands, each
+/// XOR-cancellation candidate) asks whether the XOR of two forms is zero. The
+/// compiler fixes that outcome from three facts. (1) Derived plaintexts carry
+/// the top bit and a fresh epoch, so under the one keyed permutation a
+/// derived fingerprint is independent of every root's history: a form with a
+/// derived term is nonzero. (2) Root fingerprints are nonzero: fresh AES
+/// outputs, or latched from a cycle whose every free XOR was checked to have
+/// distinct operands: a form of one root is nonzero. (3) Two roots have equal
+/// fingerprints exactly when the signature puts them in one class, and a hit
+/// matches the signature exactly: forms reduce roots to their class
+/// representatives, and a form of two representatives is nonzero, an empty
+/// one zero. Only a relation over three or more representatives and no
+/// derived term is left — the structure the signature cannot see, arising
+/// when a flip-flop latched the XOR of others — and a hit checks just those
+/// (Hamming-160 on the ARM core: ~68 of ~5,460 comparisons per entry, ~3.2
+/// roots each; tg_matmult: none). A fixed outcome that contradicts the
+/// cached action compiles to an entry that never verifies. After a hit,
+/// latch() computes each secret latch source from its form.
+///
+/// The signature trajectory of a run depends only on the netlist and the
+/// *public* inputs, so handing the same PlanCache to
 /// successive runs of one machine on fresh private inputs (the
 /// traffic-serving scenario) skips classification wherever the public
 /// trajectory repeats; each entry links to the entry served after it, so a
@@ -236,6 +249,7 @@ class PlanCache {
 
  private:
   friend class Planner;
+  friend struct PlanCacheTestPeer;  ///< tests: hand-corrupts a cached entry
 
   struct Backward {
     std::vector<std::uint8_t> emit;
@@ -249,17 +263,17 @@ class PlanCache {
     bool filled = false;
   };
 
-  /// Parts of a compiled hit program, in run order (format in plan.cpp).
-  enum HitPart : std::uint8_t { kGather, kDerive, kWrite, kEq, kNe, kNeSrc, kLatch, kHitParts };
+  /// Parts of a compiled hit program, in stream order (format in plan.cpp).
+  enum HitPart : std::uint8_t { kRelations, kLatch, kDerive, kHitParts };
 
-  /// Whole-entry hit-verification program (Planner::compile_entry): one
-  /// u32 stream over the planner's fingerprint slab, compiled on the entry's
+  /// Whole-entry symbolic hit program (Planner::compile_entry): one u32
+  /// stream of kept root relations and latch forms, compiled on the entry's
   /// first hit and sized exactly.
   struct HitProgram {
     std::vector<std::uint32_t> code;
     std::array<std::uint32_t, kHitParts> end{};  ///< end offset in code of each part
-    std::uint32_t slots = 0;                     ///< slab slots one run writes
     bool compiled = false;
+    bool never = false;  ///< a fixed outcome contradicts a cached action
   };
 
   /// Forward + backward results for one entry-state equivalence class. The
@@ -277,6 +291,8 @@ class PlanCache {
     /// eviction may have freed it, so a stale link is never followed).
     Entry* next = nullptr;
     std::uint64_t next_stamp = 0;
+    /// Root positions where sig and next->sig differ (written with the link).
+    std::vector<std::uint32_t> next_diff;
     std::list<Entry>::iterator self{};  ///< this entry's LRU position
     std::vector<std::uint8_t> act;
     std::vector<netlist::WireId> pass_src;
@@ -287,7 +303,7 @@ class PlanCache {
     /// Latch list: flip-flops whose state changes at this cycle's latch —
     /// the first latch_secret have a secret D-input (the CyclePlan's
     /// secret_dffs; latch_src holds the wire whose fingerprint each one
-    /// latches, and the program's latch part its slab slot), the rest latch
+    /// latches, and the program's latch part its form), the rest latch
     /// a public value that differs from their current one. Built with the
     /// first CyclePlan served from the entry, or by the hit compiler.
     std::vector<std::uint32_t> latch_dffs;
@@ -462,7 +478,7 @@ class Planner {
   /// Latches flip-flop planner state through the current plan (the one the
   /// last finish() returned): only the entry's latch list changes state, and
   /// secret D-inputs latch the fingerprint of their pass-resolved source
-  /// (after a verified hit, from its hit-program slab slot).
+  /// (after a verified hit, the XOR its compiled latch form names).
   void latch(const CyclePlan& plan);
 
   [[nodiscard]] std::size_t non_free_per_cycle() const { return non_free_per_cycle_; }
@@ -472,6 +488,10 @@ class Planner {
   /// the signature cannot see) and fell back to reclassification; counted
   /// in cache_misses() too.
   [[nodiscard]] std::uint64_t verify_rejects() const { return verify_rejects_; }
+  /// Root XOR relations checked by hit verification, summed over every hit
+  /// verified or rejected: the comparisons whose outcome neither the
+  /// signature nor the entry fixes.
+  [[nodiscard]] std::uint64_t relation_checks() const { return relation_checks_; }
   /// Cone-level counters: over segments processed on whole-netlist cache
   /// misses only (a whole-netlist hit never consults the memo).
   [[nodiscard]] std::uint64_t cone_hits() const { return cone_hits_; }
@@ -506,6 +526,7 @@ class Planner {
   void set_root(netlist::WireId w, const WireState& s);
   /// Rebuilds the kept entry signature from the root states.
   void rebuild_terms();
+  /// Writes one signature term, listing its position as dirty.
   void set_term(netlist::WireId w, std::uint32_t term);
   /// rep_table_ slot holding `fp`, or the empty slot where it would go.
   [[nodiscard]] std::size_t rep_slot(const crypto::Block& fp) const;
@@ -535,23 +556,17 @@ class Planner {
   /// `touch`.
   [[nodiscard]] bool adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m,
                                    std::vector<std::uint32_t>& touch);
-  /// Hit path: compiles the entry on its first hit, then runs its program
-  /// over the fingerprint slab — gather, derive, write, check — serially.
-  /// Returns false on drift; the caller reclassifies. Failure is side-effect
-  /// free: the program writes only the slab, and derived fingerprints are
-  /// pure functions of (epoch, gate), so no stream cursor moves.
+  /// Hit path: compiles the entry on its first hit, then checks its kept
+  /// root relations against the live root fingerprints. Returns false on
+  /// drift; the caller reclassifies. Failure is side-effect free: it writes
+  /// nothing but the relation counter.
   [[nodiscard]] bool verify_entry(Entry& e);
-  /// Compiles `e` into its hit program: one op per touched gate that a hit
-  /// still pays for — a decision whose outcome depends on a fingerprint
-  /// comparison (both inputs secret; gates with the same action either way
-  /// and no fresh fingerprint are dropped) or a fresh XOR fingerprint.
-  /// Operands are pre-resolved through pass chains (a pass gate's
-  /// fingerprint is its source's, so pass gates get no slot), the expected
-  /// outcome is fixed from the cached actions, and XOR-cancellation
-  /// candidates are listed with the index of the expected pass source.
-  /// Every fingerprint an op or a secret latch reads gets one slab slot:
-  /// roots first, then the garbled outputs, then the fresh XORs in gate
-  /// order, each written once per run.
+  /// Compiles `e` into its symbolic hit program (format in plan.cpp): walks
+  /// the touch list once, giving every free XOR output its form (operands
+  /// resolved through pass chains), and for each comparison a cached
+  /// decision rests on either fixes the outcome — contradicting the cached
+  /// action makes the entry never verify — or keeps it as a root relation.
+  /// Then the secret latch sources' forms.
   void compile_entry(Entry& e);
   /// Cone-adoption path: walks a touch (sub-)list once, propagating
   /// fingerprints through the cached actions (every touched gate, pass gates
@@ -598,13 +613,11 @@ class Planner {
   // entry's wire_bits (adopted slices memcpy them wholesale); st_ carries
   // fingerprints, plus valid bits only for root wires (gate-range bits in
   // st_ are unspecified — always read bits from the entry). A verified
-  // whole-entry hit writes no gate-range fingerprint: the cycle's gate
-  // fingerprints live in slab_ (the only reader is latch(), through the
-  // program's latch slots).
+  // whole-entry hit writes no gate-range fingerprint: its only reader,
+  // latch(), computes the latched ones from the program's latch forms.
   std::vector<WireState> st_;
-  /// Hit-program fingerprint slab, sized to the largest program run.
-  std::vector<crypto::Block> slab_;
   bool hit_ = false;  ///< the current cycle was served by a verified hit
+  std::vector<crypto::Block> latch_derived_;  ///< latch(): a hit's derive part
   std::vector<WireState> latch_next_;  ///< latch() staging, per latch-list entry
   std::vector<std::uint8_t> needed_;   ///< backward-sweep scratch, sized on first use
   std::size_t non_free_per_cycle_ = 0;
@@ -629,9 +642,21 @@ class Planner {
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t verify_rejects_ = 0;
+  std::uint64_t relation_checks_ = 0;
   std::uint64_t link_hits_ = 0;
-  /// compile_entry staging: each hit-program part over wire ids.
-  std::array<std::vector<std::uint32_t>, PlanCache::kHitParts> hit_stage_;
+  /// compile_entry scratch, reused across compiles: the free XOR forms
+  /// (ascending terms, form_off_ indexed by a wire's rank in the form_bits_
+  /// bitset over wire ids, form_rank_ its per-word prefix), the staged
+  /// program, the XOR of the current gate's operand forms and a kept
+  /// relation. On the ARM core each stays under glibc's 128 kB mmap
+  /// threshold.
+  std::vector<std::uint32_t> form_terms_;
+  std::vector<std::uint32_t> form_off_;
+  std::vector<std::uint64_t> form_bits_;
+  std::vector<std::uint32_t> form_rank_;
+  std::vector<std::uint32_t> stage_;
+  std::vector<std::uint32_t> x_;
+  std::vector<std::uint32_t> rel_;
   std::uint64_t cone_hits_ = 0;
   std::uint64_t cone_misses_ = 0;
 
@@ -652,6 +677,9 @@ class Planner {
   // never clears the table.
   std::vector<std::uint32_t> terms_;
   std::uint64_t terms_hash_ = 0;
+  /// Root positions set_term() wrote since the last forward() or reset()
+  /// (a position written twice is listed twice).
+  std::vector<netlist::WireId> dirty_;
   struct RepSlot {
     crypto::Block fp{};
     std::uint32_t head = 0;

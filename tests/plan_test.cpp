@@ -528,13 +528,14 @@ TEST(PlanCache, XorRelationAmongRootsDoesNotAliasStates) {
 /// d4 ^ (x ^ d5) cached as PassSrc hit with no matching candidate and cached
 /// as FreeXor hit with one. d3/d4 latch either x = d1^d2 or a fresh Bob bit
 /// on their own public select, so XOR relations among roots appear and
-/// vanish under unchanged signatures. d6 latches z = d4 ^ d5, a free XOR
-/// the hit program writes into its slab, so a hit latches d6 from a slab
-/// slot, while d9 latches the root d4 itself. AND(d6, d9 ^ d5) collapses
-/// every cycle after the first — exactly when d6 carries the fingerprint z
-/// had — so a wrongly latched d6 shows in the next cycle's plan. The
-/// planner's kept signature must equal a from-scratch one on every cycle,
-/// the cycles after a rejected hit included.
+/// vanish under unchanged signatures: each drifting comparison is a kept
+/// relation over three or more roots. d6 latches z = d4 ^ d5, a free XOR no
+/// hit computes, so a hit latches d6 from its compiled latch form, while d9
+/// latches the root d4 itself. AND(d6, d9 ^ d5) collapses every cycle after
+/// the first — exactly when d6 carries the fingerprint z had — so a wrongly
+/// latched d6 shows in the next cycle's plan. The planner's kept signature
+/// must equal a from-scratch one on every cycle, the cycles after a
+/// rejected hit included.
 TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
   builder::CircuitBuilder cb;
   const auto d1 = cb.make_dff(netlist::Dff::Init::AliceBit, 0);
@@ -603,6 +604,7 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
     EXPECT_GT(pc.cache_hits(), 0u) << "scenario " << sc;
     EXPECT_GT(pc.verify_rejects(), 0u) << "scenario " << sc;
     EXPECT_GT(checked_after_reject, 0u) << "scenario " << sc;
+    EXPECT_GT(pc.relation_checks(), 0u) << "scenario " << sc;
 
     // Protocol level: cached and uncached runs agree on every sampled
     // output and garbled-gate count.
@@ -627,13 +629,12 @@ TEST(PlanCache, XorDriftRejectedInEveryDecisionKind) {
   }
 }
 
-/// The hit program runs its pure checks after all of its writes. Here the
-/// only decision that drifts is AND(x, d3) — category iii when d3 carries
-/// x = d1^d2, category iv when it holds a fresh Bob bit — and the free XOR
-/// w = d5 ^ d1 after it in gate order is written before that Eq/Ne check
-/// runs. w feeds flip-flop d7, so the cycle after a rejection latches w's
-/// fingerprint from the fallback classification. A rejected hit must leave
-/// the planner exactly where a from-scratch planner is.
+/// The only decision that drifts is AND(x, d3) — category iii when d3
+/// carries x = d1^d2, category iv when it holds a fresh Bob bit — and the
+/// free XOR w = d5 ^ d1 comes after it in gate order. w feeds flip-flop d7,
+/// so the cycle after a rejection latches w's fingerprint from the fallback
+/// classification. A rejected hit must leave the planner exactly where a
+/// from-scratch planner is.
 TEST(PlanCache, DriftInACheckAfterLaterWritesRejects) {
   builder::CircuitBuilder cb;
   const auto d1 = cb.make_dff(netlist::Dff::Init::AliceBit, 0);
@@ -702,6 +703,204 @@ TEST(PlanCache, DriftInACheckAfterLaterWritesRejects) {
     const core::RunResult ru = core::SkipGateDriver(nl, uncached).run(alice, bob, {}, &streams);
     EXPECT_EQ(rc.sampled_outputs, ru.sampled_outputs) << "seed " << seed;
     EXPECT_EQ(rc.stats.garbled_non_xor, ru.stats.garbled_non_xor) << "seed " << seed;
+  }
+}
+
+/// Replays `pubs` through `pc` and an uncached planner side by side: every
+/// cycle's plans must be byte-equal and pc's kept signature must equal a
+/// from-scratch one. `before_forward(c)` sees pc after begin_cycle(c).
+template <typename Fn>
+void replay_against_fresh(const netlist::Netlist& nl, const std::vector<netlist::BitVec>& pubs,
+                          Planner& pc, Fn&& before_forward) {
+  PlannerOptions fresh;
+  fresh.cache = false;
+  Planner pf(nl, fresh);
+  pc.reset({});
+  pf.reset({});
+  for (std::size_t c = 0; c < pubs.size(); ++c) {
+    pc.begin_cycle(pubs[c]);
+    pf.begin_cycle(pubs[c]);
+    expect_signature_kept(pc, 0, c);
+    before_forward(c);
+    pc.forward();
+    pf.forward();
+    const bool is_final = c + 1 == pubs.size();
+    const CyclePlan a = pc.finish(is_final);
+    const CyclePlan b = pf.finish(is_final);
+    expect_plans_equal(a, b);
+    if (!is_final) {
+      pc.latch(a);
+      pf.latch(b);
+    }
+  }
+}
+
+/// Cached and uncached driver runs over `pubs` agree on every sampled output
+/// and garbled-gate count, for a few private input patterns (`alice_bits`
+/// and `bob_bits` fixed bits, `bob_stream` streamed Bob bits per cycle).
+void expect_driver_matches_uncached(const netlist::Netlist& nl,
+                                    const std::vector<netlist::BitVec>& pubs,
+                                    std::size_t alice_bits, std::size_t bob_bits,
+                                    std::size_t bob_stream) {
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    core::StreamProvider streams;
+    streams.pub = [&](std::uint64_t c) { return pubs[c]; };
+    streams.bob = [seed, bob_stream](std::uint64_t c) {
+      return to_bits((seed * 5 + c * 3) ^ (c >> 1), bob_stream);
+    };
+    const netlist::BitVec alice = to_bits(seed * 3 + 1, alice_bits);
+    const netlist::BitVec bob = to_bits(seed ^ 5, bob_bits);
+    core::RunOptions cached;
+    cached.fixed_cycles = pubs.size();
+    core::RunOptions uncached = cached;
+    uncached.exec.plan_cache = false;
+    const core::RunResult rc = core::SkipGateDriver(nl, cached).run(alice, bob, {}, &streams);
+    const core::RunResult ru = core::SkipGateDriver(nl, uncached).run(alice, bob, {}, &streams);
+    EXPECT_EQ(rc.sampled_outputs, ru.sampled_outputs) << "seed " << seed;
+    EXPECT_EQ(rc.stats.garbled_non_xor, ru.stats.garbled_non_xor) << "seed " << seed;
+  }
+}
+
+/// A garbled term that cancels between the two sides of a comparison:
+/// u = g ^ d1 against v = g ^ d2, with g = AND(a, b) garbled every cycle.
+/// What remains is d1 against d2, which the signature decides — d2 latches
+/// d1 or a fresh Bob bit on a public select, and the two states have
+/// different signatures (d2's class representative is d1 or d2). So AND(u, v)
+/// collapses exactly in the equal state, both states are served from the
+/// cache, and no hit is ever rejected: a stale plan could only come from
+/// deciding the comparison wrong. AND(d1 ^ d3, d4) adds a relation over three
+/// roots, which every hit checks.
+TEST(PlanCache, DerivedTermCancellingBetweenSidesIsDecidedBySignature) {
+  builder::CircuitBuilder cb;
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0);
+  const auto d1 = cb.make_dff(netlist::Dff::Init::AliceBit, 1);
+  const auto d2 = cb.make_dff(netlist::Dff::Init::BobBit, 1);
+  const auto d3 = cb.make_dff(netlist::Dff::Init::AliceBit, 2);
+  const auto d4 = cb.make_dff(netlist::Dff::Init::BobBit, 2);
+  const builder::Wire s0 = cb.input(netlist::Owner::Public, 0, /*streamed=*/true);
+  const builder::Wire f0 = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
+  const builder::Wire g = cb.and_(a, b);
+  const builder::Wire u = cb.xor_(g, cb.dff_out(d1));
+  const builder::Wire v = cb.xor_(g, cb.dff_out(d2));
+  for (const auto d : {d1, d3, d4}) cb.set_dff_d(d, cb.dff_out(d));
+  cb.set_dff_d(d2, cb.mux(s0, cb.dff_out(d1), f0));
+  cb.output(cb.and_(u, v), "u_and_v");
+  cb.output(cb.and_(cb.xor_(cb.dff_out(d1), cb.dff_out(d3)), cb.dff_out(d4)), "x_and_d4");
+  cb.set_outputs_every_cycle(true);
+  const netlist::WireId d1w = cb.dff_out(d1).id;
+  const netlist::WireId d2w = cb.dff_out(d2).id;
+  const netlist::Netlist nl = cb.take();
+
+  // The entry state is (s0 of the previous cycle, s0): every pair recurs.
+  const std::vector<bool> s0s = {false, false, true, true, false, true, false, false,
+                                 true,  true,  false, true, false, false, true, true};
+  std::vector<netlist::BitVec> pubs;
+  for (const bool s : s0s) pubs.push_back(netlist::BitVec{s});
+  Planner pc(nl, PlannerOptions{});
+  std::array<std::uint64_t, 2> hits{};  // by state: [1] = d2 in d1's class
+  bool equal_state = false;
+  std::uint64_t hits_before = 0;
+  replay_against_fresh(nl, pubs, pc, [&](std::size_t c) {
+    if (c > 0) hits[equal_state ? 1 : 0] += pc.cache_hits() - hits_before;
+    hits_before = pc.cache_hits();
+    const std::uint32_t term = pc.signature_terms()[d2w];
+    equal_state = (term & 1) == 0 && (term >> 2) == d1w;
+  });
+  hits[equal_state ? 1 : 0] += pc.cache_hits() - hits_before;
+  EXPECT_GT(hits[0], 0u);
+  EXPECT_GT(hits[1], 0u);
+  EXPECT_EQ(pc.verify_rejects(), 0u);
+  EXPECT_GT(pc.relation_checks(), 0u);
+  expect_driver_matches_uncached(nl, pubs, 3, 3, 1);
+}
+
+/// A relation over four roots that drifts under an unchanged signature: d4
+/// latches d1 ^ d2 ^ d3 or a fresh Bob bit on a public select, and
+/// AND(d1 ^ d2, d3 ^ d4) collapses (category iii) exactly when it carries
+/// the XOR. Neither side has a derived term and each has two roots, so the
+/// comparison is the kept relation {d1, d2, d3, d4}; the cache must reject
+/// the drifted hits.
+TEST(PlanCache, FourRootRelationDriftRejects) {
+  builder::CircuitBuilder cb;
+  const auto d1 = cb.make_dff(netlist::Dff::Init::AliceBit, 0);
+  const auto d2 = cb.make_dff(netlist::Dff::Init::BobBit, 0);
+  const auto d3 = cb.make_dff(netlist::Dff::Init::AliceBit, 1);
+  const auto d4 = cb.make_dff(netlist::Dff::Init::BobBit, 1);
+  const builder::Wire s0 = cb.input(netlist::Owner::Public, 0, /*streamed=*/true);
+  const builder::Wire f0 = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
+  const builder::Wire x = cb.xor_(cb.dff_out(d1), cb.dff_out(d2));
+  for (const auto d : {d1, d2, d3}) cb.set_dff_d(d, cb.dff_out(d));
+  cb.set_dff_d(d4, cb.mux(s0, cb.xor_(x, cb.dff_out(d3)), f0));
+  cb.output(cb.and_(x, cb.xor_(cb.dff_out(d3), cb.dff_out(d4))), "x_and_d3d4");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+
+  // d4 enters a cycle carrying the XOR iff s0 was set the cycle before; the
+  // signature sees only this cycle's s0, so each cached signature is
+  // re-entered in both states.
+  const std::vector<bool> s0s = {false, true, false, true, false, true, true, false, false,
+                                 true,  true, false};
+  std::vector<netlist::BitVec> pubs;
+  for (const bool s : s0s) pubs.push_back(netlist::BitVec{s});
+  Planner pc(nl, PlannerOptions{});
+  std::uint64_t cycles_after_reject = 0;
+  replay_against_fresh(nl, pubs, pc, [&](std::size_t) {
+    if (pc.verify_rejects() > 0) ++cycles_after_reject;
+  });
+  EXPECT_GT(pc.cache_hits(), 0u);
+  EXPECT_GT(pc.verify_rejects(), 0u);
+  EXPECT_GT(cycles_after_reject, 0u);
+  EXPECT_GT(pc.relation_checks(), 0u);
+  expect_driver_matches_uncached(nl, pubs, 2, 2, 1);
+}
+
+}  // namespace
+
+namespace arm2gc::core {
+
+/// Reaches into a PlanCache to corrupt a cached entry by hand.
+struct PlanCacheTestPeer {
+  static void set_action(PlanCache& cache, std::size_t gate, PlanAct act) {
+    ASSERT_EQ(cache.entries(), 1u);
+    PlanCache::Entry& e = cache.lru_.front();
+    e.act[gate] = static_cast<std::uint8_t>(act);
+    e.program = {};
+  }
+};
+
+}  // namespace arm2gc::core
+
+namespace {
+
+/// An entry whose cached action contradicts a comparison the compiler can
+/// decide — AND(a, b) of two distinct secret inputs is category iv by the
+/// signature alone, so a cached PassA (the equal outcome) contradicts it —
+/// or matches neither outcome of its decision (a cached FreeXor for an AND)
+/// must compile to a program that never verifies: every hit on it is
+/// rejected and served by reclassification, so every plan still equals an
+/// uncached planner's.
+TEST(PlanCache, ContradictedDecisionNeverVerifies) {
+  builder::CircuitBuilder cb;
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0);
+  cb.output(cb.and_(a, b), "y");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+  ASSERT_EQ(nl.gates.size(), 1u);
+
+  for (const core::PlanAct corrupt : {core::PlanAct::PassA, core::PlanAct::FreeXor}) {
+    core::PlanCache cache;  // first-sight admission: cycle 0 inserts
+    PlannerOptions opts;
+    opts.shared_cache = &cache;
+    Planner pc(nl, opts);
+    const std::vector<netlist::BitVec> pubs(6);
+    replay_against_fresh(nl, pubs, pc, [&](std::size_t c) {
+      if (c == 1) core::PlanCacheTestPeer::set_action(cache, 0, corrupt);
+    });
+    EXPECT_EQ(pc.cache_hits(), 0u);
+    EXPECT_EQ(pc.verify_rejects(), pubs.size() - 1);
+    EXPECT_EQ(pc.relation_checks(), 0u);
   }
 }
 
