@@ -168,6 +168,7 @@ void EvaluatorSession::begin_cycle(bool window_start) {
 
 void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   const bool conventional = mode_ == Mode::Conventional;
+  live_gates_ += live_gate_count(plan, conventional);
 
   // The plan's per-slice emitted-table prefix, shared with the garbler:
   // the ordered reader pulls exactly each cone's frame off the transport in
@@ -193,10 +194,11 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   // Worker body: evaluate one cone slice against its staged rows. Label
   // reads of upstream slices are ordered by the plan's dependency DAG.
   const auto eval_slice = [&](std::size_t si) {
+    const PlanSlice& sl = plan.slices[si];
+    if (!conventional && sl.work_count == 0) return;
     // Slice tracing lives in the session's task body, not the WorkPool —
     // the pool stays obs-free under the planner-purity lint rule.
     A2G_SPAN("eval.slice", "slice");
-    const PlanSlice& sl = plan.slices[si];
     SliceStage& st = stage_[si];
     const std::uint64_t tweak = tweak0 + 2 * emit_base[si];
     // Skipped gates (SkipGate work lists) keep stale labels, which is sound:
@@ -209,13 +211,12 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
           lb_valid_[w] = 0;
           break;
         case PlanAct::PassA:
-          // Free-XOR: inverting a wire does not change the evaluator's label.
+        case PlanAct::PassB:
+        case PlanAct::PassSrc:
+          // g.a is the label source (core/slice_loop.h). Free-XOR: inverting
+          // a wire does not change the evaluator's label.
           lb_[w] = lb_[g.a];
           lb_valid_[w] = lb_valid_[g.a];
-          break;
-        case PlanAct::PassB:
-          lb_[w] = lb_[g.b];
-          lb_valid_[w] = lb_valid_[g.b];
           break;
         case PlanAct::PassC0:
           lb_[w] = lb_[netlist::kConst0];
@@ -224,10 +225,6 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
         case PlanAct::PassC1:
           lb_[w] = lb_[netlist::kConst1];
           lb_valid_[w] = lb_valid_[netlist::kConst1];
-          break;
-        case PlanAct::PassSrc:
-          lb_[w] = lb_[sl.pass_src[j]];
-          lb_valid_[w] = lb_valid_[sl.pass_src[j]];
           break;
         case PlanAct::FreeXor:
           lb_[w] = lb_[g.a] ^ lb_[g.b];

@@ -98,6 +98,9 @@ class EvaluatorSession {
   /// tables twice.
   [[nodiscard]] crypto::Block table_digest() const { return table_digest_; }
 
+  /// Gates the label passes executed so far (RunStats::live_gates).
+  [[nodiscard]] std::uint64_t live_gates() const { return live_gates_; }
+
  private:
   [[nodiscard]] bool bob_bit(std::uint32_t idx, const netlist::BitVec& bob,
                              const char* what) const;
@@ -130,6 +133,7 @@ class EvaluatorSession {
   std::vector<crypto::Block> win_lb_;
   std::size_t win_pos_ = 0;
   crypto::Block table_digest_{};
+  std::uint64_t live_gates_ = 0;
 };
 
 }  // namespace arm2gc::core

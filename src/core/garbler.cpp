@@ -145,6 +145,7 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
 void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const Block r = garbler_.R();
   const bool conventional = mode_ == Mode::Conventional;
+  live_gates_ += live_gate_count(plan, conventional);
 
   // Each cone garbles against the preassigned tweak range starting at
   // tweak0 + 2*emit_base[si] (the plan's per-slice emitted-table prefix),
@@ -160,10 +161,11 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
   // Worker body: garble one cone slice into its row frame. Label reads of
   // upstream slices are ordered by the plan's dependency DAG.
   const auto garble_slice = [&](std::size_t si) {
+    const PlanSlice& sl = plan.slices[si];
+    if (!conventional && sl.work_count == 0) return;
     // Slice tracing lives in the session's task body, not the WorkPool —
     // the pool stays obs-free under the planner-purity lint rule.
     A2G_SPAN("garble.slice", "slice");
-    const PlanSlice& sl = plan.slices[si];
     SliceStage& st = stage_[si];
     if (st.rows.size() < slice_blocks(si)) st.rows.resize(slice_blocks(si));
     const std::uint64_t tweak = tweak0 + 2 * emit_base[si];
@@ -173,10 +175,11 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
         case PlanAct::Garble:  // dead garbled gate: never built nor sent
           break;
         case PlanAct::PassA:
-          la_[w] = la_[g.a] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.a));
-          break;
         case PlanAct::PassB:
-          la_[w] = la_[g.b] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.b));
+        case PlanAct::PassSrc:
+          // g.a is the label source (core/slice_loop.h): the per-hop
+          // parities of a collapsed chain telescope to flip(w) ^ flip(src).
+          la_[w] = la_[g.a] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(g.a));
           break;
         case PlanAct::PassC0:
           la_[w] = la_[netlist::kConst0];
@@ -184,11 +187,6 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
         case PlanAct::PassC1:
           la_[w] = la_[netlist::kConst1];
           break;
-        case PlanAct::PassSrc: {
-          const WireId src = sl.pass_src[j];
-          la_[w] = la_[src] ^ maybe(r, plan.wire_flip(w) != plan.wire_flip(src));
-          break;
-        }
         case PlanAct::FreeXor:
           la_[w] = la_[g.a] ^ la_[g.b] ^
                    maybe(r, (plan.wire_flip(w) != plan.wire_flip(g.a)) != plan.wire_flip(g.b));

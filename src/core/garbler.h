@@ -100,6 +100,9 @@ class GarblerSession {
   /// byte counts, across transports and OT backends.
   [[nodiscard]] crypto::Block table_digest() const { return table_digest_; }
 
+  /// Gates the label passes executed so far (RunStats::live_gates).
+  [[nodiscard]] std::uint64_t live_gates() const { return live_gates_; }
+
  private:
   /// A secret source bit binds in two steps, which streamed inputs run at
   /// different times: Draw makes the label pair (and queues Bob's into the
@@ -138,6 +141,7 @@ class GarblerSession {
   std::size_t held_labels_ = 0;
   bool holding_ = false;
   crypto::Block table_digest_{};
+  std::uint64_t live_gates_ = 0;
   /// Per-slice row frames and batching state (core/slice_loop.h; drained
   /// in slice order by the transport writer).
   std::vector<SliceStage> stage_;

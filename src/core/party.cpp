@@ -338,6 +338,7 @@ RunResult GarblerEndpoint::finish() {
   stats_.ot_offline_wall_ns += o.offline_wall_ns;
   stats_.ot_online_bytes += o.online_bytes;
   stats_.table_digest = session_->table_digest();
+  stats_.live_gates = session_->live_gates();
   result_.stats = stats_;
   if (!result_.sampled_outputs.empty()) result_.final_outputs = result_.sampled_outputs.back();
   return std::move(result_);
@@ -524,6 +525,7 @@ RunResult EvaluatorEndpoint::finish() {
   stats_.ot_offline_wall_ns += o.offline_wall_ns;
   stats_.ot_online_bytes += o.online_bytes;
   stats_.table_digest = session_->table_digest();
+  stats_.live_gates = session_->live_gates();
   result_.stats = stats_;
   return std::move(result_);
 }

@@ -88,6 +88,11 @@ struct RunStats {
   /// states, e.g. ARM loop iterations differing only in a public counter).
   std::uint64_t cone_hits = 0;
   std::uint64_t cone_misses = 0;
+  /// Gates the label passes executed, summed over cycles: every gate per
+  /// cycle in Conventional mode, the plan's work lists under SkipGate (the
+  /// live set — gates producing a label someone reads). Counted by the
+  /// party session; both parties run the same plans, so both count alike.
+  std::uint64_t live_gates = 0;
   /// Peak undelivered transport backlog, in 16-byte blocks (in-process
   /// duplexes only; a socket endpoint reports 0).
   std::uint64_t transport_high_water_blocks = 0;

@@ -1408,9 +1408,8 @@ bool Planner::wire_value(WireId w) const { return (cur_->wire_bits[w] & 2) != 0;
 
 CyclePlan Planner::finish(bool is_final) {
   PlanCache::Backward& b = cur_->backward[is_final ? 1 : 0];
-  if (!b.filled) backward_fill(*cur_, b, is_final);
-
   if (!cur_->latch_ready) build_latch_list(*cur_);
+  if (!b.filled) backward_fill(*cur_, b, is_final);
 
   CyclePlan plan;
   plan.slices = b.slices.data();
@@ -1436,6 +1435,7 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
   const WireId first_gate = nl_.first_gate_wire();
   b.emit.assign(ng, 0);
   b.work.clear();
+  b.work_src.clear();
   b.slices.assign(nseg, PlanSlice{});
   b.emit_base.assign(nseg + 1, 0);
   b.filled = true;
@@ -1455,16 +1455,21 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
     }
     if (!is_final) {
       // Labels entering flip-flops must survive into the next cycle
-      // (paper: "copy flip flops labels"). On the final cycle they are dead,
-      // which is how e.g. the last carry of a serial adder gets skipped.
-      for (const Dff& d : nl_.dffs) {
-        if ((e.wire_bits[d.d] & 1) == 0) needed_[d.d] = 1;
+      // (paper: "copy flip flops labels") — but only where the latch copies
+      // one: the latch list's secret D-inputs. Every other secret flip-flop
+      // holds its own label, so its D cone is dead. On the final cycle all
+      // are dead, which is how e.g. the last carry of a serial adder gets
+      // skipped.
+      for (std::uint32_t k = 0; k < e.latch_secret; ++k) {
+        needed_[nl_.dffs[e.latch_dffs[k]].d] = 1;
       }
     }
 
     // Only touched gates can be needed or emit: untouched gates are Public
     // (no label), and `needed` is only ever set on secret wires. Sweep the
-    // touch list in reverse gate order.
+    // touch list in reverse gate order. A needed pass gate copies its
+    // chain's source label (PlanSlice::work_src), so only that source
+    // becomes needed, never the hops in between.
     for (std::size_t t = e.touch.size(); t-- > 0;) {
       const std::size_t i = e.touch[t];
       const WireId w = first_gate + static_cast<WireId>(i);
@@ -1472,18 +1477,13 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
       const Gate g = nl_.gates[i];
       switch (static_cast<PlanAct>(e.act[i])) {
         case PlanAct::Public:
+        case PlanAct::PassC0:  // Conventional only: never swept
+        case PlanAct::PassC1:
           break;
         case PlanAct::PassA:
-          needed_[g.a] = 1;
-          break;
         case PlanAct::PassB:
-          needed_[g.b] = 1;
-          break;
-        case PlanAct::PassC0:
-        case PlanAct::PassC1:
-          break;  // constants are always bound; nothing to propagate
         case PlanAct::PassSrc:
-          needed_[e.pass_src[i]] = 1;
+          needed_[fp_source(nl_, e.act.data(), e.pass_src.data(), w)] = 1;
           break;
         case PlanAct::FreeXor:
           needed_[g.a] = 1;
@@ -1506,7 +1506,6 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
     const PlanSegment& seg = layout_->segments[si];
     PlanSlice& slice = b.slices[si];
     slice.act = e.act.data() + seg.first_gate;
-    slice.pass_src = e.pass_src.data() + seg.first_gate;
     slice.emit = b.emit.data() + seg.first_gate;
     slice.first_gate = seg.first_gate;
     slice.count = seg.count;
@@ -1517,8 +1516,10 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
       const auto begin = static_cast<std::uint32_t>(b.work.size());
       for (std::uint32_t t = e.touch_off[si]; t < e.touch_off[si + 1]; ++t) {
         const std::uint32_t i = e.touch[t];
-        if (needed_[first_gate + i] == 0 && b.emit[i] == 0) continue;
+        const WireId w = first_gate + i;
+        if (needed_[w] == 0 && b.emit[i] == 0) continue;
         b.work.push_back(i - seg.first_gate);
+        b.work_src.push_back(fp_source(nl_, e.act.data(), e.pass_src.data(), w));
         emitted += b.emit[i];
       }
       slice.work_count = static_cast<std::uint32_t>(b.work.size()) - begin;
@@ -1526,10 +1527,11 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
     b.emit_base[si + 1] = b.emit_base[si] + emitted;
   }
   if (!conventional) {
-    const std::uint32_t* work = b.work.data();
+    std::size_t off = 0;
     for (PlanSlice& slice : b.slices) {
-      slice.work = work;
-      work += slice.work_count;
+      slice.work = b.work.data() + off;
+      slice.work_src = b.work_src.data() + off;
+      off += slice.work_count;
     }
   }
 }

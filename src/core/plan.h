@@ -8,11 +8,15 @@
 //                  labels a wire carries, so "fingerprints equal (+flip)" is
 //                  exactly the paper's "identical or inverted labels" test
 //                  (§3.3) without touching any key material.
-//   Backward pass  from the sampled outputs and flip-flop D-inputs, sweep
+//   Backward pass  from the sampled outputs and the D-inputs of the
+//                  flip-flops whose label changes at the latch, sweep
 //                  "needed" backwards; a category-iv gate is emitted iff its
-//                  output is needed. This reaches the same fixpoint as the
-//                  paper's recursive label_fanout reduction and makes Alice's
-//                  table list and Bob's expectations agree by construction.
+//                  output is needed. A needed pass gate (a category-ii/iii
+//                  collapse to a wire) reads its pass chain's source
+//                  directly, so the hops between them stay dead. This reaches
+//                  the same fixpoint as the paper's recursive label_fanout
+//                  reduction and makes Alice's table list and Bob's
+//                  expectations agree by construction.
 //
 // The result of the two passes is an explicit `CyclePlan`. Because the plan
 // is a pure function of the cycle's *entry state* — the public values, flip
@@ -93,14 +97,19 @@ struct WireState {
 /// with the plan data for exactly those gates. Slice storage is owned by the
 /// Planner (cache entry or scratch) and stays valid until the next forward().
 struct PlanSlice {
-  const std::uint8_t* act = nullptr;          ///< PlanAct per gate in the slice
-  const netlist::WireId* pass_src = nullptr;  ///< source wire for PassSrc gates
-  const std::uint8_t* emit = nullptr;         ///< per gate: garbled table sent
+  const std::uint8_t* act = nullptr;   ///< PlanAct per gate in the slice
+  const std::uint8_t* emit = nullptr;  ///< per gate: garbled table sent
   /// Slice-relative indices of the live gates, ascending — the party
   /// sessions' SkipGate work list (null in Conventional mode: every gate is
   /// live, iterate the full range). Gates not listed need no label work and
   /// none of their outputs is read by a listed gate.
   const std::uint32_t* work = nullptr;
+  /// Parallel to `work`: a PassA/PassB/PassSrc item's collapsed source — the
+  /// first wire up its pass chain that is not itself a pass gate (a root,
+  /// a free XOR or a garbled gate). The item copies that wire's label, so
+  /// the chain's intermediate hops need none. Other items name their own
+  /// output wire.
+  const netlist::WireId* work_src = nullptr;
   std::uint32_t work_count = 0;
   std::uint32_t first_gate = 0;  ///< global gate index of slice start
   std::uint32_t count = 0;
@@ -254,8 +263,10 @@ class PlanCache {
   struct Backward {
     std::vector<std::uint8_t> emit;
     /// Slice-relative indices of live gates, concatenated per segment —
-    /// the sessions' per-slice work lists.
+    /// the sessions' per-slice work lists — and each item's collapsed pass
+    /// source (PlanSlice::work_src).
     std::vector<std::uint32_t> work;
+    std::vector<netlist::WireId> work_src;
     /// The CyclePlan's slice table and per-slice emitted-table prefix
     /// (CyclePlan::emit_base), built with the rest of the variant.
     std::vector<PlanSlice> slices;
@@ -580,6 +591,7 @@ class Planner {
                                   std::size_t touch_count);
   /// Fills e's latch list from its forward results (see Entry::latch_dffs).
   void build_latch_list(Entry& e);
+  /// Backward sweep for one variant; reads e's latch list (build it first).
   void backward_fill(const Entry& e, PlanCache::Backward& b, bool is_final);
 
   const netlist::Netlist& nl_;

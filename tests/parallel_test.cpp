@@ -14,6 +14,8 @@
 #include <vector>
 
 #include "arm/arm2gc.h"
+#include "builder/circuit_builder.h"
+#include "core/plan.h"
 #include "core/party.h"
 #include "core/skipgate.h"
 #include "crypto/rng.h"
@@ -93,6 +95,7 @@ void expect_identical(const core::RunResult& par, const core::RunResult& ref,
   EXPECT_EQ(par.stats.plan_cache_misses, ref.stats.plan_cache_misses);
   EXPECT_EQ(par.stats.cone_hits, ref.stats.cone_hits);
   EXPECT_EQ(par.stats.cone_misses, ref.stats.cone_misses);
+  EXPECT_EQ(par.stats.live_gates, ref.stats.live_gates);
   EXPECT_EQ(par.stats.ot_choices, ref.stats.ot_choices);
   EXPECT_EQ(par.stats.ot_batches, ref.stats.ot_batches);
   EXPECT_EQ(par.stats.ot_base_ots, ref.stats.ot_base_ots);
@@ -138,6 +141,76 @@ TEST(ParallelExec, FuzzedNetlistsMatchSerialAcrossCompositionsAndBackends) {
         }
         opts.exec.threads = 1;
       }
+    }
+  }
+}
+
+TEST(ParallelExec, PassChainAcrossConeSlicesMatchesSerial) {
+  // A garbled AND's output travels a public-select mux chain whose hops are
+  // spread over later cone slices by filler gates. The sessions run only
+  // the last hop, copying the AND's label from a slice that the slice DAG
+  // orders before it only through the (now empty) slices in between.
+  builder::CircuitBuilder cb;
+  constexpr std::uint32_t kHops = 4;
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0);
+  std::vector<builder::Wire> sel;
+  std::vector<builder::Wire> other;
+  for (std::uint32_t i = 0; i < kHops; ++i) {
+    sel.push_back(cb.input(netlist::Owner::Public, i, /*streamed=*/true));
+    other.push_back(cb.input(i % 2 == 0 ? netlist::Owner::Alice : netlist::Owner::Bob, i + 1));
+  }
+  const builder::Wire src = cb.and_(a, b);
+  builder::Wire m = src;
+  builder::Wire filler = b;
+  for (std::uint32_t i = 0; i < kHops; ++i) {
+    for (int f = 0; f < 6; ++f) filler = cb.and_(cb.xor_(filler, other[i]), a);
+    m = cb.mux(sel[i], m, other[i]);
+  }
+  cb.output(cb.and_(m, filler), "y");
+  cb.output(filler, "filler");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+
+  // With every select high the last hop is the only one executed, and it
+  // reads the AND two or more slices upstream.
+  core::PlannerOptions popts;
+  popts.cone_target_gates = 4;  // force a multi-cone layout
+  core::Planner planner(nl, popts);
+  planner.reset({});
+  planner.begin_cycle(to_bits(0xF, kHops));
+  planner.forward();
+  const core::CyclePlan plan = planner.finish(true);
+  const std::size_t last_hop = m.id - nl.first_gate_wire();
+  std::size_t hop_slice = 0;
+  std::size_t src_slice = 0;
+  std::size_t hop_items = 0;
+  for (std::size_t si = 0; si < plan.num_slices; ++si) {
+    const core::PlanSlice& sl = plan.slices[si];
+    if (src.id - nl.first_gate_wire() >= sl.first_gate) src_slice = si;
+    for (std::uint32_t k = 0; k < sl.work_count; ++k) {
+      if (sl.first_gate + sl.work[k] != last_hop) continue;
+      EXPECT_EQ(sl.work_src[k], src.id);
+      hop_slice = si;
+      ++hop_items;
+    }
+  }
+  ASSERT_EQ(hop_items, 1u);
+  ASSERT_GE(hop_slice, src_slice + 2);
+
+  core::StreamProvider streams;
+  streams.pub = [](std::uint64_t c) { return to_bits(c % 3 == 0 ? 0xF : 0xF ^ (c & 3), kHops); };
+  for (const a2gtest::Composition c : a2gtest::kCompositions) {
+    core::RunOptions opts;
+    opts.fixed_cycles = 6;
+    opts.exec.cone_target_gates = popts.cone_target_gates;
+    const core::RunResult ref = a2gtest::run_composed(c, nl, opts, to_bits(0b10110, kHops + 1),
+                                                      to_bits(0b01101, kHops + 1), {}, &streams);
+    for (const std::size_t threads : {2u, 4u}) {
+      opts.exec.threads = threads;
+      const core::RunResult par = a2gtest::run_composed(
+          c, nl, opts, to_bits(0b10110, kHops + 1), to_bits(0b01101, kHops + 1), {}, &streams);
+      expect_identical(par, ref, threads);
     }
   }
 }

@@ -6,8 +6,10 @@
 // through the full driver.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 
 #include "arm/arm2gc.h"
 #include "arm/assembler.h"
@@ -50,16 +52,16 @@ void expect_plans_equal(const CyclePlan& x, const CyclePlan& y) {
     ASSERT_EQ(a.first_gate, b.first_gate);
     ASSERT_EQ(a.count, b.count);
     EXPECT_EQ(0, std::memcmp(a.act, b.act, a.count));
-    EXPECT_EQ(0, std::memcmp(a.pass_src, b.pass_src, a.count * sizeof(netlist::WireId)));
     EXPECT_EQ(0, std::memcmp(a.emit, b.emit, a.count));
-    // The work list is the iteration set the sessions actually execute;
-    // diverging lists would desynchronize the transport stream even with
-    // identical emit/live bytes.
+    // The work list and its collapsed pass sources are what the sessions
+    // actually execute; diverging lists would desynchronize the transport
+    // stream even with identical emit/live bytes.
     ASSERT_EQ(a.work_count, b.work_count);
     if (a.work_count > 0) {
       ASSERT_NE(a.work, nullptr);
       ASSERT_NE(b.work, nullptr);
       EXPECT_EQ(0, std::memcmp(a.work, b.work, a.work_count * sizeof(std::uint32_t)));
+      EXPECT_EQ(0, std::memcmp(a.work_src, b.work_src, a.work_count * sizeof(netlist::WireId)));
     }
   }
 }
@@ -938,33 +940,33 @@ netlist::Netlist toggle_netlist() {
   return cb.take();
 }
 
-/// The latch lists (CyclePlan::secret_dffs) drive which flip-flop labels
-/// both sessions carry across cycles. Warm runs (whole-entry hits, compiled
-/// verification) in both compositions and modes must match the uncached
-/// reference bit for bit and the cleartext simulation.
-TEST(PlanCache, FlipFlopToggleWarmRunsMatchUncached) {
-  const netlist::Netlist nl = toggle_netlist();
-  const std::vector<bool> sel = {true, false, true, false, true, true, false, false, true, false};
-  const std::vector<bool> en = {false, false, true, false, false, false, true, false, false, true};
+/// Warm runs (one WarmState pair across three runs: whole-entry hits,
+/// compiled verification) and uncached runs of `nl` over the public streams
+/// `pubs`, in both modes and compositions, must agree bit for bit — outputs,
+/// table digest, garbled and live gate counts — and match the cleartext
+/// simulation. Private bits vary per run: fixed Alice/Bob bits 0-1 and one
+/// streamed bit each.
+void expect_warm_runs_match_uncached(const netlist::Netlist& nl,
+                                     const std::vector<netlist::BitVec>& pubs) {
   for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
     for (const a2gtest::Composition c : a2gtest::kCompositions) {
       core::WarmState gwarm(core::Role::Garbler);
       core::WarmState ewarm(core::Role::Evaluator);
       core::RunOptions warm;
       warm.mode = mode;
-      warm.fixed_cycles = sel.size();
+      warm.fixed_cycles = pubs.size();
       warm.exec.garbler_warm = &gwarm;
       warm.exec.evaluator_warm = &ewarm;
       core::RunOptions cold;
       cold.mode = mode;
-      cold.fixed_cycles = sel.size();
+      cold.fixed_cycles = pubs.size();
       cold.exec.plan_cache = false;
 
       for (std::uint64_t run = 0; run < 3; ++run) {
         const netlist::BitVec alice = {(run & 1) != 0, (run & 2) == 0};
         const netlist::BitVec bob = {(run & 1) == 0, (run & 2) != 0};
         core::StreamProvider streams;
-        streams.pub = [&](std::uint64_t cy) { return netlist::BitVec{sel[cy], en[cy]}; };
+        streams.pub = [&](std::uint64_t cy) { return pubs[cy]; };
         streams.alice = [run](std::uint64_t cy) {
           return netlist::BitVec{(((run + 1) * 0x5b >> cy) & 1) != 0};
         };
@@ -976,20 +978,157 @@ TEST(PlanCache, FlipFlopToggleWarmRunsMatchUncached) {
         EXPECT_EQ(rw.sampled_outputs, rc.sampled_outputs) << "run " << run;
         EXPECT_TRUE(rw.stats.table_digest == rc.stats.table_digest) << "run " << run;
         EXPECT_EQ(rw.stats.garbled_non_xor, rc.stats.garbled_non_xor) << "run " << run;
+        EXPECT_EQ(rw.stats.live_gates, rc.stats.live_gates) << "run " << run;
         if (run > 0) {
           EXPECT_GT(rw.stats.plan_cache_hits, 0u) << "run " << run;
         }
 
         netlist::Simulator sim(nl);
         sim.reset(alice, bob);
-        ASSERT_EQ(rw.sampled_outputs.size(), sel.size());
-        for (std::uint64_t cy = 0; cy < sel.size(); ++cy) {
+        ASSERT_EQ(rw.sampled_outputs.size(), pubs.size());
+        for (std::uint64_t cy = 0; cy < pubs.size(); ++cy) {
           sim.step(streams.alice(cy), streams.bob(cy), streams.pub(cy));
           EXPECT_EQ(rw.sampled_outputs[cy], sim.read_outputs()) << "run " << run << " cycle " << cy;
         }
       }
     }
   }
+}
+
+/// The latch lists (CyclePlan::secret_dffs) drive which flip-flop labels
+/// both sessions carry across cycles. Warm runs in both compositions and
+/// modes must match the uncached reference bit for bit and the cleartext
+/// simulation.
+TEST(PlanCache, FlipFlopToggleWarmRunsMatchUncached) {
+  const std::vector<bool> sel = {true, false, true, false, true, true, false, false, true, false};
+  const std::vector<bool> en = {false, false, true, false, false, false, true, false, false, true};
+  std::vector<netlist::BitVec> pubs;
+  for (std::size_t cy = 0; cy < sel.size(); ++cy) pubs.push_back({sel[cy], en[cy]});
+  expect_warm_runs_match_uncached(toggle_netlist(), pubs);
+}
+
+/// Global gate index -> collapsed source of every work item of `plan`.
+std::map<std::size_t, netlist::WireId> work_items(const CyclePlan& plan) {
+  std::map<std::size_t, netlist::WireId> items;
+  for (std::size_t si = 0; si < plan.num_slices; ++si) {
+    const core::PlanSlice& sl = plan.slices[si];
+    for (std::uint32_t k = 0; k < sl.work_count; ++k) {
+      items[sl.first_gate + sl.work[k]] = sl.work_src[k];
+    }
+  }
+  return items;
+}
+
+/// Runs a planner over `pubs` (uncached, or with its own cache) and hands
+/// each cycle's plan to `check(cycle, plan)`.
+template <typename Fn>
+void for_each_plan(const netlist::Netlist& nl, const std::vector<netlist::BitVec>& pubs,
+                   bool cache, Fn&& check) {
+  PlannerOptions opts;
+  opts.cache = cache;
+  Planner p(nl, opts);
+  p.reset({});
+  for (std::size_t c = 0; c < pubs.size(); ++c) {
+    p.begin_cycle(pubs[c]);
+    p.forward();
+    const bool is_final = c + 1 == pubs.size();
+    const CyclePlan plan = p.finish(is_final);
+    check(c, plan);
+    if (!is_final) p.latch(plan);
+  }
+  if (cache) {
+    EXPECT_GT(p.cache_hits(), 0u);
+  }
+}
+
+/// A public-select mux chain of three hops from secret `a` into AND(., b):
+/// with every select high each hop is an XOR-cancellation pass (PassSrc) of
+/// the previous one, so the sessions execute only the last hop — copying
+/// a's label directly — and the AND.
+TEST(LiveSet, PublicSelectMuxChainCollapsesToItsSource) {
+  builder::CircuitBuilder cb;
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0);
+  const builder::Wire x0 = cb.input(netlist::Owner::Alice, 1);
+  const builder::Wire x1 = cb.input(netlist::Owner::Bob, 1);
+  const builder::Wire x2 = cb.input(netlist::Owner::Alice, 0, /*streamed=*/true);
+  const std::array<builder::Wire, 3> xs = {x0, x1, x2};
+  // Every input before the first gate: take() keeps the wire ids then.
+  std::array<builder::Wire, 3> sel{};
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    sel[i] = cb.input(netlist::Owner::Public, i, /*streamed=*/true);
+  }
+  builder::Wire m = a;
+  std::vector<builder::Wire> hops;
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    m = cb.mux(sel[i], m, xs[i]);
+    hops.push_back(m);
+  }
+  const builder::Wire y = cb.and_(m, b);
+  cb.output(y, "y");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+  const netlist::WireId first_gate = nl.first_gate_wire();
+  for (const builder::Wire h : hops) ASSERT_GE(h.id, first_gate);
+
+  const std::vector<netlist::BitVec> all_high(4, netlist::BitVec{true, true, true});
+  for (const bool cache : {false, true}) {
+    for_each_plan(nl, all_high, cache, [&](std::size_t c, const CyclePlan& plan) {
+      for (const builder::Wire h : hops) {
+        ASSERT_EQ(static_cast<core::PlanAct>(plan.slices[0].act[h.id - first_gate]),
+                  core::PlanAct::PassSrc);
+      }
+      const std::map<std::size_t, netlist::WireId> items = work_items(plan);
+      const std::map<std::size_t, netlist::WireId> expect = {
+          {hops.back().id - first_gate, a.id}, {y.id - first_gate, y.id}};
+      EXPECT_EQ(items, expect) << "cache " << cache << " cycle " << c;
+      EXPECT_EQ(plan.emitted, 1u);
+    });
+  }
+
+  // Mixed selects pass x0/x1 part of the way; every combination recurs.
+  std::vector<netlist::BitVec> pubs;
+  for (std::uint64_t cy = 0; cy < 12; ++cy) pubs.push_back(to_bits((cy * 5) % 8, 3));
+  expect_warm_runs_match_uncached(nl, pubs);
+}
+
+/// A secret register with a public enable: while the enable is low its
+/// D-input passes its own output through (a hold), so the register leaves
+/// the latch list and its D cone — the mux hop and the garbled AND it would
+/// load — leaves the work list. When the enable goes high it latches.
+TEST(LiveSet, HeldRegisterKeepsItsDConeOffTheWorkList) {
+  builder::CircuitBuilder cb;
+  const builder::Wire en = cb.input(netlist::Owner::Public, 0, /*streamed=*/true);
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0, /*streamed=*/true);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0, /*streamed=*/true);
+  const builder::Wire c = cb.input(netlist::Owner::Alice, 0);
+  const auto h = cb.make_dff(netlist::Dff::Init::BobBit, 0);
+  const builder::Wire load = cb.and_(a, b);
+  const builder::Wire d = cb.mux(en, load, cb.dff_out(h));
+  cb.set_dff_d(h, d);
+  const builder::Wire y = cb.and_(cb.dff_out(h), c);
+  cb.output(y, "y");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+  const netlist::WireId first_gate = nl.first_gate_wire();
+  ASSERT_GE(d.id, first_gate);
+  ASSERT_GE(load.id, first_gate);
+
+  const std::vector<bool> ens = {false, false, true, false, true, true, false, false};
+  std::vector<netlist::BitVec> pubs;
+  for (const bool e : ens) pubs.push_back(netlist::BitVec{e});
+  for (const bool cache : {false, true}) {
+    for_each_plan(nl, pubs, cache, [&](std::size_t cy, const CyclePlan& plan) {
+      const std::map<std::size_t, netlist::WireId> items = work_items(plan);
+      const bool latches = ens[cy] && !plan.is_final;
+      EXPECT_EQ(plan.num_secret_dffs, latches ? 1u : 0u) << "cycle " << cy;
+      EXPECT_EQ(items.count(d.id - first_gate), latches ? 1u : 0u) << "cycle " << cy;
+      EXPECT_EQ(items.count(load.id - first_gate), latches ? 1u : 0u) << "cycle " << cy;
+      EXPECT_EQ(items.count(y.id - first_gate), 1u) << "cycle " << cy;
+      EXPECT_EQ(plan.emitted, latches ? 2u : 1u) << "cycle " << cy;
+    });
+  }
+  expect_warm_runs_match_uncached(nl, pubs);
 }
 
 TEST(PlanCache, RejectsReuseAcrossNetlists) {
@@ -1532,6 +1671,11 @@ TEST(PlanCache, WarmHammingRunWalksItsEntryChain) {
   EXPECT_EQ(second.stats.plan_cache_hits, 97u);
   EXPECT_EQ(second.stats.plan_cache_misses, 0u);
   EXPECT_EQ(second.stats.plan_link_hits, 96u);
+  // The live set: gates producing a label someone reads. Pass chains
+  // collapse to their source and flip-flops holding their value leave it,
+  // so a warm cycle executes a few dozen of the ARM core's gates.
+  EXPECT_EQ(second.stats.live_gates, 3451u);  // ~36 per cycle
+  EXPECT_EQ(first.stats.live_gates, second.stats.live_gates);
 }
 
 }  // namespace

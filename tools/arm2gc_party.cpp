@@ -213,11 +213,13 @@ programs::Program load_program(const Args& a) {
 /// The role-independent result lines both processes (and --role local) must
 /// print identically.
 void print_summary(const std::string& program, std::uint64_t cycles,
-                   std::uint64_t garbled_non_xor, const std::vector<std::uint32_t>& outputs,
-                   const crypto::Block& digest, const gc::CommStats& comm) {
-  std::printf("program=%s cycles=%llu garbled_non_xor=%llu\n", program.c_str(),
+                   std::uint64_t garbled_non_xor, std::uint64_t live_gates,
+                   const std::vector<std::uint32_t>& outputs, const crypto::Block& digest,
+                   const gc::CommStats& comm) {
+  std::printf("program=%s cycles=%llu garbled_non_xor=%llu live_gates=%llu\n", program.c_str(),
               static_cast<unsigned long long>(cycles),
-              static_cast<unsigned long long>(garbled_non_xor));
+              static_cast<unsigned long long>(garbled_non_xor),
+              static_cast<unsigned long long>(live_gates));
   std::printf("outputs=");
   for (std::size_t i = 0; i < outputs.size(); ++i) {
     std::printf("%s%08x", i == 0 ? "" : " ", outputs[i]);
@@ -296,7 +298,7 @@ int run_local(const Args& a, const programs::Program& prog) {
   const arm::Arm2GcResult r =
       machine.run(a.alice, a.bob, a.max_cycles, gc::Scheme::HalfGates, exec);
   std::printf("role=local\n");
-  print_summary(prog.name, r.cycles, r.stats.garbled_non_xor, r.outputs,
+  print_summary(prog.name, r.cycles, r.stats.garbled_non_xor, r.stats.live_gates, r.outputs,
                 r.stats.table_digest, r.stats.comm);
   return 0;
 }
@@ -372,8 +374,8 @@ int run_party(const Args& a, const programs::Program& prog) {
   comm.output_bytes += peer.comm[3];
 
   std::printf("role=%s\n", a.role.c_str());
-  print_summary(prog.name, r.cycles, r.stats.garbled_non_xor, outputs, r.stats.table_digest,
-                comm);
+  print_summary(prog.name, r.cycles, r.stats.garbled_non_xor, r.stats.live_gates, outputs,
+                r.stats.table_digest, comm);
   return 0;
 }
 

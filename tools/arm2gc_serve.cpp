@@ -280,9 +280,10 @@ int run_client(const Args& a) {
   const std::vector<std::uint32_t> outputs = machine.decode_output_bits(res.outputs);
   const gc::CommStats comm = res.comm_total();
   std::printf("role=client\n");
-  std::printf("program=%s cycles=%llu garbled_non_xor=%llu\n", pa.name.c_str(),
+  std::printf("program=%s cycles=%llu garbled_non_xor=%llu live_gates=%llu\n", prog.name.c_str(),
               static_cast<unsigned long long>(res.cycles),
-              static_cast<unsigned long long>(res.garbled_non_xor));
+              static_cast<unsigned long long>(res.garbled_non_xor),
+              static_cast<unsigned long long>(res.stats.live_gates));
   std::printf("outputs=");
   for (std::size_t i = 0; i < outputs.size(); ++i) {
     std::printf("%s%08x", i == 0 ? "" : " ", outputs[i]);
