@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/slice_loop.h"
-#include "core/workpool.h"
 #include "obs/trace.h"
 
 namespace arm2gc::core {
@@ -19,13 +18,12 @@ using netlist::WireId;
 
 EvaluatorSession::EvaluatorSession(const netlist::Netlist& nl, Mode mode, Block seed,
                                    gc::Transport& tx, gc::OtBackend ot_backend,
-                                   gc::IknpReceiverState* warm_ot, WorkPool* pool,
+                                   gc::IknpReceiverState* warm_ot,
                                    gc::RandomOtPoolReceiver* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
       tx_(&tx),
-      ot_(gc::make_ot_receiver(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
-      pool_(pool) {
+      ot_(gc::make_ot_receiver(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)) {
   lb_.resize(nl_.num_wires());
   lb_valid_.assign(nl_.num_wires(), 0);
   // Sized here as well as in ot_reset() so a reset() without its ot_reset()
@@ -171,35 +169,24 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   live_gates_ += live_gate_count(plan, conventional);
 
   // The plan's per-slice emitted-table prefix, shared with the garbler:
-  // the ordered reader pulls exactly each cone's frame off the transport in
-  // slice order, and each cone evaluates against the preassigned tweak
-  // range starting at tweak0 + 2*emit_base[si].
+  // slice si's frame is received (and folded into the digest) right before
+  // its walk, which evaluates against the tweak range starting at
+  // tweak0 + 2*emit_base[si].
   const std::uint64_t* emit_base = plan.emit_base;
   const std::uint64_t tweak0 = eval_.tweak_cursor();
-  if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
-
-  // Ordered reader: slice si's frame is received (and folded into the
-  // digest) in slice order on the calling thread, before si's worker task
-  // is released — the byte stream consumed is identical to serial.
-  const auto feed_slice = [&](std::size_t si) {
+  for (std::size_t si = 0; si < plan.num_slices; ++si) {
+    const PlanSlice& sl = plan.slices[si];
+    // An empty work list emits no table, so the slice has no frame either.
+    if (!conventional && sl.work_count == 0) continue;
+    A2G_SPAN("eval.slice", "slice");
     const std::size_t blocks =
         static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * kRowsPerGate;
-    if (blocks == 0) return;
-    std::vector<Block>& rows = stage_[si].rows;
-    if (rows.size() < blocks) rows.resize(blocks);
-    tx_->recv(rows.data(), blocks);
-    for (std::size_t t = 0; t < blocks; ++t) table_digest_ = table_digest_.gf_double() ^ rows[t];
-  };
-
-  // Worker body: evaluate one cone slice against its staged rows. Label
-  // reads of upstream slices are ordered by the plan's dependency DAG.
-  const auto eval_slice = [&](std::size_t si) {
-    const PlanSlice& sl = plan.slices[si];
-    if (!conventional && sl.work_count == 0) return;
-    // Slice tracing lives in the session's task body, not the WorkPool —
-    // the pool stays obs-free under the planner-purity lint rule.
-    A2G_SPAN("eval.slice", "slice");
-    SliceStage& st = stage_[si];
+    if (blocks != 0) {
+      std::vector<Block>& rows = stage_.rows;
+      if (rows.size() < blocks) rows.resize(blocks);
+      tx_->recv(rows.data(), blocks);
+      for (std::size_t t = 0; t < blocks; ++t) table_digest_ = table_digest_.gf_double() ^ rows[t];
+    }
     const std::uint64_t tweak = tweak0 + 2 * emit_base[si];
     // Skipped gates (SkipGate work lists) keep stale labels, which is sound:
     // a live gate's inputs are always live-produced (or roots) by the
@@ -246,12 +233,10 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
         lb_valid_[jobs[k].out] = 1;
       }
       eval_.eval_half_gates(lb_.data(), jobs, n, tweak + 2 * k0,
-                            st.rows.data() + k0 * kRowsPerGate);
+                            stage_.rows.data() + k0 * kRowsPerGate);
     };
-    walk_slice(nl_, sl, conventional, st, apply, flush);
-  };
-  WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, eval_slice,
-                    feed_slice);
+    walk_slice(nl_, sl, conventional, stage_, apply, flush);
+  }
   eval_.advance(emit_base[plan.num_slices]);
 }
 

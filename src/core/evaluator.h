@@ -33,21 +33,17 @@
 
 namespace arm2gc::core {
 
-class WorkPool;
-
 class EvaluatorSession {
  public:
   /// `seed` feeds only the OT receiver's randomness (domain-separated); the
   /// evaluator holds no label-generating state. `warm_ot` (optional, IKNP
-  /// only) carries base-OT state across runs of one pairing. `pool`
-  /// (optional) evaluates independent cone slices on its workers once their
-  /// frames arrive. Either way each slice's table frame is pulled off the
-  /// transport with one receive, in slice order on the calling thread (the
-  /// read mirror of the garbler's ordered writer), so the consumed byte
-  /// stream and received-table digest are byte-identical to the serial path.
+  /// only) carries base-OT state across runs of one pairing. Each slice's
+  /// table frame is pulled off the transport with one receive, right before
+  /// the slice is evaluated (the read mirror of the garbler's per-slice
+  /// send).
   EvaluatorSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
                    gc::OtBackend ot_backend = gc::OtBackend::Ideal,
-                   gc::IknpReceiverState* warm_ot = nullptr, WorkPool* pool = nullptr,
+                   gc::IknpReceiverState* warm_ot = nullptr,
                    gc::RandomOtPoolReceiver* warm_ot_pool = nullptr,
                    std::size_t ot_pool = gc::kDefaultOtPoolBatch);
 
@@ -116,11 +112,10 @@ class EvaluatorSession {
   gc::Evaluator eval_;
   gc::Transport* tx_;
   std::unique_ptr<gc::OtReceiver> ot_;
-  WorkPool* pool_;
 
-  /// Per-slice row frames (filled by the ordered transport reader, consumed
-  /// by the slice's worker) with their batching state (core/slice_loop.h).
-  std::vector<SliceStage> stage_;
+  /// The current slice's received row frame and batching state
+  /// (core/slice_loop.h), reused slice to slice and across cycles.
+  SliceStage stage_;
 
   std::vector<crypto::Block> lb_;
   std::vector<std::uint8_t> lb_valid_;

@@ -4,7 +4,6 @@
 #include <string>
 
 #include "core/slice_loop.h"
-#include "core/workpool.h"
 #include "obs/trace.h"
 
 namespace arm2gc::core {
@@ -22,14 +21,13 @@ Block maybe(Block b, bool take) { return take ? b : kZeroBlock; }
 
 GarblerSession::GarblerSession(const netlist::Netlist& nl, Mode mode, Block seed,
                                gc::Transport& tx, gc::OtBackend ot_backend,
-                               gc::IknpSenderState* warm_ot, WorkPool* pool,
+                               gc::IknpSenderState* warm_ot,
                                gc::RandomOtPoolSender* warm_ot_pool, std::size_t ot_pool)
     : nl_(nl),
       mode_(mode),
       garbler_(seed),
       tx_(&tx),
-      ot_(gc::make_ot_sender(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)),
-      pool_(pool) {
+      ot_(gc::make_ot_sender(ot_backend, tx, seed, warm_ot, warm_ot_pool, ot_pool)) {
   la_.resize(nl_.num_wires());
   const_la_[0] = const_la_[1] = Block{};
 }
@@ -147,27 +145,19 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const bool conventional = mode_ == Mode::Conventional;
   live_gates_ += live_gate_count(plan, conventional);
 
-  // Each cone garbles against the preassigned tweak range starting at
-  // tweak0 + 2*emit_base[si] (the plan's per-slice emitted-table prefix),
-  // exactly the range the serial pass would consume — so tables are
-  // bit-identical no matter which worker builds them.
+  // Slice si garbles against the tweak range starting at
+  // tweak0 + 2*emit_base[si] (the plan's per-slice emitted-table prefix)
+  // and its tables go onto the transport as one frame right after its walk.
   const std::uint64_t* emit_base = plan.emit_base;
   const std::uint64_t tweak0 = garbler_.tweak_cursor();
-  if (stage_.size() < plan.num_slices) stage_.resize(plan.num_slices);
-  const auto slice_blocks = [&](std::size_t si) {
-    return static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * kRowsPerGate;
-  };
-
-  // Worker body: garble one cone slice into its row frame. Label reads of
-  // upstream slices are ordered by the plan's dependency DAG.
-  const auto garble_slice = [&](std::size_t si) {
+  for (std::size_t si = 0; si < plan.num_slices; ++si) {
     const PlanSlice& sl = plan.slices[si];
-    if (!conventional && sl.work_count == 0) return;
-    // Slice tracing lives in the session's task body, not the WorkPool —
-    // the pool stays obs-free under the planner-purity lint rule.
+    // An empty work list emits no table, so the slice has no frame either.
+    if (!conventional && sl.work_count == 0) continue;
     A2G_SPAN("garble.slice", "slice");
-    SliceStage& st = stage_[si];
-    if (st.rows.size() < slice_blocks(si)) st.rows.resize(slice_blocks(si));
+    const std::size_t blocks =
+        static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * kRowsPerGate;
+    if (stage_.rows.size() < blocks) stage_.rows.resize(blocks);
     const std::uint64_t tweak = tweak0 + 2 * emit_base[si];
     const auto apply = [&](std::uint32_t j, WireId w, const Gate& g) {
       switch (sl.action(j)) {
@@ -195,22 +185,14 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
     };
     const auto flush = [&](const crypto::HalfGateJob* jobs, std::size_t n, std::uint64_t k0) {
       garbler_.garble_half_gates(la_.data(), jobs, n, tweak + 2 * k0,
-                                 st.rows.data() + k0 * kRowsPerGate);
+                                 stage_.rows.data() + k0 * kRowsPerGate);
     };
-    walk_slice(nl_, sl, conventional, st, apply, flush);
-  };
-  // Ordered writer: each completed cone's rows go onto the transport as one
-  // frame, in slice-id order on the calling thread, keeping the byte stream
-  // — and the digest folded over it — byte-identical to the serial schedule.
-  const auto drain_slice = [&](std::size_t si) {
-    const std::size_t blocks = slice_blocks(si);
-    if (blocks == 0) return;
-    const Block* rows = stage_[si].rows.data();
+    walk_slice(nl_, sl, conventional, stage_, apply, flush);
+    if (blocks == 0) continue;
+    const Block* rows = stage_.rows.data();
     tx_->send(rows, blocks, gc::Traffic::GarbledTable);
     for (std::size_t t = 0; t < blocks; ++t) table_digest_ = table_digest_.gf_double() ^ rows[t];
-  };
-  WorkPool::execute(pool_, plan.num_slices, plan.dep_offsets, plan.dep_edges, garble_slice, {},
-                    drain_slice);
+  }
   garbler_.advance(emit_base[plan.num_slices]);
 }
 

@@ -34,22 +34,19 @@
 
 namespace arm2gc::core {
 
-class WorkPool;
-
 class GarblerSession {
  public:
   /// `ot_backend` selects the OT endpoint; `warm_ot` (optional, IKNP only)
   /// carries base-OT state across runs of one pairing, `warm_ot_pool` is its
   /// Precomp counterpart (the random-OT pool, which embeds its own base
   /// state) and `ot_pool` sizes a fresh Precomp pool when no warm one is
-  /// handed in. `pool` (optional) garbles independent cone slices on its
-  /// workers. Either way each slice's tables are staged as one flat row
-  /// frame and sent as one frame, in slice order, by a single ordered
-  /// writer — the byte stream, table digests and comm accounting are
-  /// byte-identical to a per-table send.
+  /// handed in. Each slice's tables are staged as one flat row frame and
+  /// sent as one frame right after the slice is garbled — the byte stream,
+  /// table digests and comm accounting are byte-identical to a per-table
+  /// send.
   GarblerSession(const netlist::Netlist& nl, Mode mode, crypto::Block seed, gc::Transport& tx,
                  gc::OtBackend ot_backend = gc::OtBackend::Ideal,
-                 gc::IknpSenderState* warm_ot = nullptr, WorkPool* pool = nullptr,
+                 gc::IknpSenderState* warm_ot = nullptr,
                  gc::RandomOtPoolSender* warm_ot_pool = nullptr,
                  std::size_t ot_pool = gc::kDefaultOtPoolBatch);
 
@@ -120,7 +117,6 @@ class GarblerSession {
   gc::Garbler garbler_;
   gc::Transport* tx_;
   std::unique_ptr<gc::OtSender> ot_;
-  WorkPool* pool_;
 
   std::vector<crypto::Block> la_;
   std::vector<crypto::Block> fixed_la_;
@@ -142,9 +138,9 @@ class GarblerSession {
   bool holding_ = false;
   crypto::Block table_digest_{};
   std::uint64_t live_gates_ = 0;
-  /// Per-slice row frames and batching state (core/slice_loop.h; drained
-  /// in slice order by the transport writer).
-  std::vector<SliceStage> stage_;
+  /// The current slice's row frame and batching state (core/slice_loop.h),
+  /// reused slice to slice and across cycles.
+  SliceStage stage_;
 };
 
 }  // namespace arm2gc::core

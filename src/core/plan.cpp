@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "core/workpool.h"
-
 namespace arm2gc::core {
 
 namespace {
@@ -341,14 +339,10 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
   }
   if (ng > 0) ends.push_back(ng);
 
-  // Segment boundaries (the distinct external wires each segment reads) and
-  // producer-segment dependency edges (the cone-parallel schedule's DAG, as
-  // CSR: each segment's edges sorted and deduplicated).
+  // Segment boundaries: the distinct external wires each segment reads.
   std::vector<std::uint32_t> stamp(nl.num_wires(), 0);
-  std::vector<std::uint32_t> gate_to_seg(ng, 0);
   std::uint32_t cur_stamp = 0;
   std::size_t seg_start = 0;
-  layout.dep_offsets.push_back(0);
   for (const std::size_t end : ends) {
     PlanSegment seg;
     seg.first_gate = static_cast<std::uint32_t>(seg_start);
@@ -356,7 +350,6 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
     const WireId seg_first_wire = first_gate + static_cast<WireId>(seg_start);
     ++cur_stamp;
     for (std::size_t j = seg_start; j < end; ++j) {
-      gate_to_seg[j] = static_cast<std::uint32_t>(layout.segments.size());
       for (const WireId w : {nl.gates[j].a, nl.gates[j].b}) {
         if (w < seg_first_wire && stamp[w] != cur_stamp) {
           stamp[w] = cur_stamp;
@@ -368,14 +361,6 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
     seg.root_count = static_cast<std::uint32_t>(
         std::lower_bound(seg.boundary.begin(), seg.boundary.end(), first_gate) -
         seg.boundary.begin());
-    std::vector<std::uint32_t>& edges = layout.dep_edges;
-    const auto deps = static_cast<std::ptrdiff_t>(edges.size());
-    for (std::size_t k = seg.root_count; k < seg.boundary.size(); ++k) {
-      edges.push_back(gate_to_seg[seg.boundary[k] - first_gate]);
-    }
-    std::sort(edges.begin() + deps, edges.end());
-    edges.erase(std::unique(edges.begin() + deps, edges.end()), edges.end());
-    layout.dep_offsets.push_back(static_cast<std::uint32_t>(edges.size()));
     layout.total_boundary += seg.boundary.size();
     layout.segments.push_back(std::move(seg));
     seg_start = end;
@@ -629,14 +614,7 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
   rep_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
   rep_next_.assign(roots, kNoWire);
 
-  const std::size_t nseg = layout_->segments.size();
-  seg_touch_.resize(nseg);
-  if (memo_ != nullptr) {
-    seg_keys_.resize(nseg);
-    seg_hash_.assign(nseg, 0);
-    seg_probes_.assign(nseg, 0);
-    seg_adopted_.assign(nseg, 0);
-  }
+  if (memo_ != nullptr) seg_probe_.resize(layout_->segments.size());
 }
 
 Block Planner::fresh_fp() {
@@ -901,8 +879,7 @@ void Planner::build_segment_key(std::size_t si, const PlanSegment& seg,
 void Planner::forward() {
   // Every cycle gets a fresh derived-fingerprint epoch no matter which path
   // serves it (hit, miss, fallback), so category-iv fingerprints are pure
-  // functions of (epoch, gate) — identical across planner variants and
-  // worker interleavings.
+  // functions of (epoch, gate) — identical across planner variants.
   ++fp_epoch_;
   hit_ = false;
   if (cache_ == nullptr) {
@@ -994,76 +971,64 @@ void Planner::build_plan(Entry& e) {
   const WireId first_gate = nl_.first_gate_wire();
   for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
 
-  const std::uint32_t* dep_off = layout_->dep_offsets.data();
-  const std::uint32_t* dep_edg = layout_->dep_edges.data();
-
   if (memo_ == nullptr) {
-    // Cone-parallel classification without memoization: every segment
-    // classifies fresh into its own gate range and touch scratch; operand
-    // reads of upstream slices are ordered by the dependency DAG.
-    WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
-      seg_touch_[si].clear();
-      classify_segment(e, layout_->segments[si], seg_touch_[si]);
-    });
     for (std::size_t si = 0; si < nseg; ++si) {
       e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
-      e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
+      classify_segment(e, layout_->segments[si], e.touch);
     }
     e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
     return;
   }
 
-  // Cone-parallel phase — adopt or classify every segment into its own
-  // gate range and per-segment scratch. A task probes the memo read-only
-  // (peek) and defers all LRU motion, counters and inserts to the serial
-  // phase, so the pooled run is bit-identical to the serial one. Key-equal
-  // candidates can still fail verification (the key cannot see XOR-linear
-  // fingerprint structure), so a task walks them until one verifies; none
-  // verifying reclassifies the cone.
-  WorkPool::execute(opts_.pool, nseg, dep_off, dep_edg, [&](std::size_t si) {
-    const PlanSegment& seg = layout_->segments[si];
-    seg_touch_[si].clear();
-    seg_probes_[si] = 0;
-    build_segment_key(si, seg, seg_keys_[si]);
-    const std::uint64_t h = fnv1a64_u64(seg_keys_[si]);
-    seg_hash_[si] = h;
-    const std::uint32_t s32 = static_cast<std::uint32_t>(si);
-    std::size_t after = 0;
-    while (const ConeMemo::Entry* m = memo_->peek(s32, h, seg_keys_[si], &after)) {
-      ++seg_probes_[si];
-      if (adopt_segment(e, seg, *m, seg_touch_[si])) {
-        seg_adopted_[si] = 1;
-        return;
-      }
-    }
-    classify_segment(e, seg, seg_touch_[si]);
-    seg_adopted_[si] = 0;
-  });
-
-  // Serial phase (ascending) — stitch the touch index, replay the memo's
-  // LRU motion for every probe the parallel phase made, and insert fresh
-  // classifications, in the exact serial order.
+  // Probe loop — adopt or classify every segment. It probes the memo
+  // read-only (peek) and leaves all LRU motion, counters and inserts to the
+  // loop below. Key-equal candidates can still fail verification (the key
+  // cannot see XOR-linear fingerprint structure), so it walks them until
+  // one verifies; none verifying reclassifies the cone.
   for (std::size_t si = 0; si < nseg; ++si) {
     const PlanSegment& seg = layout_->segments[si];
+    SegProbe& sp = seg_probe_[si];
     e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
-    e.touch.insert(e.touch.end(), seg_touch_[si].begin(), seg_touch_[si].end());
+    build_segment_key(si, seg, sp.key);
+    sp.hash = fnv1a64_u64(sp.key);
+    sp.probes = 0;
+    sp.adopted = false;
+    std::size_t after = 0;
+    while (const ConeMemo::Entry* m =
+               memo_->peek(static_cast<std::uint32_t>(si), sp.hash, sp.key, &after)) {
+      ++sp.probes;
+      if (adopt_segment(e, seg, *m, e.touch)) {
+        sp.adopted = true;
+        break;
+      }
+    }
+    if (!sp.adopted) classify_segment(e, seg, e.touch);
+  }
+  e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
+
+  // Touch-and-insert loop, ascending — replays the LRU motion of every probe
+  // and inserts fresh classifications. It must not fold into the probe loop:
+  // an insert can evict a candidate a later segment would have adopted.
+  for (std::size_t si = 0; si < nseg; ++si) {
+    const PlanSegment& seg = layout_->segments[si];
+    const SegProbe& sp = seg_probe_[si];
     const std::uint32_t s32 = static_cast<std::uint32_t>(si);
-    memo_->touch_candidates(s32, seg_hash_[si], seg_keys_[si], seg_probes_[si]);
-    if (seg_adopted_[si] != 0) {
+    memo_->touch_candidates(s32, sp.hash, sp.key, sp.probes);
+    if (sp.adopted) {
       ++cone_hits_;
       continue;
     }
     ++cone_misses_;
-    ConeMemo::Entry& m = *memo_->insert(s32, seg_hash_[si], seg_keys_[si]);
+    ConeMemo::Entry& m = *memo_->insert(s32, sp.hash, sp.key);
     const auto ab = e.act.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
     const auto pb = e.pass_src.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
     const auto wb = e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
+    const auto tb = e.touch.begin();
     m.act.assign(ab, ab + seg.count);
     m.pass_src.assign(pb, pb + seg.count);
     m.out_bits.assign(wb, wb + seg.count);
-    m.touch = seg_touch_[si];
+    m.touch.assign(tb + e.touch_off[si], tb + e.touch_off[si + 1]);
   }
-  e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
 }
 
 void Planner::classify_segment(Entry& e, const PlanSegment& seg,
@@ -1415,8 +1380,6 @@ CyclePlan Planner::finish(bool is_final) {
   plan.slices = b.slices.data();
   plan.num_slices = b.slices.size();
   plan.wire_bits = cur_->wire_bits.data();
-  plan.dep_offsets = layout_->dep_offsets.data();
-  plan.dep_edges = layout_->dep_edges.data();
   plan.num_gates = nl_.gates.size();
   plan.num_wires = nl_.num_wires();
   plan.emitted = b.emit_base.back();

@@ -125,13 +125,6 @@ struct CyclePlan {
   const PlanSlice* slices = nullptr;
   std::size_t num_slices = 0;
   const std::uint8_t* wire_bits = nullptr;  ///< bit0 pub, bit1 val, bit2 flip
-  /// Cone dependency CSR: slice i reads outputs of earlier slices
-  /// dep_edges[dep_offsets[i] .. dep_offsets[i+1]) (every edge points at a
-  /// lower slice index, so ascending slice order is a valid serial
-  /// schedule). This is the exact scheduling constraint for garbling or
-  /// evaluating slices on a worker pool.
-  const std::uint32_t* dep_offsets = nullptr;
-  const std::uint32_t* dep_edges = nullptr;
   std::size_t num_gates = 0;
   std::size_t num_wires = 0;
   std::uint64_t emitted = 0;  ///< number of garbled tables this cycle
@@ -177,12 +170,6 @@ struct PlanLayout {
   std::vector<PlanSegment> segments;
   std::size_t total_boundary = 0;  ///< summed boundary sizes (key cost)
   std::uint64_t key = 0;           ///< netlist key + cut positions
-  /// Cone dependency CSR over segments: segment i reads outputs of
-  /// dep_edges[dep_offsets[i] .. dep_offsets[i+1]) (deduplicated, ascending;
-  /// every edge points at a lower index). Drives the worker-pool schedule of
-  /// classification and rides along in every CyclePlan.
-  std::vector<std::uint32_t> dep_offsets;
-  std::vector<std::uint32_t> dep_edges;
 
   static PlanLayout build(const netlist::Netlist& nl, std::size_t target_gates,
                           std::uint64_t netlist_key);
@@ -404,8 +391,9 @@ class ConeMemo {
   /// *after past it), or nullptr. Multiple entries may share a key: drifted
   /// fingerprint structure makes key-equal states classify differently, and
   /// the caller walks candidates until one verifies. Read-only (no LRU
-  /// motion), so concurrent workers may probe different segments; the caller
-  /// replays the LRU touches serially via touch_candidates() afterwards.
+  /// motion): the planner probes every segment of a cycle first and replays
+  /// the LRU touches afterwards via touch_candidates(), in segment order
+  /// between that cycle's inserts (see Planner::build_plan).
   [[nodiscard]] const Entry* peek(std::uint32_t segment, std::uint64_t hash,
                                   const std::vector<std::uint64_t>& key,
                                   std::size_t* after) const;
@@ -432,11 +420,8 @@ class WorkPool;
 struct PlannerOptions {
   Mode mode = Mode::SkipGate;
   crypto::Block seed{};  ///< fingerprint stream seed (public; must match peer)
-  /// Optional worker pool for cone-parallel classification on cache misses
-  /// (null = serial); hit verification always runs serially on the calling
-  /// thread. Parallel and serial runs produce bit-identical plans: per-gate
-  /// fingerprints are derived, not streamed, and all cache/memo bookkeeping
-  /// stays on the calling thread.
+  /// Frozen slot for existing callers: always null and never read — the
+  /// planner classifies on its calling thread (core/workpool.h).
   WorkPool* pool = nullptr;
   bool cache = true;
   /// Budget for the planner-owned cache when no shared cache is supplied.
@@ -525,10 +510,9 @@ class Planner {
   crypto::Block fresh_fp();
   /// Fingerprint of a category-iv gate output: a pure function of the
   /// cycle's fp epoch and the gate index, so the value is identical whether
-  /// the gate is classified serially, on a worker, or re-derived during a
-  /// hit verification — order-independence is what makes cone-parallel
-  /// classification bit-identical to the serial pass. Disjoint from the
-  /// root fingerprint stream by construction (top plaintext bit).
+  /// the gate is classified, adopted from the cone memo or re-derived during
+  /// a hit verification. Disjoint from the root fingerprint stream by
+  /// construction (top plaintext bit).
   [[nodiscard]] crypto::Block derived_fp(std::size_t gate) const;
   [[nodiscard]] crypto::Block derived_plaintext(std::size_t gate) const;
   void bind_secret_fp(WireState& s);
@@ -553,13 +537,12 @@ class Planner {
   /// Forward-classifies the cycle into `e`, which becomes the current entry —
   /// whole netlist, or stitched cone by cone when cone memoization is
   /// enabled: every cone consults the memo by local key and memo misses
-  /// reclassify. Segments are processed on the worker pool when one is
-  /// configured (classification is per-cone data-independent given the
-  /// dependency DAG); memo LRU motion, inserts and counters are replayed
-  /// serially afterwards, so the result is bit-identical to a serial run.
+  /// reclassify. Two loops in segment order: the first probes the memo
+  /// read-only and adopts or classifies each cone; the second replays the
+  /// probes' LRU touches and inserts the fresh classifications.
   void build_plan(Entry& e);
   /// Fresh forward classification of one segment's gates into `e`; touched
-  /// gate indices are appended to `touch` (per-segment scratch).
+  /// gate indices are appended to `touch`.
   void classify_segment(Entry& e, const PlanSegment& seg, std::vector<std::uint32_t>& touch);
   /// Copies a memoized cone slice into `e` and verifies it (below); false =
   /// drift, caller reclassifies the segment (e's slice is simply
@@ -672,14 +655,15 @@ class Planner {
   std::uint64_t cone_hits_ = 0;
   std::uint64_t cone_misses_ = 0;
 
-  // Per-segment scratch for the parallel classification phase: each worker
-  // writes only its own segment's slots; the serial stitch phase reads them
-  // in ascending segment order.
-  std::vector<std::vector<std::uint32_t>> seg_touch_;
-  std::vector<std::vector<std::uint64_t>> seg_keys_;
-  std::vector<std::uint64_t> seg_hash_;
-  std::vector<std::uint32_t> seg_probes_;   ///< memo candidates probed
-  std::vector<std::uint8_t> seg_adopted_;   ///< 1 = memo adopt, 0 = classified
+  // What build_plan's probe loop leaves for its touch-and-insert loop, per
+  // segment (cone memo only).
+  struct SegProbe {
+    std::vector<std::uint64_t> key;
+    std::uint64_t hash = 0;
+    std::uint32_t probes = 0;  ///< memo candidates probed
+    bool adopted = false;      ///< adopted from the memo, else classified
+  };
+  std::vector<SegProbe> seg_probe_;
 
   // Kept entry signature (the plan cache's key; its terms are the root words
   // of the cone memo's keys): one term per root, their position-mixed sum,

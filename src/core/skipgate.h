@@ -53,11 +53,9 @@ struct ExecOptions {
   /// refill schedule is a deterministic function of it, so both parties must
   /// use the same value. Ignored by the other backends.
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
-  /// Worker threads per party for garbling/evaluation and per-cone plan
-  /// classification (core/workpool.h; 0 = one per hardware thread). Like
-  /// every ExecOptions field this never changes results: the ordered
-  /// transport writer keeps the framed byte stream, table digests and comm
-  /// accounting byte-identical to threads == 1.
+  /// Frozen slot for existing callers (copied into PartyOptions::threads):
+  /// each party runs serially, so 1 is the only accepted value and any
+  /// other throws std::invalid_argument when an endpoint is constructed.
   std::size_t threads = 1;
 };
 

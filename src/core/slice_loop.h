@@ -17,7 +17,7 @@
 // looked up, and with no batch open a free gate pays one compare. Gate k of
 // a slice in emission order is still the k-th table of the slice, so tweaks
 // and rows keep their serial positions and the byte stream is unchanged.
-// The batching state is per slice, so pooled slices never share it.
+// Each session keeps one SliceStage and reuses it slice after slice.
 #pragma once
 
 #include <array>
@@ -45,8 +45,8 @@ struct SliceItem {
   netlist::Gate g;
 };
 
-/// One slice's staging: its garbled-table rows as one flat frame, and the
-/// loop's batching state (reused across cycles).
+/// The current slice's staging: its garbled-table rows as one flat frame,
+/// and the loop's batching state (reused across slices and cycles).
 struct SliceStage {
   std::vector<crypto::Block> rows;
   std::array<crypto::HalfGateJob, gc::kGateBatch> jobs{};

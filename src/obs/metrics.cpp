@@ -17,7 +17,7 @@ std::uint64_t now_ns() noexcept {
 
 std::size_t shard_index() noexcept {
   // Dense per-thread ordinal: threads that record metrics get consecutive
-  // ids, so a WorkPool of N workers occupies N distinct cells (no hash
+  // ids, so N serve shards or party threads occupy N distinct cells (no hash
   // collisions at small N, unlike hashing std::this_thread::get_id()).
   static std::atomic<std::size_t> next{0};
   thread_local const std::size_t ordinal =

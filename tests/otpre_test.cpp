@@ -14,8 +14,7 @@
 //     traffic and wall time land on the offline side;
 //   - full-driver differential fuzz: Precomp vs Iknp produce bit-identical
 //     outputs, label streams, golden table digests and non-OT comm counters
-//     across both modes, both compositions (lock-step, socket pair) and
-//     threads {1, 4};
+//     across both modes and both compositions (lock-step, socket pair);
 //   - warm pools amortize: one base phase and one bulk refill serve many
 //     runs of a session, later runs doing derandomization only.
 #include <gtest/gtest.h>
@@ -296,7 +295,7 @@ netlist::Netlist random_ot_netlist(crypto::CtrRng& rng) {
   return nl;
 }
 
-TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesCompositionsAndThreads) {
+TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesAndCompositions) {
   const int iters = fuzz_iters(3);
   crypto::CtrRng rng(block_from_u64(1895));
   for (int seed = 0; seed < iters; ++seed) {
@@ -312,25 +311,22 @@ TEST(OtPre, PrecompBitIdenticalToIknpAcrossModesCompositionsAndThreads) {
 
     for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
       for (const a2gtest::Composition c : a2gtest::kCompositions) {
-        for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-          core::RunOptions iknp;
-          iknp.mode = mode;
-          iknp.fixed_cycles = 7;
-          iknp.exec.threads = threads;
-          iknp.exec.ot_backend = gc::OtBackend::Iknp;
-          core::RunOptions pre = iknp;
-          pre.exec.ot_backend = gc::OtBackend::Precomp;
-          // A tiny pool forces refills to interleave with real batches.
-          pre.exec.ot_pool = 4;
+        core::RunOptions iknp;
+        iknp.mode = mode;
+        iknp.fixed_cycles = 7;
+        iknp.exec.ot_backend = gc::OtBackend::Iknp;
+        core::RunOptions pre = iknp;
+        pre.exec.ot_backend = gc::OtBackend::Precomp;
+        // A tiny pool forces refills to interleave with real batches.
+        pre.exec.ot_pool = 4;
 
-          const core::RunResult rk = a2gtest::run_composed(c, nl, iknp, a, b, p, &streams);
-          const core::RunResult rp = a2gtest::run_composed(c, nl, pre, a, b, p, &streams);
-          expect_same_protocol(rk, rp);
-          // Online OT traffic shrinks to the derand frames; the rest of the
-          // comm ledger (checked above) is untouched.
-          EXPECT_LT(rp.stats.ot_online_bytes, rk.stats.ot_online_bytes)
-              << "seed " << seed << " mode " << static_cast<int>(mode);
-        }
+        const core::RunResult rk = a2gtest::run_composed(c, nl, iknp, a, b, p, &streams);
+        const core::RunResult rp = a2gtest::run_composed(c, nl, pre, a, b, p, &streams);
+        expect_same_protocol(rk, rp);
+        // Online OT traffic shrinks to the derand frames; the rest of the
+        // comm ledger (checked above) is untouched.
+        EXPECT_LT(rp.stats.ot_online_bytes, rk.stats.ot_online_bytes)
+            << "seed " << seed << " mode " << static_cast<int>(mode);
       }
     }
   }

@@ -48,7 +48,8 @@ using a2gtest::to_bits;
 
 /// Random sequential netlist with inputs/dffs of every ownership class, so
 /// reset OT batches, streamed batches and direct labels all carry traffic.
-netlist::Netlist random_party_netlist(crypto::CtrRng& rng) {
+/// It has min_gates to 2*min_gates-1 gates.
+netlist::Netlist random_party_netlist(crypto::CtrRng& rng, int min_gates = 25) {
   netlist::Netlist nl;
   constexpr std::uint32_t kInPerParty = 3;
   for (std::uint32_t i = 0; i < kInPerParty; ++i) {
@@ -73,7 +74,8 @@ netlist::Netlist random_party_netlist(crypto::CtrRng& rng) {
     }
     nl.dffs.push_back(d);
   }
-  const int num_gates = 25 + static_cast<int>(rng.next_below(25));
+  const int num_gates =
+      min_gates + static_cast<int>(rng.next_below(static_cast<std::uint32_t>(min_gates)));
   for (int g = 0; g < num_gates; ++g) {
     const auto limit = static_cast<std::uint32_t>(2 + nl.inputs.size() + nl.dffs.size() +
                                                   static_cast<std::size_t>(g));
@@ -122,7 +124,9 @@ void expect_matches_reference(const a2gtest::SocketRun& s, const core::RunResult
 TEST(PartyEndpoints, SocketMatchesInMemoryOnFuzzedNetlists) {
   crypto::CtrRng rng(block_from_u64(4242));
   for (int seed = 0; seed < 4; ++seed) {
-    const netlist::Netlist nl = random_party_netlist(rng);
+    // Enough gates that cone_target_gates = 24 cuts several interdependent
+    // cones: a slice's labels then feed later slices' frames.
+    const netlist::Netlist nl = random_party_netlist(rng, 120);
     const netlist::BitVec a = to_bits(rng.next_u64(), 3);
     const netlist::BitVec b = to_bits(rng.next_u64(), 3);
     const netlist::BitVec p = to_bits(rng.next_u64(), 3);
@@ -132,15 +136,23 @@ TEST(PartyEndpoints, SocketMatchesInMemoryOnFuzzedNetlists) {
     streams.alice = [aw](std::uint64_t c) { return netlist::BitVec{((aw >> c) & 1u) != 0}; };
     streams.bob = [bw](std::uint64_t c) { return netlist::BitVec{((bw >> c) & 1u) != 0}; };
 
-    for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
-      for (const gc::OtBackend ot :
-           {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
-        core::RunOptions opts;
-        opts.mode = mode;
-        opts.fixed_cycles = 6;
-        opts.exec.ot_backend = ot;
-        const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
-        expect_matches_reference(a2gtest::socket_run(nl, opts, a, b, p, &streams), ref);
+    core::PlannerOptions multi;
+    multi.cone_target_gates = 24;
+    ASSERT_GT(core::Planner(nl, multi).layout().segments.size(), 2u) << "seed " << seed;
+
+    for (const std::size_t cone_target : {core::ExecOptions{}.cone_target_gates,
+                                          multi.cone_target_gates}) {
+      for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
+        for (const gc::OtBackend ot :
+             {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+          core::RunOptions opts;
+          opts.mode = mode;
+          opts.fixed_cycles = 6;
+          opts.exec.ot_backend = ot;
+          opts.exec.cone_target_gates = cone_target;
+          const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
+          expect_matches_reference(a2gtest::socket_run(nl, opts, a, b, p, &streams), ref);
+        }
       }
     }
   }
@@ -193,6 +205,38 @@ TEST(PartyEndpoints, ArmApiRejectsEveryNonHalfGatesScheme) {
   EXPECT_EQ(r.outputs, machine.run_reference(a, b).outputs);
   EXPECT_EQ(machine.party_options(core::Role::Garbler, 1u << 20, gc::Scheme::HalfGates).halt_wire,
             machine.cpu().halt_wire);
+}
+
+/// ExecOptions::threads and PartyOptions::threads stay as slots for existing
+/// callers only: each party runs serially, so any value but 1 throws when an
+/// endpoint is constructed — before any byte is sent.
+TEST(PartyEndpoints, EveryThreadCountButOneIsRejected) {
+  const programs::Program prog = programs::hamming(1);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const std::vector<std::uint32_t> a = {0x0001F00Du};
+  const std::vector<std::uint32_t> b = {0xFF00FF00u};
+  const netlist::Netlist& nl = machine.cpu().nl;
+  for (const std::size_t threads : {0u, 2u, 4u}) {
+    core::ExecOptions exec;
+    exec.threads = threads;
+    core::PartyOptions po = machine.party_options(core::Role::Garbler, 1u << 20,
+                                                  gc::Scheme::HalfGates, exec);
+    EXPECT_EQ(po.threads, threads);
+    gc::InMemoryDuplex duplex;
+    EXPECT_THROW(core::GarblerEndpoint(nl, po, duplex.garbler_end()), std::invalid_argument);
+    EXPECT_THROW(core::EvaluatorEndpoint(nl, po, duplex.evaluator_end()), std::invalid_argument);
+    EXPECT_EQ(duplex.stats().total(), 0u) << "threads " << threads;
+    EXPECT_EQ(duplex.high_water_blocks(), 0u) << "threads " << threads;
+
+    core::RunOptions opts;
+    opts.fixed_cycles = 1;
+    opts.exec = exec;
+    EXPECT_THROW((void)core::SkipGateDriver(nl, opts).run({}, {}), std::invalid_argument);
+    EXPECT_THROW((void)machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, exec),
+                 std::invalid_argument);
+  }
+  const arm::Arm2GcResult r = machine.run(a, b, 1u << 20, gc::Scheme::HalfGates);
+  EXPECT_EQ(r.outputs, machine.run_reference(a, b).outputs);
 }
 
 TEST(PartyEndpoints, PrivatePerPartySeedsStillAgree) {

@@ -17,7 +17,6 @@
 #include "builder/stdlib.h"
 #include "core/plan.h"
 #include "core/skipgate.h"
-#include "core/workpool.h"
 #include "crypto/rng.h"
 #include "netlist/simulator.h"
 #include "programs/programs.h"
@@ -1131,6 +1130,84 @@ TEST(LiveSet, HeldRegisterKeepsItsDConeOffTheWorkList) {
   expect_warm_runs_match_uncached(nl, pubs);
 }
 
+/// A garbled AND's output travels a public-select mux chain whose hops are
+/// spread over later cone slices by filler gates. With every select high the
+/// sessions run only the last hop, which copies the AND's label from two or
+/// more slices upstream, past the slices in between. Runs in both
+/// compositions must match the lock-step reference and the cleartext
+/// simulation.
+TEST(LiveSet, PassChainAcrossConeSlicesReadsItsSourceUpstream) {
+  builder::CircuitBuilder cb;
+  constexpr std::uint32_t kHops = 4;
+  const builder::Wire a = cb.input(netlist::Owner::Alice, 0);
+  const builder::Wire b = cb.input(netlist::Owner::Bob, 0);
+  std::vector<builder::Wire> sel;
+  std::vector<builder::Wire> other;
+  for (std::uint32_t i = 0; i < kHops; ++i) {
+    sel.push_back(cb.input(netlist::Owner::Public, i, /*streamed=*/true));
+    other.push_back(cb.input(i % 2 == 0 ? netlist::Owner::Alice : netlist::Owner::Bob, i + 1));
+  }
+  const builder::Wire src = cb.and_(a, b);
+  builder::Wire m = src;
+  builder::Wire filler = b;
+  for (std::uint32_t i = 0; i < kHops; ++i) {
+    for (int f = 0; f < 6; ++f) filler = cb.and_(cb.xor_(filler, other[i]), a);
+    m = cb.mux(sel[i], m, other[i]);
+  }
+  cb.output(cb.and_(m, filler), "y");
+  cb.output(filler, "filler");
+  cb.set_outputs_every_cycle(true);
+  const netlist::Netlist nl = cb.take();
+
+  PlannerOptions popts;
+  popts.cone_target_gates = 4;  // force a multi-cone layout
+  Planner planner(nl, popts);
+  planner.reset({});
+  planner.begin_cycle(to_bits(0xF, kHops));
+  planner.forward();
+  const CyclePlan plan = planner.finish(true);
+  const std::size_t last_hop = m.id - nl.first_gate_wire();
+  std::size_t hop_slice = 0;
+  std::size_t src_slice = 0;
+  std::size_t hop_items = 0;
+  for (std::size_t si = 0; si < plan.num_slices; ++si) {
+    const core::PlanSlice& sl = plan.slices[si];
+    if (src.id - nl.first_gate_wire() >= sl.first_gate) src_slice = si;
+    for (std::uint32_t k = 0; k < sl.work_count; ++k) {
+      if (sl.first_gate + sl.work[k] != last_hop) continue;
+      EXPECT_EQ(sl.work_src[k], src.id);
+      hop_slice = si;
+      ++hop_items;
+    }
+  }
+  ASSERT_EQ(hop_items, 1u);
+  ASSERT_GE(hop_slice, src_slice + 2);
+
+  core::StreamProvider streams;
+  streams.pub = [](std::uint64_t c) { return to_bits(c % 3 == 0 ? 0xF : 0xF ^ (c & 3), kHops); };
+  const netlist::BitVec alice = to_bits(0b10110, kHops + 1);
+  const netlist::BitVec bob = to_bits(0b01101, kHops + 1);
+  core::RunOptions opts;
+  opts.fixed_cycles = 6;
+  opts.exec.cone_target_gates = popts.cone_target_gates;
+  const core::RunResult ref = core::SkipGateDriver(nl, opts).run(alice, bob, {}, &streams);
+  netlist::Simulator sim(nl);
+  sim.reset(alice, bob);
+  ASSERT_EQ(ref.sampled_outputs.size(), *opts.fixed_cycles);
+  for (std::uint64_t cy = 0; cy < *opts.fixed_cycles; ++cy) {
+    sim.step({}, {}, streams.pub(cy));
+    EXPECT_EQ(ref.sampled_outputs[cy], sim.read_outputs()) << "cycle " << cy;
+  }
+  for (const a2gtest::Composition c : a2gtest::kCompositions) {
+    const core::RunResult r = a2gtest::run_composed(c, nl, opts, alice, bob, {}, &streams);
+    EXPECT_EQ(r.sampled_outputs, ref.sampled_outputs);
+    EXPECT_TRUE(r.stats.table_digest == ref.stats.table_digest);
+    EXPECT_EQ(r.stats.garbled_non_xor, ref.stats.garbled_non_xor);
+    EXPECT_EQ(r.stats.live_gates, ref.stats.live_gates);
+    EXPECT_EQ(r.stats.comm.total(), ref.stats.comm.total());
+  }
+}
+
 TEST(PlanCache, RejectsReuseAcrossNetlists) {
   crypto::CtrRng rng(crypto::block_from_u64(31337));
   const netlist::Netlist nl1 = random_seq_netlist(rng);
@@ -1335,10 +1412,12 @@ TEST(ConeMemo, KeysIgnoreEarlierRootsTurningPublicOrSecret) {
   Planner pf(nl, fresh);
 
   // Stable cones: no boundary root is one of the toggling flip-flops, and
-  // every upstream cone is stable too.
+  // every upstream cone — the producer of a non-root boundary wire — is
+  // stable too.
   const core::PlanLayout& layout = pm.layout();
   const netlist::WireId fw = nl.dff_wire(0);
   const netlist::WireId tw = nl.dff_wire(1);
+  const netlist::WireId first_gate = nl.first_gate_wire();
   std::vector<bool> stable(layout.segments.size(), true);
   std::uint64_t stable_count = 0;
   for (std::size_t si = 0; si < layout.segments.size(); ++si) {
@@ -1346,8 +1425,14 @@ TEST(ConeMemo, KeysIgnoreEarlierRootsTurningPublicOrSecret) {
     for (std::uint32_t k = 0; k < seg.root_count; ++k) {
       if (seg.boundary[k] == fw || seg.boundary[k] == tw) stable[si] = false;
     }
-    for (std::uint32_t d = layout.dep_offsets[si]; d < layout.dep_offsets[si + 1]; ++d) {
-      if (!stable[layout.dep_edges[d]]) stable[si] = false;
+    for (std::size_t k = seg.root_count; k < seg.boundary.size(); ++k) {
+      const std::size_t gate = seg.boundary[k] - first_gate;
+      for (std::size_t u = 0; u < si; ++u) {
+        const core::PlanSegment& up = layout.segments[u];
+        if (gate >= up.first_gate && gate < up.first_gate + up.count && !stable[u]) {
+          stable[si] = false;
+        }
+      }
     }
     stable_count += stable[si] ? 1 : 0;
   }
@@ -1423,15 +1508,10 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
 /// (cone-stitched, segmented) plan must be byte-equal to a from-scratch
 /// plan on every cycle. Each netlist then replays its trajectory twice over
 /// one shared PlanCache/ConeMemo (the second pass serves whole-entry hits
-/// through programs compiled in the first) and once more with a 2-worker
-/// pool, so the compiled hit path is covered in both modes. Hit
-/// verification is serial whatever the options, so that pooled pass covers
-/// pooled classification of its misses and hits served by a pooled planner
-/// from programs another planner compiled. A serial and a pooled planner
-/// without a whole-netlist cache, each
-/// on its own 8-entry cone memo, run alongside the first pass: constant
-/// eviction pins the deferred LRU replay (ConeMemo::touch_candidates) of the
-/// pooled miss path to the serial order. Every cycle, the incremental
+/// through programs compiled in the first), so the compiled hit path is
+/// covered in both modes. A planner without a whole-netlist cache, on its
+/// own 8-entry cone memo, runs alongside the first pass: under constant
+/// eviction its stitched plans must stay byte-equal. Every cycle, the incremental
 /// planners' kept entry signatures (whose terms key the cone memo too) must
 /// equal a from-scratch recompute; each seed also runs a flip-flop copy/swap
 /// register with streamed secret inputs (copy_swap_netlist), whose
@@ -1442,10 +1522,8 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   if (const char* env = std::getenv("A2G_PLAN_FUZZ_SEEDS")) seeds = std::atoi(env);
   constexpr std::uint64_t kCycles = 20;
   constexpr std::uint32_t kStreamedPub = 3;
-  core::WorkPool pool(2);
-  // Whole-entry hits over the sweep, per mode: [mode][0 serial planner,
-  // 1 pooled planner].
-  std::uint64_t warm_hits[2][2] = {{0, 0}, {0, 0}};
+  // Whole-entry hits over the sweep, per mode.
+  std::uint64_t warm_hits[2] = {0, 0};
   std::uint64_t small_memo_evictions = 0;
   std::uint64_t small_memo_hits = 0;
   std::uint64_t shared_class_roots = 0;  // copy/swap netlists, SkipGate
@@ -1469,15 +1547,11 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
         PlannerOptions fresh = inc;
         fresh.cache = false;
         fresh.cone_memo = false;
-        // Cone memo only, at its capacity floor: serial and pooled.
+        // Cone memo only, at its capacity floor.
         core::ConeMemo small_memo_s(1);
-        core::ConeMemo small_memo_p(1);
         PlannerOptions small_s = inc;
         small_s.cache = false;
         small_s.shared_cone_memo = &small_memo_s;
-        PlannerOptions small_p = small_s;
-        small_p.shared_cone_memo = &small_memo_p;
-        small_p.pool = &pool;
 
         // Garbler-side and evaluator-side incremental planners (independent
         // instances fed identical public data) plus a from-scratch reference.
@@ -1485,12 +1559,10 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
         Planner pe(nl, inc);
         Planner pf(nl, fresh);
         Planner ps(nl, small_s);
-        Planner pp(nl, small_p);
         pg.reset(pub);
         pe.reset(pub);
         pf.reset(pub);
         ps.reset(pub);
-        pp.reset(pub);
 
         for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
           const netlist::BitVec& sp = pub_streams[cycle];
@@ -1498,40 +1570,27 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
           pe.begin_cycle(sp);
           pf.begin_cycle(sp);
           ps.begin_cycle(sp);
-          pp.begin_cycle(sp);
           const std::size_t shared = expect_signature_kept(pg, seed, cycle);
           expect_signature_kept(pe, seed, cycle);
           expect_signature_kept(ps, seed, cycle);
-          expect_signature_kept(pp, seed, cycle);
           if (nlp == &nl_copy && mode == Mode::SkipGate) shared_class_roots += shared;
           pg.forward();
           pe.forward();
           pf.forward();
           ps.forward();
-          pp.forward();
           const bool is_final = cycle + 1 == kCycles;
           const CyclePlan a = pg.finish(is_final);
           const CyclePlan b = pe.finish(is_final);
           const CyclePlan c = pf.finish(is_final);
           const CyclePlan d = ps.finish(is_final);
-          const CyclePlan f = pp.finish(is_final);
           expect_plans_equal(a, b);
           expect_plans_equal(a, c);
           expect_plans_equal(d, c);
-          expect_plans_equal(f, c);
-          expect_plans_equal(d, f);
-          EXPECT_EQ(ps.cone_hits(), pp.cone_hits()) << "seed " << seed << " cycle " << cycle;
-          EXPECT_EQ(ps.cone_misses(), pp.cone_misses()) << "seed " << seed << " cycle " << cycle;
-          EXPECT_EQ(small_memo_s.evictions(), small_memo_p.evictions())
-              << "seed " << seed << " cycle " << cycle;
-          EXPECT_EQ(small_memo_s.entries(), small_memo_p.entries())
-              << "seed " << seed << " cycle " << cycle;
           if (!is_final) {
             pg.latch(a);
             pe.latch(b);
             pf.latch(c);
             ps.latch(d);
-            pp.latch(f);
           }
         }
         EXPECT_EQ(small_memo_s.capacity(), 8u);
@@ -1544,11 +1603,10 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
 
         core::PlanCache shared_cache;
         core::ConeMemo shared_memo;
-        for (int pass = 0; pass < 3; ++pass) {
+        for (int pass = 0; pass < 2; ++pass) {
           PlannerOptions warm = inc;
           warm.shared_cache = &shared_cache;
           warm.shared_cone_memo = &shared_memo;
-          if (pass == 2) warm.pool = &pool;
           Planner pw(nl, warm);
           Planner pr(nl, fresh);
           pw.reset(pub);
@@ -1568,18 +1626,51 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
               pr.latch(c);
             }
           }
-          warm_hits[mode == Mode::SkipGate ? 0 : 1][pass == 2 ? 1 : 0] += pw.cache_hits();
+          warm_hits[mode == Mode::SkipGate ? 0 : 1] += pw.cache_hits();
         }
       }
     }
   }
   for (int m = 0; m < 2; ++m) {
-    EXPECT_GT(warm_hits[m][0], 0u) << "mode " << m << ": no serial whole-entry hits";
-    EXPECT_GT(warm_hits[m][1], 0u) << "mode " << m << ": no whole-entry hits on a pooled planner";
+    EXPECT_GT(warm_hits[m], 0u) << "mode " << m << ": no whole-entry hits";
   }
-  EXPECT_GT(small_memo_evictions, 0u) << "the 8-entry cone memos never evicted";
-  EXPECT_GT(small_memo_hits, 0u) << "the 8-entry cone memos never hit";
+  EXPECT_GT(small_memo_evictions, 0u) << "the 8-entry cone memo never evicted";
+  EXPECT_GT(small_memo_hits, 0u) << "the 8-entry cone memo never hit";
   EXPECT_GT(shared_class_roots, 0u) << "no copy/swap flip-flop ever shared a class";
+}
+
+/// Pins the order of build_plan's two memo loops: every segment of a cycle
+/// probes the cone memo before any of them touches or inserts. With ten
+/// segments cycling through an 8-entry memo, a touch-and-insert folded into
+/// the probe loop would evict each cone's entry before its next-cycle probe,
+/// and the memo would never hit. The counts are deterministic.
+TEST(ConeMemo, AllProbesRunBeforeTouchesAndInserts) {
+  constexpr std::uint64_t kCycles = 20;
+  crypto::CtrRng rng(crypto::block_from_u64(7922));
+  const netlist::Netlist nl = random_seq_netlist(rng, 3);
+  const netlist::BitVec pub = to_bits(rng.next_u64(), 4);
+  std::vector<netlist::BitVec> pubs;
+  for (std::uint64_t c = 0; c < kCycles; ++c) pubs.push_back(to_bits(rng.next_u64(), 3));
+
+  core::ConeMemo memo(1);  // the capacity floor: 8 entries
+  PlannerOptions opts;
+  opts.cache = false;
+  opts.cone_target_gates = 4;
+  opts.shared_cone_memo = &memo;
+  Planner p(nl, opts);
+  ASSERT_EQ(p.layout().segments.size(), 10u);
+  p.reset(pub);
+  for (std::uint64_t c = 0; c < kCycles; ++c) {
+    p.begin_cycle(pubs[c]);
+    p.forward();
+    const bool is_final = c + 1 == kCycles;
+    const CyclePlan plan = p.finish(is_final);
+    if (!is_final) p.latch(plan);
+  }
+  EXPECT_EQ(memo.capacity(), 8u);
+  EXPECT_EQ(p.cone_hits(), 76u);
+  EXPECT_EQ(p.cone_misses(), 124u);
+  EXPECT_EQ(memo.evictions(), 116u);
 }
 
 TEST(ConeMemo, DriverResultsIdenticalWithConeMemoOnAndOff) {

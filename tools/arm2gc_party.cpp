@@ -53,7 +53,6 @@ struct Args {
   std::vector<std::uint32_t> alice;  ///< local-role inputs
   std::vector<std::uint32_t> bob;
   std::uint64_t max_cycles = 1u << 20;
-  std::size_t threads = 1;  ///< worker threads (0 = hardware concurrency)
   gc::OtBackend ot = gc::OtBackend::Iknp;
   std::size_t ot_pool = gc::kDefaultOtPoolBatch;
   crypto::Block seed = core::kDefaultProtocolSeed;
@@ -75,8 +74,6 @@ struct Args {
                "                                path and derandomizes online choices\n"
                "  [--ot-pool N]                 precomp refill target in random OTs\n"
                "                                (public; must match the peer)\n"
-               "  [--threads N]                 worker threads (0 = all cores); results,\n"
-               "                                digests and byte counts match --threads 1\n"
                "  [--seed <32 hex>]             public protocol seed (must match peer)\n"
                "  [--private-seed <32 hex>|os]  this party's own randomness\n"
                "  [--alice-words N --bob-words N --out-words N --imem-words N --ram-words N]\n"
@@ -149,8 +146,6 @@ Args parse_args(int argc, char** argv) {
       a.bob = parse_words(next(i));
     } else if (f == "--max-cycles") {
       a.max_cycles = std::stoull(next(i), nullptr, 0);
-    } else if (f == "--threads") {
-      a.threads = std::stoull(next(i), nullptr, 0);
     } else if (f == "--ot") {
       const std::string v = next(i);
       if (v == "ideal") {
@@ -294,7 +289,6 @@ int run_local(const Args& a, const programs::Program& prog) {
   core::ExecOptions exec;
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
-  exec.threads = a.threads;
   const arm::Arm2GcResult r =
       machine.run(a.alice, a.bob, a.max_cycles, gc::Scheme::HalfGates, exec);
   std::printf("role=local\n");
@@ -326,7 +320,6 @@ int run_party(const Args& a, const programs::Program& prog) {
   core::ExecOptions exec;
   exec.ot_backend = a.ot;
   exec.ot_pool = a.ot_pool;
-  exec.threads = a.threads;
   core::PartyOptions opts =
       machine.party_options(is_garbler ? core::Role::Garbler : core::Role::Evaluator,
                             a.max_cycles, gc::Scheme::HalfGates, exec);
