@@ -165,8 +165,7 @@ void EvaluatorSession::begin_cycle(bool window_start) {
 }
 
 void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
-  const bool conventional = mode_ == Mode::Conventional;
-  live_gates_ += live_gate_count(plan, conventional);
+  live_gates_ += live_gate_count(plan);
 
   // The plan's per-slice emitted-table prefix, shared with the garbler:
   // slice si's frame is received (and folded into the digest) right before
@@ -177,7 +176,7 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
   for (std::size_t si = 0; si < plan.num_slices; ++si) {
     const PlanSlice& sl = plan.slices[si];
     // An empty work list emits no table, so the slice has no frame either.
-    if (!conventional && sl.work_count == 0) continue;
+    if (sl.work_count == 0) continue;
     A2G_SPAN("eval.slice", "slice");
     const std::size_t blocks =
         static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * kRowsPerGate;
@@ -192,10 +191,10 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
     // a live gate's inputs are always live-produced (or roots) by the
     // backward sweep's needed-closure, and every label-validity consumer
     // (outputs, latched flip-flops) checks publicness first.
-    const auto apply = [&](std::uint32_t j, WireId w, const Gate& g) {
-      switch (sl.action(j)) {
-        case PlanAct::Public:
-          lb_valid_[w] = 0;
+    const auto apply = [&](PlanAct act, WireId w, const Gate& g) {
+      switch (act) {
+        case PlanAct::Public:  // never on a work list
+        case PlanAct::Garble:  // batched: evaluated in flush()
           break;
         case PlanAct::PassA:
         case PlanAct::PassB:
@@ -217,11 +216,6 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
           lb_[w] = lb_[g.a] ^ lb_[g.b];
           lb_valid_[w] = lb_valid_[g.a] & lb_valid_[g.b];
           break;
-        case PlanAct::Garble:
-          // Paper Alg. 5 line 18: a skipped gate's output is tracked as an
-          // opaque secret; fingerprints already play that role, so no label.
-          lb_valid_[w] = 0;
-          break;
       }
     };
     const auto flush = [&](const crypto::HalfGateJob* jobs, std::size_t n, std::uint64_t k0) {
@@ -235,7 +229,7 @@ void EvaluatorSession::eval_cycle(const CyclePlan& plan) {
       eval_.eval_half_gates(lb_.data(), jobs, n, tweak + 2 * k0,
                             stage_.rows.data() + k0 * kRowsPerGate);
     };
-    walk_slice(nl_, sl, conventional, stage_, apply, flush);
+    walk_slice(nl_, sl, stage_, apply, flush);
   }
   eval_.advance(emit_base[plan.num_slices]);
 }

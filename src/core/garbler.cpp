@@ -142,8 +142,7 @@ void GarblerSession::begin_cycle(const netlist::BitVec& alice_stream,
 
 void GarblerSession::garble_cycle(const CyclePlan& plan) {
   const Block r = garbler_.R();
-  const bool conventional = mode_ == Mode::Conventional;
-  live_gates_ += live_gate_count(plan, conventional);
+  live_gates_ += live_gate_count(plan);
 
   // Slice si garbles against the tweak range starting at
   // tweak0 + 2*emit_base[si] (the plan's per-slice emitted-table prefix)
@@ -153,16 +152,16 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
   for (std::size_t si = 0; si < plan.num_slices; ++si) {
     const PlanSlice& sl = plan.slices[si];
     // An empty work list emits no table, so the slice has no frame either.
-    if (!conventional && sl.work_count == 0) continue;
+    if (sl.work_count == 0) continue;
     A2G_SPAN("garble.slice", "slice");
     const std::size_t blocks =
         static_cast<std::size_t>(emit_base[si + 1] - emit_base[si]) * kRowsPerGate;
     if (stage_.rows.size() < blocks) stage_.rows.resize(blocks);
     const std::uint64_t tweak = tweak0 + 2 * emit_base[si];
-    const auto apply = [&](std::uint32_t j, WireId w, const Gate& g) {
-      switch (sl.action(j)) {
-        case PlanAct::Public:
-        case PlanAct::Garble:  // dead garbled gate: never built nor sent
+    const auto apply = [&](PlanAct act, WireId w, const Gate& g) {
+      switch (act) {
+        case PlanAct::Public:  // never on a work list
+        case PlanAct::Garble:  // batched: garbled in flush()
           break;
         case PlanAct::PassA:
         case PlanAct::PassB:
@@ -187,7 +186,7 @@ void GarblerSession::garble_cycle(const CyclePlan& plan) {
       garbler_.garble_half_gates(la_.data(), jobs, n, tweak + 2 * k0,
                                  stage_.rows.data() + k0 * kRowsPerGate);
     };
-    walk_slice(nl_, sl, conventional, stage_, apply, flush);
+    walk_slice(nl_, sl, stage_, apply, flush);
     if (blocks == 0) continue;
     const Block* rows = stage_.rows.data();
     tx_->send(rows, blocks, gc::Traffic::GarbledTable);

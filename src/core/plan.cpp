@@ -136,39 +136,45 @@ PlanAct pair_action(netlist::TruthTable tt, bool flips_differ, bool equal, bool 
   return PlanAct::FreeXor;
 }
 
-/// Follows every pass action (PassA/B/C0/C1/PassSrc) back to the wire whose
-/// fingerprint a wire carries: a pass gate's output fingerprint is exactly
-/// its source's (PassSrc's by the cancellation check that chose it), so a
-/// verified hit reads sources and never writes pass-gate fingerprints.
-WireId fp_source(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs, WireId w) {
-  const WireId first_gate = nl.first_gate_wire();
-  while (w >= first_gate) {
-    const std::size_t gi = w - first_gate;
-    switch (static_cast<PlanAct>(acts[gi])) {
-      case PlanAct::PassA: w = nl.gates[gi].a; break;
-      case PlanAct::PassB: w = nl.gates[gi].b; break;
-      case PlanAct::PassC0: return netlist::kConst0;
-      case PlanAct::PassC1: return netlist::kConst1;
-      case PlanAct::PassSrc: w = pass_srcs[gi]; break;
-      default: return w;
-    }
+/// The collapsed source of wire w, read from the dense per-gate sources
+/// `srcs`: a root is its own; a gate output's entry is its producer's. A pass
+/// gate's output fingerprint and label are exactly its chain source's, so
+/// nothing downstream reads the hops in between.
+WireId source_in(const WireId* srcs, WireId first_gate, WireId w) {
+  return w < first_gate ? w : srcs[w - first_gate];
+}
+
+/// The collapsed source gate i (output wire w) records for action `act`:
+/// a pass gate's chain source — through its operand, or through the
+/// XOR-cancellation candidate `pass_src` a PassSrc copies — and its own
+/// output wire otherwise. Operands precede their gate, so their sources in
+/// `srcs` are final.
+WireId collapse(const Gate& g, WireId w, PlanAct act, WireId pass_src, const WireId* srcs,
+                WireId first_gate) {
+  switch (act) {
+    case PlanAct::PassA: return source_in(srcs, first_gate, g.a);
+    case PlanAct::PassB: return source_in(srcs, first_gate, g.b);
+    case PlanAct::PassSrc: return source_in(srcs, first_gate, pass_src);
+    case PlanAct::PassC0: return netlist::kConst0;
+    case PlanAct::PassC1: return netlist::kConst1;
+    default: return w;
   }
-  return w;
 }
 
 /// XOR-cancellation candidates of a free XOR of wires (wa, wb): for each
-/// side whose fp_source is a FreeXor gate, that gate's secret operands, in
-/// order. The XOR carries exactly a candidate's label iff the candidate's
-/// fingerprint equals the result's; the first such candidate wins. `is_pub`
-/// reads the stitched wire bits.
+/// side whose collapsed source is a FreeXor gate, that gate's secret
+/// operands, in order. The XOR carries exactly a candidate's label iff the
+/// candidate's fingerprint equals the result's; the first such candidate
+/// wins. `acts` and `srcs` are the dense per-gate actions and sources;
+/// `is_pub` reads the stitched wire bits.
 template <typename IsPubFn>
-std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
+std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const WireId* srcs,
                               IsPubFn&& is_pub, WireId wa, WireId wb,
                               std::array<WireId, 4>& out) {
   const WireId first_gate = nl.first_gate_wire();
   std::size_t n = 0;
   for (const WireId side : {wa, wb}) {
-    const WireId r = fp_source(nl, acts, pass_srcs, side);
+    const WireId r = source_in(srcs, first_gate, side);
     if (r < first_gate) continue;
     const std::size_t gi = r - first_gate;
     if (static_cast<PlanAct>(acts[gi]) != PlanAct::FreeXor) continue;
@@ -183,11 +189,11 @@ std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const
 /// `out_fp`, or kNoWire. Classification and cone-adoption verification share
 /// it; the hit compiler replays it from the same candidate list.
 template <typename IsPubFn>
-WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const WireId* pass_srcs,
+WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const WireId* srcs,
                          const std::vector<WireState>& st, IsPubFn&& is_pub, WireId wa,
                          WireId wb, const Block& out_fp) {
   std::array<WireId, 4> cand{};
-  const std::size_t n = cancel_candidates(nl, acts, pass_srcs, is_pub, wa, wb, cand);
+  const std::size_t n = cancel_candidates(nl, acts, srcs, is_pub, wa, wb, cand);
   for (std::size_t j = 0; j < n; ++j) {
     if (st[cand[j]].fp == out_fp) return cand[j];
   }
@@ -407,19 +413,24 @@ void PlanCache::ensure_sized(const Netlist& nl, std::uint64_t netlist_key,
   const std::size_t num_wires = nl.num_wires();
   const std::size_t num_gates = nl.gates.size();
   const std::size_t roots = nl.first_gate_wire();
-  // Rough per-entry footprint: signature + acts + pass sources + packed
-  // wire bits + touch list. The touch list is charged at full netlist size
-  // (4 B per gate); on SkipGate workloads that charge also covers the
-  // compiled hit program, the latch list and a filled backward variant —
-  // emit bytes, work list and slice table (Hamming-160: ~7.0k touched +
-  // ~0.6k program words + 42.6k emit bytes + a ~5 kB slice table against
-  // 170 kB), while a Conventional entry (every gate touched) exceeds it by
-  // about its backward variants.
-  const std::size_t entry_bytes = 4 * roots + num_gates + 4 * num_gates + num_wires +
-                                  4 * num_gates + 256;
+  const std::size_t nseg = layout_.segments.size();
+  // Per-entry footprint: signature + packed wire bits + touched-gate records
+  // (9 B each: gate, action, source) charged at every gate — a Conventional
+  // entry touches every gate, and its slices read the records directly —
+  // plus two slice tables with their emitted-table prefixes and the
+  // per-segment touch offsets. On SkipGate workloads the records charge also
+  // covers the live work lists, the compiled hit program and the latch list
+  // (Hamming-160: ~7.0k records, ~36 work items per variant and ~0.6k
+  // program words, ~70 kB against 383 kB).
+  const std::size_t entry_bytes =
+      4 * roots + num_wires + 9 * num_gates +
+      nseg * (2 * sizeof(PlanSlice) + 2 * sizeof(std::uint64_t) + sizeof(std::uint32_t)) + 256;
   capacity_ = std::clamp<std::size_t>(budget_bytes_ / std::max<std::size_t>(entry_bytes, 1), 4,
                                       65536);
-  if (!insert_first_) seen_.resize(next_pow2(8 * capacity_));
+  if (!insert_first_) {
+    seen_max_ = next_pow2(8 * capacity_);
+    seen_.resize(std::min<std::size_t>(seen_max_, 64));
+  }
 }
 
 /// Whether a missed signature should be materialized as a cache entry now.
@@ -428,20 +439,29 @@ void PlanCache::ensure_sized(const Netlist& nl, std::uint64_t netlist_key,
 /// always compare full signatures).
 bool PlanCache::admit(std::uint64_t hash) {
   if (insert_first_) return true;
-  const std::size_t mask = seen_.size() - 1;
   const std::uint64_t key = hash != 0 ? hash : 1;
-  for (std::size_t i = static_cast<std::size_t>(key) & mask;; i = (i + 1) & mask) {
-    if (seen_[i] == key) return true;
-    if (seen_[i] == 0) {
-      // Mark first sighting; once half-full, stop tracking (and admitting)
-      // so probe chains stay short and memory stays bounded.
-      if (seen_count_ < seen_.size() / 2) {
-        seen_[i] = key;
-        ++seen_count_;
-      }
-      return false;
+  const auto slot = [&](std::uint64_t k) {
+    const std::size_t mask = seen_.size() - 1;
+    std::size_t i = static_cast<std::size_t>(k) & mask;
+    while (seen_[i] != 0 && seen_[i] != k) i = (i + 1) & mask;
+    return i;
+  };
+  if (seen_[slot(key)] == key) return true;
+  // Mark the first sighting. Tracking (and admitting) stops once
+  // seen_max_ / 2 hashes are held, so probe chains stay short and memory
+  // stays bounded; below that the table doubles whenever it would pass half
+  // full, so a run over few states allocates little.
+  if (seen_count_ >= seen_max_ / 2) return false;
+  if (2 * (seen_count_ + 1) > seen_.size()) {
+    std::vector<std::uint64_t> old(seen_.size() * 2, 0);
+    old.swap(seen_);
+    for (const std::uint64_t k : old) {
+      if (k != 0) seen_[slot(k)] = k;
     }
   }
+  seen_[slot(key)] = key;
+  ++seen_count_;
+  return false;
 }
 
 PlanCache::Entry* PlanCache::find(std::uint64_t hash, const std::vector<std::uint32_t>& sig) {
@@ -947,18 +967,24 @@ void Planner::forward() {
     for (std::uint32_t w = 0; w < prev->sig.size(); ++w) {
       if (prev->sig[w] != e->sig[w]) prev->next_diff.push_back(w);
     }
+    prev->next_diff.shrink_to_fit();  // exact: entries are long-lived
   }
   prev_ = e;
   prev_stamp_ = cache_->evictions();
 }
 
-void Planner::build_plan(Entry& e) {
+void Planner::size_dense() {
+  // Sized on first use: a planner served only by compiled hits never needs it.
   const std::size_t ng = nl_.gates.size();
+  if (act_.size() == ng) return;
+  act_.resize(ng);
+  pass_src_.resize(ng);
+  src_.resize(ng);
+}
+
+void Planner::build_plan(Entry& e) {
   const std::size_t nseg = layout_->segments.size();
-  e.act.resize(ng);
-  e.pass_src.resize(ng);
   e.wire_bits.resize(nl_.num_wires());
-  e.touch.clear();
   e.touch_off.assign(nseg + 1, 0);
   e.program.code.clear();
   e.program.compiled = false;
@@ -967,16 +993,19 @@ void Planner::build_plan(Entry& e) {
   e.backward[1].filled = false;
   cur_ = &e;
   cur_bits_ = e.wire_bits.data();
+  size_dense();
+  touch_.clear();
 
   const WireId first_gate = nl_.first_gate_wire();
   for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
 
   if (memo_ == nullptr) {
     for (std::size_t si = 0; si < nseg; ++si) {
-      e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
-      classify_segment(e, layout_->segments[si], e.touch);
+      e.touch_off[si] = static_cast<std::uint32_t>(touch_.size());
+      classify_segment(e, layout_->segments[si]);
     }
-    e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
+    e.touch_off[nseg] = static_cast<std::uint32_t>(touch_.size());
+    store_records(e);
     return;
   }
 
@@ -988,7 +1017,7 @@ void Planner::build_plan(Entry& e) {
   for (std::size_t si = 0; si < nseg; ++si) {
     const PlanSegment& seg = layout_->segments[si];
     SegProbe& sp = seg_probe_[si];
-    e.touch_off[si] = static_cast<std::uint32_t>(e.touch.size());
+    e.touch_off[si] = static_cast<std::uint32_t>(touch_.size());
     build_segment_key(si, seg, sp.key);
     sp.hash = fnv1a64_u64(sp.key);
     sp.probes = 0;
@@ -997,14 +1026,14 @@ void Planner::build_plan(Entry& e) {
     while (const ConeMemo::Entry* m =
                memo_->peek(static_cast<std::uint32_t>(si), sp.hash, sp.key, &after)) {
       ++sp.probes;
-      if (adopt_segment(e, seg, *m, e.touch)) {
+      if (adopt_segment(e, seg, *m)) {
         sp.adopted = true;
         break;
       }
     }
-    if (!sp.adopted) classify_segment(e, seg, e.touch);
+    if (!sp.adopted) classify_segment(e, seg);
   }
-  e.touch_off[nseg] = static_cast<std::uint32_t>(e.touch.size());
+  e.touch_off[nseg] = static_cast<std::uint32_t>(touch_.size());
 
   // Touch-and-insert loop, ascending — replays the LRU motion of every probe
   // and inserts fresh classifications. It must not fold into the probe loop:
@@ -1020,19 +1049,30 @@ void Planner::build_plan(Entry& e) {
     }
     ++cone_misses_;
     ConeMemo::Entry& m = *memo_->insert(s32, sp.hash, sp.key);
-    const auto ab = e.act.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
-    const auto pb = e.pass_src.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
+    const auto ab = act_.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
+    const auto pb = pass_src_.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
     const auto wb = e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
-    const auto tb = e.touch.begin();
+    const auto tb = touch_.begin();
     m.act.assign(ab, ab + seg.count);
     m.pass_src.assign(pb, pb + seg.count);
     m.out_bits.assign(wb, wb + seg.count);
     m.touch.assign(tb + e.touch_off[si], tb + e.touch_off[si + 1]);
   }
+  store_records(e);
 }
 
-void Planner::classify_segment(Entry& e, const PlanSegment& seg,
-                               std::vector<std::uint32_t>& touch) {
+void Planner::store_records(Entry& e) {
+  // A fresh cache entry's vectors are empty, so each is sized exactly.
+  e.touch.assign(touch_.begin(), touch_.end());
+  e.touch_act.resize(touch_.size());
+  e.touch_src.resize(touch_.size());
+  for (std::size_t t = 0; t < touch_.size(); ++t) {
+    e.touch_act[t] = act_[touch_[t]];
+    e.touch_src[t] = src_[touch_[t]];
+  }
+}
+
+void Planner::classify_segment(Entry& e, const PlanSegment& seg) {
   const WireId first_gate = nl_.first_gate_wire();
   const bool skipgate = opts_.mode == Mode::SkipGate;
   const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
@@ -1096,8 +1136,8 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg,
           // paper's "the MUX acts as a wire") releases the unselected side's
           // label from the needed-cone, so its producing gates are skipped.
           if (skipgate) {
-            const WireId cancel = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_,
-                                                    wire_pub, g.a, g.b, out.fp);
+            const WireId cancel = find_cancellation(nl_, act_.data(), src_.data(), st_, wire_pub,
+                                                    g.a, g.b, out.fp);
             if (cancel != kNoWire) {
               act = PlanAct::PassSrc;
               src = cancel;
@@ -1112,28 +1152,29 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg,
           break;
       }
     }
-    st_[first_gate + i].fp = out.fp;
-    e.act[i] = static_cast<std::uint8_t>(act);
-    e.pass_src[i] = src;
-    e.wire_bits[first_gate + i] = pack_bits(out);
+    const WireId w = first_gate + static_cast<WireId>(i);
+    st_[w].fp = out.fp;
+    act_[i] = static_cast<std::uint8_t>(act);
+    pass_src_[i] = src;
+    src_[i] = collapse(g, w, act, src, src_.data(), first_gate);
+    e.wire_bits[w] = pack_bits(out);
     // The touch list drives the hit compiler and the backward sweep: every
     // non-Public action plus every fingerprint-dependent Public collapse
     // (two secret inputs, category iii / constant-affine).
     if (act != PlanAct::Public || (!a.is_pub && !b.is_pub)) {
-      touch.push_back(static_cast<std::uint32_t>(i));
+      touch_.push_back(static_cast<std::uint32_t>(i));
     }
   }
 }
 
-bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m,
-                            std::vector<std::uint32_t>& touch) {
+bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m) {
   const auto fg = static_cast<std::ptrdiff_t>(seg.first_gate);
-  std::copy(m.act.begin(), m.act.end(), e.act.begin() + fg);
-  std::copy(m.pass_src.begin(), m.pass_src.end(), e.pass_src.begin() + fg);
+  std::copy(m.act.begin(), m.act.end(), act_.begin() + fg);
+  std::copy(m.pass_src.begin(), m.pass_src.end(), pass_src_.begin() + fg);
   std::copy(m.out_bits.begin(), m.out_bits.end(),
             e.wire_bits.begin() + static_cast<std::ptrdiff_t>(nl_.first_gate_wire()) + fg);
   if (!verify_touch(e, m.touch.data(), m.touch.size())) return false;
-  touch.insert(touch.end(), m.touch.begin(), m.touch.end());
+  touch_.insert(touch_.end(), m.touch.begin(), m.touch.end());
   return true;
 }
 
@@ -1163,12 +1204,20 @@ void Planner::compile_entry(Entry& e) {
   // entry's first CyclePlan.
   if (!e.latch_ready) build_latch_list(e);
   const bool skipgate = opts_.mode == Mode::SkipGate;
-  const std::uint8_t* acts = e.act.data();
-  const WireId* srcs = e.pass_src.data();
   const WireId first_gate = nl_.first_gate_wire();
+  // Operand lookups (sources, the actions of cancellation sides) go through
+  // the dense scratch: expand the entry's records into it. Every wire read
+  // below is secret, so its producer is one of the records.
+  size_dense();
+  for (std::size_t t = 0; t < e.touch.size(); ++t) {
+    act_[e.touch[t]] = e.touch_act[t];
+    src_[e.touch[t]] = e.touch_src[t];
+  }
+  const std::uint8_t* acts = act_.data();
+  const WireId* srcs = src_.data();
   const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
   const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
-  const auto source = [&](WireId w) { return fp_source(nl_, acts, srcs, w); };
+  const auto source = [&](WireId w) { return source_in(srcs, first_gate, w); };
 
   // Every FreeXor output stores its form in the arena, in gate order; a
   // bitset over wire ids marks them, and a wire's rank in it indexes
@@ -1176,9 +1225,9 @@ void Planner::compile_entry(Entry& e) {
   // its class representative, a garbled gate its own wire.
   const std::size_t words = (nl_.num_wires() + 63) / 64;
   form_bits_.assign(words, 0);
-  for (const std::uint32_t i : e.touch) {
-    if (static_cast<PlanAct>(acts[i]) != PlanAct::FreeXor) continue;
-    const WireId w = first_gate + i;
+  for (std::size_t t = 0; t < e.touch.size(); ++t) {
+    if (static_cast<PlanAct>(e.touch_act[t]) != PlanAct::FreeXor) continue;
+    const WireId w = first_gate + e.touch[t];
     form_bits_[w >> 6] |= std::uint64_t{1} << (w & 63);
   }
   form_rank_.resize(words + 1);
@@ -1224,9 +1273,9 @@ void Planner::compile_entry(Entry& e) {
     return decide(x.data(), x.size(), f.terms, f.n, first_gate, rel_);
   };
 
-  for (const std::uint32_t i : e.touch) {
-    const Gate g = nl_.gates[i];
-    const PlanAct act = static_cast<PlanAct>(acts[i]);
+  for (std::size_t t = 0; t < e.touch.size(); ++t) {
+    const Gate g = nl_.gates[e.touch[t]];
+    const PlanAct act = static_cast<PlanAct>(e.touch_act[t]);
     const bool decision = skipgate && !wire_pub(g.a) && !wire_pub(g.b);
     if (act != PlanAct::FreeXor && !decision) continue;  // Conventional: no decision
     // The cached action is one of the decision table's two outcomes; its
@@ -1252,15 +1301,17 @@ void Planner::compile_entry(Entry& e) {
       expect(decide(fa.terms, fa.n, fb.terms, fb.n, first_gate, rel_), true);
     } else if (ne == PlanAct::FreeXor && (act == PlanAct::FreeXor || act == PlanAct::PassSrc)) {
       // The operands differ, and the XOR-cancellation peephole's choice
-      // holds: no candidate carries a FreeXor's output; the cached source's
-      // first occurrence is the first candidate carrying a PassSrc's.
+      // holds: no candidate carries a FreeXor's output; the first candidate
+      // carrying a PassSrc's is the first whose source is the recorded one
+      // (an earlier candidate with that source would carry the same
+      // fingerprint and have been chosen instead).
       expect(decide(x_.data(), x_.size(), nullptr, 0, first_gate, rel_), false);
       std::array<WireId, 4> cand{};
       const std::size_t n = cancel_candidates(nl_, acts, srcs, wire_pub, g.a, g.b, cand);
       std::size_t k = n;
       if (act == PlanAct::PassSrc) {
         k = 0;
-        while (k < n && cand[k] != srcs[i]) ++k;
+        while (k < n && source(cand[k]) != e.touch_src[t]) ++k;
         if (k < n) expect(decide_with(x_, cand[k]), true);
         never |= k == n;
       }
@@ -1334,7 +1385,7 @@ bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
     const std::size_t i = touch[t];
     const WireId w = first_gate + static_cast<WireId>(i);
     const Gate g = nl_.gates[i];
-    const PlanAct act = static_cast<PlanAct>(e.act[i]);
+    const PlanAct act = static_cast<PlanAct>(act_[i]);
 
     // Re-derive the expected action for every gate whose classification can
     // depend on a fingerprint comparison — both secret inputs in SkipGate
@@ -1345,11 +1396,11 @@ bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
                                    st_[g.a].fp == st_[g.b].fp, skipgate);
       WireId expect_src = kNoWire;
       if (expect == PlanAct::FreeXor) {
-        expect_src = find_cancellation(nl_, e.act.data(), e.pass_src.data(), st_, wire_pub, g.a,
-                                       g.b, st_[g.a].fp ^ st_[g.b].fp);
+        expect_src = find_cancellation(nl_, act_.data(), src_.data(), st_, wire_pub, g.a, g.b,
+                                       st_[g.a].fp ^ st_[g.b].fp);
         if (expect_src != kNoWire) expect = PlanAct::PassSrc;
       }
-      if (act != expect || (expect == PlanAct::PassSrc && e.pass_src[i] != expect_src)) {
+      if (act != expect || (expect == PlanAct::PassSrc && pass_src_[i] != expect_src)) {
         return false;
       }
     }
@@ -1364,6 +1415,7 @@ bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
       case PlanAct::FreeXor: st_[w].fp = st_[g.a].fp ^ st_[g.b].fp; break;
       case PlanAct::Garble: st_[w].fp = derived_fp(i); break;
     }
+    src_[i] = collapse(g, w, act, pass_src_[i], src_.data(), first_gate);
   }
   return true;
 }
@@ -1386,121 +1438,135 @@ CyclePlan Planner::finish(bool is_final) {
   plan.emit_base = b.emit_base.data();
   plan.secret_dffs = cur_->latch_dffs.data();
   plan.num_secret_dffs = cur_->latch_secret;
+  plan.records = {cur_->touch.data(), cur_->touch_act.data(), cur_->touch_src.data(),
+                  cur_->touch.size()};
   plan.is_final = is_final;
   plan.sample = nl_.outputs_every_cycle || is_final;
   return plan;
 }
 
 void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_final) {
-  const std::size_t ng = nl_.gates.size();
   const std::size_t nseg = layout_->segments.size();
-  const bool conventional = opts_.mode == Mode::Conventional;
   const WireId first_gate = nl_.first_gate_wire();
-  b.emit.assign(ng, 0);
-  b.work.clear();
-  b.work_src.clear();
+  const auto garbles = [&](std::uint32_t t) {
+    return static_cast<PlanAct>(e.touch_act[t]) == PlanAct::Garble;
+  };
   b.slices.assign(nseg, PlanSlice{});
   b.emit_base.assign(nseg + 1, 0);
   b.filled = true;
 
-  if (conventional) {
-    // Conventional GC garbles every non-affine gate unconditionally.
-    for (std::size_t i = 0; i < ng; ++i) {
-      b.emit[i] = e.act[i] == static_cast<std::uint8_t>(PlanAct::Garble) ? 1 : 0;
+  if (opts_.mode == Mode::Conventional) {
+    // Conventional GC runs every gate and garbles every non-affine one
+    // unconditionally. Every gate is touched, so each slice's work list is
+    // its run of the entry's records.
+    for (std::size_t si = 0; si < nseg; ++si) {
+      const PlanSegment& seg = layout_->segments[si];
+      const std::uint32_t t0 = e.touch_off[si];
+      PlanSlice& slice = b.slices[si];
+      slice.work = e.touch.data() + t0;
+      slice.work_act = e.touch_act.data() + t0;
+      slice.work_src = e.touch_src.data() + t0;
+      slice.work_count = e.touch_off[si + 1] - t0;
+      slice.first_gate = seg.first_gate;
+      slice.count = seg.count;
+      std::uint64_t emitted = 0;
+      for (std::uint32_t t = t0; t < e.touch_off[si + 1]; ++t) emitted += garbles(t) ? 1 : 0;
+      b.emit_base[si + 1] = b.emit_base[si] + emitted;
     }
-  } else {
-    needed_.assign(nl_.num_wires(), 0);
-    const bool sample = nl_.outputs_every_cycle || is_final;
-    if (sample) {
-      for (const netlist::OutputPort& o : nl_.outputs) {
-        if ((e.wire_bits[o.wire] & 1) == 0) needed_[o.wire] = 1;
-      }
-    }
-    if (!is_final) {
-      // Labels entering flip-flops must survive into the next cycle
-      // (paper: "copy flip flops labels") — but only where the latch copies
-      // one: the latch list's secret D-inputs. Every other secret flip-flop
-      // holds its own label, so its D cone is dead. On the final cycle all
-      // are dead, which is how e.g. the last carry of a serial adder gets
-      // skipped.
-      for (std::uint32_t k = 0; k < e.latch_secret; ++k) {
-        needed_[nl_.dffs[e.latch_dffs[k]].d] = 1;
-      }
-    }
+    return;
+  }
 
-    // Only touched gates can be needed or emit: untouched gates are Public
-    // (no label), and `needed` is only ever set on secret wires. Sweep the
-    // touch list in reverse gate order. A needed pass gate copies its
-    // chain's source label (PlanSlice::work_src), so only that source
-    // becomes needed, never the hops in between.
-    for (std::size_t t = e.touch.size(); t-- > 0;) {
-      const std::size_t i = e.touch[t];
-      const WireId w = first_gate + static_cast<WireId>(i);
-      if (!needed_[w]) continue;
-      const Gate g = nl_.gates[i];
-      switch (static_cast<PlanAct>(e.act[i])) {
-        case PlanAct::Public:
-        case PlanAct::PassC0:  // Conventional only: never swept
-        case PlanAct::PassC1:
-          break;
-        case PlanAct::PassA:
-        case PlanAct::PassB:
-        case PlanAct::PassSrc:
-          needed_[fp_source(nl_, e.act.data(), e.pass_src.data(), w)] = 1;
-          break;
-        case PlanAct::FreeXor:
-          needed_[g.a] = 1;
-          needed_[g.b] = 1;
-          break;
-        case PlanAct::Garble:
-          b.emit[i] = 1;
-          if ((e.wire_bits[g.a] & 1) == 0) needed_[g.a] = 1;
-          if ((e.wire_bits[g.b] & 1) == 0) needed_[g.b] = 1;
-          break;
-      }
+  needed_.assign(nl_.num_wires(), 0);
+  const bool sample = nl_.outputs_every_cycle || is_final;
+  if (sample) {
+    for (const netlist::OutputPort& o : nl_.outputs) {
+      if ((e.wire_bits[o.wire] & 1) == 0) needed_[o.wire] = 1;
+    }
+  }
+  if (!is_final) {
+    // Labels entering flip-flops must survive into the next cycle
+    // (paper: "copy flip flops labels") — but only where the latch copies
+    // one: the latch list's secret D-inputs. Every other secret flip-flop
+    // holds its own label, so its D cone is dead. On the final cycle all
+    // are dead, which is how e.g. the last carry of a serial adder gets
+    // skipped.
+    for (std::uint32_t k = 0; k < e.latch_secret; ++k) {
+      needed_[nl_.dffs[e.latch_dffs[k]].d] = 1;
     }
   }
 
-  // The slice table: per slice its plan data, its SkipGate work list (the
-  // live — needed or emitting — subset of its touch sublist, slice-relative)
-  // and its emitted-table count, prefix-summed into emit_base. Work pointers
-  // are set once the concatenated lists stop growing.
+  // Only touched gates can be needed: untouched gates are Public (no label),
+  // and `needed` is only ever set on secret wires. Sweep the records in
+  // reverse gate order. A needed pass gate copies its chain's source label
+  // (PlanSlice::work_src), so only that source becomes needed, never the
+  // hops in between; a needed garbled gate emits its table.
+  std::size_t live = 0;
+  for (std::size_t t = e.touch.size(); t-- > 0;) {
+    const std::size_t i = e.touch[t];
+    if (!needed_[first_gate + i]) continue;
+    ++live;
+    const Gate g = nl_.gates[i];
+    switch (static_cast<PlanAct>(e.touch_act[t])) {
+      case PlanAct::Public:
+      case PlanAct::PassC0:  // Conventional only: never swept
+      case PlanAct::PassC1:
+        break;
+      case PlanAct::PassA:
+      case PlanAct::PassB:
+      case PlanAct::PassSrc:
+        needed_[e.touch_src[t]] = 1;
+        break;
+      case PlanAct::FreeXor:
+        needed_[g.a] = 1;
+        needed_[g.b] = 1;
+        break;
+      case PlanAct::Garble:
+        if ((e.wire_bits[g.a] & 1) == 0) needed_[g.a] = 1;
+        if ((e.wire_bits[g.b] & 1) == 0) needed_[g.b] = 1;
+        break;
+    }
+  }
+
+  // The slice table: per slice its work list (the needed subset of its
+  // touch sublist, copied from the records) and its emitted-table count,
+  // prefix-summed into emit_base. The lists are sized exactly up front.
+  b.work.resize(live);
+  b.work_act.resize(live);
+  b.work_src.resize(live);
+  std::size_t k = 0;
   for (std::size_t si = 0; si < nseg; ++si) {
     const PlanSegment& seg = layout_->segments[si];
     PlanSlice& slice = b.slices[si];
-    slice.act = e.act.data() + seg.first_gate;
-    slice.emit = b.emit.data() + seg.first_gate;
+    slice.work = b.work.data() + k;
+    slice.work_act = b.work_act.data() + k;
+    slice.work_src = b.work_src.data() + k;
     slice.first_gate = seg.first_gate;
     slice.count = seg.count;
+    const std::size_t begin = k;
     std::uint64_t emitted = 0;
-    if (conventional) {
-      for (std::uint32_t j = 0; j < seg.count; ++j) emitted += slice.emit[j];
-    } else {
-      const auto begin = static_cast<std::uint32_t>(b.work.size());
-      for (std::uint32_t t = e.touch_off[si]; t < e.touch_off[si + 1]; ++t) {
-        const std::uint32_t i = e.touch[t];
-        const WireId w = first_gate + i;
-        if (needed_[w] == 0 && b.emit[i] == 0) continue;
-        b.work.push_back(i - seg.first_gate);
-        b.work_src.push_back(fp_source(nl_, e.act.data(), e.pass_src.data(), w));
-        emitted += b.emit[i];
-      }
-      slice.work_count = static_cast<std::uint32_t>(b.work.size()) - begin;
+    for (std::uint32_t t = e.touch_off[si]; t < e.touch_off[si + 1]; ++t) {
+      if (needed_[first_gate + e.touch[t]] == 0) continue;
+      b.work[k] = e.touch[t];
+      b.work_act[k] = e.touch_act[t];
+      b.work_src[k] = e.touch_src[t];
+      emitted += garbles(t) ? 1 : 0;
+      ++k;
     }
+    slice.work_count = static_cast<std::uint32_t>(k - begin);
     b.emit_base[si + 1] = b.emit_base[si] + emitted;
-  }
-  if (!conventional) {
-    std::size_t off = 0;
-    for (PlanSlice& slice : b.slices) {
-      slice.work = b.work.data() + off;
-      slice.work_src = b.work_src.data() + off;
-      off += slice.work_count;
-    }
   }
 }
 
 void Planner::build_latch_list(Entry& e) {
   const std::uint8_t* bits = e.wire_bits.data();
+  const WireId first_gate = nl_.first_gate_wire();
+  // A secret D-input's collapsed source: a root is its own; a gate output's
+  // producer is touched (it is secret), so its record holds it.
+  const auto source = [&](WireId w) {
+    if (w < first_gate) return w;
+    const auto it = std::lower_bound(e.touch.begin(), e.touch.end(), w - first_gate);
+    return e.touch_src[static_cast<std::size_t>(it - e.touch.begin())];
+  };
   e.latch_dffs.clear();
   e.latch_src.clear();
   // Secret D-inputs first. One that resolves to the flip-flop's own output
@@ -1510,7 +1576,7 @@ void Planner::build_latch_list(Entry& e) {
     const Dff& d = nl_.dffs[i];
     if ((bits[d.d] & 1) != 0) continue;
     const WireId q = nl_.dff_wire(i);
-    const WireId src = fp_source(nl_, e.act.data(), e.pass_src.data(), d.d);
+    const WireId src = source(d.d);
     const bool flip = ((bits[d.d] & 4) != 0) != d.d_invert;
     if (src == q && flip == ((bits[q] & 4) != 0)) continue;
     e.latch_dffs.push_back(static_cast<std::uint32_t>(i));
@@ -1527,6 +1593,9 @@ void Planner::build_latch_list(Entry& e) {
     if ((q & 1) != 0 && ((q & 2) != 0) == v) continue;
     e.latch_dffs.push_back(static_cast<std::uint32_t>(i));
   }
+  // Exact: entries are long-lived.
+  e.latch_dffs.shrink_to_fit();
+  e.latch_src.shrink_to_fit();
   e.latch_ready = true;
 }
 

@@ -94,16 +94,17 @@ struct WireState {
 };
 
 /// One contiguous run of `count` gates starting at gate index `first_gate`,
-/// with the plan data for exactly those gates. Slice storage is owned by the
-/// Planner (cache entry or scratch) and stays valid until the next forward().
+/// with the work list the party sessions execute for it. Slice storage is
+/// owned by the Planner (cache entry or scratch) and stays valid until the
+/// next forward().
 struct PlanSlice {
-  const std::uint8_t* act = nullptr;   ///< PlanAct per gate in the slice
-  const std::uint8_t* emit = nullptr;  ///< per gate: garbled table sent
-  /// Slice-relative indices of the live gates, ascending — the party
-  /// sessions' SkipGate work list (null in Conventional mode: every gate is
-  /// live, iterate the full range). Gates not listed need no label work and
-  /// none of their outputs is read by a listed gate.
+  /// Global gate indices of the slice's live gates, ascending. Under
+  /// SkipGate, gates not listed need no label work and none of their outputs
+  /// is read by a listed gate; in Conventional mode every gate is listed.
   const std::uint32_t* work = nullptr;
+  /// Parallel to `work`: each item's PlanAct. A Garble item always emits
+  /// its table (a garbled gate nobody reads is not on the list).
+  const std::uint8_t* work_act = nullptr;
   /// Parallel to `work`: a PassA/PassB/PassSrc item's collapsed source — the
   /// first wire up its pass chain that is not itself a pass gate (a root,
   /// a free XOR or a garbled gate). The item copies that wire's label, so
@@ -114,7 +115,19 @@ struct PlanSlice {
   std::uint32_t first_gate = 0;  ///< global gate index of slice start
   std::uint32_t count = 0;
 
-  [[nodiscard]] PlanAct action(std::size_t j) const { return static_cast<PlanAct>(act[j]); }
+  [[nodiscard]] PlanAct action(std::size_t k) const { return static_cast<PlanAct>(work_act[k]); }
+};
+
+/// A cycle's touched-gate records, parallel and ascending by gate: every gate
+/// the planner visits (non-Public actions plus Public collapses of two secret
+/// inputs), its action and its collapsed source (PlanSlice::work_src's rule).
+/// Every gate not listed is Public. A read-only view of the plan for tests
+/// and tools; the party sessions execute the slices' work lists only.
+struct PlanRecords {
+  const std::uint32_t* gate = nullptr;
+  const std::uint8_t* act = nullptr;
+  const netlist::WireId* src = nullptr;
+  std::size_t count = 0;
 };
 
 /// One cycle's complete public plan, shared verbatim by both party sessions:
@@ -140,6 +153,7 @@ struct CyclePlan {
   /// public (no label is read).
   const std::uint32_t* secret_dffs = nullptr;
   std::size_t num_secret_dffs = 0;
+  PlanRecords records;  ///< not read by the party sessions
   bool is_final = false;
   bool sample = false;  ///< outputs are decoded this cycle
 
@@ -218,12 +232,18 @@ class Planner;
 ///
 /// The cache owns the cone layout its entries are indexed by (every entry's
 /// per-segment offsets follow it): the first planner builds it, with the
-/// slice dependency CSR and the per-cycle non-free gate count, and later
-/// planners borrow it. A planner over a different netlist, mode or
-/// segmentation is rejected. Capacity is bounded: once full, inserting a new
-/// state evicts the least-recently-used entry, so long multi-program sessions
-/// cannot grow memory without limit. Not thread-safe; use one instance per
-/// party (a role-scoped core::WarmState enforces this).
+/// per-cycle non-free gate count, and later planners borrow it. A planner
+/// over a different netlist, mode or segmentation is rejected.
+///
+/// An entry is sparse: its signature, the packed wire bits, and one record
+/// per touched gate (gate, action, collapsed source — see PlanRecords),
+/// written at exact size; its backward variants hold the live work lists and
+/// slice tables. A gate that is not touched is Public, so nothing per gate
+/// beyond the wire bits is stored (Hamming-160 on the ARM core: ~7,000 of
+/// 42,611 gates touched, ~140 KiB per entry). Capacity is bounded: once full,
+/// inserting a new state evicts the least-recently-used entry, so long
+/// multi-program sessions cannot grow memory without limit. Not thread-safe;
+/// use one instance per party (a role-scoped core::WarmState enforces this).
 class PlanCache {
  public:
   /// Capacity is derived from the per-entry footprint against this budget
@@ -248,11 +268,11 @@ class PlanCache {
   friend struct PlanCacheTestPeer;  ///< tests: hand-corrupts a cached entry
 
   struct Backward {
-    std::vector<std::uint8_t> emit;
-    /// Slice-relative indices of live gates, concatenated per segment —
-    /// the sessions' per-slice work lists — and each item's collapsed pass
-    /// source (PlanSlice::work_src).
+    /// Live work items, concatenated per segment (PlanSlice::work,
+    /// work_act, work_src). Empty in Conventional mode, where every gate is
+    /// touched and the slices read the entry's records directly.
     std::vector<std::uint32_t> work;
+    std::vector<std::uint8_t> work_act;
     std::vector<netlist::WireId> work_src;
     /// The CyclePlan's slice table and per-slice emitted-table prefix
     /// (CyclePlan::emit_base), built with the rest of the variant.
@@ -275,12 +295,12 @@ class PlanCache {
   };
 
   /// Forward + backward results for one entry-state equivalence class. The
-  /// flat whole-netlist arrays double as the stitch target for cone-granular
-  /// classification; CyclePlan slices point into them at segment offsets.
-  /// `touch` lists (ascending) every gate the hit compiler, cone-adoption
-  /// verification and backward passes must visit: non-Public actions plus
-  /// Public collapses of two secret inputs (category iii) — on SkipGate
-  /// workloads a small fraction of the netlist.
+  /// touched-gate records (touch, touch_act, touch_src; PlanRecords) list
+  /// ascending every gate the hit compiler and the backward sweep must
+  /// visit: non-Public actions plus Public collapses of two secret inputs
+  /// (category iii) — on SkipGate workloads a small fraction of the netlist,
+  /// in Conventional mode every gate. A cached entry writes each vector once,
+  /// at its exact size (next_diff whenever its link changes).
   struct Entry {
     std::uint64_t hash = 0;
     std::vector<std::uint32_t> sig;  ///< per-root signature terms
@@ -292,10 +312,10 @@ class PlanCache {
     /// Root positions where sig and next->sig differ (written with the link).
     std::vector<std::uint32_t> next_diff;
     std::list<Entry>::iterator self{};  ///< this entry's LRU position
-    std::vector<std::uint8_t> act;
-    std::vector<netlist::WireId> pass_src;
     std::vector<std::uint8_t> wire_bits;
     std::vector<std::uint32_t> touch;
+    std::vector<std::uint8_t> touch_act;
+    std::vector<netlist::WireId> touch_src;
     std::vector<std::uint32_t> touch_off;  ///< per-segment offsets into touch
     HitProgram program;
     /// Latch list: flip-flops whose state changes at this cycle's latch —
@@ -345,6 +365,7 @@ class PlanCache {
   /// Signature hashes seen once (second-sighting admission policy).
   std::vector<std::uint64_t> seen_;
   std::size_t seen_count_ = 0;
+  std::size_t seen_max_ = 0;  ///< slots seen_ may grow to (8 x capacity)
 };
 
 /// Reusable per-party store of per-cone forward classifications, keyed by
@@ -539,32 +560,38 @@ class Planner {
   /// enabled: every cone consults the memo by local key and memo misses
   /// reclassify. Two loops in segment order: the first probes the memo
   /// read-only and adopts or classifies each cone; the second replays the
-  /// probes' LRU touches and inserts the fresh classifications.
+  /// probes' LRU touches and inserts the fresh classifications. Both work
+  /// on the dense per-gate scratch; e receives its touched records.
   void build_plan(Entry& e);
-  /// Fresh forward classification of one segment's gates into `e`; touched
-  /// gate indices are appended to `touch`.
-  void classify_segment(Entry& e, const PlanSegment& seg, std::vector<std::uint32_t>& touch);
-  /// Copies a memoized cone slice into `e` and verifies it (below); false =
-  /// drift, caller reclassifies the segment (e's slice is simply
-  /// overwritten). On success the slice's touch indices are appended to
-  /// `touch`.
-  [[nodiscard]] bool adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m,
-                                   std::vector<std::uint32_t>& touch);
+  /// Copies the touched gates' records out of the dense scratch into e.
+  void store_records(Entry& e);
+  /// Sizes the dense per-gate scratch (below) on first use.
+  void size_dense();
+  /// Fresh forward classification of one segment's gates into the dense
+  /// scratch and e's wire bits; touched gate indices are appended to touch_.
+  void classify_segment(Entry& e, const PlanSegment& seg);
+  /// Copies a memoized cone slice into the dense scratch and e's wire bits
+  /// and verifies it (below); false = drift, caller reclassifies the segment
+  /// (the slice is simply overwritten). On success the slice's touch
+  /// indices are appended to touch_.
+  [[nodiscard]] bool adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m);
   /// Hit path: compiles the entry on its first hit, then checks its kept
   /// root relations against the live root fingerprints. Returns false on
   /// drift; the caller reclassifies. Failure is side-effect free: it writes
   /// nothing but the relation counter.
   [[nodiscard]] bool verify_entry(Entry& e);
-  /// Compiles `e` into its symbolic hit program (format in plan.cpp): walks
-  /// the touch list once, giving every free XOR output its form (operands
-  /// resolved through pass chains), and for each comparison a cached
-  /// decision rests on either fixes the outcome — contradicting the cached
-  /// action makes the entry never verify — or keeps it as a root relation.
-  /// Then the secret latch sources' forms.
+  /// Compiles `e` into its symbolic hit program (format in plan.cpp): expands
+  /// its records into the dense scratch, walks them once, giving every free
+  /// XOR output its form (operands read through their collapsed sources),
+  /// and for each comparison a cached decision rests on either fixes the
+  /// outcome — contradicting the cached action makes the entry never
+  /// verify — or keeps it as a root relation. Then the secret latch
+  /// sources' forms.
   void compile_entry(Entry& e);
-  /// Cone-adoption path: walks a touch (sub-)list once, propagating
-  /// fingerprints through the cached actions (every touched gate, pass gates
-  /// included — the miss path reads operands unresolved) AND verifying every
+  /// Cone-adoption path: walks a touch (sub-)list once over the dense
+  /// scratch, propagating fingerprints and collapsed sources through the
+  /// adopted actions (every touched gate, pass gates included — the miss
+  /// path reads operands unresolved) AND verifying every
   /// fingerprint-dependent decision against the same decision table the
   /// classifier uses. Returns false when any decision would differ — the
   /// cycle's XOR-linear fingerprint structure drifted from the cached state,
@@ -572,9 +599,10 @@ class Planner {
   /// reclassify.
   [[nodiscard]] bool verify_touch(const Entry& e, const std::uint32_t* touch,
                                   std::size_t touch_count);
-  /// Fills e's latch list from its forward results (see Entry::latch_dffs).
+  /// Fills e's latch list from its records (see Entry::latch_dffs).
   void build_latch_list(Entry& e);
-  /// Backward sweep for one variant; reads e's latch list (build it first).
+  /// Backward sweep for one variant over e's records; reads e's latch list
+  /// (build it first).
   void backward_fill(const Entry& e, PlanCache::Backward& b, bool is_final);
 
   const netlist::Netlist& nl_;
@@ -615,6 +643,16 @@ class Planner {
   std::vector<crypto::Block> latch_derived_;  ///< latch(): a hit's derive part
   std::vector<WireState> latch_next_;  ///< latch() staging, per latch-list entry
   std::vector<std::uint8_t> needed_;   ///< backward-sweep scratch, sized on first use
+  /// Dense per-gate scratch, reused every cycle: build_plan classifies and
+  /// adopts cones into it (action, the XOR-cancellation peephole's chosen
+  /// candidate, collapsed source) and copies the touched records out;
+  /// compile_entry expands a cached entry's records back into it. Only the
+  /// current touch list's gates are meaningful — every secret wire's
+  /// producer is among them, and lookups only ever name secret wires.
+  std::vector<std::uint8_t> act_;
+  std::vector<netlist::WireId> pass_src_;
+  std::vector<netlist::WireId> src_;
+  std::vector<std::uint32_t> touch_;  ///< the touch list build_plan stitches
   std::size_t non_free_per_cycle_ = 0;
 
   // Plan cache: canonical entry-state signature -> Entry. Collisions on the

@@ -6,6 +6,7 @@
 // through the full driver.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
@@ -45,24 +46,42 @@ void expect_plans_equal(const CyclePlan& x, const CyclePlan& y) {
     EXPECT_EQ(0, std::memcmp(x.secret_dffs, y.secret_dffs,
                              x.num_secret_dffs * sizeof(std::uint32_t)));
   }
+  // The touched-gate records fix every gate's action (a gate not listed is
+  // Public) and every pass gate's collapsed source.
+  ASSERT_EQ(x.records.count, y.records.count);
+  if (x.records.count > 0) {
+    const std::size_t n = x.records.count;
+    EXPECT_EQ(0, std::memcmp(x.records.gate, y.records.gate, n * sizeof(std::uint32_t)));
+    EXPECT_EQ(0, std::memcmp(x.records.act, y.records.act, n));
+    EXPECT_EQ(0, std::memcmp(x.records.src, y.records.src, n * sizeof(netlist::WireId)));
+  }
   for (std::size_t si = 0; si < x.num_slices; ++si) {
     const core::PlanSlice& a = x.slices[si];
     const core::PlanSlice& b = y.slices[si];
     ASSERT_EQ(a.first_gate, b.first_gate);
     ASSERT_EQ(a.count, b.count);
-    EXPECT_EQ(0, std::memcmp(a.act, b.act, a.count));
-    EXPECT_EQ(0, std::memcmp(a.emit, b.emit, a.count));
-    // The work list and its collapsed pass sources are what the sessions
-    // actually execute; diverging lists would desynchronize the transport
-    // stream even with identical emit/live bytes.
+    EXPECT_EQ(x.emit_base[si + 1], y.emit_base[si + 1]);
+    // The work list, its actions and its collapsed pass sources are what the
+    // sessions actually execute; diverging lists would desynchronize the
+    // transport stream even with identical emitted-table counts.
     ASSERT_EQ(a.work_count, b.work_count);
     if (a.work_count > 0) {
       ASSERT_NE(a.work, nullptr);
       ASSERT_NE(b.work, nullptr);
       EXPECT_EQ(0, std::memcmp(a.work, b.work, a.work_count * sizeof(std::uint32_t)));
+      EXPECT_EQ(0, std::memcmp(a.work_act, b.work_act, a.work_count));
       EXPECT_EQ(0, std::memcmp(a.work_src, b.work_src, a.work_count * sizeof(netlist::WireId)));
     }
   }
+}
+
+/// Index of global gate `gate`'s record in `plan`, or records.count when the
+/// gate is not touched (Public).
+std::size_t record_of(const CyclePlan& plan, std::size_t gate) {
+  const core::PlanRecords& r = plan.records;
+  const std::uint32_t* end = r.gate + r.count;
+  const std::uint32_t* it = std::lower_bound(r.gate, end, gate);
+  return it != end && *it == gate ? static_cast<std::size_t>(it - r.gate) : r.count;
 }
 
 /// Random sequential netlist: mixed-owner inputs, randomly initialized
@@ -865,8 +884,35 @@ struct PlanCacheTestPeer {
   static void set_action(PlanCache& cache, std::size_t gate, PlanAct act) {
     ASSERT_EQ(cache.entries(), 1u);
     PlanCache::Entry& e = cache.lru_.front();
-    e.act[gate] = static_cast<std::uint8_t>(act);
+    const auto it = std::find(e.touch.begin(), e.touch.end(), gate);
+    ASSERT_NE(it, e.touch.end());
+    e.touch_act[static_cast<std::size_t>(it - e.touch.begin())] = static_cast<std::uint8_t>(act);
     e.program = {};
+  }
+
+  /// Heap an entry's vectors hold (capacity bytes), summed over every cached
+  /// entry, and how many touch lists or record arrays carry growth slack.
+  struct Footprint {
+    std::size_t bytes = 0;
+    std::size_t records = 0;
+    std::size_t inexact = 0;
+  };
+  static Footprint footprint(const PlanCache& cache) {
+    Footprint f;
+    const auto cap = [](const auto& v) { return v.capacity() * sizeof(*v.data()); };
+    const auto slack = [](const auto& v) { return v.capacity() != v.size() ? 1u : 0u; };
+    for (const PlanCache::Entry& e : cache.lru_) {
+      f.bytes += cap(e.sig) + cap(e.next_diff) + cap(e.wire_bits) + cap(e.touch) +
+                 cap(e.touch_act) + cap(e.touch_src) + cap(e.touch_off) + cap(e.program.code) +
+                 cap(e.latch_dffs) + cap(e.latch_src);
+      for (const PlanCache::Backward& b : e.backward) {
+        f.bytes += cap(b.work) + cap(b.work_act) + cap(b.work_src) + cap(b.slices) +
+                   cap(b.emit_base);
+      }
+      f.records += e.touch.size();
+      f.inexact += slack(e.touch) + slack(e.touch_act) + slack(e.touch_src);
+    }
+    return f;
   }
 };
 
@@ -1012,7 +1058,7 @@ std::map<std::size_t, netlist::WireId> work_items(const CyclePlan& plan) {
   for (std::size_t si = 0; si < plan.num_slices; ++si) {
     const core::PlanSlice& sl = plan.slices[si];
     for (std::uint32_t k = 0; k < sl.work_count; ++k) {
-      items[sl.first_gate + sl.work[k]] = sl.work_src[k];
+      items[sl.work[k]] = sl.work_src[k];
     }
   }
   return items;
@@ -1073,9 +1119,12 @@ TEST(LiveSet, PublicSelectMuxChainCollapsesToItsSource) {
   const std::vector<netlist::BitVec> all_high(4, netlist::BitVec{true, true, true});
   for (const bool cache : {false, true}) {
     for_each_plan(nl, all_high, cache, [&](std::size_t c, const CyclePlan& plan) {
+      // Each hop's record names the chain's source, so no hop reads another.
       for (const builder::Wire h : hops) {
-        ASSERT_EQ(static_cast<core::PlanAct>(plan.slices[0].act[h.id - first_gate]),
-                  core::PlanAct::PassSrc);
+        const std::size_t t = record_of(plan, h.id - first_gate);
+        ASSERT_LT(t, plan.records.count);
+        ASSERT_EQ(static_cast<core::PlanAct>(plan.records.act[t]), core::PlanAct::PassSrc);
+        EXPECT_EQ(plan.records.src[t], a.id);
       }
       const std::map<std::size_t, netlist::WireId> items = work_items(plan);
       const std::map<std::size_t, netlist::WireId> expect = {
@@ -1174,7 +1223,7 @@ TEST(LiveSet, PassChainAcrossConeSlicesReadsItsSourceUpstream) {
     const core::PlanSlice& sl = plan.slices[si];
     if (src.id - nl.first_gate_wire() >= sl.first_gate) src_slice = si;
     for (std::uint32_t k = 0; k < sl.work_count; ++k) {
-      if (sl.first_gate + sl.work[k] != last_hop) continue;
+      if (sl.work[k] != last_hop) continue;
       EXPECT_EQ(sl.work_src[k], src.id);
       hop_slice = si;
       ++hop_items;
@@ -1742,6 +1791,43 @@ TEST(ConeMemo, ArmConeHitsOnCyclesTheFlatCacheMissed) {
   EXPECT_EQ(r_on.stats.cone_hits, 1309u);
   EXPECT_EQ(r_on.stats.cone_misses, 1228u);
   EXPECT_EQ(r_off.stats.cone_hits + r_off.stats.cone_misses, 0u);
+}
+
+/// A cached cycle keeps its touched-gate records, not per-gate arrays: over
+/// the 97 entries of a warm Hamming-160 run on the ARM core (~7,000 of
+/// 42,611 gates touched per cycle), every vector an entry owns sums to at
+/// most 160 KiB on average, and the touch list and records carry no growth
+/// slack.
+TEST(PlanCache, SparseEntryFootprint) {
+  const programs::Program prog = programs::hamming(5);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const core::PartyOptions po = machine.party_options(core::Role::Garbler);
+  core::PlanCache cache;
+  PlannerOptions opts;
+  opts.mode = po.mode;
+  opts.seed = po.protocol_seed;
+  opts.shared_cache = &cache;
+  opts.cone_target_gates = po.cone_target_gates;
+  Planner planner(machine.cpu().nl, opts);
+  // Run 1 classifies and inserts every entry; run 2 compiles each on its
+  // first hit.
+  for (int run = 0; run < 2; ++run) {
+    planner.reset({});
+    for (;;) {
+      planner.begin_cycle({});
+      planner.forward();
+      const bool is_final = planner.wire_value(*po.halt_wire);
+      const CyclePlan plan = planner.finish(is_final);
+      if (is_final) break;
+      planner.latch(plan);
+    }
+  }
+  ASSERT_EQ(cache.entries(), 97u);
+  EXPECT_EQ(planner.cache_hits(), 97u);
+  const core::PlanCacheTestPeer::Footprint f = core::PlanCacheTestPeer::footprint(cache);
+  EXPECT_GT(f.records, 97u * 1000);
+  EXPECT_LE(f.bytes / cache.entries(), std::size_t{160} << 10);
+  EXPECT_EQ(f.inexact, 0u);
 }
 
 TEST(PlanCache, WarmHammingRunWalksItsEntryChain) {
