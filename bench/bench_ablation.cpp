@@ -9,9 +9,8 @@
 //     predicated ARM instruction vs a branch-free HDL mux;
 //  3. Hamming circuit structure (bit-serial counter vs popcount tree);
 //  4. SkipGate's local work (gate slots visited) traded for communication;
-//  5. cone-memo hit ratio on a cold ARM run;
-//  6. OT backend bytes (ideal stand-in vs IKNP extension);
-//  7. precomputed OT: online vs offline bytes per backend.
+//  5. OT backend bytes (ideal stand-in vs IKNP extension);
+//  6. precomputed OT: online vs offline bytes per backend.
 // Wall-clock and thread scaling are measured by perfbench/, not here.
 #include <cstdio>
 #include <string>
@@ -110,23 +109,7 @@ int main(int argc, char** argv) {
                 num(r.stats.non_xor_slots).c_str());
   }
 
-  benchutil::header("Ablation 5: cone memoization on a cold run (Hamming 160 on ARM)");
-  {
-    // Every cold Hamming-160 cycle is a distinct whole-netlist entry state,
-    // so the plan cache misses and the cone memo supplies the reuse.
-    const programs::Program p = programs::hamming(5);
-    std::vector<std::uint32_t> a(5), b(5);
-    for (auto& w : a) w = static_cast<std::uint32_t>(rng.next_u64());
-    for (auto& w : b) w = static_cast<std::uint32_t>(rng.next_u64());
-    const arm::Arm2Gc machine(p.cfg, p.words);
-    const double hit_ratio = machine.run(a, b).stats.cone_hit_ratio();
-    std::printf("cold run cone hit ratio %.1f%%\n", 100.0 * hit_ratio);
-    if (benchutil::json().enabled()) {
-      benchutil::json().add("hamming160.cold_cone_hit_ratio", hit_ratio);
-    }
-  }
-
-  benchutil::header("Ablation 6: OT backend (ideal stand-in vs IKNP extension, Hamming 160)");
+  benchutil::header("Ablation 5: OT backend (ideal stand-in vs IKNP extension, Hamming 160)");
   {
     // The OT phase of a full garbled-ARM run: Bob's 160 input bits ride one
     // reset batch. Ideal ships the label pair (32 B/choice); IKNP pays the
@@ -166,7 +149,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  benchutil::header("Ablation 7: precomputed OT (online vs offline bytes, Hamming 160)");
+  benchutil::header("Ablation 6: precomputed OT (online vs offline bytes, Hamming 160)");
   {
     // The online/offline OT split across all three backends: ideal and IKNP
     // pay every OT byte on the critical path; the precomputed pool banks

@@ -319,12 +319,10 @@ static void BM_WarmPlanHit(benchmark::State& state) {
   const arm::Arm2Gc machine(prog.cfg, prog.words);
   const core::PartyOptions po = machine.party_options(core::Role::Garbler);
   core::PlanCache cache;
-  core::ConeMemo memo;
   core::PlannerOptions opts;
   opts.mode = po.mode;
   opts.seed = po.protocol_seed;
   opts.shared_cache = &cache;
-  opts.shared_cone_memo = &memo;
   opts.cone_target_gates = po.cone_target_gates;
   core::Planner planner(machine.cpu().nl, opts);
   const auto replay = [&] {

@@ -105,7 +105,6 @@ inline void json_stats(const std::string& prefix, const arm2gc::core::RunStats& 
   json().add(prefix + ".garbled_non_xor", s.garbled_non_xor);
   json().add(prefix + ".skip_ratio", s.skip_ratio());
   json().add(prefix + ".plan_cache_hit_ratio", s.plan_cache_hit_ratio());
-  json().add(prefix + ".cone_hit_ratio", s.cone_hit_ratio());
   json().add(prefix + ".comm_bytes", s.comm.total());
   json().add(prefix + ".ot_online_bytes", s.ot_online_bytes);
 }
@@ -174,13 +173,12 @@ inline std::string improv_ratio(std::uint64_t without, std::uint64_t with) {
 }
 
 /// Uniform per-row protocol-stats suffix: SkipGate elision ratio, plan cache
-/// hit rate, cone-memo hit rate and online OT bytes, straight from RunStats
-/// (no per-bench hand computation).
+/// hit rate and online OT bytes, straight from RunStats (no per-bench hand
+/// computation).
 inline std::string stats_brief(const arm2gc::core::RunStats& s) {
   char buf[128];
-  std::snprintf(buf, sizeof buf, "skip %6.2f%%  cache %5.1f%%  cone %5.1f%%  otB %s",
-                100.0 * s.skip_ratio(), 100.0 * s.plan_cache_hit_ratio(),
-                100.0 * s.cone_hit_ratio(), num(s.ot_online_bytes).c_str());
+  std::snprintf(buf, sizeof buf, "skip %6.2f%%  cache %5.1f%%  otB %s", 100.0 * s.skip_ratio(),
+                100.0 * s.plan_cache_hit_ratio(), num(s.ot_online_bytes).c_str());
   return buf;
 }
 

@@ -106,7 +106,6 @@ namespace {
 core::WarmState::Options session_warm_options(const core::ExecOptions& exec) {
   core::WarmState::Options w;
   w.plan_cache_budget_bytes = exec.plan_cache_budget_bytes;
-  w.cone_memo_budget_bytes = exec.cone_memo_budget_bytes;
   w.ot_backend = exec.ot_backend;
   w.ot_pool = exec.ot_pool;
   w.seed = core::RunOptions{}.seed;

@@ -89,16 +89,13 @@ class Arm2Gc {
                                            gc::Transport& tx, const core::PartyOptions& opts,
                                            core::WarmState* warm = nullptr) const;
 
-  /// Long-lived execution session: keeps per-party plan caches and cone
-  /// memos warm across runs of the same machine. The public signature
-  /// trajectory of a run depends only on the program (secret inputs
-  /// contribute value-independent fingerprint classes), so every run after
-  /// the first skips classification entirely — the serving scenario: one
-  /// public program, many executions on fresh private inputs. The warm cone
-  /// memos additionally serve runs whose public trajectory *differs* (e.g.
-  /// input-dependent loop counts): only the cones around the divergence are
-  /// reclassified. Under the IKNP OT backend the session also keeps the
-  /// per-role extension states warm, so the kappa base OTs run once and
+  /// Long-lived execution session: keeps per-party plan caches warm across
+  /// runs of the same machine. The public signature trajectory of a run
+  /// depends only on the program (secret inputs contribute value-independent
+  /// fingerprint classes), so every run after the first skips classification
+  /// entirely — the serving scenario: one public program, many executions on
+  /// fresh private inputs. Under the IKNP OT backend the session also keeps
+  /// the per-role extension states warm, so the kappa base OTs run once and
   /// amortize across every later run (mirroring the plan-cache warm path);
   /// a run that throws mid-protocol resets the warm OT state on both
   /// endpoints (core::WarmState::reset_ot), so the next run re-bases and
@@ -107,9 +104,9 @@ class Arm2Gc {
   class Session {
    public:
     /// `exec` seeds budget/backend tuning; `plan_cache` is forced on, and
-    /// the session's own per-role WarmState (plan cache + cone memo and, for
-    /// the Iknp backend, OT extension state) fills each warm slot the caller
-    /// left null (caller-supplied ones are used as given).
+    /// the session's own per-role WarmState (plan cache and, for the Iknp
+    /// backend, OT extension state) fills each warm slot the caller left
+    /// null (caller-supplied ones are used as given).
     explicit Session(const Arm2Gc& machine, core::ExecOptions exec = {});
 
     [[nodiscard]] Arm2GcResult run(std::span<const std::uint32_t> alice,

@@ -16,17 +16,13 @@ namespace {
 
 using netlist::BitVec;
 
-PlannerOptions make_planner_opts(const PartyOptions& o, PlanCache* shared, ConeMemo* cones) {
+PlannerOptions make_planner_opts(const PartyOptions& o, PlanCache* shared) {
   PlannerOptions p;
   p.mode = o.mode;
   p.seed = o.protocol_seed;
   p.cache = o.plan_cache;
   p.cache_budget_bytes = o.plan_cache_budget_bytes;
   p.shared_cache = shared;
-  // plan_cache == false is the from-scratch baseline: no reuse of any kind.
-  p.cone_memo = o.plan_cache && o.cone_memo;
-  p.cone_memo_budget_bytes = o.cone_memo_budget_bytes;
-  p.shared_cone_memo = cones;
   p.cone_target_gates = o.cone_target_gates;
   return p;
 }
@@ -129,8 +125,7 @@ WarmState::WarmState(Role role) : WarmState(role, Options{}) {}
 WarmState::WarmState(Role role, const Options& opts)
     : role_(role),
       opts_(opts),
-      plan_cache_(opts.plan_cache_budget_bytes),
-      cone_memo_(opts.cone_memo_budget_bytes) {
+      plan_cache_(opts.plan_cache_budget_bytes) {
   if (opts_.ot_backend == gc::OtBackend::Iknp) {
     if (role_ == Role::Garbler) {
       ot_sender_ = std::make_unique<gc::IknpSenderState>(opts_.seed);
@@ -187,8 +182,7 @@ GarblerEndpoint::GarblerEndpoint(const netlist::Netlist& nl, const PartyOptions&
       cycle_count_(opts.fixed_cycles ? *opts.fixed_cycles : opts.max_cycles),
       warm_(checked_warm(nl, opts, halt_driven_, cycle_count_, warm, Role::Garbler)),
       tx_(&tx),
-      planner_(nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr,
-                                     warm ? &warm->cone_memo_ : nullptr)),
+      planner_(nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr)),
       session_(std::make_unique<GarblerSession>(nl, opts.mode, opts.own_seed(), tx,
                                                 opts.ot_backend,
                                                 warm ? warm->ot_sender_.get() : nullptr,
@@ -305,8 +299,6 @@ RunResult GarblerEndpoint::finish() {
   stats_.plan_cache_hits = planner_.cache_hits();
   stats_.plan_cache_misses = planner_.cache_misses();
   stats_.plan_link_hits = planner_.link_hits();
-  stats_.cone_hits = planner_.cone_hits();
-  stats_.cone_misses = planner_.cone_misses();
   // The sender side is the authoritative OT ledger (counts are identical on
   // the receiver side by construction).
   const gc::OtPhaseStats& o = session_->ot_stats();
@@ -361,8 +353,7 @@ EvaluatorEndpoint::EvaluatorEndpoint(const netlist::Netlist& nl, const PartyOpti
       warm_(checked_warm(nl, opts, halt_driven_, cycle_count_, warm, Role::Evaluator)),
       tx_(&tx),
       planner_(std::make_unique<Planner>(
-          nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr,
-                                warm ? &warm->cone_memo_ : nullptr))),
+          nl, make_planner_opts(opts, warm ? &warm->plan_cache_ : nullptr))),
       session_(std::make_unique<EvaluatorSession>(nl, opts.mode, opts.own_seed(), tx,
                                                   opts.ot_backend,
                                                   warm ? warm->ot_receiver_.get() : nullptr,
@@ -488,8 +479,6 @@ RunResult EvaluatorEndpoint::finish() {
     stats_.plan_cache_hits = planner_->cache_hits();
     stats_.plan_cache_misses = planner_->cache_misses();
     stats_.plan_link_hits = planner_->link_hits();
-    stats_.cone_hits = planner_->cone_hits();
-    stats_.cone_misses = planner_->cone_misses();
   }
   const gc::OtPhaseStats& o = session_->ot_stats();
   stats_.ot_choices += o.choices;

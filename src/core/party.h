@@ -14,9 +14,9 @@
 //   - its role's label session (GarblerSession / EvaluatorSession) seeded
 //     from the party's own `private_seed`,
 //   - its half of the OT state (sender / receiver endpoint).
-// Cross-run state (plan cache, cone memo, warm IKNP extension state) lives
-// in a role-scoped WarmState handle the caller owns; an endpoint is
-// otherwise a single-execution object.
+// Cross-run state (plan cache, warm IKNP extension state) lives in a
+// role-scoped WarmState handle the caller owns; an endpoint is otherwise a
+// single-execution object.
 //
 // Seeding: `protocol_seed` is public and must match the peer (fingerprint
 // streams are part of the plan contract). `private_seed` is this party's own
@@ -78,12 +78,6 @@ struct RunStats {
   /// successor link, skipping the hash lookup (a warm run of one program
   /// walks its entry chain: every hit but the first after reset).
   std::uint64_t plan_link_hits = 0;
-  /// Cone-granular memo counters: segments adopted from / classified into
-  /// the cone memo on cycles the whole-netlist plan cache missed. A cone hit
-  /// is work the flat cache could not save (similar-but-not-identical entry
-  /// states, e.g. ARM loop iterations differing only in a public counter).
-  std::uint64_t cone_hits = 0;
-  std::uint64_t cone_misses = 0;
   /// Gates the label passes executed, summed over cycles: every gate per
   /// cycle in Conventional mode, the plan's work lists under SkipGate (the
   /// live set — gates producing a label someone reads). Counted by the
@@ -124,11 +118,6 @@ struct RunStats {
   [[nodiscard]] double plan_cache_hit_ratio() const {
     const std::uint64_t total = plan_cache_hits + plan_cache_misses;
     return total == 0 ? 0.0 : static_cast<double>(plan_cache_hits) / static_cast<double>(total);
-  }
-  /// Fraction of cache-missed cycles' cones stitched from the cone memo.
-  [[nodiscard]] double cone_hit_ratio() const {
-    const std::uint64_t total = cone_hits + cone_misses;
-    return total == 0 ? 0.0 : static_cast<double>(cone_hits) / static_cast<double>(total);
   }
 };
 
@@ -181,8 +170,8 @@ struct PartyOptions {
   /// Plan reuse tuning (results never depend on any of it).
   bool plan_cache = true;
   std::size_t plan_cache_budget_bytes = 64u << 20;
-  bool cone_memo = true;
-  std::size_t cone_memo_budget_bytes = 32u << 20;
+  bool cone_memo = true;                           ///< frozen for perfbench: never read
+  std::size_t cone_memo_budget_bytes = 32u << 20;  ///< frozen for perfbench: never read
   /// Segmentation granularity (gates per cone, approximate; 0 = whole
   /// netlist as one cone). Public; both parties must derive the same layout.
   std::size_t cone_target_gates = 512;
@@ -203,21 +192,21 @@ struct PartyOptions {
   }
 };
 
-/// Role-scoped cross-run state: the plan cache, the cone memo and (under the
-/// IKNP backend) this role's half of the warm OT-extension state. One
-/// WarmState per party per long-lived pairing — Arm2Gc::Session owns one per
-/// role; a serving deployment owns one per connected client. Endpoints
-/// reference it for the duration of a run and reset the OT half on protocol
-/// abort: an aborted run can leave the extension streams desynced from the
-/// peer's (detected by the per-batch check block, never mis-delivered), so
-/// dropping them back to the base phase makes the *next* run recover without
-/// rebuilding caches. Not thread-safe; never share one across roles or
-/// concurrent runs (endpoints reject a wrong-role WarmState).
+/// Role-scoped cross-run state: the plan cache and (under the IKNP backend)
+/// this role's half of the warm OT-extension state. One WarmState per party
+/// per long-lived pairing — Arm2Gc::Session owns one per role; a serving
+/// deployment owns one per connected client. Endpoints reference it for the
+/// duration of a run and reset the OT half on protocol abort: an aborted run
+/// can leave the extension streams desynced from the peer's (detected by the
+/// per-batch check block, never mis-delivered), so dropping them back to the
+/// base phase makes the *next* run recover without rebuilding caches. Not
+/// thread-safe; never share one across roles or concurrent runs (endpoints
+/// reject a wrong-role WarmState).
 class WarmState {
  public:
   struct Options {
     std::size_t plan_cache_budget_bytes = 64u << 20;
-    std::size_t cone_memo_budget_bytes = 32u << 20;
+    std::size_t cone_memo_budget_bytes = 32u << 20;  ///< frozen for perfbench: never read
     /// Iknp allocates the role's extension state; Precomp the role's
     /// random-OT pool (which embeds its own extension state); Ideal none.
     gc::OtBackend ot_backend = gc::OtBackend::Ideal;
@@ -235,7 +224,6 @@ class WarmState {
   [[nodiscard]] gc::OtBackend ot_backend() const { return opts_.ot_backend; }
   [[nodiscard]] std::size_t ot_pool() const { return opts_.ot_pool; }
   [[nodiscard]] const PlanCache& plan_cache() const { return plan_cache_; }
-  [[nodiscard]] const ConeMemo& cone_memo() const { return cone_memo_; }
   [[nodiscard]] bool has_ot_state() const {
     return ot_sender_ != nullptr || ot_receiver_ != nullptr || otpre_sender_ != nullptr ||
            otpre_receiver_ != nullptr;
@@ -255,7 +243,6 @@ class WarmState {
   Role role_;
   Options opts_;
   PlanCache plan_cache_;
-  ConeMemo cone_memo_;
   std::unique_ptr<gc::IknpSenderState> ot_sender_;        ///< Garbler, Iknp backend
   std::unique_ptr<gc::IknpReceiverState> ot_receiver_;    ///< Evaluator, Iknp backend
   std::unique_ptr<gc::RandomOtPoolSender> otpre_sender_;  ///< Garbler, Precomp backend

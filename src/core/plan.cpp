@@ -47,15 +47,6 @@ std::uint64_t sig_mix(WireId pos, std::uint32_t term) {
 constexpr std::uint32_t pub_term(const WireState& s) { return 1u | (s.val ? 2u : 0u); }
 constexpr std::uint32_t secret_term(WireId rep, bool flip) { return rep << 2 | (flip ? 2u : 0u); }
 
-std::uint64_t fnv1a64_u64(const std::vector<std::uint64_t>& v) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const std::uint64_t x : v) {
-    h ^= x;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-
 std::size_t next_pow2(std::size_t n) {
   std::size_t p = 1;
   while (p < n) p <<= 1;
@@ -119,8 +110,8 @@ void classify_unary(netlist::UnaryTable u, const WireState& in, bool pass_is_a, 
 /// fingerprint comparison. `equal` is fp(a) == fp(b) (category iii; never
 /// set in Conventional mode). XOR/XNOR of distinct fingerprints yields
 /// FreeXor; the caller's cancellation peephole may refine it to PassSrc.
-/// Classification, cone-adoption verification and the hit-program compiler
-/// all decide through this one function.
+/// Classification and the hit-program compiler both decide through this one
+/// function.
 PlanAct pair_action(netlist::TruthTable tt, bool flips_differ, bool equal, bool skipgate) {
   if (equal) {
     return netlist::unary_is_const(netlist::tt_restrict_diag(tt, flips_differ)) ? PlanAct::Public
@@ -166,7 +157,7 @@ WireId collapse(const Gate& g, WireId w, PlanAct act, WireId pass_src, const Wir
 /// operands, in order. The XOR carries exactly a candidate's label iff the
 /// candidate's fingerprint equals the result's; the first such candidate
 /// wins. `acts` and `srcs` are the dense per-gate actions and sources;
-/// `is_pub` reads the stitched wire bits.
+/// `is_pub` reads the entry's wire bits.
 template <typename IsPubFn>
 std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const WireId* srcs,
                               IsPubFn&& is_pub, WireId wa, WireId wb,
@@ -186,8 +177,8 @@ std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const
 }
 
 /// The XOR-cancellation peephole's decision: the first candidate carrying
-/// `out_fp`, or kNoWire. Classification and cone-adoption verification share
-/// it; the hit compiler replays it from the same candidate list.
+/// `out_fp`, or kNoWire. Classification decides through it; the hit compiler
+/// replays it from the same candidate list.
 template <typename IsPubFn>
 WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const WireId* srcs,
                          const std::vector<WireState>& st, IsPubFn&& is_pub, WireId wa,
@@ -345,30 +336,10 @@ PlanLayout PlanLayout::build(const Netlist& nl, std::size_t target_gates,
   }
   if (ng > 0) ends.push_back(ng);
 
-  // Segment boundaries: the distinct external wires each segment reads.
-  std::vector<std::uint32_t> stamp(nl.num_wires(), 0);
-  std::uint32_t cur_stamp = 0;
   std::size_t seg_start = 0;
   for (const std::size_t end : ends) {
-    PlanSegment seg;
-    seg.first_gate = static_cast<std::uint32_t>(seg_start);
-    seg.count = static_cast<std::uint32_t>(end - seg_start);
-    const WireId seg_first_wire = first_gate + static_cast<WireId>(seg_start);
-    ++cur_stamp;
-    for (std::size_t j = seg_start; j < end; ++j) {
-      for (const WireId w : {nl.gates[j].a, nl.gates[j].b}) {
-        if (w < seg_first_wire && stamp[w] != cur_stamp) {
-          stamp[w] = cur_stamp;
-          seg.boundary.push_back(w);
-        }
-      }
-    }
-    std::sort(seg.boundary.begin(), seg.boundary.end());
-    seg.root_count = static_cast<std::uint32_t>(
-        std::lower_bound(seg.boundary.begin(), seg.boundary.end(), first_gate) -
-        seg.boundary.begin());
-    layout.total_boundary += seg.boundary.size();
-    layout.segments.push_back(std::move(seg));
+    layout.segments.push_back(PlanSegment{static_cast<std::uint32_t>(seg_start),
+                                          static_cast<std::uint32_t>(end - seg_start)});
     seg_start = end;
   }
 
@@ -501,91 +472,6 @@ PlanCache::Entry* PlanCache::insert(std::uint64_t hash, const std::vector<std::u
 }
 
 // ---------------------------------------------------------------------------
-// ConeMemo: per-segment forward classifications, LRU-bounded
-// ---------------------------------------------------------------------------
-
-ConeMemo::ConeMemo(std::size_t budget_bytes) : budget_bytes_(budget_bytes) {}
-ConeMemo::~ConeMemo() = default;
-
-void ConeMemo::ensure_sized(std::uint64_t layout_key, const PlanLayout& layout) {
-  if (capacity_ != 0) {
-    if (layout_key_ != layout_key) {
-      throw std::invalid_argument("cone memo reused across different netlists or layouts");
-    }
-    return;
-  }
-  layout_key_ = layout_key;
-  const std::size_t nseg = std::max<std::size_t>(layout.segments.size(), 1);
-  std::size_t gates = 0;
-  for (const PlanSegment& s : layout.segments) gates += s.count;
-  // Per-entry footprint: one segment's act + pass_src + out_bits + touch
-  // slices plus its boundary key plus node/map overhead.
-  const std::size_t entry_bytes =
-      10 * (gates / nseg) + 8 * (layout.total_boundary / nseg) + 160;
-  capacity_ = std::clamp<std::size_t>(budget_bytes_ / std::max<std::size_t>(entry_bytes, 1), 8,
-                                      std::size_t{1} << 18);
-}
-
-const ConeMemo::Entry* ConeMemo::peek(std::uint32_t segment, std::uint64_t hash,
-                                      const std::vector<std::uint64_t>& key,
-                                      std::size_t* after) const {
-  const auto it = map_.find(hash);
-  if (it == map_.end()) return nullptr;
-  for (std::size_t k = *after; k < it->second.size(); ++k) {
-    const LruList::iterator li = it->second[k];
-    if (li->segment == segment && li->key == key) {
-      *after = k + 1;
-      return &*li;
-    }
-  }
-  *after = it->second.size();
-  return nullptr;
-}
-
-void ConeMemo::touch_candidates(std::uint32_t segment, std::uint64_t hash,
-                                const std::vector<std::uint64_t>& key, std::size_t probed) {
-  if (probed == 0) return;
-  const auto it = map_.find(hash);
-  if (it == map_.end()) return;
-  // Splicing a list node moves it without invalidating iterators, so the
-  // bucket vector replays exactly the candidate sequence peek() walked;
-  // candidates evicted meanwhile (by this cycle's earlier inserts) are no
-  // longer in the bucket and are skipped.
-  std::size_t touched = 0;
-  for (std::size_t k = 0; k < it->second.size() && touched < probed; ++k) {
-    const LruList::iterator li = it->second[k];
-    if (li->segment == segment && li->key == key) {
-      lru_.splice(lru_.begin(), lru_, li);
-      ++touched;
-    }
-  }
-}
-
-ConeMemo::Entry* ConeMemo::insert(std::uint32_t segment, std::uint64_t hash,
-                                  const std::vector<std::uint64_t>& key) {
-  if (lru_.size() >= capacity_) {
-    const Entry& victim = lru_.back();
-    const auto vit = map_.find(victim.hash);
-    for (auto i = vit->second.begin(); i != vit->second.end(); ++i) {
-      if (&**i == &victim) {
-        vit->second.erase(i);
-        break;
-      }
-    }
-    if (vit->second.empty()) map_.erase(vit);
-    lru_.pop_back();
-    ++evictions_;
-  }
-  lru_.emplace_front();
-  Entry& e = lru_.front();
-  e.segment = segment;
-  e.hash = hash;
-  e.key = key;
-  map_[hash].push_back(lru_.begin());
-  return &e;
-}
-
-// ---------------------------------------------------------------------------
 // Planner
 // ---------------------------------------------------------------------------
 
@@ -615,16 +501,6 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
     layout_ = owned_layout_.get();
     non_free_per_cycle_ = nl_.count_non_free();
   }
-  if (opts_.cone_memo) {
-    if (opts_.shared_cone_memo != nullptr) {
-      memo_ = opts_.shared_cone_memo;
-    } else {
-      owned_memo_ = std::make_unique<ConeMemo>(opts_.cone_memo_budget_bytes);
-      memo_ = owned_memo_.get();
-    }
-    memo_->ensure_sized(layout_->key, *layout_);
-  }
-
   const std::size_t roots = nl_.first_gate_wire();
   st_.resize(nl_.num_wires());
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
@@ -633,8 +509,6 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
   terms_.assign(roots, 0);
   rep_table_.resize(std::max<std::size_t>(16, next_pow2(2 * roots + 1)));
   rep_next_.assign(roots, kNoWire);
-
-  if (memo_ != nullptr) seg_probe_.resize(layout_->segments.size());
 }
 
 Block Planner::fresh_fp() {
@@ -871,31 +745,6 @@ std::uint64_t Planner::signature_from_scratch(std::vector<std::uint32_t>& terms)
   return hash;
 }
 
-void Planner::build_segment_key(std::size_t si, const PlanSegment& seg,
-                                std::vector<std::uint64_t>& out) const {
-  // Cheap pure gathers: boundary roots contribute their kept signature terms
-  // verbatim (pinning publicness/value/flip and, through the class
-  // representative, which boundary roots share a fingerprint); boundary
-  // internals contribute their packed bits. A root's term depends only on
-  // its own state and its class, so it does not shift when a root outside
-  // its class turns public or secret. The key deliberately carries no
-  // internal fingerprint structure — that is discrimination, not soundness
-  // (every adopted cone's fingerprint-dependent decisions are re-verified),
-  // and the common all-distinct fingerprint pattern then collapses onto one
-  // key. The low tag bit separates the two word kinds so they can never
-  // alias.
-  const std::uint8_t* bits = cur_bits_;
-  out.clear();
-  out.reserve(1 + seg.boundary.size());
-  out.push_back(static_cast<std::uint64_t>(si));
-  for (std::uint32_t k = 0; k < seg.root_count; ++k) {
-    out.push_back(static_cast<std::uint64_t>(terms_[seg.boundary[k]]) << 1 | 1u);
-  }
-  for (std::size_t k = seg.root_count; k < seg.boundary.size(); ++k) {
-    out.push_back(static_cast<std::uint64_t>(bits[seg.boundary[k]]) << 1);
-  }
-}
-
 void Planner::forward() {
   // Every cycle gets a fresh derived-fingerprint epoch no matter which path
   // serves it (hit, miss, fallback), so category-iv fingerprints are pure
@@ -939,8 +788,8 @@ void Planner::forward() {
     cur_bits_ = e->wire_bits.data();
     if (!verify_entry(*e)) {
       // Signature matched but the XOR-linear fingerprint structure drifted:
-      // reclassify this cycle uncached — its cones still serve from the
-      // memo. The entry keeps serving states that do match it.
+      // reclassify this cycle uncached. The entry keeps serving states that
+      // do match it.
       ++cache_misses_;
       ++verify_rejects_;
       build_plan(scratch_);
@@ -978,7 +827,6 @@ void Planner::size_dense() {
   const std::size_t ng = nl_.gates.size();
   if (act_.size() == ng) return;
   act_.resize(ng);
-  pass_src_.resize(ng);
   src_.resize(ng);
 }
 
@@ -999,65 +847,11 @@ void Planner::build_plan(Entry& e) {
   const WireId first_gate = nl_.first_gate_wire();
   for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
 
-  if (memo_ == nullptr) {
-    for (std::size_t si = 0; si < nseg; ++si) {
-      e.touch_off[si] = static_cast<std::uint32_t>(touch_.size());
-      classify_segment(e, layout_->segments[si]);
-    }
-    e.touch_off[nseg] = static_cast<std::uint32_t>(touch_.size());
-    store_records(e);
-    return;
-  }
-
-  // Probe loop — adopt or classify every segment. It probes the memo
-  // read-only (peek) and leaves all LRU motion, counters and inserts to the
-  // loop below. Key-equal candidates can still fail verification (the key
-  // cannot see XOR-linear fingerprint structure), so it walks them until
-  // one verifies; none verifying reclassifies the cone.
   for (std::size_t si = 0; si < nseg; ++si) {
-    const PlanSegment& seg = layout_->segments[si];
-    SegProbe& sp = seg_probe_[si];
     e.touch_off[si] = static_cast<std::uint32_t>(touch_.size());
-    build_segment_key(si, seg, sp.key);
-    sp.hash = fnv1a64_u64(sp.key);
-    sp.probes = 0;
-    sp.adopted = false;
-    std::size_t after = 0;
-    while (const ConeMemo::Entry* m =
-               memo_->peek(static_cast<std::uint32_t>(si), sp.hash, sp.key, &after)) {
-      ++sp.probes;
-      if (adopt_segment(e, seg, *m)) {
-        sp.adopted = true;
-        break;
-      }
-    }
-    if (!sp.adopted) classify_segment(e, seg);
+    classify_segment(e, layout_->segments[si]);
   }
   e.touch_off[nseg] = static_cast<std::uint32_t>(touch_.size());
-
-  // Touch-and-insert loop, ascending — replays the LRU motion of every probe
-  // and inserts fresh classifications. It must not fold into the probe loop:
-  // an insert can evict a candidate a later segment would have adopted.
-  for (std::size_t si = 0; si < nseg; ++si) {
-    const PlanSegment& seg = layout_->segments[si];
-    const SegProbe& sp = seg_probe_[si];
-    const std::uint32_t s32 = static_cast<std::uint32_t>(si);
-    memo_->touch_candidates(s32, sp.hash, sp.key, sp.probes);
-    if (sp.adopted) {
-      ++cone_hits_;
-      continue;
-    }
-    ++cone_misses_;
-    ConeMemo::Entry& m = *memo_->insert(s32, sp.hash, sp.key);
-    const auto ab = act_.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
-    const auto pb = pass_src_.begin() + static_cast<std::ptrdiff_t>(seg.first_gate);
-    const auto wb = e.wire_bits.begin() + static_cast<std::ptrdiff_t>(first_gate + seg.first_gate);
-    const auto tb = touch_.begin();
-    m.act.assign(ab, ab + seg.count);
-    m.pass_src.assign(pb, pb + seg.count);
-    m.out_bits.assign(wb, wb + seg.count);
-    m.touch.assign(tb + e.touch_off[si], tb + e.touch_off[si + 1]);
-  }
   store_records(e);
 }
 
@@ -1155,7 +949,6 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg) {
     const WireId w = first_gate + static_cast<WireId>(i);
     st_[w].fp = out.fp;
     act_[i] = static_cast<std::uint8_t>(act);
-    pass_src_[i] = src;
     src_[i] = collapse(g, w, act, src, src_.data(), first_gate);
     e.wire_bits[w] = pack_bits(out);
     // The touch list drives the hit compiler and the backward sweep: every
@@ -1165,17 +958,6 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg) {
       touch_.push_back(static_cast<std::uint32_t>(i));
     }
   }
-}
-
-bool Planner::adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m) {
-  const auto fg = static_cast<std::ptrdiff_t>(seg.first_gate);
-  std::copy(m.act.begin(), m.act.end(), act_.begin() + fg);
-  std::copy(m.pass_src.begin(), m.pass_src.end(), pass_src_.begin() + fg);
-  std::copy(m.out_bits.begin(), m.out_bits.end(),
-            e.wire_bits.begin() + static_cast<std::ptrdiff_t>(nl_.first_gate_wire()) + fg);
-  if (!verify_touch(e, m.touch.data(), m.touch.size())) return false;
-  touch_.insert(touch_.end(), m.touch.begin(), m.touch.end());
-  return true;
 }
 
 bool Planner::verify_entry(Entry& e) {
@@ -1365,59 +1147,6 @@ void Planner::compile_entry(Entry& e) {
   h.end = {rel_end, latch_end, static_cast<std::uint32_t>(code.size())};
   h.never = never;
   h.compiled = true;
-}
-
-bool Planner::verify_touch(const Entry& e, const std::uint32_t* touch,
-                           std::size_t touch_count) {
-  // Fingerprints are cycle state even on an adopted cone: category-iv gates
-  // re-derive the same (epoch, gate)-addressed fingerprint a fresh
-  // classification would produce and derived fingerprints follow the cached
-  // actions, so the planner's state after a verified adoption is identical
-  // to a fresh classification — and a failed verification needs no stream
-  // rollback. Untouched gates are Public with a public input: no fingerprint
-  // exists, no decision can drift.
-  const WireId first_gate = nl_.first_gate_wire();
-  const bool skipgate = opts_.mode == Mode::SkipGate;
-  const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
-  const auto wire_flip = [&](WireId w) { return (e.wire_bits[w] & 4) != 0; };
-
-  for (std::size_t t = 0; t < touch_count; ++t) {
-    const std::size_t i = touch[t];
-    const WireId w = first_gate + static_cast<WireId>(i);
-    const Gate g = nl_.gates[i];
-    const PlanAct act = static_cast<PlanAct>(act_[i]);
-
-    // Re-derive the expected action for every gate whose classification can
-    // depend on a fingerprint comparison — both secret inputs in SkipGate
-    // mode (the public/flip structure is pinned by the key; only
-    // fingerprints can drift). Conventional mode makes no comparison.
-    if (skipgate && !wire_pub(g.a) && !wire_pub(g.b)) {
-      PlanAct expect = pair_action(g.tt, wire_flip(g.a) != wire_flip(g.b),
-                                   st_[g.a].fp == st_[g.b].fp, skipgate);
-      WireId expect_src = kNoWire;
-      if (expect == PlanAct::FreeXor) {
-        expect_src = find_cancellation(nl_, act_.data(), src_.data(), st_, wire_pub, g.a, g.b,
-                                       st_[g.a].fp ^ st_[g.b].fp);
-        if (expect_src != kNoWire) expect = PlanAct::PassSrc;
-      }
-      if (act != expect || (expect == PlanAct::PassSrc && pass_src_[i] != expect_src)) {
-        return false;
-      }
-    }
-
-    switch (act) {
-      case PlanAct::Public: break;
-      case PlanAct::PassA: st_[w].fp = st_[g.a].fp; break;
-      case PlanAct::PassB: st_[w].fp = st_[g.b].fp; break;
-      case PlanAct::PassC0: st_[w].fp = st_[netlist::kConst0].fp; break;
-      case PlanAct::PassC1: st_[w].fp = st_[netlist::kConst1].fp; break;
-      case PlanAct::PassSrc:
-      case PlanAct::FreeXor: st_[w].fp = st_[g.a].fp ^ st_[g.b].fp; break;
-      case PlanAct::Garble: st_[w].fp = derived_fp(i); break;
-    }
-    src_[i] = collapse(g, w, act, pass_src_[i], src_.data(), first_gate);
-  }
-  return true;
 }
 
 bool Planner::wire_public(WireId w) const { return (cur_->wire_bits[w] & 1) != 0; }

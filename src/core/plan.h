@@ -38,17 +38,13 @@
 // it: a warm cycle checks its predecessor's successor on the signature terms
 // that changed before it falls back to the hash lookup.
 //
-// Classification is additionally *cone-granular*: the netlist is partitioned
-// once into topologically-contiguous segments (fanin cones rooted at
-// constants/inputs/DFFs, cut where the fewest wires cross a frontier), the
-// CyclePlan is a composition of per-segment slices, and each segment's
-// forward classification is memoized under its *local* boundary-state key
-// (ConeMemo). On a whole-netlist cache miss every cone probes the memo with
-// its local key: cones whose boundary state recurs are adopted from it, the
-// rest are re-classified. Stitched plans are byte-identical to a from-scratch
-// classification: every fingerprint-dependent decision in an adopted cone is
-// re-verified against the live fingerprints, and drift falls back to
-// reclassifying that cone. The partition belongs to the PlanCache whose
+// Classification runs over a fixed *cone layout*: the netlist is cut once
+// into topologically-contiguous segments (fanin cones rooted at
+// constants/inputs/DFFs, cut where the fewest wires cross a frontier), and
+// the CyclePlan is a composition of per-segment slices, each slice's tables
+// travelling as one frame. A whole-netlist cache miss (or a hit whose
+// verification fails) classifies the cycle from scratch, one forward pass
+// over the segments in order. The layout belongs to the PlanCache whose
 // entries it indexes, so planners sharing a cache build it once.
 #pragma once
 
@@ -163,27 +159,21 @@ struct CyclePlan {
 };
 
 /// One fanin-cone segment of the netlist: the contiguous gate range
-/// [first_gate, first_gate+count) plus the external wires its gates read
-/// (roots and earlier segments' outputs), ascending — the cone's local
-/// key domain.
+/// [first_gate, first_gate+count).
 struct PlanSegment {
   std::uint32_t first_gate = 0;
   std::uint32_t count = 0;
-  std::vector<netlist::WireId> boundary;
-  /// boundary[0..root_count) are root wires (constants/inputs/DFF outputs);
-  /// the rest are earlier segments' gate outputs.
-  std::uint32_t root_count = 0;
 };
 
 /// Deterministic one-time partition of a netlist's gates into segments. Both
 /// parties compute it independently from public data, so it is part of the
-/// shared plan contract (its key is folded into every memo key). Cuts are
-/// placed near multiples of `target_gates` at fanout frontiers — positions
-/// the fewest live wires cross — so boundary keys stay small.
+/// shared plan contract: it fixes the slices, and so each slice's table
+/// frame. Its key binds a PlanCache to one segmentation. Cuts are placed
+/// near multiples of `target_gates` at fanout frontiers — positions the
+/// fewest live wires cross.
 struct PlanLayout {
   std::vector<PlanSegment> segments;
-  std::size_t total_boundary = 0;  ///< summed boundary sizes (key cost)
-  std::uint64_t key = 0;           ///< netlist key + cut positions
+  std::uint64_t key = 0;  ///< netlist key + cut positions
 
   static PlanLayout build(const netlist::Netlist& nl, std::size_t target_gates,
                           std::uint64_t netlist_key);
@@ -368,72 +358,11 @@ class PlanCache {
   std::size_t seen_max_ = 0;  ///< slots seen_ may grow to (8 x capacity)
 };
 
-/// Reusable per-party store of per-cone forward classifications, keyed by
-/// the cone's *local* entry state: the kept signature terms of its boundary
-/// roots plus the packed public/value/flip bits of its boundary internals.
-/// The key deliberately carries no internal fingerprint structure — that is
-/// discrimination, not soundness: every adopted cone's fingerprint-dependent
-/// decisions are re-verified against the live fingerprints (key-equal
-/// candidates are walked until one verifies; none verifying reclassifies),
-/// and the common all-distinct fingerprint pattern collapses onto one key.
-/// Entries hold only the segment's slice of the plan (actions, pass
-/// sources, packed output wire bits, touch list), so they are small and hit
-/// across *similar* cycles — entry states that agree inside the cone but
-/// differ elsewhere — where the whole-netlist PlanCache misses. Bounded
-/// capacity with LRU eviction across all segments. Not thread-safe; one per
-/// party.
+/// Frozen for perfbench: an empty type nothing reads (a plan cache miss
+/// classifies the cycle from scratch; there is no per-cone reuse).
 class ConeMemo {
  public:
-  explicit ConeMemo(std::size_t budget_bytes = 32u << 20);
-  ~ConeMemo();
-  ConeMemo(const ConeMemo&) = delete;
-  ConeMemo& operator=(const ConeMemo&) = delete;
-
-  [[nodiscard]] std::size_t entries() const { return lru_.size(); }
-  [[nodiscard]] std::size_t capacity() const { return capacity_; }
-  [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
-
- private:
-  friend class Planner;
-
-  struct Entry {
-    std::uint32_t segment = 0;
-    std::uint64_t hash = 0;
-    std::vector<std::uint64_t> key;  ///< exact local boundary-state key
-    std::vector<std::uint8_t> act;
-    std::vector<netlist::WireId> pass_src;
-    std::vector<std::uint8_t> out_bits;  ///< packed wire bits of the cone's outputs
-    std::vector<std::uint32_t> touch;    ///< absolute gate indices to visit
-  };
-  using LruList = std::list<Entry>;
-
-  void ensure_sized(std::uint64_t layout_key, const PlanLayout& layout);
-  /// Returns the first key-equal candidate at index >= *after (advancing
-  /// *after past it), or nullptr. Multiple entries may share a key: drifted
-  /// fingerprint structure makes key-equal states classify differently, and
-  /// the caller walks candidates until one verifies. Read-only (no LRU
-  /// motion): the planner probes every segment of a cycle first and replays
-  /// the LRU touches afterwards via touch_candidates(), in segment order
-  /// between that cycle's inserts (see Planner::build_plan).
-  [[nodiscard]] const Entry* peek(std::uint32_t segment, std::uint64_t hash,
-                                  const std::vector<std::uint64_t>& key,
-                                  std::size_t* after) const;
-  /// Replays the LRU effect of `probed` peek() probes for this key: splices
-  /// the first `probed` key-equal candidates to the front, in probe order.
-  /// Candidates evicted since the probe are silently skipped.
-  void touch_candidates(std::uint32_t segment, std::uint64_t hash,
-                        const std::vector<std::uint64_t>& key, std::size_t probed);
-  [[nodiscard]] Entry* insert(std::uint32_t segment, std::uint64_t hash,
-                              const std::vector<std::uint64_t>& key);
-
-  std::size_t budget_bytes_;
-  std::size_t capacity_ = 0;
-  std::uint64_t evictions_ = 0;
-  LruList lru_;  ///< front = most recently used
-  std::unordered_map<std::uint64_t, std::vector<LruList::iterator>> map_;
-  /// Layout content hash (netlist + mode + cut positions) this memo is keyed
-  /// for; a shared memo handed to a different circuit/mode/layout is rejected.
-  std::uint64_t layout_key_ = 0;
+  explicit ConeMemo(std::size_t /*budget_bytes*/ = 0) {}
 };
 
 class WorkPool;
@@ -449,14 +378,9 @@ struct PlannerOptions {
   std::size_t cache_budget_bytes = 64u << 20;
   /// Optional externally owned cache, reusable across runs (same netlist).
   PlanCache* shared_cache = nullptr;
-  /// Cone-granular incremental classification: memoize per-segment forward
-  /// results so whole-netlist cache misses re-classify only cones whose
-  /// local boundary state is new.
-  bool cone_memo = true;
-  /// Budget for the planner-owned cone memo when none is supplied.
-  std::size_t cone_memo_budget_bytes = 32u << 20;
-  /// Optional externally owned cone memo, reusable across runs.
-  ConeMemo* shared_cone_memo = nullptr;
+  bool cone_memo = true;                           ///< frozen for perfbench: never read
+  std::size_t cone_memo_budget_bytes = 32u << 20;  ///< frozen for perfbench: never read
+  ConeMemo* shared_cone_memo = nullptr;            ///< frozen for perfbench: never read
   /// Segmentation granularity (gates per cone, approximate). Both parties
   /// must agree (folded into the layout key). 0 = one segment per netlist.
   std::size_t cone_target_gates = 512;
@@ -480,7 +404,7 @@ class Planner {
   void begin_cycle(const netlist::BitVec& pub_stream);
 
   /// Classifies the cycle (forward pass), via the plan cache when the entry
-  /// signature matches a previous cycle and via the per-cone memo otherwise.
+  /// signature matches a previous cycle and from scratch otherwise.
   /// Publicness/values of every wire are queryable afterwards (e.g. for the
   /// halt-wire check).
   void forward();
@@ -509,10 +433,9 @@ class Planner {
   /// verified or rejected: the comparisons whose outcome neither the
   /// signature nor the entry fixes.
   [[nodiscard]] std::uint64_t relation_checks() const { return relation_checks_; }
-  /// Cone-level counters: over segments processed on whole-netlist cache
-  /// misses only (a whole-netlist hit never consults the memo).
-  [[nodiscard]] std::uint64_t cone_hits() const { return cone_hits_; }
-  [[nodiscard]] std::uint64_t cone_misses() const { return cone_misses_; }
+  /// Frozen for perfbench: there is no cone memo, so both read 0.
+  [[nodiscard]] std::uint64_t cone_hits() const { return 0; }
+  [[nodiscard]] std::uint64_t cone_misses() const { return 0; }
   /// Cache hits reached through the previous entry's successor link rather
   /// than the hash lookup (a subset of cache_hits()).
   [[nodiscard]] std::uint64_t link_hits() const { return link_hits_; }
@@ -530,10 +453,11 @@ class Planner {
 
   crypto::Block fresh_fp();
   /// Fingerprint of a category-iv gate output: a pure function of the
-  /// cycle's fp epoch and the gate index, so the value is identical whether
-  /// the gate is classified, adopted from the cone memo or re-derived during
-  /// a hit verification. Disjoint from the root fingerprint stream by
-  /// construction (top plaintext bit).
+  /// cycle's fp epoch and the gate index, so the value does not depend on
+  /// classification order, and a hit's latch() can re-derive exactly the
+  /// fingerprints a classification of the same cycle would have produced.
+  /// Disjoint from the root fingerprint stream by construction (top
+  /// plaintext bit).
   [[nodiscard]] crypto::Block derived_fp(std::size_t gate) const;
   [[nodiscard]] crypto::Block derived_plaintext(std::size_t gate) const;
   void bind_secret_fp(WireState& s);
@@ -551,17 +475,9 @@ class Planner {
   /// Removes secret root w (fingerprint fp) from its class / adds it.
   void rep_remove(netlist::WireId w, const crypto::Block& fp);
   void rep_insert(netlist::WireId w, const WireState& s);
-  /// Gathers a cone's exact memo key into `out`: its boundary roots' kept
-  /// signature terms and its boundary internals' packed wire bits.
-  void build_segment_key(std::size_t si, const PlanSegment& seg,
-                         std::vector<std::uint64_t>& out) const;
-  /// Forward-classifies the cycle into `e`, which becomes the current entry —
-  /// whole netlist, or stitched cone by cone when cone memoization is
-  /// enabled: every cone consults the memo by local key and memo misses
-  /// reclassify. Two loops in segment order: the first probes the memo
-  /// read-only and adopts or classifies each cone; the second replays the
-  /// probes' LRU touches and inserts the fresh classifications. Both work
-  /// on the dense per-gate scratch; e receives its touched records.
+  /// Forward-classifies the cycle into `e`, which becomes the current entry:
+  /// classify_segment over the segments in order, into the dense per-gate
+  /// scratch; e receives its touched records.
   void build_plan(Entry& e);
   /// Copies the touched gates' records out of the dense scratch into e.
   void store_records(Entry& e);
@@ -570,11 +486,6 @@ class Planner {
   /// Fresh forward classification of one segment's gates into the dense
   /// scratch and e's wire bits; touched gate indices are appended to touch_.
   void classify_segment(Entry& e, const PlanSegment& seg);
-  /// Copies a memoized cone slice into the dense scratch and e's wire bits
-  /// and verifies it (below); false = drift, caller reclassifies the segment
-  /// (the slice is simply overwritten). On success the slice's touch
-  /// indices are appended to touch_.
-  [[nodiscard]] bool adopt_segment(Entry& e, const PlanSegment& seg, const ConeMemo::Entry& m);
   /// Hit path: compiles the entry on its first hit, then checks its kept
   /// root relations against the live root fingerprints. Returns false on
   /// drift; the caller reclassifies. Failure is side-effect free: it writes
@@ -588,17 +499,6 @@ class Planner {
   /// verify — or keeps it as a root relation. Then the secret latch
   /// sources' forms.
   void compile_entry(Entry& e);
-  /// Cone-adoption path: walks a touch (sub-)list once over the dense
-  /// scratch, propagating fingerprints and collapsed sources through the
-  /// adopted actions (every touched gate, pass gates included — the miss
-  /// path reads operands unresolved) AND verifying every
-  /// fingerprint-dependent decision against the same decision table the
-  /// classifier uses. Returns false when any decision would differ — the
-  /// cycle's XOR-linear fingerprint structure drifted from the cached state,
-  /// which the equality-class keys cannot see — and the caller must
-  /// reclassify.
-  [[nodiscard]] bool verify_touch(const Entry& e, const std::uint32_t* touch,
-                                  std::size_t touch_count);
   /// Fills e's latch list from its records (see Entry::latch_dffs).
   void build_latch_list(Entry& e);
   /// Backward sweep for one variant over e's records; reads e's latch list
@@ -633,9 +533,9 @@ class Planner {
   std::uint64_t fp_epoch_ = 0;
 
   // Per-wire cycle state. Packed public/value/flip bits live in the current
-  // entry's wire_bits (adopted slices memcpy them wholesale); st_ carries
-  // fingerprints, plus valid bits only for root wires (gate-range bits in
-  // st_ are unspecified — always read bits from the entry). A verified
+  // entry's wire_bits; st_ carries fingerprints, plus valid bits only for
+  // root wires (gate-range bits in st_ are unspecified — always read bits
+  // from the entry). A verified
   // whole-entry hit writes no gate-range fingerprint: its only reader,
   // latch(), computes the latched ones from the program's latch forms.
   std::vector<WireState> st_;
@@ -643,16 +543,14 @@ class Planner {
   std::vector<crypto::Block> latch_derived_;  ///< latch(): a hit's derive part
   std::vector<WireState> latch_next_;  ///< latch() staging, per latch-list entry
   std::vector<std::uint8_t> needed_;   ///< backward-sweep scratch, sized on first use
-  /// Dense per-gate scratch, reused every cycle: build_plan classifies and
-  /// adopts cones into it (action, the XOR-cancellation peephole's chosen
-  /// candidate, collapsed source) and copies the touched records out;
+  /// Dense per-gate scratch, reused every cycle: build_plan classifies into
+  /// it (action, collapsed source) and copies the touched records out;
   /// compile_entry expands a cached entry's records back into it. Only the
   /// current touch list's gates are meaningful — every secret wire's
   /// producer is among them, and lookups only ever name secret wires.
   std::vector<std::uint8_t> act_;
-  std::vector<netlist::WireId> pass_src_;
   std::vector<netlist::WireId> src_;
-  std::vector<std::uint32_t> touch_;  ///< the touch list build_plan stitches
+  std::vector<std::uint32_t> touch_;  ///< the touch list build_plan collects
   std::size_t non_free_per_cycle_ = 0;
 
   // Plan cache: canonical entry-state signature -> Entry. Collisions on the
@@ -660,8 +558,6 @@ class Planner {
   // owned (shared across runs) or planner-owned.
   PlanCache* cache_ = nullptr;
   std::unique_ptr<PlanCache> owned_cache_;
-  ConeMemo* memo_ = nullptr;
-  std::unique_ptr<ConeMemo> owned_memo_;
   Entry scratch_;
   Entry* cur_ = nullptr;
   /// The cache entry served on the previous cycle (null after reset() or a
@@ -690,25 +586,12 @@ class Planner {
   std::vector<std::uint32_t> stage_;
   std::vector<std::uint32_t> x_;
   std::vector<std::uint32_t> rel_;
-  std::uint64_t cone_hits_ = 0;
-  std::uint64_t cone_misses_ = 0;
 
-  // What build_plan's probe loop leaves for its touch-and-insert loop, per
-  // segment (cone memo only).
-  struct SegProbe {
-    std::vector<std::uint64_t> key;
-    std::uint64_t hash = 0;
-    std::uint32_t probes = 0;  ///< memo candidates probed
-    bool adopted = false;      ///< adopted from the memo, else classified
-  };
-  std::vector<SegProbe> seg_probe_;
-
-  // Kept entry signature (the plan cache's key; its terms are the root words
-  // of the cone memo's keys): one term per root, their position-mixed sum,
-  // and the secret roots' fingerprint classes — an open-addressing table
-  // fp -> lowest member (the class representative), members chained in
-  // ascending order through rep_next_. Slots are epoch-stamped so a rebuild
-  // never clears the table.
+  // Kept entry signature (the plan cache's key): one term per root, their
+  // position-mixed sum, and the secret roots' fingerprint classes — an
+  // open-addressing table fp -> lowest member (the class representative),
+  // members chained in ascending order through rep_next_. Slots are
+  // epoch-stamped so a rebuild never clears the table.
   std::vector<std::uint32_t> terms_;
   std::uint64_t terms_hash_ = 0;
   /// Root positions set_term() wrote since the last forward() or reset()

@@ -76,8 +76,6 @@ PartyOptions party_options(Role role, const RunOptions& opts) {
   p.private_seed = opts.seed;  // in-process determinism convention
   p.plan_cache = opts.exec.plan_cache;
   p.plan_cache_budget_bytes = opts.exec.plan_cache_budget_bytes;
-  p.cone_memo = opts.exec.cone_memo;
-  p.cone_memo_budget_bytes = opts.exec.cone_memo_budget_bytes;
   p.cone_target_gates = opts.exec.cone_target_gates;
   p.ot_backend = opts.exec.ot_backend;
   p.ot_pool = opts.exec.ot_pool;

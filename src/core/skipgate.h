@@ -24,21 +24,16 @@ namespace arm2gc::core {
 /// Execution tuning that never changes results — only how they are computed.
 struct ExecOptions {
   /// Reuse classification across cycles with identical public entry state.
-  /// false disables all plan reuse, including the cone memo (the
-  /// from-scratch baseline for differential tests).
+  /// false disables all plan reuse (the from-scratch baseline for
+  /// differential tests).
   bool plan_cache = true;
   std::size_t plan_cache_budget_bytes = 64u << 20;
-  /// Cone-granular incremental planning: on whole-netlist cache misses,
-  /// stitch the plan from per-cone memo hits and re-classify only the cones
-  /// the memo misses. Never changes results (every adopted cone is
-  /// re-verified).
-  bool cone_memo = true;
-  std::size_t cone_memo_budget_bytes = 32u << 20;
+  std::size_t cone_memo_budget_bytes = 32u << 20;  ///< frozen for perfbench: never read
   /// Segmentation granularity (gates per cone, approximate; 0 = whole
   /// netlist as one cone). Public; both parties derive the same layout.
   std::size_t cone_target_gates = 512;
-  /// Optional externally owned per-role warm state (plan cache + cone memo +
-  /// IKNP extension state) persisting across runs — Arm2Gc::Session supplies
+  /// Optional externally owned per-role warm state (plan cache + IKNP
+  /// extension state) persisting across runs — Arm2Gc::Session supplies
   /// these. Role-scoped by construction: a Role::Garbler WarmState for the
   /// garbler slot, Role::Evaluator for the evaluator slot (endpoints reject
   /// a mismatch), so the two parties can never share mutable state.

@@ -55,8 +55,8 @@ ClientResult run_client(const std::string& host, std::uint16_t port,
   // Protocol proper: the evaluator endpoint's ordinary blocking run. The
   // service re-bases its pooled WarmState's OT half on every release (warm
   // extension streams are pairing-specific), so a repeat client must
-  // re-base too: only the plan caches and cone memos carry across served
-  // runs, never the OT streams. A no-op when the state is already based.
+  // re-base too: only the plan caches carry across served runs, never the
+  // OT streams. A no-op when the state is already based.
   if (warm != nullptr) warm->reset_ot();
   const core::PartyOptions popts = to_party_options(copts);
   core::EvaluatorEndpoint ev(nl, popts, sock->end(), warm);

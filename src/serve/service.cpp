@@ -59,11 +59,10 @@ struct GarblerService::Impl {
   /// WarmStates pooled per (program, OT backend, pool size). release()
   /// re-bases the OT half before pooling: warm extension streams are
   /// pairing-specific, so handing one to a *different* client would desync
-  /// mid-protocol; the plan caches and cone memos — the expensive part —
-  /// persist. Re-basing is also the endpoint abort path, which is why a
-  /// mid-protocol disconnect returns the state in exactly the same shape as
-  /// a clean finish: a pooled WarmState cannot be poisoned by a dying
-  /// client.
+  /// mid-protocol; the plan caches — the expensive part — persist.
+  /// Re-basing is also the endpoint abort path, which is why a mid-protocol
+  /// disconnect returns the state in exactly the same shape as a clean
+  /// finish: a pooled WarmState cannot be poisoned by a dying client.
   class WarmPool {
    public:
     explicit WarmPool(std::size_t cap) : cap_(cap) {}
@@ -275,7 +274,6 @@ struct GarblerService::Impl {
             warm_key = warm_key_of(spec->name, popts.ot_backend, popts.ot_pool);
             core::WarmState::Options wopts;
             wopts.plan_cache_budget_bytes = popts.plan_cache_budget_bytes;
-            wopts.cone_memo_budget_bytes = popts.cone_memo_budget_bytes;
             wopts.ot_backend = popts.ot_backend;
             wopts.ot_pool = popts.ot_pool;
             wopts.seed = popts.own_seed();

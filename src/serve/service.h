@@ -20,9 +20,9 @@
 //     kernel drains it; the transport's hard cap bounds the queue
 //     absolutely. Nothing ever buffers unboundedly.
 //   - WarmStates are pooled per (program, OT backend, pool size): a repeat
-//     client hits warm plan caches and cone memos. The OT half is re-based
-//     on every release — warm extension streams are pairing-specific, and
-//     a fresh client against an advanced stream would desync — which is
+//     client hits warm plan caches. The OT half is re-based on every
+//     release — warm extension streams are pairing-specific, and a fresh
+//     client against an advanced stream would desync — which is
 //     also exactly the abort path, so a mid-protocol disconnect returns
 //     the WarmState to the pool in the same known-good shape as a clean
 //     finish. A pooled WarmState can never be poisoned by a dying client.

@@ -140,19 +140,34 @@ TEST(PartyEndpoints, SocketMatchesInMemoryOnFuzzedNetlists) {
     multi.cone_target_gates = 24;
     ASSERT_GT(core::Planner(nl, multi).layout().segments.size(), 2u) << "seed " << seed;
 
-    for (const std::size_t cone_target : {core::ExecOptions{}.cone_target_gates,
-                                          multi.cone_target_gates}) {
-      for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
-        for (const gc::OtBackend ot :
-             {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+    for (const core::Mode mode : {core::Mode::SkipGate, core::Mode::Conventional}) {
+      for (const gc::OtBackend ot :
+           {gc::OtBackend::Ideal, gc::OtBackend::Iknp, gc::OtBackend::Precomp}) {
+        std::vector<core::RunResult> refs;
+        for (const std::size_t cone_target : {core::ExecOptions{}.cone_target_gates,
+                                              multi.cone_target_gates}) {
           core::RunOptions opts;
           opts.mode = mode;
           opts.fixed_cycles = 6;
           opts.exec.ot_backend = ot;
           opts.exec.cone_target_gates = cone_target;
-          const core::RunResult ref = core::SkipGateDriver(nl, opts).run(a, b, p, &streams);
-          expect_matches_reference(a2gtest::socket_run(nl, opts, a, b, p, &streams), ref);
+          refs.push_back(core::SkipGateDriver(nl, opts).run(a, b, p, &streams));
+          expect_matches_reference(a2gtest::socket_run(nl, opts, a, b, p, &streams),
+                                   refs.back());
         }
+        // Segmentation only cuts the table stream into frames: the run is the
+        // same at either cone target.
+        const core::RunStats& x = refs[0].stats;
+        const core::RunStats& y = refs[1].stats;
+        EXPECT_EQ(refs[0].sampled_outputs, refs[1].sampled_outputs) << "seed " << seed;
+        EXPECT_EQ(refs[0].final_outputs, refs[1].final_outputs) << "seed " << seed;
+        EXPECT_TRUE(x.table_digest == y.table_digest) << "seed " << seed;
+        EXPECT_EQ(x.garbled_non_xor, y.garbled_non_xor) << "seed " << seed;
+        EXPECT_EQ(x.live_gates, y.live_gates) << "seed " << seed;
+        EXPECT_EQ(x.comm.garbled_table_bytes, y.comm.garbled_table_bytes) << "seed " << seed;
+        EXPECT_EQ(x.comm.input_label_bytes, y.comm.input_label_bytes) << "seed " << seed;
+        EXPECT_EQ(x.comm.ot_bytes, y.comm.ot_bytes) << "seed " << seed;
+        EXPECT_EQ(x.comm.output_bytes, y.comm.output_bytes) << "seed " << seed;
       }
     }
   }

@@ -398,14 +398,13 @@ TEST(PlanCache, ArmSessionWarmsAcrossExecutions) {
 }
 
 TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
-  // Coverage gap from PR 3: eviction *inside* a warm Arm2Gc::Session. A
-  // 1-byte budget clamps both stores to their capacity floors (4 plans /
-  // 8 cones), far below what one ARM run classifies, so every run churns
-  // the LRU and later runs re-enter states whose entries were evicted —
-  // and whose cones were re-admitted as fresh memo entries. Results must
-  // stay exact across >= 3 runs (stale-slice adoption after eviction would
-  // corrupt outputs or the garbled count/digest), hit ratios must stay
-  // sane, and the stores must stay at their bounds.
+  // Eviction *inside* a warm Arm2Gc::Session. A 1-byte budget clamps the
+  // plan cache to its 4-entry capacity floor, far below what one ARM run
+  // classifies, so every run churns the LRU and later runs re-enter states
+  // whose entries were evicted. Results must stay exact across >= 3 runs
+  // (serving a stale entry after eviction would corrupt outputs or the
+  // garbled count/digest), hit ratios must stay sane, and the cache must
+  // stay at its bound.
   const auto prog = arm::assemble(
       "ldr r4, [r0]\n"
       "ldr r5, [r1]\n"
@@ -424,7 +423,6 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
 
   core::WarmState::Options tiny;
   tiny.plan_cache_budget_bytes = 1;  // capacity floor: 4 entries
-  tiny.cone_memo_budget_bytes = 1;   // capacity floor: 8 entries
   core::WarmState gwarm(core::Role::Garbler, tiny);
   core::WarmState ewarm(core::Role::Evaluator, tiny);
   core::ExecOptions exec;
@@ -445,10 +443,8 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
     const double hr = r.stats.plan_cache_hit_ratio();
     EXPECT_GE(hr, 0.0);
     EXPECT_LT(hr, 1.0) << "run " << i;
-    EXPECT_LE(r.stats.cone_hit_ratio(), 1.0);
     hit_ratios.push_back(hr);
     EXPECT_LE(gwarm.plan_cache().entries(), gwarm.plan_cache().capacity());
-    EXPECT_LE(gwarm.cone_memo().entries(), gwarm.cone_memo().capacity());
   }
   // Monotone-sane trajectory: warm runs never do worse than the cold first
   // run, and the deterministic churn reaches a steady state (the repeating
@@ -459,9 +455,7 @@ TEST(PlanCache, WarmSessionCorrectUnderAdversarialEvictionBudgets) {
   EXPECT_DOUBLE_EQ(hit_ratios[2], hit_ratios[1]);
   EXPECT_DOUBLE_EQ(hit_ratios[3], hit_ratios[2]);
   EXPECT_EQ(gwarm.plan_cache().capacity(), 4u);
-  EXPECT_EQ(gwarm.cone_memo().capacity(), 8u);
   EXPECT_GT(gwarm.plan_cache().evictions(), 0u);
-  EXPECT_GT(gwarm.cone_memo().evictions(), 0u);
 }
 
 TEST(PlanCache, XorRelationAmongRootsDoesNotAliasStates) {
@@ -1277,7 +1271,6 @@ TEST(PlanCache, RejectsReuseAcrossLayouts) {
   crypto::CtrRng rng(crypto::block_from_u64(27183));
   const netlist::Netlist nl = random_seq_netlist(rng);
   PlannerOptions coarse;
-  coarse.cone_memo = false;  // the cache alone must catch it
   PlannerOptions fine = coarse;
   fine.cone_target_gates = 4;
   PlannerOptions whole = coarse;
@@ -1296,7 +1289,7 @@ TEST(PlanCache, RejectsReuseAcrossLayouts) {
   EXPECT_THROW(Planner p5(nl, coarse), std::invalid_argument);
 }
 
-// --- cone-granular incremental planning ----------------------------------------
+// --- selector-driven entry states -------------------------------------------
 
 /// Builds a netlist whose entry state is controlled by a `width`-bit
 /// streamed public selector mixed with party secrets, so each selector
@@ -1361,7 +1354,6 @@ TEST(PlanCache, SuccessorLinksUnderEvictionServeExactPlans) {
   warm.shared_cache = &cache;
   PlannerOptions fresh;
   fresh.cache = false;
-  fresh.cone_memo = false;
   std::uint64_t hits = 0;
   std::uint64_t link_hits = 0;
   for (int run = 0; run < 4; ++run) {
@@ -1392,143 +1384,7 @@ TEST(PlanCache, SuccessorLinksUnderEvictionServeExactPlans) {
   EXPECT_GT(hits, link_hits);  // a stale or missing link falls back to the lookup
 }
 
-TEST(ConeMemo, LruEvictionBoundsEntries) {
-  // Same structure at cone granularity: a 1-byte budget clamps to the
-  // 8-entry floor; the 16 distinct selector states keep only the last 8.
-  const netlist::Netlist nl = selector_netlist(4);
-  core::ConeMemo memo(1);  // capacity floor of 8
-  PlannerOptions opts;
-  opts.cache = false;  // exercise the memo on every cycle
-  opts.shared_cone_memo = &memo;
-  Planner planner(nl, opts);
-  planner.reset({});
-
-  const auto drive = [&](std::uint64_t v) {
-    planner.begin_cycle(to_bits(v, 4));
-    planner.forward();
-    (void)planner.finish(/*is_final=*/false);
-  };
-  ASSERT_EQ(planner.layout().segments.size(), 1u);
-  for (std::uint64_t v = 0; v < 16; ++v) drive(v);
-  EXPECT_EQ(memo.capacity(), 8u);
-  EXPECT_EQ(memo.entries(), 8u);
-  EXPECT_EQ(memo.evictions(), 8u);
-  EXPECT_EQ(planner.cone_hits(), 0u);
-  EXPECT_EQ(planner.cone_misses(), 16u);
-
-  for (std::uint64_t v = 15; v >= 8; --v) drive(v);  // the retained eight
-  EXPECT_EQ(planner.cone_hits(), 8u);
-  EXPECT_EQ(memo.evictions(), 8u);
-  drive(0);  // evicted: reclassified and re-admitted, evicting the LRU
-  EXPECT_EQ(planner.cone_hits(), 8u);
-  EXPECT_EQ(planner.cone_misses(), 17u);
-  EXPECT_EQ(memo.entries(), 8u);
-  EXPECT_EQ(memo.evictions(), 9u);
-}
-
-TEST(ConeMemo, KeysIgnoreEarlierRootsTurningPublicOrSecret) {
-  // The lowest flip-flop alternates between public and secret (a public
-  // toggle gates a garbled product of both parties' inputs into it), while a
-  // later chain of cones reads only a held secret flip-flop and Bob's input.
-  // A cone's key takes each boundary root's kept signature term, which names
-  // the root's own class representative, so those cones' keys stay put when
-  // the low flip-flop flips and every cycle after the first adopts them.
-  builder::CircuitBuilder cb;
-  const builder::Wire a = cb.input(netlist::Owner::Alice, 0);
-  const builder::Wire b = cb.input(netlist::Owner::Bob, 0);
-  const auto flipping = cb.make_dff(netlist::Dff::Init::Zero);
-  const auto toggle = cb.make_dff(netlist::Dff::Init::One);
-  const auto held = cb.make_dff(netlist::Dff::Init::BobBit, 0);
-  const builder::Wire tq = cb.dff_out(toggle);
-  const builder::Wire fq = cb.dff_out(flipping);
-  const builder::Wire hq = cb.dff_out(held);
-  cb.set_dff_d(flipping, cb.and_(tq, cb.and_(a, b)));
-  cb.set_dff_d(toggle, builder::CircuitBuilder::not_(tq));
-  cb.set_dff_d(held, hq);
-  cb.output(cb.and_(fq, b), "fb");
-  builder::Wire acc = cb.and_(hq, b);
-  for (int i = 0; i < 12; ++i) acc = i % 2 == 0 ? cb.xor_(acc, hq) : cb.and_(acc, b);
-  cb.output(acc, "chain");
-  cb.set_outputs_every_cycle(true);
-  const netlist::Netlist nl = cb.take();
-
-  PlannerOptions memo_only;
-  memo_only.cache = false;
-  memo_only.cone_target_gates = 4;
-  PlannerOptions fresh = memo_only;
-  fresh.cone_memo = false;
-  Planner pm(nl, memo_only);
-  Planner pf(nl, fresh);
-
-  // Stable cones: no boundary root is one of the toggling flip-flops, and
-  // every upstream cone — the producer of a non-root boundary wire — is
-  // stable too.
-  const core::PlanLayout& layout = pm.layout();
-  const netlist::WireId fw = nl.dff_wire(0);
-  const netlist::WireId tw = nl.dff_wire(1);
-  const netlist::WireId first_gate = nl.first_gate_wire();
-  std::vector<bool> stable(layout.segments.size(), true);
-  std::uint64_t stable_count = 0;
-  for (std::size_t si = 0; si < layout.segments.size(); ++si) {
-    const core::PlanSegment& seg = layout.segments[si];
-    for (std::uint32_t k = 0; k < seg.root_count; ++k) {
-      if (seg.boundary[k] == fw || seg.boundary[k] == tw) stable[si] = false;
-    }
-    for (std::size_t k = seg.root_count; k < seg.boundary.size(); ++k) {
-      const std::size_t gate = seg.boundary[k] - first_gate;
-      for (std::size_t u = 0; u < si; ++u) {
-        const core::PlanSegment& up = layout.segments[u];
-        if (gate >= up.first_gate && gate < up.first_gate + up.count && !stable[u]) {
-          stable[si] = false;
-        }
-      }
-    }
-    stable_count += stable[si] ? 1 : 0;
-  }
-  ASSERT_GT(stable_count, 0u);
-
-  pm.reset({});
-  pf.reset({});
-  constexpr std::uint64_t kCycles = 8;
-  for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
-    pm.begin_cycle({});
-    pf.begin_cycle({});
-    const std::uint64_t hits_before = pm.cone_hits();
-    pm.forward();
-    pf.forward();
-    EXPECT_EQ(pm.wire_public(fw), cycle % 2 == 0) << "cycle " << cycle;
-    if (cycle > 0) {
-      EXPECT_GE(pm.cone_hits() - hits_before, stable_count) << "cycle " << cycle;
-    }
-    const bool is_final = cycle + 1 == kCycles;
-    const CyclePlan m = pm.finish(is_final);
-    const CyclePlan f = pf.finish(is_final);
-    expect_plans_equal(m, f);
-    expect_signature_kept(pm, 0, cycle);
-    if (!is_final) {
-      pm.latch(m);
-      pf.latch(f);
-    }
-  }
-}
-
-TEST(ConeMemo, RejectsReuseAcrossNetlistsAndLayouts) {
-  crypto::CtrRng rng(crypto::block_from_u64(27182));
-  const netlist::Netlist nl1 = random_seq_netlist(rng);
-  netlist::Netlist nl2 = nl1;
-  nl2.gates.push_back(netlist::Gate{netlist::kConst0, netlist::kConst1, netlist::kTtAnd});
-  core::ConeMemo memo;
-  PlannerOptions opts;
-  opts.shared_cone_memo = &memo;
-  Planner p1(nl1, opts);
-  EXPECT_THROW(Planner p2(nl2, opts), std::invalid_argument);
-  // Same netlist, different segmentation: also a different plan contract.
-  PlannerOptions finer = opts;
-  finer.cone_target_gates = 4;
-  EXPECT_THROW(Planner p3(nl1, finer), std::invalid_argument);
-}
-
-TEST(ConeMemo, WarmStateIsRoleScoped) {
+TEST(WarmState, IsRoleScoped) {
   const netlist::Netlist nl = selector_netlist(3);
   core::WarmState gwarm(core::Role::Garbler);
 
@@ -1553,28 +1409,23 @@ TEST(ConeMemo, WarmStateIsRoleScoped) {
 }
 
 /// Differential fuzz (both party sides): randomized sequential netlists
-/// driven through randomized public-input sequences; the incremental
-/// (cone-stitched, segmented) plan must be byte-equal to a from-scratch
-/// plan on every cycle. Each netlist then replays its trajectory twice over
-/// one shared PlanCache/ConeMemo (the second pass serves whole-entry hits
-/// through programs compiled in the first), so the compiled hit path is
-/// covered in both modes. A planner without a whole-netlist cache, on its
-/// own 8-entry cone memo, runs alongside the first pass: under constant
-/// eviction its stitched plans must stay byte-equal. Every cycle, the incremental
-/// planners' kept entry signatures (whose terms key the cone memo too) must
+/// driven through randomized public-input sequences; the cached, segmented
+/// planners' plans must be byte-equal to an uncached planner's on every
+/// cycle. Each netlist then replays its trajectory twice over one shared
+/// PlanCache (the second pass serves whole-entry hits through programs
+/// compiled in the first), so the compiled hit path is covered in both
+/// modes. Every cycle, the cached planners' kept entry signatures must
 /// equal a from-scratch recompute; each seed also runs a flip-flop copy/swap
 /// register with streamed secret inputs (copy_swap_netlist), whose
 /// fingerprint classes merge and split. A2G_PLAN_FUZZ_SEEDS scales the sweep
 /// (CI runs deeper passes).
-TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
+TEST(PlanDifferentialFuzz, CachedPlansByteEqualFromScratchEveryCycle) {
   int seeds = 12;
   if (const char* env = std::getenv("A2G_PLAN_FUZZ_SEEDS")) seeds = std::atoi(env);
   constexpr std::uint64_t kCycles = 20;
   constexpr std::uint32_t kStreamedPub = 3;
   // Whole-entry hits over the sweep, per mode.
   std::uint64_t warm_hits[2] = {0, 0};
-  std::uint64_t small_memo_evictions = 0;
-  std::uint64_t small_memo_hits = 0;
   std::uint64_t shared_class_roots = 0;  // copy/swap netlists, SkipGate
 
   for (int seed = 0; seed < seeds; ++seed) {
@@ -1595,67 +1446,45 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
         inc.cone_target_gates = 4;  // force several segments on small netlists
         PlannerOptions fresh = inc;
         fresh.cache = false;
-        fresh.cone_memo = false;
-        // Cone memo only, at its capacity floor.
-        core::ConeMemo small_memo_s(1);
-        PlannerOptions small_s = inc;
-        small_s.cache = false;
-        small_s.shared_cone_memo = &small_memo_s;
 
-        // Garbler-side and evaluator-side incremental planners (independent
+        // Garbler-side and evaluator-side cached planners (independent
         // instances fed identical public data) plus a from-scratch reference.
         Planner pg(nl, inc);
         Planner pe(nl, inc);
         Planner pf(nl, fresh);
-        Planner ps(nl, small_s);
         pg.reset(pub);
         pe.reset(pub);
         pf.reset(pub);
-        ps.reset(pub);
 
         for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
           const netlist::BitVec& sp = pub_streams[cycle];
           pg.begin_cycle(sp);
           pe.begin_cycle(sp);
           pf.begin_cycle(sp);
-          ps.begin_cycle(sp);
           const std::size_t shared = expect_signature_kept(pg, seed, cycle);
           expect_signature_kept(pe, seed, cycle);
-          expect_signature_kept(ps, seed, cycle);
           if (nlp == &nl_copy && mode == Mode::SkipGate) shared_class_roots += shared;
           pg.forward();
           pe.forward();
           pf.forward();
-          ps.forward();
           const bool is_final = cycle + 1 == kCycles;
           const CyclePlan a = pg.finish(is_final);
           const CyclePlan b = pe.finish(is_final);
           const CyclePlan c = pf.finish(is_final);
-          const CyclePlan d = ps.finish(is_final);
           expect_plans_equal(a, b);
           expect_plans_equal(a, c);
-          expect_plans_equal(d, c);
           if (!is_final) {
             pg.latch(a);
             pe.latch(b);
             pf.latch(c);
-            ps.latch(d);
           }
         }
-        EXPECT_EQ(small_memo_s.capacity(), 8u);
-        EXPECT_LE(small_memo_s.entries(), small_memo_s.capacity());
-        small_memo_evictions += small_memo_s.evictions();
-        small_memo_hits += ps.cone_hits();
         ASSERT_GT(pg.layout().segments.size(), 1u) << "seed " << seed;
-        EXPECT_GT(pg.cone_hits() + pg.cone_misses(), 0u) << "seed " << seed;
-        EXPECT_EQ(pg.cone_hits(), pe.cone_hits()) << "seed " << seed;
 
         core::PlanCache shared_cache;
-        core::ConeMemo shared_memo;
         for (int pass = 0; pass < 2; ++pass) {
           PlannerOptions warm = inc;
           warm.shared_cache = &shared_cache;
-          warm.shared_cone_memo = &shared_memo;
           Planner pw(nl, warm);
           Planner pr(nl, fresh);
           pw.reset(pub);
@@ -1683,114 +1512,7 @@ TEST(ConeDifferentialFuzz, StitchedPlansByteEqualFromScratchEveryCycle) {
   for (int m = 0; m < 2; ++m) {
     EXPECT_GT(warm_hits[m], 0u) << "mode " << m << ": no whole-entry hits";
   }
-  EXPECT_GT(small_memo_evictions, 0u) << "the 8-entry cone memo never evicted";
-  EXPECT_GT(small_memo_hits, 0u) << "the 8-entry cone memo never hit";
   EXPECT_GT(shared_class_roots, 0u) << "no copy/swap flip-flop ever shared a class";
-}
-
-/// Pins the order of build_plan's two memo loops: every segment of a cycle
-/// probes the cone memo before any of them touches or inserts. With ten
-/// segments cycling through an 8-entry memo, a touch-and-insert folded into
-/// the probe loop would evict each cone's entry before its next-cycle probe,
-/// and the memo would never hit. The counts are deterministic.
-TEST(ConeMemo, AllProbesRunBeforeTouchesAndInserts) {
-  constexpr std::uint64_t kCycles = 20;
-  crypto::CtrRng rng(crypto::block_from_u64(7922));
-  const netlist::Netlist nl = random_seq_netlist(rng, 3);
-  const netlist::BitVec pub = to_bits(rng.next_u64(), 4);
-  std::vector<netlist::BitVec> pubs;
-  for (std::uint64_t c = 0; c < kCycles; ++c) pubs.push_back(to_bits(rng.next_u64(), 3));
-
-  core::ConeMemo memo(1);  // the capacity floor: 8 entries
-  PlannerOptions opts;
-  opts.cache = false;
-  opts.cone_target_gates = 4;
-  opts.shared_cone_memo = &memo;
-  Planner p(nl, opts);
-  ASSERT_EQ(p.layout().segments.size(), 10u);
-  p.reset(pub);
-  for (std::uint64_t c = 0; c < kCycles; ++c) {
-    p.begin_cycle(pubs[c]);
-    p.forward();
-    const bool is_final = c + 1 == kCycles;
-    const CyclePlan plan = p.finish(is_final);
-    if (!is_final) p.latch(plan);
-  }
-  EXPECT_EQ(memo.capacity(), 8u);
-  EXPECT_EQ(p.cone_hits(), 76u);
-  EXPECT_EQ(p.cone_misses(), 124u);
-  EXPECT_EQ(memo.evictions(), 116u);
-}
-
-TEST(ConeMemo, DriverResultsIdenticalWithConeMemoOnAndOff) {
-  // Acceptance pin: the full protocol produces bit-identical outputs,
-  // garbled_non_xor counts and communication bytes with cone memoization
-  // enabled vs disabled, on randomized sequential circuits with per-cycle
-  // public inputs (so whole-netlist cache misses occur and cones matter).
-  crypto::CtrRng rng(crypto::block_from_u64(515253));
-  for (int seed = 0; seed < 4; ++seed) {
-    const netlist::Netlist nl = random_seq_netlist(rng, 2);
-    const netlist::BitVec a = to_bits(rng.next_u64(), 4);
-    const netlist::BitVec b = to_bits(rng.next_u64(), 4);
-    const netlist::BitVec p = to_bits(rng.next_u64(), 4);
-    const std::uint64_t pub_word = rng.next_u64();
-    core::StreamProvider streams;
-    streams.pub = [&](std::uint64_t c) { return to_bits(pub_word >> (2 * c), 2); };
-
-    for (const Mode mode : {Mode::SkipGate, Mode::Conventional}) {
-      core::RunOptions on;
-      on.mode = mode;
-      on.fixed_cycles = 12;
-      on.exec.cone_target_gates = 4;
-      core::RunOptions off = on;
-      off.exec.cone_memo = false;
-
-      const core::RunResult r_on = core::SkipGateDriver(nl, on).run(a, b, p, &streams);
-      const core::RunResult r_off = core::SkipGateDriver(nl, off).run(a, b, p, &streams);
-      EXPECT_EQ(r_on.sampled_outputs, r_off.sampled_outputs);
-      EXPECT_EQ(r_on.final_outputs, r_off.final_outputs);
-      EXPECT_EQ(r_on.stats.garbled_non_xor, r_off.stats.garbled_non_xor);
-      EXPECT_EQ(r_on.stats.skipped_non_xor, r_off.stats.skipped_non_xor);
-      EXPECT_EQ(r_on.stats.comm.total(), r_off.stats.comm.total());
-      EXPECT_EQ(r_off.stats.cone_hits + r_off.stats.cone_misses, 0u);
-    }
-  }
-}
-
-TEST(ConeMemo, ArmConeHitsOnCyclesTheFlatCacheMissed) {
-  // The headline scenario (an ARM loop workload): a cold run's cycles are
-  // distinct whole-netlist entry states — loop iterations differ in the
-  // public counter — so the flat PlanCache misses on every cycle, but most
-  // of the 42k-gate core's cones recur across iterations and stitch from
-  // the memo.
-  const programs::Program prog = programs::hamming(2);
-  const arm::Arm2Gc machine(prog.cfg, prog.words);
-  const std::vector<std::uint32_t> a = {0xDEADBEEFu, 0x0F0F0F0Fu};
-  const std::vector<std::uint32_t> b = {0x12345678u, 0xFF00FF00u};
-  const arm::Arm2GcResult expect = machine.run_reference(a, b);
-
-  core::ExecOptions cone_on;
-  core::ExecOptions cone_off;
-  cone_off.cone_memo = false;
-  const arm::Arm2GcResult r_on =
-      machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, cone_on);
-  const arm::Arm2GcResult r_off =
-      machine.run(a, b, 1u << 20, gc::Scheme::HalfGates, cone_off);
-
-  EXPECT_EQ(r_on.outputs, expect.outputs);
-  EXPECT_EQ(r_on.outputs, r_off.outputs);
-  EXPECT_EQ(r_on.cycles, r_off.cycles);
-  EXPECT_EQ(r_on.stats.garbled_non_xor, r_off.stats.garbled_non_xor);
-  EXPECT_EQ(r_on.stats.comm.total(), r_off.stats.comm.total());
-  // The transient flat cache misses on every first-seen state (the loop
-  // counter makes every cycle's whole-netlist state distinct)...
-  EXPECT_GT(r_on.stats.plan_cache_misses, 0u);
-  // ...and the cone memo converts about half of each missed cycle's cones
-  // into cone hits. The counts are deterministic; pinning them exactly
-  // proves the memo probe finds every recurring cone.
-  EXPECT_EQ(r_on.stats.cone_hits, 1309u);
-  EXPECT_EQ(r_on.stats.cone_misses, 1228u);
-  EXPECT_EQ(r_off.stats.cone_hits + r_off.stats.cone_misses, 0u);
 }
 
 /// A cached cycle keeps its touched-gate records, not per-gate arrays: over
