@@ -1,7 +1,8 @@
 // Microbenchmarks (google-benchmark): the cryptographic kernels under the
 // protocol — AES, the garbling hash, garble/eval per scheme (one gate per
 // call, and half-gates batches through the fused kernel), the IKNP
-// transpose and OT batches — plus the warm planner cycle (BM_WarmPlanHit).
+// transpose and OT batches — plus the warm and cold planner cycles
+// (BM_WarmPlanHit, BM_ColdPlanCycle).
 // They are per-kernel rooflines, not a paper table: end-to-end protocol
 // wall time is measured by perfbench/.
 //
@@ -13,6 +14,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "arm/arm2gc.h"
@@ -349,5 +351,48 @@ static void BM_WarmPlanHit(benchmark::State& state) {
       static_cast<double>(planner.cache_hits() - hits0) / static_cast<double>(cycles ? cycles : 1));
 }
 BENCHMARK(BM_WarmPlanHit);
+
+// Cold planner cycle: the same Hamming-160 replay, each iteration on a fresh
+// PlanCache and Planner, so every cycle misses and is classified from
+// scratch (forward pass, backward sweep, latch list). Building the cache and
+// planner (netlist key, cone layout) is not timed.
+static void BM_ColdPlanCycle(benchmark::State& state) {
+  const programs::Program prog = programs::hamming(5);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const core::PartyOptions po = machine.party_options(core::Role::Garbler);
+  std::int64_t cycles = 0;
+  std::uint64_t misses = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    auto cache = std::make_unique<core::PlanCache>();
+    core::PlannerOptions opts;
+    opts.mode = po.mode;
+    opts.seed = po.protocol_seed;
+    opts.shared_cache = cache.get();
+    opts.cone_target_gates = po.cone_target_gates;
+    auto planner = std::make_unique<core::Planner>(machine.cpu().nl, opts);
+    state.ResumeTiming();
+    planner->reset({});
+    for (;;) {
+      planner->begin_cycle({});
+      planner->forward();
+      ++cycles;
+      const bool is_final = planner->wire_value(*po.halt_wire);
+      const core::CyclePlan plan = planner->finish(is_final);
+      benchmark::DoNotOptimize(plan.slices);
+      if (is_final) break;
+      planner->latch(plan);
+    }
+    misses += planner->cache_misses();
+    state.PauseTiming();
+    planner.reset();
+    cache.reset();
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(cycles);
+  state.counters["miss_ratio"] = benchmark::Counter(static_cast<double>(misses) /
+                                                    static_cast<double>(cycles ? cycles : 1));
+}
+BENCHMARK(BM_ColdPlanCycle);
 
 BENCHMARK_MAIN();

@@ -1417,8 +1417,10 @@ TEST(WarmState, IsRoleScoped) {
 /// modes. Every cycle, the cached planners' kept entry signatures must
 /// equal a from-scratch recompute; each seed also runs a flip-flop copy/swap
 /// register with streamed secret inputs (copy_swap_netlist), whose
-/// fingerprint classes merge and split. A2G_PLAN_FUZZ_SEEDS scales the sweep
-/// (CI runs deeper passes).
+/// fingerprint classes merge and split. Every wire a plan marks public must
+/// also carry its plan value in a cleartext netlist::Simulator run under two
+/// independent secret-input draws: an oracle outside the planner.
+/// A2G_PLAN_FUZZ_SEEDS scales the sweep (CI runs deeper passes).
 TEST(PlanDifferentialFuzz, CachedPlansByteEqualFromScratchEveryCycle) {
   int seeds = 12;
   if (const char* env = std::getenv("A2G_PLAN_FUZZ_SEEDS")) seeds = std::atoi(env);
@@ -1455,6 +1457,13 @@ TEST(PlanDifferentialFuzz, CachedPlansByteEqualFromScratchEveryCycle) {
         pg.reset(pub);
         pe.reset(pub);
         pf.reset(pub);
+        // Two cleartext runs on independent secret inputs (own stream, so
+        // the netlists and public data above stay as they were).
+        crypto::CtrRng draw(crypto::block_from_u64(static_cast<std::uint64_t>(seed) * 92821 + 3));
+        std::array<netlist::Simulator, 2> sims = {netlist::Simulator(nl), netlist::Simulator(nl)};
+        for (netlist::Simulator& sim : sims) {
+          sim.reset(to_bits(draw.next_u64(), 8), to_bits(draw.next_u64(), 8), pub);
+        }
 
         for (std::uint64_t cycle = 0; cycle < kCycles; ++cycle) {
           const netlist::BitVec& sp = pub_streams[cycle];
@@ -1473,6 +1482,15 @@ TEST(PlanDifferentialFuzz, CachedPlansByteEqualFromScratchEveryCycle) {
           const CyclePlan c = pf.finish(is_final);
           expect_plans_equal(a, b);
           expect_plans_equal(a, c);
+          for (netlist::Simulator& sim : sims) {
+            sim.step(to_bits(draw.next_u64(), 8), to_bits(draw.next_u64(), 8), sp);
+            for (netlist::WireId w = 0; w < a.num_wires; ++w) {
+              if (a.wire_public(w)) {
+                ASSERT_EQ(a.wire_value(w), sim.wire(w))
+                    << "seed " << seed << " cycle " << cycle << " wire " << w;
+              }
+            }
+          }
           if (!is_final) {
             pg.latch(a);
             pe.latch(b);
@@ -1575,6 +1593,84 @@ TEST(PlanCache, WarmHammingRunWalksItsEntryChain) {
   // so a warm cycle executes a few dozen of the ARM core's gates.
   EXPECT_EQ(second.stats.live_gates, 3451u);  // ~36 per cycle
   EXPECT_EQ(first.stats.live_gates, second.stats.live_gates);
+}
+
+/// FNV-1a over `n` bytes, continuing from `h`.
+std::uint64_t fnv_bytes(std::uint64_t h, const void* p, std::size_t n) {
+  const auto* b = static_cast<const unsigned char*>(p);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= b[i];
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// Folds everything a CyclePlan fixes into `h`: the wire bits, the touched
+/// records, every slice's work lists, the emitted-table prefix and the
+/// secret latch list.
+std::uint64_t plan_digest(std::uint64_t h, const CyclePlan& p) {
+  const auto word = [&](std::uint64_t x) { h = fnv_bytes(h, &x, sizeof(x)); };
+  word(p.num_wires);
+  word(p.num_slices);
+  word(p.emitted);
+  word(static_cast<std::uint64_t>(p.is_final) | static_cast<std::uint64_t>(p.sample) << 1);
+  h = fnv_bytes(h, p.wire_bits, p.num_wires);
+  word(p.records.count);
+  h = fnv_bytes(h, p.records.gate, p.records.count * sizeof(std::uint32_t));
+  h = fnv_bytes(h, p.records.act, p.records.count);
+  h = fnv_bytes(h, p.records.src, p.records.count * sizeof(netlist::WireId));
+  for (std::size_t si = 0; si < p.num_slices; ++si) {
+    const core::PlanSlice& s = p.slices[si];
+    word(static_cast<std::uint64_t>(s.first_gate) << 32 | s.count);
+    word(s.work_count);
+    h = fnv_bytes(h, s.work, s.work_count * sizeof(std::uint32_t));
+    h = fnv_bytes(h, s.work_act, s.work_count);
+    h = fnv_bytes(h, s.work_src, s.work_count * sizeof(netlist::WireId));
+  }
+  h = fnv_bytes(h, p.emit_base, (p.num_slices + 1) * sizeof(std::uint64_t));
+  word(p.num_secret_dffs);
+  return fnv_bytes(h, p.secret_dffs, p.num_secret_dffs * sizeof(std::uint32_t));
+}
+
+/// Digest of every CyclePlan of a fresh planner's run of Hamming-160 on the
+/// ARM core (5 words per party): to the halt under SkipGate, or for
+/// `conventional_cycles` cycles in Conventional mode. Returns the digest and
+/// sets `cycles`.
+std::uint64_t hamming_plan_digest(Mode mode, std::uint64_t conventional_cycles,
+                                  std::uint64_t& cycles) {
+  const programs::Program prog = programs::hamming(5);
+  const arm::Arm2Gc machine(prog.cfg, prog.words);
+  const core::PartyOptions po = machine.party_options(core::Role::Garbler);
+  PlannerOptions opts;
+  opts.mode = mode;
+  opts.seed = po.protocol_seed;
+  opts.cone_target_gates = po.cone_target_gates;
+  Planner planner(machine.cpu().nl, opts);
+  planner.reset({});
+  std::uint64_t h = 1469598103934665603ull;
+  for (cycles = 1;; ++cycles) {
+    planner.begin_cycle({});
+    planner.forward();
+    const bool is_final = mode == Mode::SkipGate ? planner.wire_value(*po.halt_wire)
+                                                 : cycles == conventional_cycles;
+    const CyclePlan plan = planner.finish(is_final);
+    h = plan_digest(h, plan);
+    if (is_final) return h;
+    planner.latch(plan);
+  }
+}
+
+/// Pins every cycle's CyclePlan of a cold run, so a classifier rewrite that
+/// changes any decision shows up even where cached and from-scratch plans
+/// would still agree with each other (both come from the same classifier).
+/// The Conventional run touches every gate: no gate may take a public fast
+/// path there.
+TEST(PlanDigest, ColdHammingRunPlansArePinned) {
+  std::uint64_t cycles = 0;
+  EXPECT_EQ(hamming_plan_digest(Mode::SkipGate, 0, cycles), 0xde4aa9cd9e26435ull);
+  EXPECT_EQ(cycles, 97u);
+  EXPECT_EQ(hamming_plan_digest(Mode::Conventional, 97, cycles), 0x7992f006b615c7d3ull);
+  EXPECT_EQ(cycles, 97u);
 }
 
 }  // namespace
