@@ -19,16 +19,15 @@ using netlist::WireId;
 
 constexpr WireId kNoWire = 0xffffffffu;
 
-WireState pub_state(bool v) {
-  WireState s;
-  s.is_pub = true;
-  s.val = v;
-  return s;
-}
+// Packed per-wire bits (CyclePlan::wire_bits). A secret wire's value bit is
+// always clear.
+constexpr std::uint8_t kPub = 1;
+constexpr std::uint8_t kVal = 2;
+constexpr std::uint8_t kFlip = 4;
 
-std::uint8_t pack_bits(const WireState& s) {
-  return static_cast<std::uint8_t>((s.is_pub ? 1u : 0u) | (s.val ? 2u : 0u) |
-                                   (s.flip ? 4u : 0u));
+constexpr std::uint8_t public_bits(bool v) { return v ? kPub | kVal : kPub; }
+constexpr std::uint8_t flip_if(std::uint8_t bits, bool invert) {
+  return invert ? bits ^ kFlip : bits;
 }
 
 /// One root's contribution to the entry signature's hash: a splitmix64
@@ -44,7 +43,7 @@ std::uint64_t sig_mix(WireId pos, std::uint32_t term) {
   return x;
 }
 
-constexpr std::uint32_t pub_term(const WireState& s) { return 1u | (s.val ? 2u : 0u); }
+constexpr std::uint32_t pub_term(std::uint8_t bits) { return 1u | (bits & kVal); }
 constexpr std::uint32_t secret_term(WireId rep, bool flip) { return rep << 2 | (flip ? 2u : 0u); }
 
 std::size_t next_pow2(std::size_t n) {
@@ -89,20 +88,6 @@ std::uint64_t netlist_content_key(const Netlist& nl, Mode mode) {
     h = fnv1a64_step(h, static_cast<std::uint64_t>(o.wire) | (o.invert ? 1ull << 32 : 0));
   }
   return h;
-}
-
-/// Folds a unary residual function of a surviving secret input into a plan
-/// action (constant output, wire, or inverter — paper Figures 1 and 2).
-void classify_unary(netlist::UnaryTable u, const WireState& in, bool pass_is_a, PlanAct& act,
-                    WireState& out) {
-  if (netlist::unary_is_const(u)) {
-    act = PlanAct::Public;
-    out = pub_state(u == netlist::kUnOne);
-    return;
-  }
-  act = pass_is_a ? PlanAct::PassA : PlanAct::PassB;
-  out = in;
-  if (u == netlist::kUnNot) out.flip = !out.flip;
 }
 
 /// The decision table for a gate whose inputs are both secret (every gate in
@@ -181,12 +166,12 @@ std::size_t cancel_candidates(const Netlist& nl, const std::uint8_t* acts, const
 /// replays it from the same candidate list.
 template <typename IsPubFn>
 WireId find_cancellation(const Netlist& nl, const std::uint8_t* acts, const WireId* srcs,
-                         const std::vector<WireState>& st, IsPubFn&& is_pub, WireId wa,
-                         WireId wb, const Block& out_fp) {
+                         const Block* fps, IsPubFn&& is_pub, WireId wa, WireId wb,
+                         const Block& out_fp) {
   std::array<WireId, 4> cand{};
   const std::size_t n = cancel_candidates(nl, acts, srcs, is_pub, wa, wb, cand);
   for (std::size_t j = 0; j < n; ++j) {
-    if (st[cand[j]].fp == out_fp) return cand[j];
+    if (fps[cand[j]] == out_fp) return cand[j];
   }
   return kNoWire;
 }
@@ -502,7 +487,8 @@ Planner::Planner(const Netlist& nl, const PlannerOptions& opts)
     non_free_per_cycle_ = nl_.count_non_free();
   }
   const std::size_t roots = nl_.first_gate_wire();
-  st_.resize(nl_.num_wires());
+  fp_.resize(nl_.num_wires());
+  root_bits_.assign(roots, kPub);
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
     if (nl_.inputs[i].streamed) streamed_.push_back(static_cast<std::uint32_t>(i));
   }
@@ -533,11 +519,9 @@ Block Planner::derived_fp(std::size_t gate) const {
   return fp_gen_.encrypt(derived_plaintext(gate));
 }
 
-void Planner::bind_secret_fp(WireState& s) {
-  s.is_pub = false;
-  s.val = false;
-  s.flip = false;
-  s.fp = fresh_fp();
+void Planner::bind_secret_root(WireId w) {
+  root_bits_[w] = 0;
+  fp_[w] = fresh_fp();
 }
 
 void Planner::reset(const netlist::BitVec& pub_bits) {
@@ -552,11 +536,11 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
   // Constants. Conventional GC treats even constants as secret wires; the
   // planner tracks them with fingerprints like any other secret.
   if (opts_.mode == Mode::SkipGate) {
-    st_[netlist::kConst0] = pub_state(false);
-    st_[netlist::kConst1] = pub_state(true);
+    root_bits_[netlist::kConst0] = public_bits(false);
+    root_bits_[netlist::kConst1] = public_bits(true);
   } else {
-    bind_secret_fp(st_[netlist::kConst0]);
-    bind_secret_fp(st_[netlist::kConst1]);
+    bind_secret_root(netlist::kConst0);
+    bind_secret_root(netlist::kConst1);
   }
 
   // Fixed primary inputs: public ones carry their value (SkipGate mode);
@@ -566,11 +550,11 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
   for (std::size_t i = 0; i < nl_.inputs.size(); ++i) {
     const netlist::Input& in = nl_.inputs[i];
     if (in.streamed) continue;
-    WireState& s = st_[nl_.input_wire(i)];
+    const WireId w = nl_.input_wire(i);
     if (in.owner == Owner::Public && opts_.mode == Mode::SkipGate) {
-      s = pub_state(pub_bit(in.bit_index, "fixed input"));
+      root_bits_[w] = public_bits(pub_bit(in.bit_index, "fixed input"));
     } else {
-      bind_secret_fp(s);
+      bind_secret_root(w);
     }
   }
 
@@ -579,11 +563,11 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
   for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
     const Dff& d = nl_.dffs[i];
     const bool const_init = d.init == Dff::Init::Zero || d.init == Dff::Init::One;
-    WireState& s = st_[nl_.dff_wire(i)];
+    const WireId w = nl_.dff_wire(i);
     if (const_init && opts_.mode == Mode::SkipGate) {
-      s = pub_state(d.init == Dff::Init::One);
+      root_bits_[w] = public_bits(d.init == Dff::Init::One);
     } else {
-      bind_secret_fp(s);
+      bind_secret_root(w);
     }
   }
 
@@ -599,24 +583,22 @@ void Planner::reset(const netlist::BitVec& pub_bits) {
 void Planner::begin_cycle(const netlist::BitVec& pub_stream) {
   for (const std::uint32_t i : streamed_) {
     const netlist::Input& in = nl_.inputs[i];
-    WireState s;
     if (in.owner == Owner::Public && opts_.mode == Mode::SkipGate) {
       if (in.bit_index >= pub_stream.size()) {
         throw std::out_of_range("skipgate: missing streamed input bit " +
                                 std::to_string(in.bit_index));
       }
-      s = pub_state(pub_stream[in.bit_index]);
+      set_root(nl_.input_wire(i), public_bits(pub_stream[in.bit_index]), Block{});
     } else {
-      bind_secret_fp(s);
+      set_root(nl_.input_wire(i), 0, fresh_fp());
     }
-    set_root(nl_.input_wire(i), s);
   }
 }
 
 // ---------------------------------------------------------------------------
 // Kept entry signature. Invariant (after reset()): terms_, terms_hash_ and
-// the fingerprint classes describe st_[0 .. first_gate), so every root write
-// goes through set_root().
+// the fingerprint classes describe the roots' bits and fingerprints, so every
+// root write goes through set_root().
 // ---------------------------------------------------------------------------
 
 void Planner::set_term(WireId w, std::uint32_t term) {
@@ -664,44 +646,44 @@ void Planner::rep_remove(WireId w, const Block& fp) {
   // The representative left: the next member represents the class now.
   slot.head = head;
   for (WireId m = head; m != kNoWire; m = rep_next_[m]) {
-    set_term(m, secret_term(head, st_[m].flip));
+    set_term(m, secret_term(head, (root_bits_[m] & kFlip) != 0));
   }
 }
 
-void Planner::rep_insert(WireId w, const WireState& s) {
-  RepSlot& slot = rep_table_[rep_slot(s.fp)];
+void Planner::rep_insert(WireId w, bool flip, const Block& fp) {
+  RepSlot& slot = rep_table_[rep_slot(fp)];
   if (slot.epoch != rep_epoch_) {
-    slot = RepSlot{s.fp, w, rep_epoch_};
+    slot = RepSlot{fp, w, rep_epoch_};
     rep_next_[w] = kNoWire;
-    set_term(w, secret_term(w, s.flip));
+    set_term(w, secret_term(w, flip));
     return;
   }
   if (w < slot.head) {
     // A new representative: every member's term names it.
     rep_next_[w] = slot.head;
     for (WireId m = slot.head; m != kNoWire; m = rep_next_[m]) {
-      set_term(m, secret_term(w, st_[m].flip));
+      set_term(m, secret_term(w, (root_bits_[m] & kFlip) != 0));
     }
     slot.head = w;
-    set_term(w, secret_term(w, s.flip));
+    set_term(w, secret_term(w, flip));
     return;
   }
   WireId p = slot.head;
   while (rep_next_[p] != kNoWire && rep_next_[p] < w) p = rep_next_[p];
   rep_next_[w] = rep_next_[p];
   rep_next_[p] = w;
-  set_term(w, secret_term(slot.head, s.flip));
+  set_term(w, secret_term(slot.head, flip));
 }
 
-void Planner::set_root(WireId w, const WireState& s) {
-  WireState& cur = st_[w];
-  if (!cur.is_pub) rep_remove(w, cur.fp);
-  if (s.is_pub) {
-    set_term(w, pub_term(s));
+void Planner::set_root(WireId w, std::uint8_t bits, const Block& fp) {
+  if ((root_bits_[w] & kPub) == 0) rep_remove(w, fp_[w]);
+  if ((bits & kPub) != 0) {
+    set_term(w, pub_term(bits));
   } else {
-    rep_insert(w, s);
+    rep_insert(w, (bits & kFlip) != 0, fp);
+    fp_[w] = fp;
   }
-  cur = s;
+  root_bits_[w] = bits;
 }
 
 void Planner::rebuild_terms() {
@@ -711,11 +693,10 @@ void Planner::rebuild_terms() {
   const WireId roots = nl_.first_gate_wire();
   ++rep_epoch_;
   for (WireId w = roots; w-- > 0;) {
-    const WireState& s = st_[w];
-    if (s.is_pub) continue;
-    RepSlot& slot = rep_table_[rep_slot(s.fp)];
+    if ((root_bits_[w] & kPub) != 0) continue;
+    RepSlot& slot = rep_table_[rep_slot(fp_[w])];
     if (slot.epoch != rep_epoch_) {
-      slot = RepSlot{s.fp, w, rep_epoch_};
+      slot = RepSlot{fp_[w], w, rep_epoch_};
       rep_next_[w] = kNoWire;
     } else {
       rep_next_[w] = slot.head;
@@ -724,9 +705,10 @@ void Planner::rebuild_terms() {
   }
   terms_hash_ = 0;
   for (WireId w = 0; w < roots; ++w) {
-    const WireState& s = st_[w];
-    const std::uint32_t head = s.is_pub ? w : rep_table_[rep_slot(s.fp)].head;
-    terms_[w] = s.is_pub ? pub_term(s) : secret_term(head, s.flip);
+    const std::uint8_t bits = root_bits_[w];
+    terms_[w] = (bits & kPub) != 0
+                    ? pub_term(bits)
+                    : secret_term(rep_table_[rep_slot(fp_[w])].head, (bits & kFlip) != 0);
     terms_hash_ += sig_mix(w, terms_[w]);
   }
 }
@@ -737,9 +719,10 @@ std::uint64_t Planner::signature_from_scratch(std::vector<std::uint32_t>& terms)
   std::uint64_t hash = 0;
   terms.assign(roots, 0);
   for (WireId w = 0; w < roots; ++w) {
-    const WireState& s = st_[w];
-    terms[w] = s.is_pub ? pub_term(s)
-                        : secret_term(lowest.try_emplace(s.fp, w).first->second, s.flip);
+    const std::uint8_t bits = root_bits_[w];
+    terms[w] = (bits & kPub) != 0 ? pub_term(bits)
+                                  : secret_term(lowest.try_emplace(fp_[w], w).first->second,
+                                                (bits & kFlip) != 0);
     hash += sig_mix(w, terms[w]);
   }
   return hash;
@@ -844,8 +827,7 @@ void Planner::build_plan(Entry& e) {
   size_dense();
   touch_.clear();
 
-  const WireId first_gate = nl_.first_gate_wire();
-  for (WireId w = 0; w < first_gate; ++w) e.wire_bits[w] = pack_bits(st_[w]);
+  std::copy(root_bits_.begin(), root_bits_.end(), e.wire_bits.begin());
 
   for (std::size_t si = 0; si < nseg; ++si) {
     e.touch_off[si] = static_cast<std::uint32_t>(touch_.size());
@@ -869,69 +851,82 @@ void Planner::store_records(Entry& e) {
 void Planner::classify_segment(Entry& e, const PlanSegment& seg) {
   const WireId first_gate = nl_.first_gate_wire();
   const bool skipgate = opts_.mode == Mode::SkipGate;
-  const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
-  const auto state_of = [&](WireId w) {
-    const std::uint8_t b = e.wire_bits[w];
-    WireState s;
-    s.is_pub = (b & 1) != 0;
-    s.val = (b & 2) != 0;
-    s.flip = (b & 4) != 0;
-    s.fp = st_[w].fp;
-    return s;
-  };
-  const std::size_t gend = seg.first_gate + seg.count;
+  const Gate* const gates = nl_.gates.data();
+  std::uint8_t* const bits = e.wire_bits.data();
+  Block* const fps = fp_.data();
+  std::uint8_t* const acts = act_.data();
+  WireId* const srcs = src_.data();
+  const auto wire_pub = [bits](WireId w) { return (bits[w] & kPub) != 0; };
+  const std::size_t gend = std::size_t{seg.first_gate} + seg.count;
 
   for (std::size_t i = seg.first_gate; i < gend; ++i) {
-    const Gate g = nl_.gates[i];
-    const WireState a = state_of(g.a);
-    const WireState b = state_of(g.b);
-    WireState out;
+    const Gate g = gates[i];
+    const std::uint8_t ba = bits[g.a];
+    const std::uint8_t bb = bits[g.b];
+    const WireId w = first_gate + static_cast<WireId>(i);
     PlanAct act;
+    std::uint8_t out = 0;  // the output's packed bits
     WireId src = 0;
 
-    if (skipgate && a.is_pub && b.is_pub) {  // category i
-      act = PlanAct::Public;
-      out = pub_state(netlist::tt_eval(g.tt, a.val, b.val));
-    } else if (skipgate && a.is_pub) {  // category ii
-      classify_unary(netlist::tt_restrict_a(g.tt, a.val), b, /*pass_is_a=*/false, act, out);
-    } else if (skipgate && b.is_pub) {  // category ii
-      classify_unary(netlist::tt_restrict_b(g.tt, b.val), a, /*pass_is_a=*/true, act, out);
+    if (skipgate && ((ba | bb) & kPub) != 0) {
+      // A public operand. Category i, and category ii whose restricted table
+      // is constant, only write the output's public value: no fingerprint,
+      // no record and no dense-scratch entry — those are read for secret
+      // wires only, and every secret wire's producer is touched.
+      if ((ba & bb & kPub) != 0) {  // category i
+        bits[w] = public_bits(netlist::tt_eval(g.tt, (ba & kVal) != 0, (bb & kVal) != 0));
+        continue;
+      }
+      const bool a_pub = (ba & kPub) != 0;  // category ii
+      const netlist::UnaryTable u = a_pub ? netlist::tt_restrict_a(g.tt, (ba & kVal) != 0)
+                                          : netlist::tt_restrict_b(g.tt, (bb & kVal) != 0);
+      if (netlist::unary_is_const(u)) {
+        bits[w] = public_bits(u == netlist::kUnOne);
+        continue;
+      }
+      // A wire or an inverter of the secret operand (paper Figures 1 and 2).
+      act = a_pub ? PlanAct::PassB : PlanAct::PassA;
+      out = flip_if(a_pub ? bb : ba, u == netlist::kUnNot);
+      fps[w] = fps[a_pub ? g.b : g.a];
     } else {  // both inputs secret (every gate in Conventional mode)
-      const bool fd = a.flip != b.flip;
-      act = pair_action(g.tt, fd, skipgate && a.fp == b.fp, skipgate);
+      const bool fd = ((ba ^ bb) & kFlip) != 0;
+      act = pair_action(g.tt, fd, skipgate && fps[g.a] == fps[g.b], skipgate);
       switch (act) {
         case PlanAct::Public:
           // A constant category-iii collapse or a constant table: either
           // way the value is the diagonal restriction's constant.
-          out = pub_state(netlist::tt_restrict_diag(g.tt, fd) == netlist::kUnOne);
+          out = public_bits(netlist::tt_restrict_diag(g.tt, fd) == netlist::kUnOne);
           break;
         case PlanAct::PassA:
           // Category iii, or a table that ignores b: the diagonal
           // restriction is the unary function of a in both cases.
-          out = a;
-          if (netlist::tt_restrict_diag(g.tt, fd) == netlist::kUnNot) out.flip = !out.flip;
+          out = flip_if(ba, netlist::tt_restrict_diag(g.tt, fd) == netlist::kUnNot);
+          fps[w] = fps[g.a];
           break;
         case PlanAct::PassB:
-          out = b;
-          if (netlist::tt_restrict_a(g.tt, false) == netlist::kUnNot) out.flip = !out.flip;
+          out = flip_if(bb, netlist::tt_restrict_a(g.tt, false) == netlist::kUnNot);
+          fps[w] = fps[g.b];
           break;
         case PlanAct::PassC0:
-        case PlanAct::PassC1:
+        case PlanAct::PassC1: {
           // Conventional mode: even a constant stays a secret-typed wire.
-          out = state_of(act == PlanAct::PassC1 ? netlist::kConst1 : netlist::kConst0);
+          const WireId c = act == PlanAct::PassC1 ? netlist::kConst1 : netlist::kConst0;
+          out = bits[c];
+          fps[w] = fps[c];
           break;
+        }
         case PlanAct::FreeXor: {  // XOR / XNOR of two live secrets
-          out.is_pub = false;
-          out.fp = a.fp ^ b.fp;
-          out.flip = fd != (g.tt == netlist::kTtXnor);
+          const Block x = fps[g.a] ^ fps[g.b];
+          fps[w] = x;
+          out = fd != (g.tt == netlist::kTtXnor) ? kFlip : 0;
           // XOR-cancellation peephole: the 1-AND multiplexer f ^ (s & (t^f))
           // with a public select degenerates to f ^ (t ^ f) == t. Detecting
           // that the result carries exactly an existing wire's label (the
           // paper's "the MUX acts as a wire") releases the unselected side's
           // label from the needed-cone, so its producing gates are skipped.
           if (skipgate) {
-            const WireId cancel = find_cancellation(nl_, act_.data(), src_.data(), st_, wire_pub,
-                                                    g.a, g.b, out.fp);
+            const WireId cancel =
+                find_cancellation(nl_, acts, srcs, fps, wire_pub, g.a, g.b, x);
             if (cancel != kNoWire) {
               act = PlanAct::PassSrc;
               src = cancel;
@@ -940,23 +935,17 @@ void Planner::classify_segment(Entry& e, const PlanSegment& seg) {
           break;
         }
         default:  // PlanAct::Garble: category iv
-          out.is_pub = false;
-          out.fp = derived_fp(i);
-          out.flip = false;
+          fps[w] = derived_fp(i);
           break;
       }
     }
-    const WireId w = first_gate + static_cast<WireId>(i);
-    st_[w].fp = out.fp;
-    act_[i] = static_cast<std::uint8_t>(act);
-    src_[i] = collapse(g, w, act, src, src_.data(), first_gate);
-    e.wire_bits[w] = pack_bits(out);
     // The touch list drives the hit compiler and the backward sweep: every
     // non-Public action plus every fingerprint-dependent Public collapse
     // (two secret inputs, category iii / constant-affine).
-    if (act != PlanAct::Public || (!a.is_pub && !b.is_pub)) {
-      touch_.push_back(static_cast<std::uint32_t>(i));
-    }
+    bits[w] = out;
+    acts[i] = static_cast<std::uint8_t>(act);
+    srcs[i] = collapse(g, w, act, src, srcs, first_gate);
+    touch_.push_back(static_cast<std::uint32_t>(i));
   }
 }
 
@@ -972,8 +961,8 @@ bool Planner::verify_entry(Entry& e) {
   while (p != end) {
     const std::uint32_t n = *p & ~kExpectZero;
     const bool expect_zero = (*p & kExpectZero) != 0;
-    Block x = st_[p[1]].fp;
-    for (std::uint32_t j = 1; j < n; ++j) x ^= st_[p[1 + j]].fp;
+    Block x = fp_[p[1]];
+    for (std::uint32_t j = 1; j < n; ++j) x ^= fp_[p[1 + j]];
     bad |= x.is_zero() != expect_zero;
     p += 1 + n;
     ++relation_checks_;
@@ -982,9 +971,6 @@ bool Planner::verify_entry(Entry& e) {
 }
 
 void Planner::compile_entry(Entry& e) {
-  // The latch part needs the latch list, which is otherwise built with the
-  // entry's first CyclePlan.
-  if (!e.latch_ready) build_latch_list(e);
   const bool skipgate = opts_.mode == Mode::SkipGate;
   const WireId first_gate = nl_.first_gate_wire();
   // Operand lookups (sources, the actions of cancellation sides) go through
@@ -995,6 +981,9 @@ void Planner::compile_entry(Entry& e) {
     act_[e.touch[t]] = e.touch_act[t];
     src_[e.touch[t]] = e.touch_src[t];
   }
+  // The latch part needs the latch list, which is otherwise built with the
+  // entry's first CyclePlan; it reads the expanded sources.
+  if (!e.latch_ready) build_latch_list(e);
   const std::uint8_t* acts = act_.data();
   const WireId* srcs = src_.data();
   const auto wire_pub = [&](WireId w) { return (e.wire_bits[w] & 1) != 0; };
@@ -1289,39 +1278,36 @@ void Planner::backward_fill(const Entry& e, PlanCache::Backward& b, bool is_fina
 void Planner::build_latch_list(Entry& e) {
   const std::uint8_t* bits = e.wire_bits.data();
   const WireId first_gate = nl_.first_gate_wire();
-  // A secret D-input's collapsed source: a root is its own; a gate output's
-  // producer is touched (it is secret), so its record holds it.
-  const auto source = [&](WireId w) {
-    if (w < first_gate) return w;
-    const auto it = std::lower_bound(e.touch.begin(), e.touch.end(), w - first_gate);
-    return e.touch_src[static_cast<std::size_t>(it - e.touch.begin())];
-  };
   e.latch_dffs.clear();
   e.latch_src.clear();
-  // Secret D-inputs first. One that resolves to the flip-flop's own output
-  // with unchanged parity latches exactly the state it already has: same
-  // fingerprint, same flip, and — in both sessions — the same label.
+  latch_pub_.clear();
   for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
     const Dff& d = nl_.dffs[i];
-    if ((bits[d.d] & 1) != 0) continue;
+    const std::uint8_t bd = bits[d.d];
     const WireId q = nl_.dff_wire(i);
-    const WireId src = source(d.d);
-    const bool flip = ((bits[d.d] & 4) != 0) != d.d_invert;
-    if (src == q && flip == ((bits[q] & 4) != 0)) continue;
+    if ((bd & kPub) != 0) {
+      // A public D-input latches when its value differs from the
+      // flip-flop's current public value (or makes a secret flip-flop
+      // public); these follow the secret ones.
+      const bool v = ((bd & kVal) != 0) != d.d_invert;
+      if ((bits[q] & kPub) == 0 || ((bits[q] & kVal) != 0) != v) {
+        latch_pub_.push_back(static_cast<std::uint32_t>(i));
+      }
+      continue;
+    }
+    // A secret D-input's collapsed source: a root is its own; a gate
+    // output's producer is touched, so the dense scratch holds it. One that
+    // resolves to the flip-flop's own output with unchanged parity latches
+    // exactly the state it already has: same fingerprint, same flip, and —
+    // in both sessions — the same label.
+    const WireId src = source_in(src_.data(), first_gate, d.d);
+    const bool flip = ((bd & kFlip) != 0) != d.d_invert;
+    if (src == q && flip == ((bits[q] & kFlip) != 0)) continue;
     e.latch_dffs.push_back(static_cast<std::uint32_t>(i));
     e.latch_src.push_back(src);
   }
   e.latch_secret = static_cast<std::uint32_t>(e.latch_dffs.size());
-  // Public D-inputs whose value differs from the flip-flop's current public
-  // value (or that make a secret flip-flop public).
-  for (std::size_t i = 0; i < nl_.dffs.size(); ++i) {
-    const Dff& d = nl_.dffs[i];
-    if ((bits[d.d] & 1) == 0) continue;
-    const std::uint8_t q = bits[nl_.dff_wire(i)];
-    const bool v = ((bits[d.d] & 2) != 0) != d.d_invert;
-    if ((q & 1) != 0 && ((q & 2) != 0) == v) continue;
-    e.latch_dffs.push_back(static_cast<std::uint32_t>(i));
-  }
+  e.latch_dffs.insert(e.latch_dffs.end(), latch_pub_.begin(), latch_pub_.end());
   // Exact: entries are long-lived.
   e.latch_dffs.shrink_to_fit();
   e.latch_src.shrink_to_fit();
@@ -1347,32 +1333,33 @@ void Planner::latch(const CyclePlan& plan) {
     }
     fp_gen_.encrypt_batch(latch_derived_.data(), latch_derived_.size());
   }
-  latch_next_.resize(e.latch_dffs.size());
-  for (std::size_t k = 0; k < e.latch_dffs.size(); ++k) {
-    const Dff& d = nl_.dffs[e.latch_dffs[k]];
-    WireState& s = latch_next_[k];
-    if (k < e.latch_secret) {
-      s.is_pub = false;
-      s.val = false;
-      s.flip = plan.wire_flip(d.d) != d.d_invert;
-      if (!hit_) {
-        s.fp = st_[e.latch_src[k]].fp;
-        continue;
-      }
-      const std::uint32_t roots = form[0];
-      const std::uint32_t derived = form[1];
-      form += 2;
-      s.fp = Block{};
-      for (const std::uint32_t* end = form + roots; form != end; ++form) s.fp ^= st_[*form].fp;
-      for (const std::uint32_t* end = form + derived; form != end; ++form) {
-        s.fp ^= latch_derived_[*form];
-      }
-    } else {
-      s = pub_state(plan.wire_value(d.d) != d.d_invert);
+  // Secret next states stage their fingerprints; every next state's bits
+  // follow from the plan.
+  latch_fp_.resize(e.latch_secret);
+  for (std::size_t k = 0; k < e.latch_secret; ++k) {
+    if (!hit_) {
+      latch_fp_[k] = fp_[e.latch_src[k]];
+      continue;
     }
+    const std::uint32_t roots = form[0];
+    const std::uint32_t derived = form[1];
+    form += 2;
+    Block fp{};
+    for (const std::uint32_t* end = form + roots; form != end; ++form) fp ^= fp_[*form];
+    for (const std::uint32_t* end = form + derived; form != end; ++form) {
+      fp ^= latch_derived_[*form];
+    }
+    latch_fp_[k] = fp;
   }
   for (std::size_t k = 0; k < e.latch_dffs.size(); ++k) {
-    set_root(nl_.dff_wire(e.latch_dffs[k]), latch_next_[k]);
+    const Dff& d = nl_.dffs[e.latch_dffs[k]];
+    if (k < e.latch_secret) {
+      set_root(nl_.dff_wire(e.latch_dffs[k]), plan.wire_flip(d.d) != d.d_invert ? kFlip : 0,
+               latch_fp_[k]);
+    } else {
+      set_root(nl_.dff_wire(e.latch_dffs[k]), public_bits(plan.wire_value(d.d) != d.d_invert),
+               Block{});
+    }
   }
 }
 

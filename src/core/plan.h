@@ -81,14 +81,6 @@ enum class PlanAct : std::uint8_t {
   PassSrc,
 };
 
-/// Planner view of one wire for the current cycle.
-struct WireState {
-  bool is_pub = true;
-  bool val = false;       // public value
-  bool flip = false;      // inversion parity of the carried secret combination
-  crypto::Block fp{};     // fingerprint of the carried secret combination
-};
-
 /// One contiguous run of `count` gates starting at gate index `first_gate`,
 /// with the work list the party sessions execute for it. Slice storage is
 /// owned by the Planner (cache entry or scratch) and stays valid until the
@@ -460,10 +452,13 @@ class Planner {
   /// plaintext bit).
   [[nodiscard]] crypto::Block derived_fp(std::size_t gate) const;
   [[nodiscard]] crypto::Block derived_plaintext(std::size_t gate) const;
-  void bind_secret_fp(WireState& s);
-  /// Installs a root wire's state, keeping the entry signature (terms_,
+  /// reset(): makes root w secret with a fresh fingerprint (the signature is
+  /// rebuilt afterwards).
+  void bind_secret_root(netlist::WireId w);
+  /// Installs a root wire's packed bits (CyclePlan::wire_bits) and, when
+  /// secret, its fingerprint, keeping the entry signature (terms_,
   /// terms_hash_ and the fingerprint classes) in step.
-  void set_root(netlist::WireId w, const WireState& s);
+  void set_root(netlist::WireId w, std::uint8_t bits, const crypto::Block& fp);
   /// Rebuilds the kept entry signature from the root states.
   void rebuild_terms();
   /// Writes one signature term, listing its position as dirty.
@@ -474,7 +469,7 @@ class Planner {
   void rep_erase(std::size_t slot);
   /// Removes secret root w (fingerprint fp) from its class / adds it.
   void rep_remove(netlist::WireId w, const crypto::Block& fp);
-  void rep_insert(netlist::WireId w, const WireState& s);
+  void rep_insert(netlist::WireId w, bool flip, const crypto::Block& fp);
   /// Forward-classifies the cycle into `e`, which becomes the current entry:
   /// classify_segment over the segments in order, into the dense per-gate
   /// scratch; e receives its touched records.
@@ -483,8 +478,11 @@ class Planner {
   void store_records(Entry& e);
   /// Sizes the dense per-gate scratch (below) on first use.
   void size_dense();
-  /// Fresh forward classification of one segment's gates into the dense
-  /// scratch and e's wire bits; touched gate indices are appended to touch_.
+  /// Fresh forward classification of one segment's gates into e's wire bits
+  /// and, for touched gates, the fingerprints and the dense scratch; touched
+  /// gate indices are appended to touch_. A gate that yields a public value
+  /// from a public operand (category i, constant category ii) writes its
+  /// output's bits and nothing else.
   void classify_segment(Entry& e, const PlanSegment& seg);
   /// Hit path: compiles the entry on its first hit, then checks its kept
   /// root relations against the live root fingerprints. Returns false on
@@ -499,7 +497,8 @@ class Planner {
   /// verify — or keeps it as a root relation. Then the secret latch
   /// sources' forms.
   void compile_entry(Entry& e);
-  /// Fills e's latch list from its records (see Entry::latch_dffs).
+  /// Fills e's latch list (see Entry::latch_dffs) from its wire bits and the
+  /// collapsed sources in the dense scratch, which must hold e's records.
   void build_latch_list(Entry& e);
   /// Backward sweep for one variant over e's records; reads e's latch list
   /// (build it first).
@@ -532,22 +531,27 @@ class Planner {
   /// the cycle. Both parties advance it identically (one forward per cycle).
   std::uint64_t fp_epoch_ = 0;
 
-  // Per-wire cycle state. Packed public/value/flip bits live in the current
-  // entry's wire_bits; st_ carries fingerprints, plus valid bits only for
-  // root wires (gate-range bits in st_ are unspecified — always read bits
-  // from the entry). A verified
-  // whole-entry hit writes no gate-range fingerprint: its only reader,
-  // latch(), computes the latched ones from the program's latch forms.
-  std::vector<WireState> st_;
+  // Per-wire cycle state. Packed public/value/flip bits of every wire live in
+  // the current entry's wire_bits; root_bits_ holds the roots' own, the
+  // entry state that reset(), begin_cycle() and latch() install. fp_ holds
+  // fingerprints, one 16-byte block per wire, meaningful for secret wires
+  // only: it is written and read for secret wires alone (a public wire's
+  // slot keeps whatever it last held). A verified whole-entry hit writes no
+  // gate-range fingerprint: its only reader, latch(), computes the latched
+  // ones from the program's latch forms.
+  std::vector<crypto::Block> fp_;
+  std::vector<std::uint8_t> root_bits_;
   bool hit_ = false;  ///< the current cycle was served by a verified hit
   std::vector<crypto::Block> latch_derived_;  ///< latch(): a hit's derive part
-  std::vector<WireState> latch_next_;  ///< latch() staging, per latch-list entry
+  std::vector<crypto::Block> latch_fp_;  ///< latch() staging, per secret latch-list entry
+  std::vector<std::uint32_t> latch_pub_;  ///< build_latch_list(): public-D entries
   std::vector<std::uint8_t> needed_;   ///< backward-sweep scratch, sized on first use
-  /// Dense per-gate scratch, reused every cycle: build_plan classifies into
-  /// it (action, collapsed source) and copies the touched records out;
-  /// compile_entry expands a cached entry's records back into it. Only the
-  /// current touch list's gates are meaningful — every secret wire's
-  /// producer is among them, and lookups only ever name secret wires.
+  /// Dense per-gate scratch, reused every cycle: build_plan classifies the
+  /// touched gates into it (action, collapsed source) and copies their
+  /// records out; compile_entry expands a cached entry's records back into
+  /// it. Only the current touch list's gates are written or meaningful —
+  /// every secret wire's producer is among them, and lookups only ever name
+  /// secret wires.
   std::vector<std::uint8_t> act_;
   std::vector<netlist::WireId> src_;
   std::vector<std::uint32_t> touch_;  ///< the touch list build_plan collects
@@ -566,7 +570,7 @@ class Planner {
   Entry* prev_ = nullptr;
   std::uint64_t prev_stamp_ = 0;
   /// Packed wire bits of the entry being built/served this cycle (the
-  /// authoritative public/value/flip store; st_ gate-range bits are stale).
+  /// authoritative public/value/flip store).
   const std::uint8_t* cur_bits_ = nullptr;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
