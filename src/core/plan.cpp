@@ -768,7 +768,6 @@ void Planner::forward() {
     e = cache_->find(terms_hash_, terms_);
   }
   if (e != nullptr) {
-    cur_bits_ = e->wire_bits.data();
     if (!verify_entry(*e)) {
       // Signature matched but the XOR-linear fingerprint structure drifted:
       // reclassify this cycle uncached. The entry keeps serving states that
@@ -823,7 +822,6 @@ void Planner::build_plan(Entry& e) {
   e.backward[0].filled = false;
   e.backward[1].filled = false;
   cur_ = &e;
-  cur_bits_ = e.wire_bits.data();
   size_dense();
   touch_.clear();
 

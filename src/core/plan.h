@@ -7,7 +7,11 @@
 //                  deterministic public alias for the XOR-combination of base
 //                  labels a wire carries, so "fingerprints equal (+flip)" is
 //                  exactly the paper's "identical or inverted labels" test
-//                  (§3.3) without touching any key material.
+//                  (§3.3) without touching any key material. A gate that
+//                  yields a public value from a public operand (category
+//                  i, constant category ii — most of a processor's gates)
+//                  reads its operands' packed bits and writes its output's;
+//                  only secret wires have a fingerprint.
 //   Backward pass  from the sampled outputs and the D-inputs of the
 //                  flip-flops whose label changes at the latch, sweep
 //                  "needed" backwards; a category-iv gate is emitted iff its
@@ -569,9 +573,6 @@ class Planner {
   /// successor link is tried first, and it is linked to this cycle's entry.
   Entry* prev_ = nullptr;
   std::uint64_t prev_stamp_ = 0;
-  /// Packed wire bits of the entry being built/served this cycle (the
-  /// authoritative public/value/flip store).
-  const std::uint8_t* cur_bits_ = nullptr;
   std::uint64_t cache_hits_ = 0;
   std::uint64_t cache_misses_ = 0;
   std::uint64_t verify_rejects_ = 0;
